@@ -231,15 +231,12 @@ def zero_reconstructions(record: EpochRecord) -> dict[str, np.ndarray]:
 def evaluate_records(
     params: MaeParams,
     records: list[EpochRecord],
-    mask_ratio: float = 0.0,
-    rng: np.random.Generator | None = None,
     physical_units: bool = False,
 ) -> tuple[MseTable, list[tuple[EpochRecord, dict[str, np.ndarray]]]]:
-    """Reconstruct every record (full visibility by default) and aggregate."""
-    pairs = [
-        (record, mae.reconstruct_epoch(params, record, mask_ratio=mask_ratio, rng=rng))
-        for record in records
-    ]
+    """Reconstruct every record with full visibility and aggregate."""
+    recons = mae.predict(params, [record.input_samples for record in records])
+    channels = params.config.target_channels
+    pairs = [(record, dict(zip(channels, recon))) for record, recon in zip(records, recons)]
     return aggregate_by_stage(pairs, physical_units=physical_units), pairs
 
 

@@ -9,6 +9,7 @@ similarity per patch pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,10 @@ from .numcore import ShapeMismatch, Tensor
 from .pipeline import EpochRecord
 
 COSINE_EPS = 1e-8
+
+# examples per forward pass in predict: bounds activation memory, so
+# inference over a whole night needs no more than over one chunk
+PREDICT_CHUNK = 64
 
 
 class WrongLength(Exception):
@@ -65,10 +70,6 @@ class MaeConfig:
     def epoch_len(self) -> int:
         return self.patch_size * self.seq_len
 
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
-
 
 @dataclass
 class MaskPlan:
@@ -91,10 +92,8 @@ class MaskPlan:
 def make_mask(seq_len: int, mask_ratio: float, rng: np.random.Generator) -> MaskPlan:
     """Uniform random token subset of size round(mask_ratio * seq_len)."""
     n_masked = int(round(mask_ratio * seq_len))
-    perm = rng.permutation(seq_len)
-    masked = tuple(sorted(int(i) for i in perm[:n_masked]))
-    visible = tuple(sorted(int(i) for i in perm[n_masked:]))
-    return MaskPlan(visible_indices=visible, masked_indices=masked)
+    perm = rng.permutation(seq_len).tolist()  # MaskPlan sorts both sets
+    return MaskPlan(visible_indices=tuple(perm[n_masked:]), masked_indices=tuple(perm[:n_masked]))
 
 
 def full_visibility(seq_len: int) -> MaskPlan:
@@ -123,9 +122,6 @@ class MaeParams:
     @property
     def dtype(self):
         return self.tensors["patch_embed.w"].dtype
-
-    def head_name(self, channel: str, part: str) -> str:
-        return f"head.{channel}.{part}"
 
 
 def _block_names(prefix: str) -> list[str]:
@@ -203,18 +199,18 @@ def init_params(config: MaeConfig, seed=0, dtype=np.float32) -> MaeParams:
         tensors[f"head.{channel}.w"] = uniform((e, p), e)
         tensors[f"head.{channel}.b"] = uniform((p,), e)
 
-    pos = sinusoidal_table(config.seq_len, config.embed_dim)
+    pos = sinusoidal_table(config.seq_len, config.embed_dim).astype(dtype)
     return MaeParams(config=config, pos_encoding=pos, tensors=tensors)
 
 
 def patchify(samples: np.ndarray, config: MaeConfig) -> np.ndarray:
-    """Slice one epoch into the (seq_len, patch_size) token matrix."""
+    """Slice epochs (..., epoch_len) into (..., seq_len, patch_size) tokens."""
     samples = np.asarray(samples)
-    if samples.ndim != 1 or len(samples) != config.epoch_len:
+    if samples.ndim < 1 or samples.shape[-1] != config.epoch_len:
         raise WrongLength(
             f"expected {config.epoch_len} samples, got shape {samples.shape}"
         )
-    return samples.reshape(config.seq_len, config.patch_size)
+    return samples.reshape(*samples.shape[:-1], config.seq_len, config.patch_size)
 
 
 def unpatchify(tokens: np.ndarray) -> np.ndarray:
@@ -222,35 +218,30 @@ def unpatchify(tokens: np.ndarray) -> np.ndarray:
     return tokens.reshape(*tokens.shape[:-2], -1)
 
 
+def _visible(plan) -> np.ndarray:
+    """Visible token indices of a MaskPlan, or a batch's (B, n_visible) array."""
+    indices = plan.visible_indices if isinstance(plan, MaskPlan) else plan
+    return np.asarray(indices, dtype=np.intp)
+
+
 def _attention(h: Tensor, params: MaeParams, prefix: str) -> Tensor:
     t = params.tensors
-    config = params.config
-    n_tokens = h.shape[0]
-    heads, head_dim, e = config.num_heads, config.head_dim, config.embed_dim
+    heads = params.config.num_heads
 
     def project(name: str) -> Tensor:
-        out = nc.matmul(h, t[f"{prefix}.attn.w{name}"])
-        bias = t.get(f"{prefix}.attn.b{name}")
-        return out if bias is None else nc.add(out, bias)
+        out = nc.linear(h, t[f"{prefix}.attn.w{name}"], t.get(f"{prefix}.attn.b{name}"))
+        return nc.split_heads(out, heads)  # (..., heads, n, head_dim)
 
-    def split_heads(m: Tensor) -> Tensor:
-        # (n, e) -> (heads, n, head_dim)
-        return nc.transpose(nc.reshape(nc.transpose(m), (heads, head_dim, n_tokens)))
-
-    q = split_heads(project("q"))
-    k = split_heads(project("k"))
-    v = split_heads(project("v"))
-    scores = nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(head_dim))
-    attn = nc.softmax(scores)
-    mixed = nc.matmul(attn, v)  # (heads, n, head_dim)
-    merged = nc.transpose(nc.reshape(nc.transpose(mixed), (e, n_tokens)))
-    return nc.add(nc.matmul(merged, t[f"{prefix}.attn.wo"]), t[f"{prefix}.attn.bo"])
+    q, k, v = project("q"), project("k"), project("v")
+    scores = nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+    mixed = nc.matmul(nc.softmax(scores), v)
+    return nc.linear(nc.merge_heads(mixed), t[f"{prefix}.attn.wo"], t[f"{prefix}.attn.bo"])
 
 
 def _mlp(h: Tensor, params: MaeParams, prefix: str) -> Tensor:
     t = params.tensors
-    hidden = nc.gelu(nc.add(nc.matmul(h, t[f"{prefix}.mlp.w1"]), t[f"{prefix}.mlp.b1"]))
-    return nc.add(nc.matmul(hidden, t[f"{prefix}.mlp.w2"]), t[f"{prefix}.mlp.b2"])
+    hidden = nc.gelu(nc.linear(h, t[f"{prefix}.mlp.w1"], t[f"{prefix}.mlp.b1"]))
+    return nc.linear(hidden, t[f"{prefix}.mlp.w2"], t[f"{prefix}.mlp.b2"])
 
 
 def _transformer_block(x: Tensor, params: MaeParams, prefix: str) -> Tensor:
@@ -261,62 +252,46 @@ def _transformer_block(x: Tensor, params: MaeParams, prefix: str) -> Tensor:
     return nc.add(x, _mlp(normed, params, prefix))
 
 
-def encode(tokens: np.ndarray, plan: MaskPlan, params: MaeParams) -> Tensor:
-    """Embed all tokens (positional encoding at original positions), keep only
-    the visible rows, and run them through the encoder blocks."""
+def encode(tokens: np.ndarray, plan, params: MaeParams) -> Tensor:
+    """Embed tokens (..., seq_len, patch_size) with the positional encoding
+    at their original positions, keep only the visible rows, and run them
+    through the encoder blocks. ``plan`` is a MaskPlan, or per-example
+    visible indices (B, n_visible) for a batch of tokens."""
     config = params.config
-    if tokens.shape != (config.seq_len, config.patch_size):
-        raise ShapeMismatch(
-            f"tokens shape {tokens.shape} != ({config.seq_len}, {config.patch_size})"
-        )
+    if np.shape(tokens)[-2:] != (config.seq_len, config.patch_size):
+        raise ShapeMismatch(f"tokens shape {np.shape(tokens)} != "
+                            f"(..., {config.seq_len}, {config.patch_size})")
     t = params.tensors
     x = Tensor(tokens, dtype=params.dtype)
-    embedded = nc.add(nc.matmul(x, t["patch_embed.w"]), t["patch_embed.b"])
+    embedded = nc.linear(x, t["patch_embed.w"], t["patch_embed.b"])
     embedded = nc.add(embedded, Tensor(params.pos_encoding, dtype=params.dtype))
-    visible = nc.gather_rows(embedded, np.asarray(plan.visible_indices, dtype=np.intp))
+    visible = nc.gather_rows(embedded, _visible(plan))
     for i in range(config.encoder_layers):
         visible = _transformer_block(visible, params, f"enc.{i}")
     return visible
 
 
-def decode(latents: Tensor, plan: MaskPlan, params: MaeParams) -> Tensor:
-    """Scatter latents and mask tokens back to sequence order, decode, and
-    apply one reconstruction head per target channel.
-
-    Returns a (num_targets, seq_len, patch_size) tensor.
-    """
+def decode(latents: Tensor, plan, params: MaeParams) -> Tensor:
+    """Scatter latents into a mask-token sequence at their original
+    positions, decode, and apply one reconstruction head per target channel;
+    returns (..., num_targets, seq_len, patch_size)."""
     config = params.config
-    if latents.shape[0] != len(plan.visible_indices):
-        raise ShapeMismatch(
-            f"{latents.shape[0]} latent rows for {len(plan.visible_indices)} "
-            "visible tokens"
-        )
     t = params.tensors
-    n_masked = len(plan.masked_indices)
-    if n_masked:
-        placeholder = Tensor(
-            np.zeros((n_masked, config.embed_dim)), dtype=params.dtype
-        )
-        mask_rows = nc.add(placeholder, t["mask_token"])
-        stacked = nc.concat([latents, mask_rows], axis=0)
-    else:
-        stacked = latents
-    positions = np.asarray(plan.visible_indices + plan.masked_indices, dtype=np.intp)
-    ordered = nc.gather_rows(stacked, np.argsort(positions))
+    ordered = nc.scatter_rows(latents, _visible(plan), config.seq_len, t["mask_token"])
     ordered = nc.add(ordered, Tensor(params.pos_encoding, dtype=params.dtype))
     for i in range(config.decoder_layers):
         ordered = _transformer_block(ordered, params, f"dec.{i}")
 
-    per_target = []
-    for channel in config.target_channels:
-        head = nc.add(nc.matmul(ordered, t[f"head.{channel}.w"]),
-                      t[f"head.{channel}.b"])
-        per_target.append(nc.reshape(head, (1, config.seq_len, config.patch_size)))
-    return nc.concat(per_target, axis=0)
+    # all heads as one product: (..., seq_len, targets * patch) -> per target
+    channels = config.target_channels
+    w = nc.concat([t[f"head.{ch}.w"] for ch in channels], axis=1)
+    b = nc.concat([t[f"head.{ch}.b"] for ch in channels], axis=0)
+    return nc.split_heads(nc.linear(ordered, w, b), len(channels))
 
 
 def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean over patch pairs of 1 - cos(pred, target).
+    """Mean over patch pairs (last axis; all leading axes are pooled) of
+    1 - cos(pred, target).
 
     cos uses eps-clamped norms, so an all-zero patch scores cos 0 (loss 1)
     instead of NaN. Result is a scalar in [0, 2].
@@ -354,68 +329,49 @@ def forward_loss(
     batch: list[EpochRecord],
     params: MaeParams,
     rng: np.random.Generator,
-) -> tuple[Tensor, list[np.ndarray]]:
-    """Masked forward pass over a batch; returns the mean cosine loss and the
-    per-example reconstructions as (num_targets, epoch_len) arrays.
+) -> tuple[Tensor, np.ndarray]:
+    """Masked forward pass over a batch as one graph; returns the mean cosine
+    loss and the reconstructions (B, num_targets, epoch_len).
 
-    A fresh mask plan is drawn per example. With loss_scope == "masked" the
-    loss covers only masked token positions (all positions when the plan
-    masks nothing).
+    One mask plan is drawn per example, in batch order; all mask the same
+    number of tokens, so each example weighs equally in the mean. With
+    loss_scope == "masked" the loss covers only masked token positions (all
+    positions when the plans mask nothing).
     """
     config = params.config
     _check_batch(batch, config)
-    losses = []
-    reconstructions = []
-    for record in batch:
-        tokens = patchify(record.input_samples, config)
-        plan = make_mask(config.seq_len, config.mask_ratio, rng)
-        latents = encode(tokens, plan, params)
-        recon = decode(latents, plan, params)
-        target_np = np.stack(
-            [patchify(record.targets[ch], config) for ch in config.target_channels]
-        )
-        if config.loss_scope == "masked" and plan.masked_indices:
-            n_targets = len(config.target_channels)
-            flat = nc.reshape(recon, (n_targets * config.seq_len, config.patch_size))
-            rows = np.concatenate([
-                t * config.seq_len + np.asarray(plan.masked_indices, dtype=np.intp)
-                for t in range(n_targets)
-            ])
-            pred_sel = nc.gather_rows(flat, rows)
-            target_sel = target_np.reshape(-1, config.patch_size)[rows]
-            losses.append(cosine_loss(pred_sel, Tensor(target_sel, dtype=params.dtype)))
-        else:
-            losses.append(cosine_loss(recon, Tensor(target_np, dtype=params.dtype)))
-        reconstructions.append(unpatchify(recon.data).copy())
-
-    total = losses[0]
-    for item in losses[1:]:
-        total = nc.add(total, item)
-    return nc.scale(total, 1.0 / len(batch)), reconstructions
+    plans = [make_mask(config.seq_len, config.mask_ratio, rng) for _ in batch]
+    visible = np.array([plan.visible_indices for plan in plans], dtype=np.intp)
+    tokens = patchify(np.stack([record.input_samples for record in batch]), config)
+    recon = decode(encode(tokens, visible, params), visible, params)
+    target = patchify(np.stack([[record.targets[ch] for ch in config.target_channels]
+                                for record in batch]), config)
+    pred = recon
+    if config.loss_scope == "masked" and plans[0].masked_indices:
+        # (B, 1, n_masked): the same tokens for every target
+        masked = np.array([plan.masked_indices for plan in plans], dtype=np.intp)[:, None]
+        pred = nc.gather_rows(recon, masked)
+        target = np.take_along_axis(target, masked[..., None], axis=-2)
+    return cosine_loss(pred, Tensor(target, dtype=params.dtype)), unpatchify(recon.data)
 
 
-def reconstruct_epoch(
-    params: MaeParams,
-    record: EpochRecord,
-    mask_ratio: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> dict[str, np.ndarray]:
-    """Inference-time reconstruction (full visibility by default).
-
-    Returns normalized reconstructions keyed by target channel.
-    """
+def predict(params: MaeParams, inputs) -> np.ndarray:
+    """Full-visibility reconstructions (N, num_targets, epoch_len) of N input
+    epochs (an (N, epoch_len) array or a sequence of epoch arrays), computed
+    PREDICT_CHUNK epochs per forward pass."""
     config = params.config
-    tokens = patchify(record.input_samples, config)
-    if mask_ratio > 0.0:
-        if rng is None:
-            raise ValueError("mask_ratio > 0 requires an rng")
-        plan = make_mask(config.seq_len, mask_ratio, rng)
-    else:
-        plan = full_visibility(config.seq_len)
-    latents = encode(tokens, plan, params)
-    recon = decode(latents, plan, params)
-    flat = unpatchify(recon.data)
-    return {
-        channel: flat[i].copy()
-        for i, channel in enumerate(config.target_channels)
-    }
+    plan = full_visibility(config.seq_len)
+    out = np.empty((len(inputs), len(config.target_channels), config.epoch_len),
+                   dtype=params.dtype)
+    for lo in range(0, len(inputs), PREDICT_CHUNK):
+        tokens = patchify(np.stack(inputs[lo: lo + PREDICT_CHUNK]), config)
+        recon = decode(encode(tokens, plan, params), plan, params)
+        out[lo: lo + len(tokens)] = unpatchify(recon.data)
+    return out
+
+
+def reconstruct_epoch(params: MaeParams, record: EpochRecord) -> dict[str, np.ndarray]:
+    """Full-visibility reconstruction of one record, keyed by target channel
+    (normalized units)."""
+    recon = predict(params, [record.input_samples])[0]
+    return dict(zip(params.config.target_channels, recon))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 
 class NumcoreError(Exception):
@@ -155,6 +154,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for a 2-d weight as one tape record; the leading axes of x
+    are batch axes."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1] or (
+            b is not None and b.shape != w.shape[1:]):
+        raise ShapeMismatch(f"linear cannot apply {w.shape} weight to {x.shape}")
+    # one 2-d product: np.matmul would call BLAS once per example
+    flat_x = x.data.reshape(-1, w.shape[0])
+    out = flat_x @ w.data if b is None else flat_x @ w.data + b.data
+
+    def backward(g):
+        rows = g.reshape(-1, w.shape[1])
+        dx = (rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return dx, flat_x.T @ rows, rows.sum(axis=0)
+
+    return _make(out.reshape(x.shape[:-1] + w.shape[1:]),
+                 (x, w) if b is None else (x, w, b), backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.data + b.data
@@ -196,7 +214,7 @@ def transpose(a: Tensor) -> Tensor:
     def backward(g):
         return (_swap(g),)
 
-    return _make(_swap(a.data).copy(), (a,), backward)
+    return _make(_swap(a.data), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -208,7 +226,21 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         return (g.reshape(a.shape),)
 
-    return _make(out.copy(), (a,), backward)
+    return _make(out, (a,), backward)
+
+
+def split_heads(a: Tensor, heads: int) -> Tensor:
+    """(..., n, heads * d) -> (..., heads, n, d)."""
+    *lead, n, width = a.shape
+    out = np.swapaxes(a.data.reshape(*lead, n, heads, width // heads), -2, -3)
+    return _make(out, (a,), lambda g: (np.swapaxes(g, -2, -3).reshape(a.shape),))
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """(..., heads, n, d) -> (..., n, heads * d); inverse of split_heads."""
+    *lead, heads, n, d = a.shape
+    out = np.swapaxes(a.data, -2, -3).reshape(*lead, n, heads * d)
+    return _make(out, (a,), lambda g: (np.swapaxes(g.reshape(*lead, n, heads, d), -2, -3),))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -220,30 +252,66 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         raise ShapeMismatch(
             f"concat axis {axis} of shapes {[t.shape for t in tensors]}"
         ) from exc
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.moveaxis(moved[bounds[i]: bounds[i + 1]], 0, axis)
-            for i in range(len(tensors))
-        )
+        return tuple(np.split(g, bounds, axis=axis))
 
     return _make(out, tuple(tensors), backward)
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
+def _token_rows(shape: tuple[int, ...], indices) -> np.ndarray:
+    """Flat row numbers, in a (..., n, d) array viewed as (-1, d), of token
+    indices (..., k) broadcast against its leading axes."""
     idx = np.asarray(indices, dtype=np.intp)
-    if a.data.ndim < 1 or (idx.size and idx.max() >= a.shape[0]):
-        raise ShapeMismatch(f"gather_rows index out of range for shape {a.shape}")
+    if len(shape) < 2 or idx.ndim < 1 or (
+            idx.size and not 0 <= idx.min() <= idx.max() < shape[-2]):
+        raise ShapeMismatch(f"token indices {idx.shape} out of range for shape {shape}")
+    lead, n = shape[:-2], shape[-2]
+    try:
+        idx = np.broadcast_to(idx, lead + idx.shape[-1:])
+    except ValueError as exc:
+        raise ShapeMismatch(f"token indices {idx.shape} for shape {shape}") from exc
+    starts = np.arange(0, math.prod(lead) * n, n, dtype=np.intp).reshape(lead + (1,))
+    return (starts + idx).reshape(-1)
+
+
+def gather_rows(a: Tensor, indices) -> Tensor:
+    """Rows along the token axis (-2) at per-row indices (..., k) broadcast
+    against a's leading axes; a repeated index accumulates its gradient."""
+    rows = _token_rows(a.shape, indices)
+    width = a.shape[-1]
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        np.add.at(full.reshape(-1, width), rows, g.reshape(-1, width))
         return (full,)
 
-    return _make(a.data[idx].copy(), (a,), backward)
+    out = a.data.reshape(-1, width)[rows]
+    return _make(out.reshape(a.shape[:-2] + (-1, width)), (a,), backward)
+
+
+def scatter_rows(rows: Tensor, indices, length: int, fill: Tensor) -> Tensor:
+    """Length-``length`` token sequences holding ``rows`` at per-row indices
+    (..., k), which must not repeat within a row, and the row ``fill`` at
+    every other position; inverse of gather_rows."""
+    width = rows.shape[-1]
+    shape = rows.shape[:-2] + (length, width)
+    at = _token_rows(shape, indices)
+    if at.size != rows.data.size // width or fill.shape != (width,):
+        raise ShapeMismatch(f"cannot scatter {rows.shape} rows and fill {fill.shape} "
+                            f"to token indices {np.shape(indices)}")
+    out = np.empty(shape, dtype=rows.dtype)
+    out[...] = fill.data
+    out.reshape(-1, width)[at] = rows.data.reshape(-1, width)
+
+    def backward(g):
+        rest = g.reshape(-1, width).copy()
+        picked = rest[at]
+        rest[at] = 0.0
+        return picked.reshape(rows.shape), rest.sum(axis=0)
+
+    return _make(out, (rows, fill), backward)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -283,30 +351,40 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out, (x, gain, bias), backward)
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_K = math.sqrt(2.0 / math.pi)
+_GELU_C = 0.044715
+# beyond this |x| the tanh below is exactly +-1 in float32 and float64, so
+# clipping the cubic there changes no value and keeps x**2 and x**3 finite
+_GELU_SATURATION = 10.0
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = a.data * cdf
+    """GELU in its tanh form (Hendrycks & Gimpel, arXiv 1606.08415), within
+    4.7e-4 of the erf form, with its exact derivative."""
+    x = a.data
+    clipped = np.clip(x, -_GELU_SATURATION, _GELU_SATURATION)
+    square = clipped * clipped
+    t = np.tanh(_GELU_K * clipped * (1.0 + _GELU_C * square))
+    out = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        return (g * (cdf + a.data * pdf),)
+        dt = (1.0 - t * t) * (_GELU_K * (1.0 + 3.0 * _GELU_C * square))
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
 
     return _make(out, (a,), backward)
+
+
+def _spread(g: np.ndarray, a: Tensor, axis: int | None, keepdims: bool) -> np.ndarray:
+    """Broadcast the gradient of a reduction over ``axis`` back to a's shape."""
+    expanded = g if axis is None or keepdims else np.expand_dims(g, axis)
+    return np.broadcast_to(expanded, a.shape)
 
 
 def sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:  # noqa: A001
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),)
-        expanded = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded, a.shape).astype(a.data.dtype, copy=True),)
+        return (_spread(g, a, axis, keepdims).astype(a.data.dtype, copy=True),)
 
     return _make(out, (a,), backward)
 
@@ -316,12 +394,7 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            base = np.broadcast_to(g, a.shape)
-        else:
-            expanded = g if keepdims else np.expand_dims(g, axis)
-            base = np.broadcast_to(expanded, a.shape)
-        return ((base / count).astype(a.data.dtype, copy=False),)
+        return ((_spread(g, a, axis, keepdims) / count).astype(a.data.dtype, copy=False),)
 
     return _make(out, (a,), backward)
 

@@ -405,16 +405,19 @@ def read_epoch_cache(path: Path | str) -> list[EpochRecord]:
         pos += size
         return values
 
+    def take_text(size: int) -> str:
+        nonlocal pos
+        if pos + size > len(data):
+            raise ValueError("truncated epoch cache")
+        pos += size
+        return data[pos - size: pos].decode("utf-8")
+
     while pos < len(data):
-        (subj_len,) = take("<H")
-        subject = data[pos: pos + subj_len].decode("utf-8")
-        pos += subj_len
+        subject = take_text(take("<H")[0])
         epoch_index, stage_code, n_channels = take("<IBB")
-        names = []
-        for _ in range(n_channels):
-            (name_len,) = take("<H")
-            names.append(data[pos: pos + name_len].decode("utf-8"))
-            pos += name_len
+        if n_channels == 0:
+            raise ValueError("epoch cache record has no channels")
+        names = [take_text(take("<H")[0]) for _ in range(n_channels)]
         norm_params = {}
         for name in names:
             mean, std = take("<ff")

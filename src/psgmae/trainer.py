@@ -313,7 +313,7 @@ def params_from_blobs(config: MaeConfig, blobs: dict[str, np.ndarray]) -> MaePar
         name: nc.Tensor(blobs[name].copy(), requires_grad=True, dtype=np.float32)
         for name in expected
     }
-    pos = mae.sinusoidal_table(config.seq_len, config.embed_dim)
+    pos = mae.sinusoidal_table(config.seq_len, config.embed_dim).astype(np.float32)
     return MaeParams(config=config, pos_encoding=pos, tensors=tensors)
 
 
@@ -346,29 +346,24 @@ def _format_metrics(epoch: int, train_loss: float, val_loss: float,
     return "\t".join(parts)
 
 
+def _reconstruct(params: MaeParams, records: list[EpochRecord]):
+    """Full-visibility reconstructions and targets, each (N, targets, epoch_len)."""
+    recon = mae.predict(params, [record.input_samples for record in records])
+    channels = params.config.target_channels
+    return recon, np.stack([[record.targets[ch] for ch in channels] for record in records])
+
+
 def evaluate_split(
     params: MaeParams, records: list[EpochRecord]
 ) -> tuple[float, dict[str, float]]:
     """Full-visibility cosine loss and per-target MSE over a record list."""
     config = params.config
-    total_loss = 0.0
-    sq_err = {ch: 0.0 for ch in config.target_channels}
-    plan = mae.full_visibility(config.seq_len)
-    for record in records:
-        tokens = mae.patchify(record.input_samples, config)
-        latents = mae.encode(tokens, plan, params)
-        recon = mae.decode(latents, plan, params)
-        target_np = np.stack(
-            [mae.patchify(record.targets[ch], config) for ch in config.target_channels]
-        )
-        loss = mae.cosine_loss(recon, nc.Tensor(target_np, dtype=params.dtype))
-        total_loss += loss.item()
-        flat = mae.unpatchify(recon.data)
-        for i, ch in enumerate(config.target_channels):
-            diff = flat[i].astype(np.float64) - record.targets[ch].astype(np.float64)
-            sq_err[ch] += float(np.mean(diff * diff))
-    n = max(len(records), 1)
-    return total_loss / n, {ch: s / n for ch, s in sq_err.items()}
+    recon, target = _reconstruct(params, records)
+    loss = mae.cosine_loss(nc.Tensor(mae.patchify(recon, config)),
+                           nc.Tensor(mae.patchify(target, config), dtype=params.dtype))
+    diff = recon.astype(np.float64) - target
+    sq_err = np.mean(diff * diff, axis=(0, 2))
+    return loss.item(), dict(zip(config.target_channels, map(float, sq_err)))
 
 
 def calibrate_head_scale(
@@ -381,19 +376,12 @@ def calibrate_head_scale(
     ||c * recon - target||^2 over the given records (use the train split)
     and folds it into the head weights. Deterministic, no random state.
     """
-    config = params.config
-    num = {ch: 0.0 for ch in config.target_channels}
-    den = {ch: 0.0 for ch in config.target_channels}
-    for record in records:
-        recon = mae.reconstruct_epoch(params, record)
-        for ch in config.target_channels:
-            pred = recon[ch].astype(np.float64)
-            target = record.targets[ch].astype(np.float64)
-            num[ch] += float(pred @ target)
-            den[ch] += float(pred @ pred)
+    recon, target = _reconstruct(params, records)
     scales = {}
-    for ch in config.target_channels:
-        scale = num[ch] / den[ch] if den[ch] > 1e-12 else 1.0
+    for i, ch in enumerate(params.config.target_channels):
+        pred = recon[:, i].astype(np.float64)
+        den = float(np.vdot(pred, pred))
+        scale = float(np.vdot(pred, target[:, i])) / den if den > 1e-12 else 1.0
         scales[ch] = scale
         params.tensors[f"head.{ch}.w"].data *= np.float32(scale)
         params.tensors[f"head.{ch}.b"].data *= np.float32(scale)

@@ -1,6 +1,13 @@
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import psgmae
 from psgmae import trainer
 from psgmae.cli import main
 
@@ -171,6 +178,22 @@ class TestTrainEval:
         assert code == 2
         assert "missing.ckpt" in err
 
+    def test_train_on_channelless_cache_exits_2(self, capsys, workspace, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in (trainer.MANIFEST_FILENAME, trainer.CACHE_FILENAME):
+            (data / name).write_bytes((workspace / "data" / name).read_bytes())
+        cache = bytearray((data / trainer.CACHE_FILENAME).read_bytes())
+        (subject_len,) = struct.unpack_from("<H", cache, 8)
+        cache[8 + 2 + subject_len + 5] = 0  # first record's channel count
+        (data / trainer.CACHE_FILENAME).write_bytes(bytes(cache))
+        code, _, err = run(
+            capsys, "train", "--config", str(workspace / "config.ini"),
+            "--data", str(data), "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "no channels" in err
+
     def test_reconstruct_exports_csv(self, capsys, workspace):
         out_path = workspace / "recon" / "epoch0.csv"
         code, out, _ = run(
@@ -226,3 +249,14 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(psgmae.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, psgmae.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

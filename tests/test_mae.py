@@ -354,3 +354,53 @@ class TestGradients:
         for name, tensor in params.tensors.items():
             assert tensor.grad is not None, name
             assert np.any(tensor.grad != 0.0), name
+
+
+class TestBatching:
+    CONFIG = dict(patch_size=10, seq_len=12, embed_dim=16, num_heads=2,
+                  encoder_layers=1, decoder_layers=1, mask_ratio=0.5,
+                  target_channels=("t0", "t1"))
+
+    @pytest.mark.parametrize("scope", ["all", "masked"])
+    def test_batch_matches_single_examples(self, scope):
+        config = MaeConfig(**{**self.CONFIG, "loss_scope": scope})
+        params = init_params(config, seed=4, dtype=np.float32)
+        rng = philox(20)
+        batch = [make_epoch(config, rng) for _ in range(5)]
+
+        loss, recons = forward_loss(batch, params, philox(21))
+        stream = philox(21)  # the same mask stream, drawn one example at a time
+        singles = [forward_loss([epoch], params, stream) for epoch in batch]
+
+        mean_single = np.mean([single.item() for single, _ in singles])
+        assert loss.item() == pytest.approx(mean_single, rel=1e-6)
+        for recon, (_, single) in zip(recons, singles):
+            assert np.abs(recon - single[0]).max() < 1e-5
+
+    def test_predict_matches_single_records(self):
+        config = MaeConfig(**self.CONFIG)
+        params = init_params(config, seed=5, dtype=np.float32)
+        rng = philox(22)
+        inputs = rng.normal(0, 1, (mae.PREDICT_CHUNK + 3, config.epoch_len))
+        inputs = inputs.astype(np.float32)
+        batched = mae.predict(params, inputs)
+        assert batched.shape == (len(inputs), 2, config.epoch_len)
+        for row, x in zip(batched, inputs):
+            assert np.abs(row - mae.predict(params, [x])[0]).max() < 1e-5
+
+    @pytest.mark.parametrize("scope", ["all", "masked"])
+    def test_float32_stays_float32(self, scope):
+        config = MaeConfig(**{**self.CONFIG, "loss_scope": scope})
+        params = init_params(config, seed=6, dtype=np.float32)
+        rng = philox(23)
+        batch = [make_epoch(config, rng) for _ in range(3)]
+        nc.zero_grad(params.tensors)
+        with nc.Tape() as tape:
+            loss, recons = forward_loss(batch, params, rng)
+        tape.backward(loss)
+        assert loss.dtype == np.float32
+        assert recons.dtype == np.float32
+        for name, tensor in params.tensors.items():
+            assert tensor.grad.dtype == np.float32, name
+        inputs = np.stack([epoch.input_samples for epoch in batch])
+        assert mae.predict(params, inputs).dtype == np.float32

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from psgmae import numcore as nc
@@ -257,6 +259,35 @@ class TestNumericalSafety:
         assert np.isfinite(norms.data).all()
         guarded = nc.divide(norms, nc.maximum_scalar(norms, 1e-8))
         assert np.isfinite(guarded.data).all()
+
+    @given(st.one_of(
+        arrays(np.float32, 8, elements=st.floats(width=32, allow_nan=False,
+                                                 allow_infinity=False)),
+        arrays(np.float64, 8, elements=st.floats(allow_nan=False,
+                                                 allow_infinity=False)),
+    ))
+    @example(np.array([3.4028235e38, -3.4028235e38, 1e20, -1e20, 7e12, 0.0],
+                      dtype=np.float32))
+    @example(np.array([1.7976931348623157e308, -1.7976931348623157e308, 1e160,
+                       -1e160, 0.0], dtype=np.float64))
+    @settings(max_examples=100, deadline=None)
+    def test_gelu_finite_forward_and_backward(self, data):
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape, np.errstate(over="ignore"):  # only the sum may overflow
+            out = nc.gelu(x)
+            loss = nc.sum(out)
+        tape.backward(loss)
+        assert np.isfinite(out.data).all()
+        assert np.isfinite(x.grad).all()
+        assert out.dtype == x.grad.dtype == data.dtype
+
+    @pytest.mark.parametrize("x", [-8.0, -5.0, -3.0, -2.0, -1.5, -1.0, -0.5,
+                                   -0.1, 0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
+    def test_gelu_close_to_erf_form(self, x):
+        reference = 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
+        for dtype in (np.float32, np.float64):
+            out = nc.gelu(Tensor(np.array([x], dtype=dtype))).data[0]
+            assert abs(float(out) - reference) < 5e-4
 
     def test_determinism_bit_identical(self):
         def run():

@@ -308,6 +308,23 @@ class TestCacheAndManifest:
         with pytest.raises(ValueError):
             read_epoch_cache(path)
 
+    @pytest.mark.parametrize("damage", ["zero_channels", "subject_cut", "name_cut"])
+    def test_cache_bad_record_header(self, tmp_path, damage):
+        records = synth_records(seed=11, minutes=1.0)
+        path = tmp_path / "epochs.psgepo"
+        write_epoch_cache(path, records)
+        data = bytearray(path.read_bytes())
+        subject_end = 8 + 2 + len(records[0].subject_id.encode())
+        if damage == "zero_channels":
+            data[subject_end + 5] = 0
+        elif damage == "subject_cut":
+            data = data[:subject_end - 1]
+        else:
+            data = data[:subject_end + 6 + 3]
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            read_epoch_cache(path)
+
     def test_manifest_round_trip(self, tmp_path):
         manifest = split_subjects(manifest_of(5), seed=3,
                                   fractions=(0.6, 0.2, 0.2))
