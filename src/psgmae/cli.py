@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -79,24 +80,25 @@ def cmd_preprocess(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    all_records: list[pipeline.EpochRecord] = []
+    parts: list[pipeline.EpochSet] = []
     entries: list[pipeline.SubjectEntry] = []
     for psg_path, hyp_path in zip(psg_paths, hyp_paths):
         recording = edf_io.parse_edf(psg_path.read_bytes())
         hypnogram = edf_io.parse_edf(hyp_path.read_bytes())
         subject = recording.patient_id or psg_path.stem
-        records = pipeline.segment_epochs(
+        epochs = pipeline.segment_epochs(
             recording, hypnogram.annotations, args.input_channel, targets,
             subject_id=subject,
         )
-        all_records.extend(records)
+        parts.append(epochs)
         entries.append(pipeline.SubjectEntry(
             subject_id=subject,
             psg_path=str(psg_path),
             hypnogram_path=str(hyp_path),
-            stage_counts=pipeline.stage_histogram(records),
+            stage_counts=pipeline.stage_histogram(epochs),
         ))
-        _info(f"{subject}: {len(records)} epochs")
+        _info(f"{subject}: {len(epochs)} epochs")
+    dataset = pipeline.EpochSet.concat(parts)
 
     manifest = pipeline.DatasetManifest(subjects=entries, seed=args.seed)
     if len(entries) >= 3:
@@ -106,26 +108,21 @@ def cmd_preprocess(args) -> int:
         manifest.splits = {e.subject_id: "train" for e in entries}
 
     pipeline.save_manifest(out_dir / trainer.MANIFEST_FILENAME, manifest)
-    pipeline.write_epoch_cache(out_dir / trainer.CACHE_FILENAME, all_records)
+    pipeline.write_epoch_cache(out_dir / trainer.CACHE_FILENAME, dataset)
 
-    histogram = pipeline.stage_histogram(all_records)
-    print(f"{len(all_records)} epochs from {len(entries)} subjects")
-    for stage_name, count in histogram.items():
+    print(f"{len(dataset)} epochs from {len(entries)} subjects")
+    for stage_name, count in pipeline.stage_histogram(dataset).items():
         print(f"  {stage_name}: {count}")
-    split_sizes = {}
-    for entry in entries:
-        split = manifest.splits[entry.subject_id]
-        split_sizes[split] = split_sizes.get(split, 0) + 1
+    split_sizes = Counter(manifest.splits[entry.subject_id] for entry in entries)
     print("splits: " + ", ".join(
-        f"{name}={split_sizes.get(name, 0)}" for name in ("train", "val", "test")
+        f"{name}={split_sizes[name]}" for name in ("train", "val", "test")
     ))
     return 0
 
 
 def cmd_train(args) -> int:
     config = trainer.config_from_ini(Path(args.config).read_text())
-    manifest, records = trainer.load_dataset(args.data)
-    splits = trainer.split_records(manifest, records)
+    splits = trainer.split_records(*trainer.load_dataset(args.data))
     resume = None
     if args.resume:
         resume = trainer.load_checkpoint(Path(args.resume).read_bytes())
@@ -154,12 +151,10 @@ def _load_eval_inputs(checkpoint_path: str, data_dir: str, split: str):
     checkpoint = trainer.load_checkpoint(Path(checkpoint_path).read_bytes())
     config = checkpoint.train_config()
     params = trainer.params_from_blobs(config.mae, checkpoint.best_params)
-    manifest, records = trainer.load_dataset(data_dir)
-    if split == "all":
-        selected = records
-    else:
-        selected = trainer.split_records(manifest, records)[split]
-    return checkpoint, config, params, selected
+    manifest, epochs = trainer.load_dataset(data_dir)
+    if split != "all":
+        epochs = trainer.split_records(manifest, epochs)[split]
+    return checkpoint, config, params, epochs
 
 
 def cmd_eval(args) -> int:
@@ -206,17 +201,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def _gradcheck_config(tiny: bool) -> mae.MaeConfig:
-    if tiny:
-        return mae.MaeConfig(
-            patch_size=10, seq_len=4, embed_dim=8, num_heads=2,
-            encoder_layers=1, decoder_layers=1, mask_ratio=0.5,
-            target_channels=("t0", "t1"),
-        )
-    return mae.MaeConfig(
-        patch_size=50, seq_len=8, embed_dim=16, num_heads=2,
-        encoder_layers=1, decoder_layers=1, mask_ratio=0.5,
-        target_channels=("t0", "t1"),
-    )
+    size = (dict(patch_size=10, seq_len=4, embed_dim=8) if tiny
+            else dict(patch_size=50, seq_len=8, embed_dim=16))
+    return mae.MaeConfig(**size, num_heads=2, encoder_layers=1, decoder_layers=1,
+                         mask_ratio=0.5, target_channels=("t0", "t1"))
 
 
 def cmd_gradcheck(args) -> int:
@@ -224,8 +212,9 @@ def cmd_gradcheck(args) -> int:
     threshold = 1e-5 if args.bits == 64 else 1e-3
     config = _gradcheck_config(args.tiny)
 
-    # fixed probe point; seeds chosen so no coordinate's true gradient sits
-    # near zero, where the per-coordinate relative metric is ill-conditioned
+    # fixed probe point. Only the --tiny probe passes the thresholds: the
+    # default one has a coordinate (enc.0.attn.wv) whose true gradient is
+    # about 3e-8, where the per-coordinate relative error is ill-conditioned
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
     tokens = rng.normal(0.0, 1.0, config.epoch_len).reshape(
         config.seq_len, config.patch_size
@@ -313,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
     p.add_argument("--tiny", action="store_true",
-                   help="use the smallest probe model")
+                   help="use the smallest probe model; this is the gate, the "
+                        "default probe fails on a near-zero gradient")
     p.add_argument("--bits", type=int, default=64, choices=(32, 64))
     p.add_argument("--fd-step", type=float, default=5e-5)
     p.set_defaults(handler=cmd_gradcheck)
@@ -326,8 +316,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (edf_io.EdfError, pipeline.PipelineError, trainer.TrainerError,
-            nc.NumcoreError, mae.WrongLength, mae.HeterogeneousBatch,
-            OSError, ValueError, KeyError) as exc:
+            nc.NumcoreError, mae.WrongLength, OSError, ValueError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -72,18 +72,21 @@ class SignalSpec:
     prefilter: str = ""
 
     def validate(self) -> None:
-        if self.digital_min == self.digital_max:
-            raise DegenerateCalibration(
-                f"signal {self.label!r}: digital_min == digital_max == {self.digital_min}"
-            )
-        if self.physical_min == self.physical_max:
-            raise DegenerateCalibration(
-                f"signal {self.label!r}: physical_min == physical_max == {self.physical_min}"
-            )
+        """Reject a layout or calibration no sample can be read through; the
+        annotation channel carries bytes, not samples, so any physical range
+        is allowed there."""
         if self.samples_per_record < 1:
             raise MalformedHeader(
                 f"signal {self.label!r}: samples_per_record must be >= 1, "
                 f"got {self.samples_per_record}"
+            )
+        if self.digital_min == self.digital_max:
+            raise DegenerateCalibration(
+                f"signal {self.label!r}: digital_min == digital_max == {self.digital_min}"
+            )
+        if self.label != ANNOTATION_LABEL and self.physical_min == self.physical_max:
+            raise DegenerateCalibration(
+                f"signal {self.label!r}: physical_min == physical_max == {self.physical_min}"
             )
 
     def digital_to_physical(self, digital: np.ndarray) -> np.ndarray:
@@ -250,18 +253,7 @@ def parse_edf(data: bytes) -> EdfRecording:
         ))
 
     for spec in specs:
-        if spec.samples_per_record < 1:
-            raise MalformedHeader(
-                f"signal {spec.label!r}: samples_per_record must be >= 1"
-            )
-        if spec.digital_min == spec.digital_max:
-            raise DegenerateCalibration(
-                f"signal {spec.label!r}: digital_min == digital_max"
-            )
-        if spec.label != ANNOTATION_LABEL and spec.physical_min == spec.physical_max:
-            raise DegenerateCalibration(
-                f"signal {spec.label!r}: physical_min == physical_max"
-            )
+        spec.validate()
 
     record_bytes = sum(s.samples_per_record for s in specs) * 2
     expected_total = expected_header + num_records * record_bytes
@@ -275,24 +267,22 @@ def parse_edf(data: bytes) -> EdfRecording:
             f"promised {expected_total}"
         )
 
-    offsets = np.cumsum([0] + [s.samples_per_record * 2 for s in specs])
+    # one row of 16-bit words per data record; signal i owns a column range
+    words = np.frombuffer(data, dtype="<i2", offset=expected_header).reshape(
+        num_records, record_bytes // 2)
+    offsets = np.cumsum([0] + [s.samples_per_record for s in specs])
     signals_out: list[SignalSpec] = []
     samples_out: list[np.ndarray] = []
     annotations: list[Annotation] = []
 
-    for i, spec in enumerate(specs):
-        chunks = []
-        for rec in range(num_records):
-            lo = expected_header + rec * record_bytes + int(offsets[i])
-            chunks.append(data[lo: lo + spec.samples_per_record * 2])
+    for spec, lo, hi in zip(specs, offsets[:-1], offsets[1:]):
+        block = words[:, lo:hi]
         if spec.label == ANNOTATION_LABEL:
-            for chunk in chunks:
-                annotations.extend(parse_tal(chunk))
+            for row in block:
+                annotations.extend(parse_tal(row.tobytes()))
         else:
-            raw = b"".join(chunks)
-            digital = np.frombuffer(raw, dtype="<i2")
             signals_out.append(spec)
-            samples_out.append(spec.digital_to_physical(digital))
+            samples_out.append(spec.digital_to_physical(block.reshape(-1)))
 
     return EdfRecording(
         version=version,
@@ -389,21 +379,13 @@ def write_edf(recording: EdfRecording) -> bytes:
         column(lambda s, w, _: _pad("", w, "reserved"), 32, None),
     ])
 
-    digitals = [
-        spec.physical_to_digital(arr)
-        for spec, arr in zip(recording.signals, recording.samples)
-    ]
-
-    records = []
-    for rec in range(num_records):
-        for i, spec in enumerate(recording.signals):
-            spr = spec.samples_per_record
-            records.append(digitals[i][rec * spr: (rec + 1) * spr].astype("<i2").tobytes())
-        if ann_records:
-            spr_ann = specs[-1].samples_per_record
-            records.append(ann_records[rec].ljust(spr_ann * 2, b"\x00"))
-
-    return header + signal_header + b"".join(records)
+    # one row of 16-bit words per data record, as parse_edf reads them back
+    words = [spec.physical_to_digital(arr).reshape(num_records, spec.samples_per_record)
+             for spec, arr in zip(recording.signals, recording.samples)]
+    if ann_records:
+        raw = b"".join(r.ljust(specs[-1].samples_per_record * 2, b"\x00") for r in ann_records)
+        words.append(np.frombuffer(raw, dtype="<i2").reshape(num_records, -1))
+    return header + signal_header + np.hstack(words).astype("<i2").tobytes()
 
 
 def parse_tal(data: bytes) -> list[Annotation]:

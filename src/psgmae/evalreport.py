@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mae
 from .mae import MaeParams
-from .pipeline import EpochRecord, SleepStage, STAGES, denormalize
+from .pipeline import EpochRecord, EpochSet, SleepStage, STAGES, as_epoch_set, denormalize
 
 STAGE_COLUMNS = tuple(stage.display for stage in STAGES)
 
@@ -98,7 +99,7 @@ class MseTable:
 
 
 def aggregate_by_stage(
-    pairs: list[tuple[EpochRecord, dict[str, np.ndarray]]],
+    pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]],
     physical_units: bool = False,
 ) -> MseTable:
     """Group per-epoch MSE by (input, target, stage) and average each group.
@@ -230,20 +231,21 @@ def zero_reconstructions(record: EpochRecord) -> dict[str, np.ndarray]:
 
 def evaluate_records(
     params: MaeParams,
-    records: list[EpochRecord],
+    records: EpochSet | list[EpochRecord],
     physical_units: bool = False,
 ) -> tuple[MseTable, list[tuple[EpochRecord, dict[str, np.ndarray]]]]:
-    """Reconstruct every record with full visibility and aggregate."""
-    recons = mae.predict(params, [record.input_samples for record in records])
+    """Reconstruct every epoch with full visibility and aggregate."""
+    epochs = as_epoch_set(records)
+    recons = mae.predict(params, epochs.signals[:, 0])
     channels = params.config.target_channels
-    pairs = [(record, dict(zip(channels, recon))) for record, recon in zip(records, recons)]
+    pairs = [(record, dict(zip(channels, recon))) for record, recon in zip(epochs, recons)]
     return aggregate_by_stage(pairs, physical_units=physical_units), pairs
 
 
-def baseline_table(records: list[EpochRecord]) -> MseTable:
+def baseline_table(records: EpochSet | list[EpochRecord]) -> MseTable:
     """Per-stage MSE of the predict-mean (all-zeros) baseline."""
     return aggregate_by_stage(
-        [(record, zero_reconstructions(record)) for record in records]
+        (record, zero_reconstructions(record)) for record in records
     )
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import numcore as nc
 from .numcore import ShapeMismatch, Tensor
-from .pipeline import EpochRecord
 
 COSINE_EPS = 1e-8
 
@@ -26,10 +25,6 @@ PREDICT_CHUNK = 64
 
 
 class WrongLength(Exception):
-    pass
-
-
-class HeterogeneousBatch(Exception):
     pass
 
 
@@ -308,30 +303,16 @@ def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
     return nc.mean(nc.add(ones, nc.scale(cos, -1.0)))
 
 
-def _check_batch(batch: list[EpochRecord], config: MaeConfig) -> None:
-    if not batch:
-        raise HeterogeneousBatch("empty batch")
-    first = batch[0]
-    for record in batch:
-        if record.input_channel != first.input_channel:
-            raise HeterogeneousBatch(
-                f"mixed input channels: {record.input_channel!r} vs "
-                f"{first.input_channel!r}"
-            )
-        if record.target_channels != first.target_channels:
-            raise HeterogeneousBatch("mixed target channel sets in batch")
-    missing = set(config.target_channels) - set(first.target_channels)
-    if missing:
-        raise HeterogeneousBatch(f"batch lacks configured targets: {sorted(missing)}")
-
-
 def forward_loss(
-    batch: list[EpochRecord],
+    inputs: np.ndarray,
+    targets: np.ndarray,
     params: MaeParams,
     rng: np.random.Generator,
 ) -> tuple[Tensor, np.ndarray]:
-    """Masked forward pass over a batch as one graph; returns the mean cosine
-    loss and the reconstructions (B, num_targets, epoch_len).
+    """Masked forward pass over a batch as one graph: ``inputs`` (B, epoch_len)
+    against ``targets`` (B, num_targets, epoch_len), targets in the config's
+    order. Returns the mean cosine loss and the reconstructions
+    (B, num_targets, epoch_len).
 
     One mask plan is drawn per example, in batch order; all mask the same
     number of tokens, so each example weighs equally in the mean. With
@@ -339,13 +320,10 @@ def forward_loss(
     positions when the plans mask nothing).
     """
     config = params.config
-    _check_batch(batch, config)
-    plans = [make_mask(config.seq_len, config.mask_ratio, rng) for _ in batch]
+    plans = [make_mask(config.seq_len, config.mask_ratio, rng) for _ in inputs]
     visible = np.array([plan.visible_indices for plan in plans], dtype=np.intp)
-    tokens = patchify(np.stack([record.input_samples for record in batch]), config)
-    recon = decode(encode(tokens, visible, params), visible, params)
-    target = patchify(np.stack([[record.targets[ch] for ch in config.target_channels]
-                                for record in batch]), config)
+    recon = decode(encode(patchify(inputs, config), visible, params), visible, params)
+    target = patchify(targets, config)
     pred = recon
     if config.loss_scope == "masked" and plans[0].masked_indices:
         # (B, 1, n_masked): the same tokens for every target
@@ -370,8 +348,8 @@ def predict(params: MaeParams, inputs) -> np.ndarray:
     return out
 
 
-def reconstruct_epoch(params: MaeParams, record: EpochRecord) -> dict[str, np.ndarray]:
-    """Full-visibility reconstruction of one record, keyed by target channel
-    (normalized units)."""
+def reconstruct_epoch(params: MaeParams, record) -> dict[str, np.ndarray]:
+    """Full-visibility reconstruction of one EpochRecord, keyed by target
+    channel (normalized units)."""
     recon = predict(params, [record.input_samples])[0]
     return dict(zip(params.config.target_channels, recon))

@@ -2,16 +2,21 @@
 artifact rejection, epoch segmentation, subject splits, and the on-disk
 epoch cache.
 
-Epoch cache layout (all little-endian), magic ``PSGEPO01`` followed by one
-record per epoch:
+A dataset is one ``EpochSet`` of arrays. The epoch cache stores those
+arrays as they are (all little-endian), magic ``PSGEPO02`` followed by:
 
-    u16  subject id byte length, then the UTF-8 bytes
-    u32  epoch index within its recording
-    u8   stage code (0=Wake 1=N1 2=N2 3=N3 4=REM)
-    u8   channel count C (channel 0 is the input channel)
-    C x (u16 name byte length, UTF-8 name)
-    C x (f32 mean, f32 std)            # normalization params, physical units
-    C x  3000 f32                      # normalized samples
+    u32  epoch count N
+    u16  channel count C (channel 0 is the input channel)
+    u16  subject count S
+    u32  name table byte length T
+    N x C x 3000 f32   normalized samples
+    N x C x 2    f32   normalization (mean, std), physical units
+    N u32  epoch index within its recording
+    N u16  subject, an index into the subject ids
+    N u8   stage code (0=Wake 1=N1 2=N2 3=N3 4=REM)
+    T      name table: C channel names, then S subject ids, each as
+           u16 UTF-8 byte length + the bytes
+    u32  CRC32 of every byte after the magic and before the CRC
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +37,8 @@ TARGET_RATE_HZ = 100.0
 EPOCH_SAMPLES = 3000
 SIGMA_FLOOR = 1e-6
 
-CACHE_MAGIC = b"PSGEPO01"
+CACHE_MAGIC = b"PSGEPO02"
+_CACHE_COUNTS = struct.Struct("<IHHI")  # N, C, S, T of the module docstring
 
 
 class PipelineError(Exception):
@@ -54,6 +61,10 @@ class EmptyInput(PipelineError):
     pass
 
 
+class CorruptCache(PipelineError):
+    """An epoch cache that is truncated, damaged or not a cache at all."""
+
+
 class SleepStage(enum.Enum):
     WAKE = 0
     N1 = 1
@@ -67,16 +78,8 @@ class SleepStage(enum.Enum):
 
     @property
     def display(self) -> str:
-        return _DISPLAY[self]
+        return "Wake" if self is SleepStage.WAKE else self.name
 
-
-_DISPLAY = {
-    SleepStage.WAKE: "Wake",
-    SleepStage.N1: "N1",
-    SleepStage.N2: "N2",
-    SleepStage.N3: "N3",
-    SleepStage.REM: "REM",
-}
 
 STAGES = tuple(SleepStage)
 
@@ -192,6 +195,120 @@ class EpochRecord:
         return tuple(self.targets.keys())
 
 
+@dataclass(eq=False)
+class EpochSet:
+    """N 30-s examples as arrays over one channel list; channel 0 is the input.
+
+    ``subject`` indexes ``subjects`` and ``norm[i, c]`` holds the (mean, std)
+    that normalized ``signals[i, c]``. An int index gives an EpochRecord
+    view of one epoch; a slice, index array or mask gives an EpochSet.
+    """
+
+    channels: tuple[str, ...]
+    subjects: tuple[str, ...]
+    subject: np.ndarray      # (N,) u16
+    epoch_index: np.ndarray  # (N,) u32
+    stage: np.ndarray        # (N,) u8 SleepStage codes
+    norm: np.ndarray         # (N, C, 2) f32
+    signals: np.ndarray      # (N, C, EPOCH_SAMPLES) f32
+
+    def __post_init__(self):
+        self.channels = tuple(self.channels)
+        self.subjects = tuple(self.subjects)
+        n, c = len(self.stage), len(self.channels)
+        if c == 0:
+            raise ValueError("epoch set has no channels")
+        if len(set(self.channels)) != c:
+            raise ValueError(f"channel names repeat: {self.channels}")
+        for name, dtype, shape in (("subject", np.uint16, (n,)),
+                                   ("epoch_index", np.uint32, (n,)),
+                                   ("stage", np.uint8, (n,)),
+                                   ("norm", np.float32, (n, c, 2)),
+                                   ("signals", np.float32, (n, c, EPOCH_SAMPLES))):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            setattr(self, name, arr)
+        if n and self.stage.max() >= len(STAGES):
+            raise ValueError(f"stage code {self.stage.max()} out of range")
+        if n and self.subject.max() >= len(self.subjects):
+            raise ValueError(f"subject index {self.subject.max()} out of range "
+                             f"for {len(self.subjects)} subjects")
+
+    @property
+    def input_channel(self) -> str:
+        return self.channels[0]
+
+    @property
+    def target_channels(self) -> tuple[str, ...]:
+        return self.channels[1:]
+
+    def target_indices(self, names) -> list[int]:
+        """Channel-axis positions of the named target channels."""
+        missing = [name for name in names if name not in self.target_channels]
+        if missing:
+            raise MissingChannel(f"epochs lack target channels {missing} "
+                                 f"(have {list(self.target_channels)})")
+        return [self.channels.index(name) for name in names]
+
+    def __len__(self) -> int:
+        return len(self.stage)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            signals = self.signals[i]
+            return EpochRecord(
+                subject_id=self.subjects[self.subject[i]],
+                epoch_index=int(self.epoch_index[i]),
+                stage=SleepStage(int(self.stage[i])),
+                input_channel=self.channels[0],
+                input_samples=signals[0],
+                targets=dict(zip(self.channels[1:], signals[1:])),
+                norm_params={name: (mean, std) for name, (mean, std)
+                             in zip(self.channels, self.norm[i].tolist())},
+            )
+        return EpochSet(self.channels, self.subjects, self.subject[key],
+                        self.epoch_index[key], self.stage[key], self.norm[key],
+                        self.signals[key])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @classmethod
+    def concat(cls, parts: list[EpochSet]) -> EpochSet:
+        """Join sets over the same channels, in order, merging subject ids."""
+        channels = parts[0].channels
+        if any(part.channels != channels for part in parts):
+            raise ValueError("epoch sets disagree on their channels")
+        subjects = tuple(dict.fromkeys(s for part in parts for s in part.subjects))
+        position = {s: i for i, s in enumerate(subjects)}
+        subject = [np.array([position[s] for s in part.subjects], dtype=np.uint16)[part.subject]
+                   for part in parts]
+        return cls(channels, subjects, np.concatenate(subject), *(
+            np.concatenate([getattr(part, name) for part in parts])
+            for name in ("epoch_index", "stage", "norm", "signals")))
+
+
+def as_epoch_set(epochs) -> EpochSet:
+    """An EpochSet as is, or a non-empty sequence of EpochRecords over one
+    channel list stacked into one."""
+    if isinstance(epochs, EpochSet):
+        return epochs
+    channels = (epochs[0].input_channel, *epochs[0].targets)
+    if any((r.input_channel, *r.targets) != channels for r in epochs):
+        raise ValueError("epoch records disagree on their channels")
+    subjects = tuple(dict.fromkeys(r.subject_id for r in epochs))
+    return EpochSet(
+        channels, subjects,
+        subject=[subjects.index(r.subject_id) for r in epochs],
+        epoch_index=[r.epoch_index for r in epochs],
+        stage=[r.stage.code for r in epochs],
+        norm=[[r.norm_params[name] for name in channels] for r in epochs],
+        signals=[[r.input_samples, *r.targets.values()] for r in epochs],
+    )
+
+
 def _stage_per_epoch(annotations: list[Annotation], n_epochs: int) -> list[SleepStage | None]:
     stages: list[SleepStage | None] = [None] * n_epochs
     for ann in sorted(annotations, key=lambda a: a.onset_s):
@@ -212,7 +329,7 @@ def segment_epochs(
     subject_id: str | None = None,
     thresholds: ArtifactThresholds = DEFAULT_THRESHOLDS,
     wake_trim_epochs: int = 60,
-) -> list[EpochRecord]:
+) -> EpochSet:
     """Cut a recording into labeled, artifact-free, normalized 30-s epochs.
 
     All involved channels are resampled to 100 Hz before slicing. Wake
@@ -228,14 +345,10 @@ def segment_epochs(
             raise MissingChannel(f"channel {name!r} not in recording "
                                  f"(available: {sorted(labels)})")
 
-    resampled = {}
-    for name in names:
-        idx = recording.signal_index(name)
-        resampled[name] = resample_linear(
-            recording.samples[idx], recording.sample_rate(idx), TARGET_RATE_HZ
-        )
+    resampled = [resample_linear(recording.samples[i], recording.sample_rate(i), TARGET_RATE_HZ)
+                 for i in map(recording.signal_index, names)]
 
-    n_available = min(len(arr) for arr in resampled.values()) // EPOCH_SAMPLES
+    n_available = min(len(arr) for arr in resampled) // EPOCH_SAMPLES
     n_epochs = min(int(recording.duration_s() // EPOCH_S), n_available)
     stages = _stage_per_epoch(annotations, n_epochs)
     if not any(s is not None for s in stages):
@@ -247,34 +360,23 @@ def segment_epochs(
     else:
         lo, hi = 0, n_epochs - 1  # all-wake recording: nothing to anchor a trim
 
+    def windows(e: int) -> list[np.ndarray]:
+        return [arr[e * EPOCH_SAMPLES: (e + 1) * EPOCH_SAMPLES] for arr in resampled]
+
+    kept = [e for e, stage in enumerate(stages)
+            if stage is not None and (stage is not SleepStage.WAKE or lo <= e <= hi)
+            and not any(reject_artifact(arr, channel_kind(name), thresholds)
+                        for name, arr in zip(names, windows(e)))]
+    signals = np.empty((len(kept), len(names), EPOCH_SAMPLES), dtype=np.float32)
+    norm = np.empty((len(kept), len(names), 2), dtype=np.float32)
+    for row, e in enumerate(kept):
+        for c, arr in enumerate(windows(e)):
+            normalized, mean, std = normalize_epoch(arr)
+            signals[row, c] = normalized
+            norm[row, c] = mean, std
     subject = subject_id if subject_id is not None else recording.patient_id
-    records = []
-    for e, stage in enumerate(stages):
-        if stage is None:
-            continue
-        if stage is SleepStage.WAKE and not lo <= e <= hi:
-            continue
-        window = slice(e * EPOCH_SAMPLES, (e + 1) * EPOCH_SAMPLES)
-        physical = {name: resampled[name][window] for name in names}
-        if any(reject_artifact(arr, channel_kind(name), thresholds)
-               for name, arr in physical.items()):
-            continue
-        normalized = {}
-        norm_params = {}
-        for name, arr in physical.items():
-            norm, mean, std = normalize_epoch(arr)
-            normalized[name] = norm.astype(np.float32)
-            norm_params[name] = (mean, std)
-        records.append(EpochRecord(
-            subject_id=subject,
-            epoch_index=e,
-            stage=stage,
-            input_channel=input_channel,
-            input_samples=normalized[input_channel],
-            targets={name: normalized[name] for name in target_channels},
-            norm_params=norm_params,
-        ))
-    return records
+    return EpochSet(names, (subject,), np.zeros(len(kept)), kept,
+                    [stages[e].code for e in kept], norm, signals)
 
 
 @dataclass
@@ -294,15 +396,10 @@ class DatasetManifest:
     def subject_ids(self) -> list[str]:
         return [entry.subject_id for entry in self.subjects]
 
-    def split_of(self, subject_id: str) -> str:
-        return self.splits[subject_id]
 
-
-def stage_histogram(records: list[EpochRecord]) -> dict[str, int]:
-    counts = {stage.display: 0 for stage in STAGES}
-    for record in records:
-        counts[record.stage.display] += 1
-    return counts
+def stage_histogram(epochs: EpochSet) -> dict[str, int]:
+    counts = np.bincount(epochs.stage, minlength=len(STAGES))
+    return {stage.display: int(count) for stage, count in zip(STAGES, counts)}
 
 
 def split_subjects(
@@ -326,35 +423,21 @@ def split_subjects(
     n = len(ids)
     raw = [n * f for f in fractions]
     counts = [int(np.floor(r)) for r in raw]
-    remainders = [r - c for r, c in zip(raw, counts)]
-    for _ in range(n - sum(counts)):
-        best = max(range(3), key=lambda i: (remainders[i], -i))
-        counts[best] += 1
-        remainders[best] = -1.0
+    by_remainder = sorted(range(3), key=lambda i: (counts[i] - raw[i], i))
+    for i in by_remainder[:n - sum(counts)]:
+        counts[i] += 1
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     order = [ids[i] for i in rng.permutation(n)]
-    splits = {}
-    cursor = 0
-    for name, count in zip(("train", "val", "test"), counts):
-        for subject_id in order[cursor: cursor + count]:
-            splits[subject_id] = name
-        cursor += count
-    return DatasetManifest(subjects=list(manifest.subjects), splits=splits, seed=seed)
+    names = [name for name, count in zip(("train", "val", "test"), counts) for _ in range(count)]
+    return DatasetManifest(subjects=list(manifest.subjects), splits=dict(zip(order, names)),
+                           seed=seed)
 
 
 def save_manifest(path: Path | str, manifest: DatasetManifest) -> None:
     payload = {
         "seed": manifest.seed,
-        "subjects": [
-            {
-                "subject_id": e.subject_id,
-                "psg_path": e.psg_path,
-                "hypnogram_path": e.hypnogram_path,
-                "stage_counts": e.stage_counts,
-            }
-            for e in manifest.subjects
-        ],
+        "subjects": [asdict(entry) for entry in manifest.subjects],
         "splits": manifest.splits,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -369,74 +452,64 @@ def load_manifest(path: Path | str) -> DatasetManifest:
     )
 
 
-def write_epoch_cache(path: Path | str, records: list[EpochRecord]) -> None:
-    """Serialize epochs to the binary cache format (see module docstring)."""
-    out = bytearray(CACHE_MAGIC)
-    for record in records:
-        subject = record.subject_id.encode("utf-8")
-        names = [record.input_channel] + list(record.targets.keys())
-        out += struct.pack("<H", len(subject)) + subject
-        out += struct.pack("<IBB", record.epoch_index, record.stage.code, len(names))
-        for name in names:
-            raw = name.encode("utf-8")
-            out += struct.pack("<H", len(raw)) + raw
-        for name in names:
-            mean, std = record.norm_params[name]
-            out += struct.pack("<ff", mean, std)
-        arrays = [record.input_samples] + [record.targets[n] for n in record.targets]
-        for arr in arrays:
-            out += np.asarray(arr, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(out))
+# cache arrays in file order; after the 20-byte header each f32 and u32
+# array starts 4-byte aligned
+_CACHE_ARRAYS = (("signals", "<f4"), ("norm", "<f4"), ("epoch_index", "<u4"),
+                 ("subject", "<u2"), ("stage", "u1"))
 
 
-def read_epoch_cache(path: Path | str) -> list[EpochRecord]:
+def write_epoch_cache(path: Path | str, epochs: EpochSet) -> None:
+    """Write the binary cache (see module docstring) one array at a time,
+    without assembling the file in memory."""
+    table = b"".join(struct.pack("<H", len(raw)) + raw for raw in
+                     (name.encode("utf-8") for name in epochs.channels + epochs.subjects))
+    counts = _CACHE_COUNTS.pack(len(epochs), len(epochs.channels), len(epochs.subjects),
+                                len(table))
+    arrays = [np.ascontiguousarray(getattr(epochs, name), dtype=dtype)
+              for name, dtype in _CACHE_ARRAYS]
+    crc = 0
+    with open(path, "wb") as handle:
+        handle.write(CACHE_MAGIC)
+        for chunk in [counts, *arrays, table]:
+            handle.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        handle.write(struct.pack("<I", crc))
+
+
+def read_epoch_cache(path: Path | str) -> EpochSet:
+    """Read a cache written by write_epoch_cache. The set's arrays are
+    read-only views of the file's bytes; anything that is not an intact
+    PSGEPO02 cache raises CorruptCache."""
     data = Path(path).read_bytes()
     if data[:8] != CACHE_MAGIC:
-        raise ValueError(f"bad epoch cache magic: {data[:8]!r}")
-    pos = 8
-    records = []
-
-    def take(fmt: str):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(data):
-            raise ValueError("truncated epoch cache")
-        values = struct.unpack_from(fmt, data, pos)
-        pos += size
-        return values
-
-    def take_text(size: int) -> str:
-        nonlocal pos
-        if pos + size > len(data):
-            raise ValueError("truncated epoch cache")
-        pos += size
-        return data[pos - size: pos].decode("utf-8")
-
-    while pos < len(data):
-        subject = take_text(take("<H")[0])
-        epoch_index, stage_code, n_channels = take("<IBB")
-        if n_channels == 0:
-            raise ValueError("epoch cache record has no channels")
-        names = [take_text(take("<H")[0]) for _ in range(n_channels)]
-        norm_params = {}
-        for name in names:
-            mean, std = take("<ff")
-            norm_params[name] = (float(mean), float(std))
-        arrays = []
-        for _ in range(n_channels):
-            nbytes = EPOCH_SAMPLES * 4
-            if pos + nbytes > len(data):
-                raise ValueError("truncated epoch cache")
-            arrays.append(np.frombuffer(data, dtype="<f4", count=EPOCH_SAMPLES,
-                                        offset=pos).copy())
-            pos += nbytes
-        records.append(EpochRecord(
-            subject_id=subject,
-            epoch_index=epoch_index,
-            stage=SleepStage(stage_code),
-            input_channel=names[0],
-            input_samples=arrays[0],
-            targets=dict(zip(names[1:], arrays[1:])),
-            norm_params=norm_params,
-        ))
-    return records
+        hint = "; re-run preprocess to rebuild it" if data[:8] == b"PSGEPO01" else ""
+        raise CorruptCache(f"bad epoch cache magic {data[:8]!r}{hint}")
+    offset = len(CACHE_MAGIC) + _CACHE_COUNTS.size
+    if len(data) < offset:
+        raise CorruptCache("truncated epoch cache header")
+    n, c, s, table_len = _CACHE_COUNTS.unpack_from(data, len(CACHE_MAGIC))
+    if c == 0:
+        raise CorruptCache("epoch cache has no channels")
+    layout = []
+    for name, dtype in _CACHE_ARRAYS:
+        shape = {"signals": (n, c, EPOCH_SAMPLES), "norm": (n, c, 2)}.get(name, (n,))
+        layout.append((name, dtype, shape, offset))
+        offset += np.dtype(dtype).itemsize * int(np.prod(shape))
+    if len(data) != offset + table_len + 4:
+        raise CorruptCache(f"epoch cache has {len(data)} bytes where its header promises "
+                           f"{offset + table_len + 4} (truncated or trailing bytes)")
+    if zlib.crc32(memoryview(data)[len(CACHE_MAGIC):-4]) != int.from_bytes(data[-4:], "little"):
+        raise CorruptCache("epoch cache checksum mismatch")
+    try:
+        names, pos = [], offset
+        for _ in range(c + s):
+            size = int.from_bytes(data[pos: pos + 2], "little")
+            names.append(data[pos + 2: pos + 2 + size].decode("utf-8"))
+            pos += 2 + size
+        if pos != offset + table_len:
+            raise ValueError("name table length disagrees with its names")
+        return EpochSet(names[:c], names[c:], **{
+            name: np.frombuffer(data, dtype, int(np.prod(shape)), start).reshape(shape)
+            for name, dtype, shape, start in layout})
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise CorruptCache(f"malformed epoch cache: {exc}") from exc

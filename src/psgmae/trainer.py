@@ -28,7 +28,8 @@ import numpy as np
 
 from . import mae, numcore as nc
 from .mae import MaeConfig, MaeParams
-from .pipeline import DatasetManifest, EpochRecord, load_manifest, read_epoch_cache
+from .pipeline import (DatasetManifest, EpochSet, as_epoch_set, load_manifest,
+                       read_epoch_cache)
 
 CHECKPOINT_MAGIC = b"PSGMAE01"
 
@@ -81,32 +82,25 @@ class TrainConfig:
             raise ValueError("input channel cannot be one of its own targets")
 
 
+# INI keys read and written by name; an absent key takes the dataclass default
+_MAE_INTS = ("patch_size", "seq_len", "embed_dim", "num_heads", "encoder_layers",
+             "decoder_layers", "mlp_ratio")
+_OPTIMIZER_FLOATS = ("lr", "beta1", "beta2", "epsilon")
+_TRAIN_INTS = ("batch_size", "max_epochs", "seed", "patience")
+
+
 def config_to_ini(config: TrainConfig) -> str:
     parser = configparser.ConfigParser()
     parser["mae"] = {
-        "patch_size": str(config.mae.patch_size),
-        "seq_len": str(config.mae.seq_len),
-        "embed_dim": str(config.mae.embed_dim),
-        "num_heads": str(config.mae.num_heads),
-        "encoder_layers": str(config.mae.encoder_layers),
-        "decoder_layers": str(config.mae.decoder_layers),
-        "mlp_ratio": str(config.mae.mlp_ratio),
+        **{key: str(getattr(config.mae, key)) for key in _MAE_INTS},
         "mask_ratio": repr(config.mae.mask_ratio),
         "loss_scope": config.mae.loss_scope,
         "target_channels": ", ".join(config.mae.target_channels),
     }
-    parser["optimizer"] = {
-        "lr": repr(config.lr),
-        "beta1": repr(config.beta1),
-        "beta2": repr(config.beta2),
-        "epsilon": repr(config.epsilon),
-    }
+    parser["optimizer"] = {key: repr(getattr(config, key)) for key in _OPTIMIZER_FLOATS}
     parser["train"] = {
         "input_channel": config.input_channel,
-        "batch_size": str(config.batch_size),
-        "max_epochs": str(config.max_epochs),
-        "seed": str(config.seed),
-        "patience": str(config.patience),
+        **{key: str(getattr(config, key)) for key in _TRAIN_INTS},
         "calibrate_scale": "true" if config.calibrate_scale else "false",
     }
     out = io.StringIO()
@@ -119,13 +113,7 @@ def config_from_ini(text: str) -> TrainConfig:
     parser.read_string(text)
     m = parser["mae"]
     mae_config = MaeConfig(
-        patch_size=m.getint("patch_size", 100),
-        seq_len=m.getint("seq_len", 30),
-        embed_dim=m.getint("embed_dim", 64),
-        num_heads=m.getint("num_heads", 4),
-        encoder_layers=m.getint("encoder_layers", 2),
-        decoder_layers=m.getint("decoder_layers", 1),
-        mlp_ratio=m.getint("mlp_ratio", 4),
+        **{key: m.getint(key) for key in _MAE_INTS if key in m},
         mask_ratio=m.getfloat("mask_ratio", 0.5),
         loss_scope=m.get("loss_scope", "all"),
         target_channels=tuple(
@@ -137,14 +125,8 @@ def config_from_ini(text: str) -> TrainConfig:
     return TrainConfig(
         mae=mae_config,
         input_channel=t.get("input_channel", ""),
-        lr=float(o.get("lr", 1e-3)),
-        beta1=float(o.get("beta1", 0.9)),
-        beta2=float(o.get("beta2", 0.999)),
-        epsilon=float(o.get("epsilon", 1e-8)),
-        batch_size=t.getint("batch_size", 64),
-        max_epochs=t.getint("max_epochs", 100),
-        seed=t.getint("seed", 0),
-        patience=t.getint("patience", 10),
+        **{key: float(o[key]) for key in _OPTIMIZER_FLOATS if key in o},
+        **{key: t.getint(key) for key in _TRAIN_INTS if key in t},
         calibrate_scale=t.getboolean("calibrate_scale", True),
     )
 
@@ -321,22 +303,15 @@ def _snapshot(params: MaeParams) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in params.tensors.items()}
 
 
-def load_dataset(data_dir: Path | str) -> tuple[DatasetManifest, list[EpochRecord]]:
+def load_dataset(data_dir: Path | str) -> tuple[DatasetManifest, EpochSet]:
     data_dir = Path(data_dir)
-    manifest = load_manifest(data_dir / MANIFEST_FILENAME)
-    records = read_epoch_cache(data_dir / CACHE_FILENAME)
-    return manifest, records
+    return load_manifest(data_dir / MANIFEST_FILENAME), read_epoch_cache(data_dir / CACHE_FILENAME)
 
 
-def split_records(
-    manifest: DatasetManifest, records: list[EpochRecord]
-) -> dict[str, list[EpochRecord]]:
-    out: dict[str, list[EpochRecord]] = {"train": [], "val": [], "test": []}
-    for record in records:
-        split = manifest.splits.get(record.subject_id)
-        if split in out:
-            out[split].append(record)
-    return out
+def split_records(manifest: DatasetManifest, epochs: EpochSet) -> dict[str, EpochSet]:
+    """The train, val and test epochs, by their subject's split."""
+    split = np.array([manifest.splits.get(s) for s in epochs.subjects], dtype=object)
+    return {name: epochs[split[epochs.subject] == name] for name in ("train", "val", "test")}
 
 
 def _format_metrics(epoch: int, train_loss: float, val_loss: float,
@@ -346,19 +321,16 @@ def _format_metrics(epoch: int, train_loss: float, val_loss: float,
     return "\t".join(parts)
 
 
-def _reconstruct(params: MaeParams, records: list[EpochRecord]):
+def _reconstruct(params: MaeParams, epochs: EpochSet):
     """Full-visibility reconstructions and targets, each (N, targets, epoch_len)."""
-    recon = mae.predict(params, [record.input_samples for record in records])
-    channels = params.config.target_channels
-    return recon, np.stack([[record.targets[ch] for ch in channels] for record in records])
+    targets = epochs.target_indices(params.config.target_channels)
+    return mae.predict(params, epochs.signals[:, 0]), epochs.signals[:, targets]
 
 
-def evaluate_split(
-    params: MaeParams, records: list[EpochRecord]
-) -> tuple[float, dict[str, float]]:
-    """Full-visibility cosine loss and per-target MSE over a record list."""
+def evaluate_split(params: MaeParams, epochs: EpochSet) -> tuple[float, dict[str, float]]:
+    """Full-visibility cosine loss and per-target MSE over an epoch set."""
     config = params.config
-    recon, target = _reconstruct(params, records)
+    recon, target = _reconstruct(params, epochs)
     loss = mae.cosine_loss(nc.Tensor(mae.patchify(recon, config)),
                            nc.Tensor(mae.patchify(target, config), dtype=params.dtype))
     diff = recon.astype(np.float64) - target
@@ -366,17 +338,15 @@ def evaluate_split(
     return loss.item(), dict(zip(config.target_channels, map(float, sq_err)))
 
 
-def calibrate_head_scale(
-    params: MaeParams, records: list[EpochRecord]
-) -> dict[str, float]:
+def calibrate_head_scale(params: MaeParams, epochs: EpochSet) -> dict[str, float]:
     """Least-squares scale calibration of each reconstruction head.
 
     The cosine objective is invariant to the output scale of a head, so the
     trained scale is arbitrary; this fits the single scalar c minimizing
-    ||c * recon - target||^2 over the given records (use the train split)
+    ||c * recon - target||^2 over the given epochs (use the train split)
     and folds it into the head weights. Deterministic, no random state.
     """
-    recon, target = _reconstruct(params, records)
+    recon, target = _reconstruct(params, epochs)
     scales = {}
     for i, ch in enumerate(params.config.target_channels):
         pred = recon[:, i].astype(np.float64)
@@ -397,28 +367,26 @@ class TrainResult:
 
 def train(
     config: TrainConfig,
-    splits: dict[str, list[EpochRecord]],
+    splits: dict,
     resume: Checkpoint | None = None,
 ) -> TrainResult:
     """Run (or resume) training; returns the checkpoint and per-epoch metrics.
 
+    ``splits`` maps "train" and "val" to EpochSets (or EpochRecord lists).
     Per epoch: seeded shuffle, mini-batch Adam updates on the masked cosine
     loss, then full-visibility validation. The best-validation parameter set
     is kept; training stops at max_epochs or when validation loss fails to
     improve for ``patience`` consecutive epochs.
     """
-    train_records = splits.get("train", [])
-    val_records = splits.get("val", [])
-    if not train_records:
-        raise EmptySplit("train split is empty")
-    if not val_records:
-        raise EmptySplit("val split is empty")
-    for record in train_records + val_records:
-        if record.input_channel != config.input_channel:
-            raise ValueError(
-                f"dataset input channel {record.input_channel!r} != configured "
-                f"{config.input_channel!r}"
-            )
+    for name in ("train", "val"):
+        if not splits.get(name):
+            raise EmptySplit(f"{name} split is empty")
+    train_set, val_set = as_epoch_set(splits["train"]), as_epoch_set(splits["val"])
+    for epochs in (train_set, val_set):
+        if epochs.input_channel != config.input_channel:
+            raise ValueError(f"dataset input channel {epochs.input_channel!r} != "
+                             f"configured {config.input_channel!r}")
+    targets = train_set.target_indices(config.mae.target_channels)
 
     root = np.random.SeedSequence(config.seed)
     init_seq, shuffle_seq, mask_seq = root.spawn(3)
@@ -461,14 +429,15 @@ def train(
     metrics_lines: list[str] = []
     epoch = start_epoch - 1
     for epoch in range(start_epoch, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_records))
+        order = shuffle_rng.permutation(len(train_set))
         seen = 0
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_records[i] for i in order[lo: lo + config.batch_size]]
+            batch = train_set[order[lo: lo + config.batch_size]]
             nc.zero_grad(params.tensors)
             with nc.Tape() as tape:
-                loss, _ = mae.forward_loss(batch, params, mask_rng)
+                loss, _ = mae.forward_loss(batch.signals[:, 0], batch.signals[:, targets],
+                                           params, mask_rng)
             value = loss.item()
             if not np.isfinite(value):
                 raise NonFiniteLoss(
@@ -481,7 +450,7 @@ def train(
             seen += len(batch)
 
         train_loss = loss_sum / seen
-        val_loss, val_mse = evaluate_split(params, val_records)
+        val_loss, val_mse = evaluate_split(params, val_set)
         metrics_lines.append(_format_metrics(epoch, train_loss, val_loss, val_mse))
 
         if val_loss < best_val:
@@ -496,7 +465,7 @@ def train(
     best_params = params_from_blobs(config.mae, best_blobs)
     calibration: dict[str, float] = {}
     if config.calibrate_scale:
-        calibration = calibrate_head_scale(best_params, train_records)
+        calibration = calibrate_head_scale(best_params, train_set)
 
     checkpoint = Checkpoint(
         config_text=config_to_ini(config),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psgmae import mae, pipeline, synthgen
+from psgmae import mae, pipeline, synthgen, trainer
 
 
 TINY_CONFIG_KWARGS = dict(
@@ -21,7 +21,7 @@ def philox(seed) -> np.random.Generator:
 
 
 def synth_records(seed=0, minutes=5.0, noise_std=5.0, subject_id="S000"):
-    """Segment one synthetic recording into epoch records."""
+    """Segment one synthetic recording into an EpochSet."""
     spec = synthgen.SynthSpec(
         seed=seed, duration_s=int(minutes * 60), noise_std=noise_std,
         subject_id=subject_id,
@@ -35,24 +35,23 @@ def synth_records(seed=0, minutes=5.0, noise_std=5.0, subject_id="S000"):
 
 def synth_dataset(n_subjects=5, minutes=3.0, seed=0, noise_std=5.0,
                   fractions=(0.6, 0.2, 0.2)):
-    """Multi-subject synthetic dataset with a subject-level split."""
-    records = []
+    """Multi-subject synthetic dataset with a subject-level split:
+    (manifest, EpochSet of every subject, EpochSet per split)."""
+    parts = []
     entries = []
     for i in range(n_subjects):
         subject = f"S{i:03d}"
-        subject_records = synth_records(
+        epochs = synth_records(
             seed=(seed, i), minutes=minutes, noise_std=noise_std,
             subject_id=subject,
         )
-        records.extend(subject_records)
+        parts.append(epochs)
         entries.append(pipeline.SubjectEntry(
             subject_id=subject, psg_path=f"{subject}-PSG.edf",
             hypnogram_path=f"{subject}-Hypnogram.edf",
-            stage_counts=pipeline.stage_histogram(subject_records),
+            stage_counts=pipeline.stage_histogram(epochs),
         ))
     manifest = pipeline.DatasetManifest(subjects=entries, seed=seed)
     manifest = pipeline.split_subjects(manifest, seed, fractions)
-    splits = {"train": [], "val": [], "test": []}
-    for record in records:
-        splits[manifest.splits[record.subject_id]].append(record)
-    return manifest, records, splits
+    dataset = pipeline.EpochSet.concat(parts)
+    return manifest, dataset, trainer.split_records(manifest, dataset)

@@ -178,21 +178,42 @@ class TestTrainEval:
         assert code == 2
         assert "missing.ckpt" in err
 
-    def test_train_on_channelless_cache_exits_2(self, capsys, workspace, tmp_path):
+    @staticmethod
+    def damaged_data(workspace, tmp_path, damage):
+        """A copy of the workspace dataset whose cache bytes ``damage`` edits."""
         data = tmp_path / "data"
         data.mkdir()
         for name in (trainer.MANIFEST_FILENAME, trainer.CACHE_FILENAME):
             (data / name).write_bytes((workspace / "data" / name).read_bytes())
         cache = bytearray((data / trainer.CACHE_FILENAME).read_bytes())
-        (subject_len,) = struct.unpack_from("<H", cache, 8)
-        cache[8 + 2 + subject_len + 5] = 0  # first record's channel count
+        damage(cache)
         (data / trainer.CACHE_FILENAME).write_bytes(bytes(cache))
+        return data
+
+    def test_train_on_channelless_cache_exits_2(self, capsys, workspace, tmp_path):
+        def no_channels(cache):
+            cache[12:14] = struct.pack("<H", 0)  # the channel count
+        data = self.damaged_data(workspace, tmp_path, no_channels)
         code, _, err = run(
             capsys, "train", "--config", str(workspace / "config.ini"),
             "--data", str(data), "--out", str(tmp_path / "run"),
         )
         assert code == 2
         assert "no channels" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_flipped_cache_bit_exits_2(self, capsys, workspace, tmp_path, command):
+        def flip(cache):
+            cache[len(cache) // 2] ^= 0x10  # one bit of one sample
+        data = self.damaged_data(workspace, tmp_path, flip)
+        if command == "train":
+            args = ["--config", str(workspace / "config.ini")]
+        else:
+            args = ["--checkpoint", str(workspace / "run" / "checkpoint.psgmae")]
+        code, _, err = run(capsys, command, *args, "--data", str(data),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "checksum" in err
 
     def test_reconstruct_exports_csv(self, capsys, workspace):
         out_path = workspace / "recon" / "epoch0.csv"

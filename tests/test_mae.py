@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psgmae import mae, numcore as nc, pipeline
+from psgmae import mae, numcore as nc
 from psgmae.mae import (
-    HeterogeneousBatch,
     MaeConfig,
     MaskPlan,
     WrongLength,
@@ -29,31 +28,14 @@ def tiny_params(seed=0, dtype=np.float64, **overrides):
     return config, init_params(config, seed=seed, dtype=dtype)
 
 
-class StubEpoch:
-    """Duck-typed stand-in for EpochRecord with a non-3000 epoch length,
-    usable with the tiny gradient-check configuration."""
-
-    def __init__(self, config, rng, stage=pipeline.SleepStage.N2,
-                 input_channel="in"):
-        self.subject_id = "s0"
-        self.epoch_index = 0
-        self.stage = stage
-        self.input_channel = input_channel
-        self.input_samples = rng.normal(0, 1, config.epoch_len).astype(np.float32)
-        self.targets = {
-            ch: rng.normal(0, 1, config.epoch_len).astype(np.float32)
-            for ch in config.target_channels
-        }
-        self.norm_params = {name: (0.0, 1.0)
-                            for name in [input_channel, *config.target_channels]}
-
-    @property
-    def target_channels(self):
-        return tuple(self.targets.keys())
-
-
-def make_epoch(config, rng, stage=pipeline.SleepStage.N2, input_channel="in"):
-    return StubEpoch(config, rng, stage=stage, input_channel=input_channel)
+def make_batch(config, rng, n=1):
+    """n random float32 epochs of the config's (possibly non-3000) length:
+    inputs (n, epoch_len) and targets (n, num_targets, epoch_len), drawn
+    one epoch at a time, input first."""
+    draws = [[rng.normal(0, 1, config.epoch_len)
+              for _ in range(1 + len(config.target_channels))] for _ in range(n)]
+    epochs = np.array(draws, dtype=np.float32)
+    return epochs[:, 0], epochs[:, 1:]
 
 
 class TestPatchify:
@@ -245,53 +227,38 @@ class TestCosineLoss:
 class TestForwardLoss:
     def test_perfect_targets_give_zero_loss(self):
         config, params = tiny_params(mask_ratio=0.5)
-        rng = philox(9)
-        epoch = make_epoch(config, rng)
+        inputs, targets = make_batch(config, philox(9))
         # run once to capture the reconstruction, then feed it back as target
-        plan_rng = philox(42)
-        _, recons = forward_loss([epoch], params, plan_rng)
-        epoch.targets = {
-            ch: recons[0][i].astype(np.float32)
-            for i, ch in enumerate(config.target_channels)
-        }
-        loss, _ = forward_loss([epoch], params, philox(42))
+        _, recons = forward_loss(inputs, targets, params, philox(42))
+        loss, _ = forward_loss(inputs, recons.astype(np.float32), params, philox(42))
         assert loss.item() < 1e-5
 
     def test_loss_in_range_for_random_params(self):
         config, params = tiny_params(seed=123)
         rng = philox(10)
-        batch = [make_epoch(config, rng) for _ in range(3)]
-        loss, recons = forward_loss(batch, params, rng)
+        inputs, targets = make_batch(config, rng, 3)
+        loss, recons = forward_loss(inputs, targets, params, rng)
         assert 0.0 <= loss.item() <= 2.0
         assert np.isfinite(loss.item())
         assert len(recons) == 3
         assert recons[0].shape == (2, config.epoch_len)
 
-    def test_heterogeneous_batch_rejected(self):
-        config, params = tiny_params()
-        rng = philox(11)
-        a = make_epoch(config, rng, input_channel="in1")
-        b = make_epoch(config, rng, input_channel="in2")
-        with pytest.raises(HeterogeneousBatch):
-            forward_loss([a, b], params, rng)
-
     def test_masked_scope_restricts_tokens(self):
         config, params = tiny_params(loss_scope="masked")
         all_config, all_params = tiny_params(loss_scope="all")
-        rng = philox(12)
-        epoch = make_epoch(config, rng)
+        inputs, targets = make_batch(config, philox(12))
 
-        masked_loss, _ = forward_loss([epoch], params, philox(5))
-        all_loss, _ = forward_loss([epoch], all_params, philox(5))
+        masked_loss, _ = forward_loss(inputs, targets, params, philox(5))
+        all_loss, _ = forward_loss(inputs, targets, all_params, philox(5))
 
         # manual recomputation of the masked-scope value
         plan = make_mask(config.seq_len, config.mask_ratio, philox(5))
-        latents = encode(patchify(epoch.input_samples, config), plan, params)
+        latents = encode(patchify(inputs[0], config), plan, params)
         recon = decode(latents, plan, params).data
         rows = list(plan.masked_indices)
         per_token = []
-        for i, ch in enumerate(config.target_channels):
-            target = patchify(epoch.targets[ch], config)
+        for i in range(len(config.target_channels)):
+            target = patchify(targets[0, i], config)
             for row in rows:
                 p, t = recon[i, row], target[row]
                 cos = (p @ t) / (max(np.linalg.norm(p), 1e-8)
@@ -346,10 +313,10 @@ class TestGradients:
     def test_no_dead_parameters(self):
         config, params = tiny_params(seed=2, dtype=np.float32)
         rng = philox(14)
-        batch = [make_epoch(config, rng) for _ in range(2)]
+        inputs, targets = make_batch(config, rng, 2)
         nc.zero_grad(params.tensors)
         with nc.Tape() as tape:
-            loss, _ = forward_loss(batch, params, rng)
+            loss, _ = forward_loss(inputs, targets, params, rng)
         tape.backward(loss)
         for name, tensor in params.tensors.items():
             assert tensor.grad is not None, name
@@ -365,12 +332,12 @@ class TestBatching:
     def test_batch_matches_single_examples(self, scope):
         config = MaeConfig(**{**self.CONFIG, "loss_scope": scope})
         params = init_params(config, seed=4, dtype=np.float32)
-        rng = philox(20)
-        batch = [make_epoch(config, rng) for _ in range(5)]
+        inputs, targets = make_batch(config, philox(20), 5)
 
-        loss, recons = forward_loss(batch, params, philox(21))
+        loss, recons = forward_loss(inputs, targets, params, philox(21))
         stream = philox(21)  # the same mask stream, drawn one example at a time
-        singles = [forward_loss([epoch], params, stream) for epoch in batch]
+        singles = [forward_loss(inputs[i:i + 1], targets[i:i + 1], params, stream)
+                   for i in range(len(inputs))]
 
         mean_single = np.mean([single.item() for single, _ in singles])
         assert loss.item() == pytest.approx(mean_single, rel=1e-6)
@@ -393,14 +360,13 @@ class TestBatching:
         config = MaeConfig(**{**self.CONFIG, "loss_scope": scope})
         params = init_params(config, seed=6, dtype=np.float32)
         rng = philox(23)
-        batch = [make_epoch(config, rng) for _ in range(3)]
+        inputs, targets = make_batch(config, rng, 3)
         nc.zero_grad(params.tensors)
         with nc.Tape() as tape:
-            loss, recons = forward_loss(batch, params, rng)
+            loss, recons = forward_loss(inputs, targets, params, rng)
         tape.backward(loss)
         assert loss.dtype == np.float32
         assert recons.dtype == np.float32
         for name, tensor in params.tensors.items():
             assert tensor.grad.dtype == np.float32, name
-        inputs = np.stack([epoch.input_samples for epoch in batch])
         assert mae.predict(params, inputs).dtype == np.float32

@@ -1,3 +1,8 @@
+import struct
+import tempfile
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from psgmae import pipeline, synthgen
 from psgmae.edf_io import Annotation
 from psgmae.pipeline import (
+    CorruptCache,
     DatasetManifest,
     EmptyInput,
     EpochRecord,
+    EpochSet,
     MissingChannel,
     NoLabeledEpochs,
     SleepStage,
@@ -305,25 +312,82 @@ class TestCacheAndManifest:
     def test_cache_bad_magic(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptCache):
+            read_epoch_cache(path)
+
+    def test_old_cache_format_asks_for_preprocess(self, tmp_path):
+        path = tmp_path / "old"
+        path.write_bytes(b"PSGEPO01" + b"\x00" * 40)
+        with pytest.raises(CorruptCache, match="re-run preprocess"):
             read_epoch_cache(path)
 
     @pytest.mark.parametrize("damage", ["zero_channels", "subject_cut", "name_cut"])
     def test_cache_bad_record_header(self, tmp_path, damage):
-        records = synth_records(seed=11, minutes=1.0)
+        epochs = synth_records(seed=11, minutes=1.0)
         path = tmp_path / "epochs.psgepo"
-        write_epoch_cache(path, records)
+        write_epoch_cache(path, epochs)
         data = bytearray(path.read_bytes())
-        subject_end = 8 + 2 + len(records[0].subject_id.encode())
+        # the name table sits between the stage codes and the 4-byte CRC
+        table_start = len(data) - 4 - struct.unpack_from("<I", data, 16)[0]
+        first_name_end = table_start + 2 + len(epochs.channels[0].encode())
         if damage == "zero_channels":
-            data[subject_end + 5] = 0
+            data[12:14] = b"\x00\x00"
         elif damage == "subject_cut":
-            data = data[:subject_end - 1]
+            data = data[:-5]
         else:
-            data = data[:subject_end + 6 + 3]
+            data = data[:first_name_end - 3]
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptCache, match="no channels" if damage == "zero_channels"
+                           else "truncated"):
             read_epoch_cache(path)
+
+    @pytest.mark.parametrize("damage,message", [
+        ("stage", "stage code"), ("subject", "subject index"), ("name_utf8", "utf-8"),
+        ("trailing", "trailing"), ("crc", "checksum"),
+    ])
+    def test_cache_damage_behind_a_valid_checksum(self, tmp_path, damage, message):
+        """Content a checksum cannot vouch for is still checked."""
+        epochs = synth_records(seed=11, minutes=1.0)
+        path = tmp_path / "epochs.psgepo"
+        write_epoch_cache(path, epochs)
+        data = bytearray(path.read_bytes())
+        n = len(epochs)
+        stage_end = len(data) - 4 - struct.unpack_from("<I", data, 16)[0]
+        if damage == "stage":
+            data[stage_end - n] = len(pipeline.STAGES)
+        elif damage == "subject":
+            data[stage_end - 3 * n: stage_end - n] = b"\x05\x00" * n
+        elif damage == "name_utf8":
+            data[stage_end + 2] = 0xFF
+        elif damage == "trailing":
+            data += b"\x00"
+        if damage != "crc":
+            data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[8:-4])))
+        else:
+            data[-1] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptCache, match=message):
+            read_epoch_cache(path)
+
+    def test_cache_fuzz_truncation_and_flips(self, tmp_path):
+        epochs = synth_records(seed=12, minutes=1.0)
+        path = tmp_path / "epochs.psgepo"
+        write_epoch_cache(path, epochs)
+        data = path.read_bytes()
+        damaged = [data[:cut] for cut in range(0, len(data), max(len(data) // 37, 1))]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(12)))
+        for pos, bit in zip(rng.integers(0, len(data), 150), rng.integers(0, 8, 150)):
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << int(bit)
+            damaged.append(bytes(flipped))
+        for pos in range(64):  # every bit of the header, one byte at a time
+            flipped = bytearray(data)
+            flipped[pos] ^= 0xFF
+            damaged.append(bytes(flipped))
+        for blob in damaged:
+            path.write_bytes(blob)
+            with pytest.raises(CorruptCache):
+                read_epoch_cache(path)
 
     def test_manifest_round_trip(self, tmp_path):
         manifest = split_subjects(manifest_of(5), seed=3,
@@ -344,3 +408,108 @@ class TestCacheAndManifest:
                 targets={"a": np.zeros(3000, dtype=np.float32)},
                 norm_params={"a": (0.0, 1.0)},
             )
+
+
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+def assert_same_record(got, want):
+    assert got.subject_id == want.subject_id
+    assert got.epoch_index == want.epoch_index
+    assert got.stage is want.stage
+    assert got.input_channel == want.input_channel
+    assert got.input_samples.tobytes() == want.input_samples.tobytes()
+    assert list(got.targets) == list(want.targets)
+    for name, arr in want.targets.items():
+        assert got.targets[name].tobytes() == arr.tobytes()
+    assert got.norm_params == want.norm_params
+
+
+class TestEpochSet:
+    @given(n=st.integers(0, 6),
+           channels=st.lists(NAMES, min_size=1, max_size=4, unique=True),
+           subjects=st.lists(NAMES, min_size=1, max_size=3, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_cache_round_trip_is_bit_exact(self, n, channels, subjects, seed):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        c = len(channels)
+        epochs = EpochSet(
+            channels, subjects,
+            subject=rng.integers(0, len(subjects), n),
+            epoch_index=rng.integers(0, 2**32, n),
+            stage=rng.integers(0, len(pipeline.STAGES), n),
+            norm=np.stack([rng.normal(0, 100, (n, c)), rng.uniform(1, 100, (n, c))], axis=-1),
+            signals=rng.normal(0, 1, (n, c, pipeline.EPOCH_SAMPLES)),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "epochs.psgepo"
+            write_epoch_cache(path, epochs)
+            loaded = read_epoch_cache(path)
+        assert loaded.channels == tuple(channels)
+        assert loaded.subjects == tuple(subjects)
+        for name in ("subject", "epoch_index", "stage", "norm", "signals"):
+            want, got = getattr(epochs, name), getattr(loaded, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        for i in range(n):
+            assert_same_record(loaded[i], epochs[i])
+            assert loaded[i].subject_id == subjects[epochs.subject[i]]
+
+    def test_indexing(self):
+        epochs = synth_records(seed=15, minutes=5.0)
+        records = list(epochs)
+        assert len(records) == len(epochs) == 10
+        assert_same_record(epochs[-1], records[9])
+        with pytest.raises(IndexError):
+            epochs[10]
+        picked = epochs[np.array([7, 2])]
+        assert [r.epoch_index for r in picked] == [7, 2]
+        n2 = epochs[epochs.stage == SleepStage.N2.code]
+        assert [r.stage for r in n2] == [SleepStage.N2] * 2
+        assert_same_record(epochs[3:5][1], records[4])
+        assert epochs[3:3].channels == epochs.channels and len(epochs[3:3]) == 0
+
+    def test_record_views_share_memory(self):
+        epochs = synth_records(seed=15, minutes=1.0)
+        epochs[0].targets["EOG horizontal"][:] = 0.0
+        assert not epochs.signals[0, 1].any()
+
+    def test_target_lookup(self):
+        epochs = synth_records(seed=16, minutes=1.0)
+        assert epochs.target_indices(["EEG Pz-Oz", "EOG horizontal"]) == [3, 1]
+        with pytest.raises(MissingChannel, match="EEG C3"):
+            epochs.target_indices(["EOG horizontal", "EEG C3"])
+        with pytest.raises(MissingChannel):  # the input is never a target
+            epochs.target_indices([synthgen.INPUT_CHANNEL])
+
+    def test_concat_merges_subjects(self):
+        a = synth_records(seed=17, minutes=1.0, subject_id="A")
+        b = synth_records(seed=18, minutes=1.0, subject_id="B")
+        joined = EpochSet.concat([a, b, a])
+        assert joined.subjects == ("A", "B")
+        assert [r.subject_id for r in joined] == ["A"] * 2 + ["B"] * 2 + ["A"] * 2
+        assert np.array_equal(joined.signals[2:4], b.signals)
+        other = EpochSet(("x",), (), [], [], [], np.zeros((0, 1, 2)), np.zeros((0, 1, 3000)))
+        with pytest.raises(ValueError, match="disagree"):
+            EpochSet.concat([a, other])
+
+    def test_from_records(self):
+        epochs = synth_records(seed=19, minutes=1.0)
+        rebuilt = pipeline.as_epoch_set(list(epochs))
+        assert pipeline.as_epoch_set(epochs) is epochs
+        for name in ("subject", "epoch_index", "stage", "norm", "signals"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(epochs, name))
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(channels=()), "no channels"),
+        (dict(channels=("a", "a")), "repeat"),
+        (dict(stage=[5]), "stage code"),
+        (dict(subject=[1]), "subject index"),
+        (dict(signals=np.zeros((1, 1, 2999))), "shape"),
+    ])
+    def test_invalid_sets_rejected(self, change, message):
+        fields = dict(channels=("a",), subjects=("s",), subject=[0], epoch_index=[0],
+                      stage=[0], norm=np.ones((1, 1, 2)), signals=np.zeros((1, 1, 3000)))
+        with pytest.raises(ValueError, match=message):
+            EpochSet(**{**fields, **change})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psgmae import mae, numcore as nc, synthgen, trainer
+from psgmae.pipeline import MissingChannel
 from psgmae.trainer import (
     BadMagic,
     Checkpoint,
@@ -116,6 +117,12 @@ class TestTrainLoop:
             max_epochs=1,
         )
         with pytest.raises(ValueError):
+            train(config, dataset)
+
+    def test_missing_configured_target(self, dataset):
+        config = small_config(mae=mae.MaeConfig(
+            embed_dim=16, num_heads=2, target_channels=("EOG horizontal", "EEG C3-A2")))
+        with pytest.raises(MissingChannel, match="EEG C3-A2"):
             train(config, dataset)
 
     def test_non_finite_loss_aborts(self, dataset):
