@@ -187,7 +187,8 @@ class EpochRecord:
         if self.input_channel in self.targets:
             raise ValueError("input channel cannot be one of its own targets")
         for name, (_, std) in self.norm_params.items():
-            if std < SIGMA_FLOOR:
+            # the f32 norm column stores the floor rounded down to 9.99999997e-07
+            if std < float(np.float32(SIGMA_FLOOR)):
                 raise ValueError(f"norm std for {name!r} below {SIGMA_FLOOR}")
 
     @property

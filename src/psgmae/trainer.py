@@ -6,13 +6,16 @@ stream 0 initializes parameters, stream 1 shuffles examples each epoch,
 stream 2 draws mask plans. Stream states are checkpointed, so a resumed run
 reproduces an uninterrupted one step for step.
 
-Checkpoint layout (little-endian), magic ``PSGMAE01``:
+Checkpoint layout (little-endian), magic ``PSGMAE02``:
 
-    u32 length + config INI text (UTF-8)
-    u32 length + meta JSON (epoch, best val loss, patience, rng states, ...)
-    4 named blob sections: params, best_params, adam_m, adam_v, each
-        u32 count, then per tensor: u16 name length + name, u8 ndim,
-        ndim x u32 dims, float32 data
+    u32  config INI byte length L
+    u32  meta JSON byte length M
+    L    config INI text (UTF-8)
+    M    meta JSON (epoch, best val loss, patience, rng states, ...) whose
+         "tensors" table lists [name, shape] per parameter, in params order
+    4 x K f32  params, best_params, adam_m, adam_v: each section is the
+         table's tensors in table order, K values in all
+    u32  CRC32 of every byte after the magic and before the CRC
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +36,8 @@ from .mae import MaeConfig, MaeParams
 from .pipeline import (DatasetManifest, EpochSet, as_epoch_set, load_manifest,
                        read_epoch_cache)
 
-CHECKPOINT_MAGIC = b"PSGMAE01"
+CHECKPOINT_MAGIC = b"PSGMAE02"
+_LENGTHS = struct.Struct("<II")  # config and meta byte lengths
 
 MANIFEST_FILENAME = "manifest.json"
 CACHE_FILENAME = "epochs.psgepo"
@@ -109,26 +115,30 @@ def config_to_ini(config: TrainConfig) -> str:
 
 
 def config_from_ini(text: str) -> TrainConfig:
+    """Parse a config INI; malformed INI raises ValueError."""
     parser = configparser.ConfigParser()
-    parser.read_string(text)
-    m = parser["mae"]
-    mae_config = MaeConfig(
-        **{key: m.getint(key) for key in _MAE_INTS if key in m},
-        mask_ratio=m.getfloat("mask_ratio", 0.5),
-        loss_scope=m.get("loss_scope", "all"),
-        target_channels=tuple(
-            s.strip() for s in m.get("target_channels", "").split(",") if s.strip()
-        ),
-    )
-    o = parser["optimizer"] if parser.has_section("optimizer") else {}
-    t = parser["train"]
-    return TrainConfig(
-        mae=mae_config,
-        input_channel=t.get("input_channel", ""),
-        **{key: float(o[key]) for key in _OPTIMIZER_FLOATS if key in o},
-        **{key: t.getint(key) for key in _TRAIN_INTS if key in t},
-        calibrate_scale=t.getboolean("calibrate_scale", True),
-    )
+    try:
+        parser.read_string(text)
+        m = parser["mae"]
+        mae_config = MaeConfig(
+            **{key: m.getint(key) for key in _MAE_INTS if key in m},
+            mask_ratio=m.getfloat("mask_ratio", 0.5),
+            loss_scope=m.get("loss_scope", "all"),
+            target_channels=tuple(
+                s.strip() for s in m.get("target_channels", "").split(",") if s.strip()
+            ),
+        )
+        o = parser["optimizer"] if parser.has_section("optimizer") else {}
+        t = parser["train"]
+        return TrainConfig(
+            mae=mae_config,
+            input_channel=t.get("input_channel", ""),
+            **{key: float(o[key]) for key in _OPTIMIZER_FLOATS if key in o},
+            **{key: t.getint(key) for key in _TRAIN_INTS if key in t},
+            calibrate_scale=t.getboolean("calibrate_scale", True),
+        )
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config INI: {exc}") from exc
 
 
 @dataclass
@@ -150,6 +160,13 @@ class Checkpoint:
 
     def train_config(self) -> TrainConfig:
         return config_from_ini(self.config_text)
+
+
+# the four tensor sections, in file order, and the meta JSON fields with the
+# type each is read back as
+_SECTIONS = ("params", "best_params", "adam_m", "adam_v")
+_META = {"epoch": int, "adam_step": int, "best_val_loss": float, "patience_left": int,
+         "rng_shuffle": dict, "rng_mask": dict, "calibrated": bool}
 
 
 def _philox_state(gen: np.random.Generator) -> dict:
@@ -180,107 +197,56 @@ def _restore_philox(payload: dict) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
-def _write_section(out: bytearray, blobs: dict[str, np.ndarray]) -> None:
-    out += struct.pack("<I", len(blobs))
-    for name, arr in blobs.items():
-        raw = name.encode("utf-8")
-        out += struct.pack("<H", len(raw)) + raw
-        out += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            out += struct.pack("<I", dim)
-        out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
 def save_checkpoint(checkpoint: Checkpoint) -> bytes:
-    """Serialize to bytes; refuses to store non-finite values."""
-    for section in (checkpoint.params, checkpoint.best_params,
-                    checkpoint.adam_m, checkpoint.adam_v):
-        for name, arr in section.items():
-            if not np.isfinite(arr).all():
-                raise nc.NonFiniteValue(f"non-finite values in blob {name!r}")
-    meta = {
-        "epoch": checkpoint.epoch,
-        "adam_step": checkpoint.adam_step,
-        "best_val_loss": checkpoint.best_val_loss,
-        "patience_left": checkpoint.patience_left,
-        "rng_shuffle": checkpoint.rng_shuffle,
-        "rng_mask": checkpoint.rng_mask,
-        "calibrated": checkpoint.calibrated,
-    }
-    out = bytearray(CHECKPOINT_MAGIC)
-    for text in (checkpoint.config_text, json.dumps(meta, sort_keys=True)):
-        raw = text.encode("utf-8")
-        out += struct.pack("<I", len(raw)) + raw
-    for section in (checkpoint.params, checkpoint.best_params,
-                    checkpoint.adam_m, checkpoint.adam_v):
-        _write_section(out, section)
-    return bytes(out)
+    """Serialize; refuses non-finite values and sections unlike ``params``."""
+    sections = [getattr(checkpoint, key) for key in _SECTIONS]
+    table = [[name, list(np.shape(arr))] for name, arr in checkpoint.params.items()]
+    if any([[name, list(np.shape(arr))] for name, arr in section.items()] != table
+           for section in sections):
+        raise ValueError("checkpoint sections disagree on their tensors")
+    arrays = [np.asarray(arr, dtype="<f4") for section in sections for arr in section.values()]
+    bad = {name for (name, _), arr in zip(table * 4, arrays) if not np.isfinite(arr).all()}
+    if bad:
+        raise nc.NonFiniteValue(f"non-finite values in blobs {sorted(bad)}")
+    meta = json.dumps({**{key: getattr(checkpoint, key) for key in _META}, "tensors": table},
+                      sort_keys=True).encode("utf-8")
+    config = checkpoint.config_text.encode("utf-8")
+    out = b"".join([CHECKPOINT_MAGIC, _LENGTHS.pack(len(config), len(meta)), config, meta,
+                    *(arr.tobytes() for arr in arrays)])
+    return out + struct.pack("<I", zlib.crc32(memoryview(out)[8:]))
 
 
 def load_checkpoint(data: bytes) -> Checkpoint:
-    """Inverse of save_checkpoint; raises BadMagic/ShapeMismatchOnLoad on
-    anything that is not a well-formed checkpoint stream."""
-    if len(data) < 8 or data[:8] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"not a checkpoint stream (magic {data[:8]!r})")
-    pos = 8
-
-    def take(fmt: str):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(data):
-            raise ShapeMismatchOnLoad("checkpoint stream truncated")
-        values = struct.unpack_from(fmt, data, pos)
-        pos += size
-        return values
-
-    def take_bytes(size: int) -> bytes:
-        nonlocal pos
-        if pos + size > len(data):
-            raise ShapeMismatchOnLoad("checkpoint stream truncated")
-        raw = data[pos: pos + size]
-        pos += size
-        return raw
-
+    """Inverse of save_checkpoint, with tensors as read-only views of ``data``;
+    anything but an intact PSGMAE02 checkpoint raises BadMagic or ShapeMismatchOnLoad."""
+    if data[:8] != CHECKPOINT_MAGIC:
+        hint = "; re-run train to rebuild it" if data[:8] == b"PSGMAE01" else ""
+        raise BadMagic(f"not a checkpoint stream (magic {data[:8]!r}){hint}")
+    start = 8 + _LENGTHS.size
+    crc = zlib.crc32(memoryview(data)[8:-4])
+    if len(data) < start + 4 or crc != int.from_bytes(data[-4:], "little"):
+        raise ShapeMismatchOnLoad("checkpoint truncated or damaged (checksum mismatch)")
+    config_len, meta_len = _LENGTHS.unpack_from(data, 8)
+    body = start + config_len + meta_len
     try:
-        (config_len,) = take("<I")
-        config_text = take_bytes(config_len).decode("utf-8")
-        (meta_len,) = take("<I")
-        meta = json.loads(take_bytes(meta_len).decode("utf-8"))
-
-        sections = []
-        for _ in range(4):
-            (count,) = take("<I")
-            blobs: dict[str, np.ndarray] = {}
-            for _ in range(count):
-                (name_len,) = take("<H")
-                name = take_bytes(name_len).decode("utf-8")
-                (ndim,) = take("<B")
-                shape = tuple(take("<I")[0] for _ in range(ndim))
-                size = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(take_bytes(size * 4), dtype="<f4").reshape(shape)
-                blobs[name] = arr.copy()
-            sections.append(blobs)
-        if pos != len(data):
-            raise ShapeMismatchOnLoad(f"{len(data) - pos} trailing bytes")
-    except ShapeMismatchOnLoad:
-        raise
-    except Exception as exc:
+        meta = json.loads(data[start + config_len: body].decode("utf-8"))
+        table = [(name, tuple(shape)) for name, shape in meta["tensors"]]
+        if len(dict(table)) != len(table) or not all(type(name) is str and all(
+                type(d) is int and d >= 0 for d in shape) for name, shape in table):
+            raise ValueError("tensor table needs unique names and non-negative int dims")
+        bounds = np.cumsum([0, *(math.prod(shape) for _, shape in table)]).tolist()
+        if body + 16 * bounds[-1] + 4 != len(data):
+            raise ValueError(f"lengths and tensor table disagree with the {len(data)}-byte size")
+        rows = np.frombuffer(data, "<f4", 4 * bounds[-1], body).reshape(4, bounds[-1])
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite tensor values")
+        sections = [{name: row[lo:hi].reshape(shape)
+                     for (name, shape), lo, hi in zip(table, bounds, bounds[1:])} for row in rows]
+        return Checkpoint(data[start: start + config_len].decode("utf-8"),
+                          **dict(zip(_SECTIONS, sections)),
+                          **{key: kind(meta[key]) for key, kind in _META.items()})
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise ShapeMismatchOnLoad(f"malformed checkpoint: {exc}") from exc
-
-    return Checkpoint(
-        config_text=config_text,
-        epoch=int(meta["epoch"]),
-        params=sections[0],
-        best_params=sections[1],
-        adam_m=sections[2],
-        adam_v=sections[3],
-        adam_step=int(meta["adam_step"]),
-        best_val_loss=float(meta["best_val_loss"]),
-        patience_left=int(meta["patience_left"]),
-        rng_shuffle=meta["rng_shuffle"],
-        rng_mask=meta["rng_mask"],
-        calibrated=bool(meta["calibrated"]),
-    )
 
 
 def params_from_blobs(config: MaeConfig, blobs: dict[str, np.ndarray]) -> MaeParams:
@@ -393,10 +359,6 @@ def train(
 
     if resume is None:
         params = mae.init_params(config.mae, init_seq, dtype=np.float32)
-        adam = nc.AdamState.for_params(
-            params.tensors, lr=config.lr, beta1=config.beta1,
-            beta2=config.beta2, epsilon=config.epsilon,
-        )
         shuffle_rng = np.random.Generator(np.random.Philox(shuffle_seq))
         mask_rng = np.random.Generator(np.random.Philox(mask_seq))
         start_epoch = 1
@@ -411,20 +373,20 @@ def train(
         if resume.patience_left <= 0:
             raise TrainerError("checkpoint already stopped early; nothing to resume")
         params = params_from_blobs(config.mae, resume.params)
-        adam = nc.AdamState.for_params(
-            params.tensors, lr=config.lr, beta1=config.beta1,
-            beta2=config.beta2, epsilon=config.epsilon,
-        )
-        for name in params.tensors:
-            adam.m[name] = resume.adam_m[name].copy()
-            adam.v[name] = resume.adam_v[name].copy()
-        adam.step = resume.adam_step
         shuffle_rng = _restore_philox(resume.rng_shuffle)
         mask_rng = _restore_philox(resume.rng_mask)
         start_epoch = resume.epoch + 1
         best_val = resume.best_val_loss
         patience_left = resume.patience_left
         best_blobs = {name: arr.copy() for name, arr in resume.best_params.items()}
+    adam = nc.AdamState.for_params(
+        params.tensors, lr=config.lr, beta1=config.beta1,
+        beta2=config.beta2, epsilon=config.epsilon,
+    )
+    if resume is not None:
+        adam.m = {name: resume.adam_m[name].copy() for name in params.tensors}
+        adam.v = {name: resume.adam_v[name].copy() for name in params.tensors}
+        adam.step = resume.adam_step
 
     metrics_lines: list[str] = []
     epoch = start_epoch - 1

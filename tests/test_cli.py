@@ -215,6 +215,27 @@ class TestTrainEval:
         assert code == 2
         assert "checksum" in err
 
+    def test_flipped_checkpoint_bit_exits_2(self, capsys, workspace, tmp_path):
+        checkpoint = bytearray((workspace / "run" / "checkpoint.psgmae").read_bytes())
+        checkpoint[len(checkpoint) // 2] ^= 0x10
+        (tmp_path / "checkpoint.psgmae").write_bytes(bytes(checkpoint))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "checkpoint.psgmae"),
+                           "--data", str(workspace / "data"), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "checksum" in err
+
+    @pytest.mark.parametrize("config", [
+        "lr = 1\n",
+        TRAIN_CONFIG + "\n[mae]\npatch_size = 100\n",
+    ], ids=["no-section-header", "repeated-section"])
+    def test_malformed_config_exits_2(self, capsys, workspace, tmp_path, config):
+        (tmp_path / "config.ini").write_text(config)
+        code, _, err = run(capsys, "train", "--config", str(tmp_path / "config.ini"),
+                           "--data", str(workspace / "data"), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_reconstruct_exports_csv(self, capsys, workspace):
         out_path = workspace / "recon" / "epoch0.csv"
         code, out, _ = run(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psgmae import pipeline, synthgen
+from psgmae import evalreport, mae, pipeline, synthgen
 from psgmae.edf_io import Annotation
 from psgmae.pipeline import (
     CorruptCache,
@@ -500,6 +500,28 @@ class TestEpochSet:
         assert pipeline.as_epoch_set(epochs) is epochs
         for name in ("subject", "epoch_index", "stage", "norm", "signals"):
             assert np.array_equal(getattr(rebuilt, name), getattr(epochs, name))
+
+    def test_flat_channels_at_the_sigma_floor(self, tmp_path):
+        # a flat channel's std is floored at SIGMA_FLOOR, which f32 stores rounded down
+        flat, mean, std = normalize_epoch(np.zeros(pipeline.EPOCH_SAMPLES))
+        epochs = EpochSet(("a", "b"), ("s",), subject=[0], epoch_index=[0], stage=[0],
+                          norm=[[[mean, std]] * 2], signals=[[flat, flat]])
+        assert float(epochs.norm[0, 0, 1]) < pipeline.SIGMA_FLOOR
+        assert epochs[0].norm_params["a"] == (0.0, float(np.float32(pipeline.SIGMA_FLOOR)))
+        assert [r.subject_id for r in epochs] == ["s"]
+        write_epoch_cache(tmp_path / "flat.psgepo", epochs)
+        assert_same_record(read_epoch_cache(tmp_path / "flat.psgepo")[0], epochs[0])
+        config = mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
+                               decoder_layers=1, target_channels=("b",))
+        _, pairs = evalreport.evaluate_records(mae.init_params(config), epochs)
+        assert len(pairs) == 1
+
+    def test_std_below_the_f32_floor_rejected(self):
+        below = np.nextafter(np.float32(pipeline.SIGMA_FLOOR), np.float32(0))
+        epochs = EpochSet(("a",), ("s",), subject=[0], epoch_index=[0], stage=[0],
+                          norm=[[[0.0, below]]], signals=np.zeros((1, 1, 3000)))
+        with pytest.raises(ValueError, match="norm std for 'a' below"):
+            epochs[0]
 
     @pytest.mark.parametrize("change,message", [
         (dict(channels=()), "no channels"),

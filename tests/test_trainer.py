@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +78,15 @@ class TestConfigSerialization:
     def test_self_target_rejected(self):
         with pytest.raises(ValueError):
             small_config(input_channel=synthgen.EOG_CHANNEL)
+
+    @pytest.mark.parametrize("text", [
+        "lr = 1\n",
+        "[mae]\n[mae]\n[train]\ninput_channel = x\n",
+        "[mae]\nloss_scope = 50%\n[train]\ninput_channel = x\n",
+    ], ids=["no-section-header", "repeated-section", "bad-interpolation"])
+    def test_malformed_ini_raises_value_error(self, text):
+        with pytest.raises(ValueError, match="malformed config INI"):
+            config_from_ini(text)
 
 
 class TestTrainLoop:
@@ -166,6 +179,39 @@ class TestTrainLoop:
         assert min(losses) < 0.05
 
 
+@pytest.fixture(scope="module")
+def saved(dataset):
+    """A one-epoch checkpoint's bytes."""
+    return save_checkpoint(train(small_config(max_epochs=1), dataset).checkpoint)
+
+
+def reseal(blob: bytes) -> bytes:
+    """``blob`` (magic through body, no CRC) with its CRC32 appended."""
+    return blob + struct.pack("<I", zlib.crc32(blob[8:]))
+
+
+def edit_meta(blob: bytes, edit) -> bytes:
+    """``blob`` with its meta JSON replaced by ``edit(meta)`` (JSON bytes when
+    ``edit`` returns bytes) and a fresh CRC."""
+    config_len, meta_len = struct.unpack_from("<II", blob, 8)
+    start = 16 + config_len
+    raw = edit(json.loads(blob[start: start + meta_len]))
+    raw = raw if isinstance(raw, bytes) else json.dumps(raw).encode()
+    return reseal(blob[:8] + struct.pack("<II", config_len, len(raw)) + blob[16:start]
+                  + raw + blob[start + meta_len: -4])
+
+
+def grow_first_dim(meta):
+    meta["tensors"][0][1][0] += 1
+    return meta
+
+
+def nan_in_body(blob: bytes) -> bytes:
+    config_len, meta_len = struct.unpack_from("<II", blob, 8)
+    body = 16 + config_len + meta_len
+    return reseal(blob[:body] + struct.pack("<f", float("nan")) + blob[body + 4: -4])
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, dataset):
         result = train(small_config(max_epochs=2), dataset)
@@ -186,6 +232,57 @@ class TestCheckpoint:
             load_checkpoint(b"NOTMAGIC" + b"\x00" * 100)
         with pytest.raises(BadMagic):
             load_checkpoint(b"PSG")
+
+    def test_bit_flips_rejected(self, saved):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+        positions = [*rng.integers(0, len(saved), 150), *rng.integers(0, 64, 32)]
+        for pos, bit in zip(positions, rng.integers(0, 8, len(positions))):
+            damaged = bytearray(saved)
+            damaged[pos] ^= 1 << int(bit)
+            with pytest.raises((BadMagic, ShapeMismatchOnLoad)):
+                load_checkpoint(bytes(damaged))
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: edit_meta(b, grow_first_dim),
+        lambda b: edit_meta(b, lambda meta: list(meta.items())),
+        lambda b: edit_meta(b, lambda meta: {k: v for k, v in meta.items() if k != "epoch"}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "epoch": [1]}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "epoch": float("inf")}),
+        lambda b: edit_meta(b, lambda meta: b"[" * 10**5 + b"]" * 10**5),
+        lambda b: edit_meta(b, lambda meta: b"{"),
+        lambda b: edit_meta(b, lambda meta: {**meta, "rng_mask": "state"}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "tensors": meta["tensors"] * 2}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "tensors": [[1, [2]]]}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "tensors": [["w", [-1]]]}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "tensors": [["w", [2.5]]]}),
+        nan_in_body,
+        lambda b: reseal(b[:-4] + b"\0"),  # a trailing byte
+        lambda b: reseal(b[:8] + struct.pack("<I", 2**31) + b[12:-4]),  # config length
+        lambda b: reseal(b[:16] + b"\xff" + b[17:-4]),  # config text not UTF-8
+    ], ids=["table-size", "meta-list", "meta-missing", "meta-type", "meta-infinite",
+            "meta-deep", "meta-not-json", "rng-type",
+            "duplicate-names", "name-type", "negative-dim", "float-dim", "nan", "trailing",
+            "config-length", "utf8"])
+    def test_damage_behind_valid_crc_rejected(self, saved, damage):
+        with pytest.raises(ShapeMismatchOnLoad):
+            load_checkpoint(damage(saved))
+
+    def test_psgmae01_rejected_with_hint(self, saved):
+        with pytest.raises(BadMagic, match="re-run train"):
+            load_checkpoint(b"PSGMAE01" + saved[8:])
+
+    def test_sections_unlike_params_refused(self, saved):
+        missing, reshaped = load_checkpoint(saved), load_checkpoint(saved)
+        del missing.adam_v["mask_token"]
+        reshaped.best_params["mask_token"] = np.zeros(3)
+        for checkpoint in (missing, reshaped):
+            with pytest.raises(ValueError, match="sections disagree"):
+                save_checkpoint(checkpoint)
+
+    def test_loaded_tensors_are_read_only_views(self, saved):
+        loaded = load_checkpoint(saved)
+        assert not loaded.params["mask_token"].flags.writeable
+        assert loaded.adam_v["mask_token"].base is not None
 
     def test_truncation_never_crashes(self, dataset):
         result = train(small_config(max_epochs=1), dataset)
