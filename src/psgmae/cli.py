@@ -10,11 +10,17 @@ stable across identical runs. Exit codes: 0 success, 1 check failed,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread: mae.predict already runs one worker per core, and a BLAS
+# pool per worker oversubscribes the cores; a value the user set is kept
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS pin)
 
 from . import edf_io, evalreport, mae, numcore as nc, pipeline, synthgen, trainer
 
@@ -166,7 +172,7 @@ def cmd_eval(args) -> int:
     table, _ = evalreport.evaluate_records(
         params, records, physical_units=args.physical
     )
-    baseline = evalreport.baseline_table(records)
+    baseline = evalreport.baseline_table(records, physical_units=args.physical)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,6 +24,9 @@ STAGE_COLUMNS = tuple(stage.display for stage in STAGES)
 
 _STAGE_BY_NAME = {stage.display: stage for stage in STAGES}
 
+# epochs scored per step: bounds the float64 temporaries
+SCORE_CHUNK = 64
+
 
 class LengthMismatch(Exception):
     pass
@@ -98,51 +101,68 @@ class MseTable:
         return total / count
 
 
-def aggregate_by_stage(
-    pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]],
-    physical_units: bool = False,
-) -> MseTable:
-    """Group per-epoch MSE by (input, target, stage) and average each group.
+def _score_row(table: MseTable, input_channel: str, target: str, stage: np.ndarray,
+               pred: np.ndarray, orig: np.ndarray, norm: np.ndarray | list | None) -> None:
+    """Add row (input_channel, target): per ``stage`` code, the mean over N
+    epochs of ``mse`` of ``pred`` against ``orig`` (N, epoch_len), both first
+    de-normalized through ``norm``'s (N, 2) (mean, std) unless it is None."""
+    if np.shape(pred) != np.shape(orig):
+        raise LengthMismatch(f"{target!r}: pred shape {np.shape(pred)} "
+                             f"!= orig shape {np.shape(orig)}")
+    errors = np.empty(len(stage))
+    for lo in range(0, len(stage), SCORE_CHUNK):
+        rows = slice(lo, lo + SCORE_CHUNK)
+        chunk_pred, chunk_orig = pred[rows], orig[rows]
+        if norm is not None:
+            mean, std = np.asarray(norm[rows], dtype=np.float64).T[:, :, None]
+            chunk_pred = denormalize(chunk_pred, mean, std)
+            chunk_orig = denormalize(chunk_orig, mean, std)
+        diff = np.subtract(chunk_pred, chunk_orig, dtype=np.float64)
+        errors[rows] = np.mean(np.square(diff, out=diff), axis=-1)
+    # bincount sums each stage's errors sequentially, in epoch order
+    totals = np.bincount(stage, weights=errors, minlength=len(STAGES)).tolist()
+    counts = np.bincount(stage, minlength=len(STAGES)).tolist()
+    table.add_row(input_channel, target)
+    for cell_stage, total, count in zip(STAGES, totals, counts):
+        if count:
+            table.set_cell(input_channel, target, cell_stage,
+                           MseCell(mean_mse=total / count, epoch_count=count))
 
-    ``pairs`` holds (epoch record, reconstructions keyed by target channel),
-    both in normalized units. With ``physical_units`` both sides are
-    de-normalized through the record's stored (mean, std) first, so cells
-    come out in squared physical units instead of normalized ones.
-    """
-    groups: dict[tuple[str, str, SleepStage], list[float]] = {}
-    order: list[tuple[str, str]] = []
-    for record, recons in pairs:
-        for target_channel in record.target_channels:
-            key = (record.input_channel, target_channel)
-            if key not in order:
-                order.append(key)
-            recon = recons[target_channel]
-            target = record.targets[target_channel]
-            if physical_units:
-                mean, std = record.norm_params[target_channel]
-                value = mse(denormalize(recon, mean, std),
-                            denormalize(target, mean, std))
-            else:
-                value = mse(recon, target)
-            groups.setdefault(key + (record.stage,), []).append(value)
 
+def stage_table(epochs: EpochSet, recons: dict[str, np.ndarray] | None = None,
+                physical_units: bool = False) -> MseTable:
+    """Mean MSE per (input, target, stage) of ``recons`` (target -> (N, epoch_len),
+    normalized) against an EpochSet, or of the all-zeros baseline if None; in
+    squared physical units, through each epoch's (mean, std), if ``physical_units``."""
     table = MseTable()
-    for input_channel, target_channel in order:
-        table.add_row(input_channel, target_channel)
-        for stage in STAGES:
-            values = groups.get((input_channel, target_channel, stage))
-            if values:
-                mean = _running_mean(values)
-                table.set_cell(input_channel, target_channel, stage,
-                               MseCell(mean_mse=mean, epoch_count=len(values)))
+    for j, target in enumerate(epochs.target_channels if len(epochs) else (), start=1):
+        orig = epochs.signals[:, j]
+        # zero-strided zeros: the baseline costs no (N, epoch_len) array
+        pred = np.broadcast_to(np.float32(0), orig.shape) if recons is None else recons[target]
+        _score_row(table, epochs.input_channel, target, epochs.stage, pred, orig,
+                   epochs.norm[:, j] if physical_units else None)
     return table
 
 
-def _running_mean(values: list[float]) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values)
+def aggregate_by_stage(pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]],
+                       physical_units: bool = False) -> MseTable:
+    """Group per-epoch MSE by (input, target, stage) and average each group,
+    as ``stage_table`` does, over (epoch record, reconstructions keyed by
+    target channel) pairs, both in normalized units."""
+    groups: dict[tuple[str, str], list[tuple[EpochRecord, np.ndarray]]] = {}
+    for record, recons in pairs:
+        for target in record.target_channels:
+            if np.shape(recons[target]) != np.shape(record.targets[target]):
+                raise LengthMismatch(f"pred shape {np.shape(recons[target])} != orig shape "
+                                     f"{np.shape(record.targets[target])}")
+            groups.setdefault((record.input_channel, target), []).append((record, recons[target]))
+    table = MseTable()
+    for (input_channel, target), group in groups.items():
+        records, preds = zip(*group)
+        _score_row(table, input_channel, target, np.array([r.stage.code for r in records]),
+                   np.array(preds), np.array([r.targets[target] for r in records]),
+                   [r.norm_params[target] for r in records] if physical_units else None)
+    return table
 
 
 def _validate(table: MseTable) -> None:
@@ -239,14 +259,16 @@ def evaluate_records(
     recons = mae.predict(params, epochs.signals[:, 0])
     channels = params.config.target_channels
     pairs = [(record, dict(zip(channels, recon))) for record, recon in zip(epochs, recons)]
-    return aggregate_by_stage(pairs, physical_units=physical_units), pairs
+    by_target = dict(zip(channels, np.moveaxis(recons, 1, 0)))
+    return stage_table(epochs, by_target, physical_units), pairs
 
 
-def baseline_table(records: EpochSet | list[EpochRecord]) -> MseTable:
+def baseline_table(records: EpochSet | list[EpochRecord],
+                   physical_units: bool = False) -> MseTable:
     """Per-stage MSE of the predict-mean (all-zeros) baseline."""
-    return aggregate_by_stage(
-        (record, zero_reconstructions(record)) for record in records
-    )
+    if not len(records):
+        return MseTable()
+    return stage_table(as_epoch_set(records), physical_units=physical_units)
 
 
 def export_reconstruction(
@@ -264,12 +286,7 @@ def export_reconstruction(
         writer.writerow(["channel", "time_s", "original", "reconstructed"])
         for channel in record.target_channels:
             mean, std = record.norm_params[channel]
-            original = denormalize(record.targets[channel], mean, std)
-            recon = denormalize(reconstructions[channel], mean, std)
-            for i in range(len(original)):
-                writer.writerow([
-                    channel,
-                    f"{i / 100.0:.2f}",
-                    repr(float(original[i])),
-                    repr(float(recon[i])),
-                ])
+            original = denormalize(record.targets[channel], mean, std).tolist()
+            recon = denormalize(reconstructions[channel], mean, std).tolist()
+            writer.writerows([channel, f"{i / 100.0:.2f}", repr(o), repr(r)]
+                             for i, (o, r) in enumerate(zip(original, recon, strict=True)))

@@ -10,6 +10,7 @@ similarity per patch pair.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +20,8 @@ from .numcore import ShapeMismatch, Tensor
 
 COSINE_EPS = 1e-8
 
-# examples per forward pass in predict: bounds activation memory, so
-# inference over a whole night needs no more than over one chunk
+# epochs in flight in predict, in one pass or split among its workers: bounds
+# activation memory, so inference over a whole night needs no more than one chunk
 PREDICT_CHUNK = 64
 
 
@@ -119,26 +120,26 @@ class MaeParams:
         return self.tensors["patch_embed.w"].dtype
 
 
-def _block_names(prefix: str) -> list[str]:
-    names = [f"{prefix}.ln1.g", f"{prefix}.ln1.b"]
-    for proj in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"):
-        names.append(f"{prefix}.attn.{proj}")
-    names += [f"{prefix}.ln2.g", f"{prefix}.ln2.b",
-              f"{prefix}.mlp.w1", f"{prefix}.mlp.b1",
-              f"{prefix}.mlp.w2", f"{prefix}.mlp.b2"]
-    return names
-
-
-def parameter_names(config: MaeConfig) -> list[str]:
-    """Canonical creation/serialization order of all learnable tensors."""
-    names = ["patch_embed.w", "patch_embed.b", "mask_token"]
-    for i in range(config.encoder_layers):
-        names += _block_names(f"enc.{i}")
-    for i in range(config.decoder_layers):
-        names += _block_names(f"dec.{i}")
+def parameter_shapes(config: MaeConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every learnable tensor, in creation/serialization order."""
+    e, p, h = config.embed_dim, config.patch_size, config.mlp_ratio * config.embed_dim
+    shapes = {"patch_embed.w": (p, e), "patch_embed.b": (e,), "mask_token": (e,)}
+    blocks = ([f"enc.{i}" for i in range(config.encoder_layers)]
+              + [f"dec.{i}" for i in range(config.decoder_layers)])
+    for prefix in blocks:
+        # the key projection carries no bias: shifting every key by a constant
+        # shifts each attention row uniformly, which softmax cancels, so a key
+        # bias would receive an identically-zero gradient
+        for name, shape in (("ln1.g", (e,)), ("ln1.b", (e,)), ("attn.wq", (e, e)),
+                            ("attn.bq", (e,)), ("attn.wk", (e, e)), ("attn.wv", (e, e)),
+                            ("attn.bv", (e,)), ("attn.wo", (e, e)), ("attn.bo", (e,)),
+                            ("ln2.g", (e,)), ("ln2.b", (e,)), ("mlp.w1", (e, h)),
+                            ("mlp.b1", (h,)), ("mlp.w2", (h, e)), ("mlp.b2", (e,))):
+            shapes[f"{prefix}.{name}"] = shape
     for channel in config.target_channels:
-        names += [f"head.{channel}.w", f"head.{channel}.b"]
-    return names
+        shapes[f"head.{channel}.w"] = (e, p)
+        shapes[f"head.{channel}.b"] = (p,)
+    return shapes
 
 
 def init_params(config: MaeConfig, seed=0, dtype=np.float32) -> MaeParams:
@@ -151,49 +152,18 @@ def init_params(config: MaeConfig, seed=0, dtype=np.float32) -> MaeParams:
     sequence = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.Philox(sequence))
-    e, p, r = config.embed_dim, config.patch_size, config.mlp_ratio
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True, dtype=dtype)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True, dtype=dtype)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
-
-    tensors: dict[str, Tensor] = {
-        "patch_embed.w": uniform((p, e), p),
-        "patch_embed.b": uniform((e,), p),
-        "mask_token": Tensor(rng.normal(0.0, 0.02, (e,)), requires_grad=True, dtype=dtype),
-    }
-
-    def init_block(prefix: str):
-        tensors[f"{prefix}.ln1.g"] = ones((e,))
-        tensors[f"{prefix}.ln1.b"] = zeros((e,))
-        # the key projection carries no bias: shifting every key by a constant
-        # shifts each attention row uniformly, which softmax cancels, so a key
-        # bias would receive an identically-zero gradient
-        for w, b in (("wq", "bq"), ("wk", None), ("wv", "bv"), ("wo", "bo")):
-            tensors[f"{prefix}.attn.{w}"] = uniform((e, e), e)
-            if b is not None:
-                tensors[f"{prefix}.attn.{b}"] = uniform((e,), e)
-        tensors[f"{prefix}.ln2.g"] = ones((e,))
-        tensors[f"{prefix}.ln2.b"] = zeros((e,))
-        tensors[f"{prefix}.mlp.w1"] = uniform((e, r * e), e)
-        tensors[f"{prefix}.mlp.b1"] = uniform((r * e,), e)
-        tensors[f"{prefix}.mlp.w2"] = uniform((r * e, e), r * e)
-        tensors[f"{prefix}.mlp.b2"] = uniform((e,), r * e)
-
-    for i in range(config.encoder_layers):
-        init_block(f"enc.{i}")
-    for i in range(config.decoder_layers):
-        init_block(f"dec.{i}")
-    for channel in config.target_channels:
-        tensors[f"head.{channel}.w"] = uniform((e, p), e)
-        tensors[f"head.{channel}.b"] = uniform((p,), e)
-
+    tensors: dict[str, Tensor] = {}
+    fan_in = 0
+    for name, shape in parameter_shapes(config).items():
+        if name == "mask_token":
+            data = rng.normal(0.0, 0.02, shape)
+        elif ".ln" in name and not name.startswith("head."):  # heads carry channel names
+            data = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+        else:  # a bias draws with the fan-in of the weight before it
+            fan_in = shape[0] if len(shape) == 2 else fan_in
+            bound = 1.0 / np.sqrt(fan_in)
+            data = rng.uniform(-bound, bound, shape)
+        tensors[name] = Tensor(data, requires_grad=True, dtype=dtype)
     pos = sinusoidal_table(config.seq_len, config.embed_dim).astype(dtype)
     return MaeParams(config=config, pos_encoding=pos, tensors=tensors)
 
@@ -333,18 +303,43 @@ def forward_loss(
     return cosine_loss(pred, Tensor(target, dtype=params.dtype)), unpatchify(recon.data)
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict(params: MaeParams, inputs) -> np.ndarray:
     """Full-visibility reconstructions (N, num_targets, epoch_len) of N input
-    epochs (an (N, epoch_len) array or a sequence of epoch arrays), computed
+    epochs (an (N, epoch_len) array or a sequence of epoch arrays).
+
+    Inputs of at least two PREDICT_CHUNKs run on one thread per available
+    core, up to PREDICT_CHUNK threads, each chunk writing only its own rows
+    of the result; at most PREDICT_CHUNK epochs are in flight across all
+    workers, so activation memory does not grow with the core count.
+    Smaller inputs run on the calling thread (no per-thread malloc arenas),
     PREDICT_CHUNK epochs per forward pass."""
     config = params.config
     plan = full_visibility(config.seq_len)
     out = np.empty((len(inputs), len(config.target_channels), config.epoch_len),
                    dtype=params.dtype)
-    for lo in range(0, len(inputs), PREDICT_CHUNK):
-        tokens = patchify(np.stack(inputs[lo: lo + PREDICT_CHUNK]), config)
+    workers = min(_cores(), PREDICT_CHUNK) if len(inputs) >= 2 * PREDICT_CHUNK else 1
+    chunk = PREDICT_CHUNK // workers
+
+    def run(lo: int) -> None:
+        tokens = patchify(np.stack(inputs[lo: lo + chunk]), config)
         recon = decode(encode(tokens, plan, params), plan, params)
         out[lo: lo + len(tokens)] = unpatchify(recon.data)
+
+    starts = range(0, len(inputs), chunk)
+    if workers == 1:
+        for lo in starts:
+            run(lo)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so CLI start-up skips it
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, starts))  # reading each result re-raises its error
     return out
 
 

@@ -11,6 +11,7 @@ order. Gradients accumulate into ``.grad`` of every requires_grad leaf.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-_TAPE_STACK: list["Tape"] = []
+# per thread: an op records only onto a tape entered on its own thread
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class Tape:
@@ -77,11 +84,11 @@ class Tape:
         self._output_ids: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
 
     def record(self, output: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
@@ -114,7 +121,7 @@ class Tape:
 
 
 def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    return _TAPE_STACK.tapes[-1] if _TAPE_STACK.tapes else None
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:

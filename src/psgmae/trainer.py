@@ -250,13 +250,17 @@ def load_checkpoint(data: bytes) -> Checkpoint:
 
 
 def params_from_blobs(config: MaeConfig, blobs: dict[str, np.ndarray]) -> MaeParams:
-    expected = mae.parameter_names(config)
+    expected = mae.parameter_shapes(config)
     missing = [n for n in expected if n not in blobs]
     extra = [n for n in blobs if n not in expected]
     if missing or extra:
         raise ShapeMismatchOnLoad(
             f"parameter names disagree with config (missing {missing}, extra {extra})"
         )
+    wrong = [f"{n} {blobs[n].shape} (config implies {shape})"
+             for n, shape in expected.items() if blobs[n].shape != shape]
+    if wrong:
+        raise ShapeMismatchOnLoad(f"parameter shapes disagree with config: {', '.join(wrong)}")
     tensors = {
         name: nc.Tensor(blobs[name].copy(), requires_grad=True, dtype=np.float32)
         for name in expected

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import psgmae
-from psgmae import trainer
+from psgmae import cli, evalreport, mae, trainer
 from psgmae.cli import main
+from psgmae.pipeline import denormalize
 
 
 TRAIN_CONFIG = """\
@@ -178,6 +180,56 @@ class TestTrainEval:
         assert code == 2
         assert "missing.ckpt" in err
 
+    def test_physical_model_and_baseline_in_physical_units(self, capsys, workspace):
+        checkpoint = str(workspace / "run" / "checkpoint.psgmae")
+        code, out, _ = run(
+            capsys, "eval", "--checkpoint", checkpoint, "--data", str(workspace / "data"),
+            "--out", str(workspace / "eval_physical"), "--split", "test", "--physical",
+        )
+        assert code == 0
+        _, _, params, epochs = cli._load_eval_inputs(checkpoint, str(workspace / "data"), "test")
+        recons = mae.predict(params, epochs.signals[:, 0])
+        records = list(epochs)
+        printed = {line.split("]")[0][len("pooled["):]: line
+                   for line in out.splitlines() if line.startswith("pooled[")}
+        for k, target in enumerate(params.config.target_channels):
+            def pooled(predicted):
+                return np.mean([
+                    evalreport.mse(denormalize(pred, *r.norm_params[target]),
+                                   denormalize(r.targets[target], *r.norm_params[target]))
+                    for pred, r in zip(predicted, records, strict=True)])
+            reference = pooled(recons[:, k])
+            baseline_reference = pooled(np.zeros((len(records), 3000)))
+            model = float(printed[target].split("mse=")[1].split()[0])
+            baseline = float(printed[target].split("baseline=")[1].split()[0])
+            assert model == pytest.approx(reference, abs=1e-6)
+            assert baseline == pytest.approx(baseline_reference, abs=1e-6)
+            assert baseline_reference > 10.0  # squared physical units, not the normalized 1.0
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    def test_checkpoint_shape_unlike_config_exits_2(self, capsys, workspace, tmp_path,
+                                                     command):
+        """A consistently saved checkpoint with 50-wide heads, where the
+        config implies 100-wide ones."""
+        checkpoint = trainer.load_checkpoint(
+            (workspace / "run" / "checkpoint.psgmae").read_bytes())
+
+        def narrow(section):
+            return {name: arr[..., :50] if name.startswith("head.") else arr
+                    for name, arr in section.items()}
+        checkpoint = dataclasses.replace(
+            checkpoint, params=narrow(checkpoint.params),
+            best_params=narrow(checkpoint.best_params),
+            adam_m=narrow(checkpoint.adam_m), adam_v=narrow(checkpoint.adam_v))
+        (tmp_path / "checkpoint.psgmae").write_bytes(trainer.save_checkpoint(checkpoint))
+        extra = ["--epoch-index", "0"] if command == "reconstruct" else []
+        code, _, err = run(capsys, command, "--checkpoint", str(tmp_path / "checkpoint.psgmae"),
+                           "--data", str(workspace / "data"),
+                           "--out", str(tmp_path / "out.csv"), *extra)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "head.EOG horizontal.w (16, 50)" in err and "(16, 100)" in err
+
     @staticmethod
     def damaged_data(workspace, tmp_path, damage):
         """A copy of the workspace dataset whose cache bytes ``damage`` edits."""
@@ -293,12 +345,29 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-def test_cli_import_loads_no_scipy():
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_probe(probe: str, **environ) -> str:
+    """stdout of ``python -c probe`` in a fresh interpreter that imports
+    this psgmae, without the BLAS thread variables unless given."""
     src = str(Path(psgmae.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {name: value for name, value in os.environ.items()
+           if name not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], env={**env, **environ}, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_cli_import_loads_no_scipy():
     probe = ("import sys, psgmae.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert run_probe(probe).strip() == "[]"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_import_pins_blas_threads(preset):
+    probe = ("import os, psgmae.cli; "
+             f"print(*(os.environ[name] for name in {BLAS_THREAD_VARIABLES}))")
+    environ = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    assert run_probe(probe, **environ).split() == [preset or "1", "1", "1"]

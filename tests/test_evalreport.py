@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -154,6 +155,88 @@ class TestAggregate:
         for target in records[0].target_channels:
             assert table.pooled_mse("EEG Fpz-Cz", target) == \
                 pytest.approx(1.0, abs=1e-3)
+
+    @staticmethod
+    def reference_cell(pairs, target, stage, physical):
+        """(count, mean) of the per-record ``mse`` over the pairs of one cell,
+        each de-normalized through its own record's (mean, std), summed in order."""
+        total, count = 0.0, 0
+        for record, recons in pairs:
+            if target in record.targets and record.stage is stage:
+                pred, orig = recons[target], record.targets[target]
+                if physical:
+                    mean, std = record.norm_params[target]
+                    pred = pipeline.denormalize(pred, mean, std)
+                    orig = pipeline.denormalize(orig, mean, std)
+                total += mse(pred, orig)
+                count += 1
+        return count, (total / count if count else None)
+
+    def assert_equals_reference(self, table, pairs, physical):
+        targets = list(dict.fromkeys(t for record, _ in pairs for t in record.targets))
+        assert table.row_order == [("EEG Fpz-Cz", t) for t in targets]
+        for target in targets:
+            for stage in SleepStage:
+                count, mean = self.reference_cell(pairs, target, stage, physical)
+                cell = table.cell("EEG Fpz-Cz", target, stage)
+                if count:
+                    assert (cell.epoch_count, cell.mean_mse) == (count, mean)
+                else:
+                    assert cell is None
+
+    @staticmethod
+    def own_norms(rng, record, dtype=np.float32):
+        """The record with its own (mean, std) per channel, representable in
+        ``dtype``, and its targets in ``dtype``."""
+        return dataclasses.replace(
+            record, targets={t: x.astype(dtype) for t, x in record.targets.items()},
+            norm_params={name: (float(dtype(rng.normal(0, 20))), float(dtype(rng.uniform(0.5, 9))))
+                         for name in record.norm_params})
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_stage_table_equals_per_record_reference(self, physical):
+        """Across several scoring chunks, each cell equals the per-record
+        ``mse`` summed in epoch order, for the model and for the baseline."""
+        rng = philox(6)
+        records = [self.own_norms(rng, make_record(rng, list(SleepStage)[int(rng.integers(0, 5))],
+                                                   epoch_index=i))
+                   for i in range(2 * evalreport.SCORE_CHUNK + 7)]
+        epochs = pipeline.as_epoch_set(records)
+        recons = {t: rng.normal(0, 1, (len(epochs), 3000)).astype(np.float32)
+                  for t in epochs.target_channels}
+        model = [(record, {t: recons[t][i] for t in recons}) for i, record in enumerate(records)]
+        self.assert_equals_reference(evalreport.stage_table(epochs, recons, physical),
+                                     model, physical)
+        self.assert_equals_reference(evalreport.stage_table(epochs, physical_units=physical),
+                                     [(r, zero_reconstructions(r)) for r in records], physical)
+        if physical:  # the baseline adapter takes the units too
+            self.assert_equals_reference(baseline_table(records, physical_units=True),
+                                         [(r, zero_reconstructions(r)) for r in records], True)
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_aggregate_scores_pairs_in_their_own_precision(self, physical):
+        """float64 records over two channel lists: each (input, target) row
+        pools every record that has the target, in pair order, and equals the
+        per-record reference without rounding through float32."""
+        rng = philox(8)
+        pairs = []
+        for i in range(evalreport.SCORE_CHUNK + 9):
+            record = self.own_norms(rng, make_record(rng, list(SleepStage)[i % 5], epoch_index=i),
+                                    dtype=np.float64)
+            if i % 3 == 0:  # a second channel list, sharing "EEG Pz-Oz"
+                record = dataclasses.replace(
+                    record, targets={"EEG Pz-Oz": record.targets["EEG Pz-Oz"],
+                                     "EMG submental": rng.normal(0, 1, 3000)},
+                    norm_params={**record.norm_params, "EMG submental": (0.1, 3.3)})
+            pairs.append((record, {t: rng.normal(0, 1, 3000) for t in record.targets}))
+        table = aggregate_by_stage(pairs, physical_units=physical)
+        self.assert_equals_reference(table, pairs, physical)
+
+    def test_stage_table_rejects_wrong_length(self):
+        epochs = pipeline.as_epoch_set([make_record(philox(7), SleepStage.N1)])
+        recons = {t: np.zeros((1, 2999)) for t in epochs.target_channels}
+        with pytest.raises(LengthMismatch):
+            evalreport.stage_table(epochs, recons)
 
     def test_physical_units_flag_rescales_by_variance(self):
         rng = philox(5)

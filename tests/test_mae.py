@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,3 +374,110 @@ class TestBatching:
         for name, tensor in params.tensors.items():
             assert tensor.grad.dtype == np.float32, name
         assert mae.predict(params, inputs).dtype == np.float32
+
+
+class TestParallelPredict:
+    """predict's worker pool, forced to more workers than this machine has
+    cores so that it runs wherever the tests do."""
+
+    CONFIG = TestBatching.CONFIG
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        workers = mae._cores() + 2
+        monkeypatch.setattr(mae, "_cores", lambda: workers)
+        return workers
+
+    @staticmethod
+    def setup(workers, n_chunks):
+        config = MaeConfig(**TestParallelPredict.CONFIG)
+        params = init_params(config, seed=7, dtype=np.float32)
+        chunk = max(1, mae.PREDICT_CHUNK // workers)
+        n = chunk * max(n_chunks, -(-2 * mae.PREDICT_CHUNK // chunk))  # whole chunks, threaded
+        inputs = philox(30).normal(0, 1, (n, config.epoch_len)).astype(np.float32)
+        return params, chunk, inputs
+
+    def test_stress_bit_equal_to_serial_chunks(self, workers):
+        params, chunk, inputs = self.setup(workers, 4 * workers + 1)
+        inputs = inputs[:len(inputs) - 3]  # a short last chunk
+        # reference: the same chunks one at a time, each below the threading threshold
+        reference = np.concatenate([mae.predict(params, inputs[lo: lo + chunk])
+                                    for lo in range(0, len(inputs), chunk)])
+        assert len(inputs) > 2 * chunk * workers
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: results.append(mae.predict(params, inputs)),
+                                      daemon=True)
+            runner.start()
+            runner.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(results) == 1
+        assert results[0].dtype == reference.dtype
+        assert results[0].tobytes() == reference.tobytes()
+
+    def test_main_thread_tape_records_nothing_from_workers(self, workers):
+        params, _, inputs = self.setup(workers, 1)
+        with nc.Tape() as tape:
+            mae.predict(params, inputs[:2 * mae.PREDICT_CHUNK])
+        assert tape._records == []
+        with nc.Tape() as tape:  # below the threshold predict runs on this thread
+            mae.predict(params, inputs[:3])
+        assert tape._records
+
+    def test_wrong_length_in_late_chunk_raises(self, workers):
+        params, chunk, inputs = self.setup(workers, 1)
+        # every chunk but the last is well formed; the last holds one short epoch
+        epochs = [*inputs, inputs[0][:-1]]
+        assert len(epochs) % chunk == 1
+        with pytest.raises(WrongLength):
+            mae.predict(params, epochs)
+
+    def test_in_flight_bounded_on_more_cores_than_chunk(self, monkeypatch):
+        """On more cores than PREDICT_CHUNK, at most PREDICT_CHUNK epochs are
+        between the start of encode and the end of decode at any moment."""
+        monkeypatch.setattr(mae, "_cores", lambda: 3 * mae.PREDICT_CHUNK)
+        lock, in_flight, peak = threading.Lock(), [0], [0]
+        encode, decode = mae.encode, mae.decode
+
+        def counting_encode(tokens, plan, params):
+            with lock:
+                in_flight[0] += len(tokens)
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.05)  # lets the other workers start their chunks
+            return encode(tokens, plan, params)
+
+        def counting_decode(latents, plan, params):
+            recon = decode(latents, plan, params)
+            with lock:
+                in_flight[0] -= recon.shape[0]
+            return recon
+
+        monkeypatch.setattr(mae, "encode", counting_encode)
+        monkeypatch.setattr(mae, "decode", counting_decode)
+        config = MaeConfig(**TINY_CONFIG_KWARGS)
+        params = init_params(config, seed=7, dtype=np.float32)
+        inputs = philox(31).normal(0, 1, (4 * mae.PREDICT_CHUNK, config.epoch_len))
+        assert mae.predict(params, inputs.astype(np.float32)).shape == (len(inputs), 2, 40)
+        assert in_flight[0] == 0
+        assert 1 < peak[0] <= mae.PREDICT_CHUNK
+
+    def test_zero_epochs(self, workers):
+        params, _, inputs = self.setup(workers, 1)
+        out = mae.predict(params, inputs[:0])
+        assert out.shape == (0, 2, params.config.epoch_len)
+        assert out.dtype == np.float32
+
+
+def test_init_ignores_ln_in_channel_names():
+    """A head draws its values by its place, whatever its channel's name holds."""
+    def init(channels):
+        return init_params(MaeConfig(**{**TINY_CONFIG_KWARGS, "target_channels": channels}),
+                           seed=3)
+    plain, odd = init(("a", "b")), init(("x.ln", "y.ln1.g"))
+    for (name, tensor), odd_tensor in zip(plain.tensors.items(), odd.tensors.values(),
+                                          strict=True):
+        assert np.array_equal(tensor.data, odd_tensor.data), name

@@ -340,3 +340,17 @@ class TestCalibration:
         _, calibrated_mse = trainer.evaluate_split(calibrated, dataset["val"])
         _, raw_mse = trainer.evaluate_split(raw, dataset["val"])
         assert sum(calibrated_mse.values()) <= sum(raw_mse.values())
+
+
+class TestParamsFromBlobs:
+    def test_shapes_checked_against_config(self):
+        config = small_config().mae
+        blobs = {name: t.data for name, t in mae.init_params(config).tensors.items()}
+        assert trainer.params_from_blobs(config, blobs).tensors.keys() == blobs.keys()
+        name = f"head.{config.target_channels[0]}.w"
+        wide = blobs[name].shape
+        narrow = {**blobs, name: blobs[name][:, :-1]}
+        with pytest.raises(ShapeMismatchOnLoad) as raised:
+            trainer.params_from_blobs(config, narrow)
+        message = str(raised.value)
+        assert name in message and str(wide) in message and str(narrow[name].shape) in message
