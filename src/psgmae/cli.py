@@ -10,6 +10,7 @@ stable across identical runs. Exit codes: 0 success, 1 check failed,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from collections import Counter
@@ -61,9 +62,7 @@ def cmd_synth(args) -> int:
         psg_path = out_dir / f"{subject}-PSG.edf"
         hyp_path = out_dir / f"{subject}-Hypnogram.edf"
         psg_path.write_bytes(edf_io.write_edf(recording))
-        hyp_path.write_bytes(
-            edf_io.write_edf(synthgen.hypnogram_recording(spec, annotations))
-        )
+        hyp_path.write_bytes(edf_io.write_edf(synthgen.hypnogram_recording(spec, annotations)))
         print(f"{subject}: {psg_path.name} {hyp_path.name} "
               f"({duration_s // 30} epochs)")
     return 0
@@ -73,9 +72,7 @@ def cmd_preprocess(args) -> int:
     psg_paths = [Path(p) for p in args.psg]
     hyp_paths = [Path(p) for p in args.hypnogram]
     if len(psg_paths) != len(hyp_paths):
-        raise ValueError(
-            f"{len(psg_paths)} --psg files but {len(hyp_paths)} --hypnogram files"
-        )
+        raise ValueError(f"{len(psg_paths)} --psg files but {len(hyp_paths)} --hypnogram files")
     targets = [t.strip() for t in args.targets.split(",") if t.strip()]
     if not targets:
         raise ValueError("--targets must name at least one channel")
@@ -133,17 +130,16 @@ def cmd_train(args) -> int:
     if args.resume:
         resume = trainer.load_checkpoint(Path(args.resume).read_bytes())
 
-    result = trainer.train(config, splits, resume=resume)
+    result = trainer.train(config, splits, resume=resume, on_epoch=_info)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.psgmae"
     metrics_path = out_dir / "metrics.log"
     checkpoint_path.write_bytes(trainer.save_checkpoint(result.checkpoint))
-    metrics_path.write_text("\n".join(result.metrics_lines) + "\n")
-
-    for line in result.metrics_lines:
-        _info(line)
+    # a resumed run continues the log of the run it resumes
+    with open(metrics_path, "a" if resume else "w") as log:
+        log.write("\n".join(result.metrics_lines) + "\n")
     print(f"epochs: {result.checkpoint.epoch}")
     print(f"best_val_loss: {result.checkpoint.best_val_loss!r}")
     for channel, scale in result.calibration.items():
@@ -164,14 +160,10 @@ def _load_eval_inputs(checkpoint_path: str, data_dir: str, split: str):
 
 
 def cmd_eval(args) -> int:
-    _, config, params, records = _load_eval_inputs(
-        args.checkpoint, args.data, args.split
-    )
+    _, config, params, records = _load_eval_inputs(args.checkpoint, args.data, args.split)
     if not records:
         raise ValueError(f"no epochs in split {args.split!r}")
-    table, _ = evalreport.evaluate_records(
-        params, records, physical_units=args.physical
-    )
+    table, _ = evalreport.model_table(params, records, physical_units=args.physical)
     baseline = evalreport.baseline_table(records, physical_units=args.physical)
 
     out_dir = Path(args.out)
@@ -222,9 +214,7 @@ def cmd_gradcheck(args) -> int:
     # default one has a coordinate (enc.0.attn.wv) whose true gradient is
     # about 3e-8, where the per-coordinate relative error is ill-conditioned
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
-    tokens = rng.normal(0.0, 1.0, config.epoch_len).reshape(
-        config.seq_len, config.patch_size
-    )
+    tokens = rng.normal(0.0, 1.0, config.epoch_len).reshape(config.seq_len, config.patch_size)
     targets = np.stack([
         rng.normal(0.0, 1.0, (config.seq_len, config.patch_size))
         for _ in config.target_channels
@@ -317,8 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cap_malloc_arenas() -> None:
+    """One glibc malloc arena for all threads: per-thread arenas keep each
+    worker's freed activations apart and raise peak memory. A MALLOC_ARENA_MAX
+    the user set wins; off glibc this does nothing."""
+    if "MALLOC_ARENA_MAX" in os.environ or os.name != "posix":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _cap_malloc_arenas()  # before any worker thread starts
     try:
         return args.handler(args)
     except (edf_io.EdfError, pipeline.PipelineError, trainer.TrainerError,

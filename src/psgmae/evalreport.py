@@ -61,9 +61,7 @@ class MseTable:
 
     def add_row(self, input_channel: str, target_channel: str) -> None:
         if input_channel == target_channel:
-            raise ValueError(
-                f"self-reconstruction row {input_channel!r} is not allowed"
-            )
+            raise ValueError(f"self-reconstruction row {input_channel!r} is not allowed")
         key = (input_channel, target_channel)
         if key not in self.row_order:
             self.row_order.append(key)
@@ -166,16 +164,9 @@ def aggregate_by_stage(pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]
 
 
 def _validate(table: MseTable) -> None:
-    for input_channel, target_channel in table.row_order:
+    for input_channel, target_channel, *_ in [*table.row_order, *table.cells]:
         if input_channel == target_channel:
-            raise ValueError(
-                f"self-reconstruction row {input_channel!r} is not allowed"
-            )
-    for (input_channel, target_channel, _stage) in table.cells:
-        if input_channel == target_channel:
-            raise ValueError(
-                f"self-reconstruction cell {input_channel!r} is not allowed"
-            )
+            raise ValueError(f"self-reconstruction row {input_channel!r} is not allowed")
 
 
 def render_table(table: MseTable, fmt: str = "text") -> bytes:
@@ -249,18 +240,26 @@ def zero_reconstructions(record: EpochRecord) -> dict[str, np.ndarray]:
     return {ch: np.zeros_like(record.targets[ch]) for ch in record.target_channels}
 
 
+def model_table(params: MaeParams, epochs: EpochSet,
+                physical_units: bool = False) -> tuple[MseTable, np.ndarray]:
+    """Per-stage MSE of the model's full-visibility reconstructions of an
+    EpochSet, and those reconstructions (N, num_targets, epoch_len)."""
+    recons = mae.predict(params, epochs.signals[:, 0])
+    by_target = dict(zip(params.config.target_channels, np.moveaxis(recons, 1, 0)))
+    return stage_table(epochs, by_target, physical_units), recons
+
+
 def evaluate_records(
     params: MaeParams,
     records: EpochSet | list[EpochRecord],
     physical_units: bool = False,
 ) -> tuple[MseTable, list[tuple[EpochRecord, dict[str, np.ndarray]]]]:
-    """Reconstruct every epoch with full visibility and aggregate."""
+    """``model_table`` plus one (epoch record, reconstructions keyed by target
+    channel) pair per epoch."""
     epochs = as_epoch_set(records)
-    recons = mae.predict(params, epochs.signals[:, 0])
+    table, recons = model_table(params, epochs, physical_units)
     channels = params.config.target_channels
-    pairs = [(record, dict(zip(channels, recon))) for record, recon in zip(epochs, recons)]
-    by_target = dict(zip(channels, np.moveaxis(recons, 1, 0)))
-    return stage_table(epochs, by_target, physical_units), pairs
+    return table, [(record, dict(zip(channels, recon))) for record, recon in zip(epochs, recons)]
 
 
 def baseline_table(records: EpochSet | list[EpochRecord],

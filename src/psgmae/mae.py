@@ -172,9 +172,7 @@ def patchify(samples: np.ndarray, config: MaeConfig) -> np.ndarray:
     """Slice epochs (..., epoch_len) into (..., seq_len, patch_size) tokens."""
     samples = np.asarray(samples)
     if samples.ndim < 1 or samples.shape[-1] != config.epoch_len:
-        raise WrongLength(
-            f"expected {config.epoch_len} samples, got shape {samples.shape}"
-        )
+        raise WrongLength(f"expected {config.epoch_len} samples, got shape {samples.shape}")
     return samples.reshape(*samples.shape[:-1], config.seq_len, config.patch_size)
 
 
@@ -273,24 +271,29 @@ def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
     return nc.mean(nc.add(ones, nc.scale(cos, -1.0)))
 
 
+def mask_plans(config: MaeConfig, count: int, rng: np.random.Generator) -> list[MaskPlan]:
+    """``count`` mask plans drawn from ``rng``, one per example in batch order."""
+    return [make_mask(config.seq_len, config.mask_ratio, rng) for _ in range(count)]
+
+
 def forward_loss(
     inputs: np.ndarray,
     targets: np.ndarray,
     params: MaeParams,
-    rng: np.random.Generator,
+    plans: list[MaskPlan],
 ) -> tuple[Tensor, np.ndarray]:
     """Masked forward pass over a batch as one graph: ``inputs`` (B, epoch_len)
     against ``targets`` (B, num_targets, epoch_len), targets in the config's
-    order. Returns the mean cosine loss and the reconstructions
-    (B, num_targets, epoch_len).
+    order, with one mask plan per example (from ``mask_plans``). Returns the
+    mean cosine loss and the reconstructions (B, num_targets, epoch_len).
 
-    One mask plan is drawn per example, in batch order; all mask the same
-    number of tokens, so each example weighs equally in the mean. With
-    loss_scope == "masked" the loss covers only masked token positions (all
-    positions when the plans mask nothing).
+    The plans all mask the same number of tokens, so each example weighs
+    equally in the mean. With loss_scope == "masked" the loss covers only
+    masked token positions (all positions when the plans mask nothing).
     """
     config = params.config
-    plans = [make_mask(config.seq_len, config.mask_ratio, rng) for _ in inputs]
+    if len(plans) != len(inputs):
+        raise ShapeMismatch(f"{len(plans)} mask plans for {len(inputs)} examples")
     visible = np.array([plan.visible_indices for plan in plans], dtype=np.intp)
     recon = decode(encode(patchify(inputs, config), visible, params), visible, params)
     target = patchify(targets, config)

@@ -5,7 +5,8 @@ Tensors wrap contiguous row-major numpy arrays (float32 for training,
 float64 for gradient checks). Ops executed while a Tape is active record a
 backward rule; ``Tape.backward`` walks the records in reverse, which is a
 valid reverse-topological order because records are appended in execution
-order. Gradients accumulate into ``.grad`` of every requires_grad leaf.
+order. Gradients accumulate into ``.grad`` of every requires_grad leaf, or
+into a dict the caller passes.
 """
 
 from __future__ import annotations
@@ -95,8 +96,10 @@ class Tape:
         self._records.append((output, inputs, backward))
         self._output_ids.add(id(output))
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into ``.grad`` of requires_grad leaves."""
+    def backward(self, loss: Tensor, into: dict | None = None) -> None:
+        """Accumulate d(loss)/d(leaf) into ``.grad`` of requires_grad leaves,
+        or into ``into[leaf]`` when a dict is given, leaving ``.grad`` alone
+        (so that tapes on several threads can share leaves)."""
         if loss.data.size != 1:
             raise LossNotScalar(f"loss has shape {loss.shape}, expected a scalar")
         if id(loss) not in self._output_ids:
@@ -114,6 +117,10 @@ class Tape:
                 if id(tensor) in self._output_ids:
                     held = grads.get(id(tensor))
                     grads[id(tensor)] = partial if held is None else held + partial
+                elif into is not None:
+                    if tensor not in into:
+                        into[tensor] = np.zeros_like(tensor.data)
+                    into[tensor] += partial
                 else:
                     if tensor.grad is None:
                         tensor.grad = np.zeros_like(tensor.data)
@@ -337,9 +344,7 @@ def softmax(a: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
-        raise ShapeMismatch(
-            f"layer_norm gain/bias {gain.shape}/{bias.shape} vs input {x.shape}"
-        )
+        raise ShapeMismatch(f"layer_norm gain/bias {gain.shape}/{bias.shape} vs input {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -480,9 +485,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
-            raise ShapeMismatch(
-                f"grad shape {g.shape} != param shape {p.data.shape} for {name!r}"
-            )
+            raise ShapeMismatch(f"grad shape {g.shape} != param shape {p.data.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
         if m.shape != p.data.shape:

@@ -21,11 +21,14 @@ Checkpoint layout (little-endian), magic ``PSGMAE02``:
 from __future__ import annotations
 
 import configparser
+import contextlib
+import functools
 import io
 import json
 import math
 import struct
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +44,10 @@ _LENGTHS = struct.Struct("<II")  # config and meta byte lengths
 
 MANIFEST_FILENAME = "manifest.json"
 CACHE_FILENAME = "epochs.psgepo"
+
+# example shards per mini-batch: their bounds depend only on the batch size,
+# never on the core count, so the gradient's summation order is fixed
+TRAIN_SHARDS = 2
 
 
 class TrainerError(Exception):
@@ -328,6 +335,39 @@ def calibrate_head_scale(params: MaeParams, epochs: EpochSet) -> dict[str, float
     return scales
 
 
+def _shard_bounds(n: int) -> list[int]:
+    """Bounds of the min(TRAIN_SHARDS, n) example shards of an n-example batch."""
+    shards = min(TRAIN_SHARDS, n)
+    return [k * n // shards for k in range(shards + 1)]
+
+
+def batch_gradients(params: MaeParams, inputs: np.ndarray, targets: np.ndarray,
+                    plans: list[mae.MaskPlan], run=map) -> float:
+    """Set each parameter's ``.grad`` to the gradient of the batch's masked
+    cosine loss and return that loss. ``run`` (``map`` or a pool's) runs each
+    example shard's forward and backward on its own tape (a non-finite loss
+    skips backward). Gradients are reduced per parameter in shard order as
+    sum(g_k * n_k / B) in the parameters' dtype, the loss as sum(n_k * loss_k) / B,
+    so no result depends on the thread count."""
+    bounds = _shard_bounds(len(inputs))
+
+    def shard(lo: int, hi: int) -> tuple[float, dict]:
+        grads: dict[nc.Tensor, np.ndarray] = {}
+        with nc.Tape() as tape:
+            loss, _ = mae.forward_loss(inputs[lo:hi], targets[lo:hi], params, plans[lo:hi])
+        if np.isfinite(loss.data).all():
+            tape.backward(loss, into=grads)
+        return loss.item(), grads
+
+    shards = list(run(shard, bounds[:-1], bounds[1:]))  # reading each result re-raises its error
+    sizes = np.diff(bounds).tolist()
+    for tensor in params.tensors.values():
+        terms = [grads[tensor] * (n / len(inputs)) for n, (_, grads) in zip(sizes, shards)
+                 if tensor in grads]
+        tensor.grad = functools.reduce(np.add, terms) if terms else None
+    return sum(n * loss for n, (loss, _) in zip(sizes, shards)) / len(inputs)
+
+
 @dataclass
 class TrainResult:
     checkpoint: Checkpoint
@@ -339,14 +379,17 @@ def train(
     config: TrainConfig,
     splits: dict,
     resume: Checkpoint | None = None,
+    on_epoch: Callable[[str], object] | None = None,
 ) -> TrainResult:
     """Run (or resume) training; returns the checkpoint and per-epoch metrics.
 
     ``splits`` maps "train" and "val" to EpochSets (or EpochRecord lists).
     Per epoch: seeded shuffle, mini-batch Adam updates on the masked cosine
-    loss, then full-visibility validation. The best-validation parameter set
-    is kept; training stops at max_epochs or when validation loss fails to
-    improve for ``patience`` consecutive epochs.
+    loss (see ``batch_gradients``; the shards run on up to TRAIN_SHARDS
+    cores), then full-visibility validation, after which ``on_epoch`` gets
+    the epoch's metrics line. The best-validation parameter set is kept;
+    training stops at max_epochs or when validation loss fails to improve
+    for ``patience`` consecutive epochs.
     """
     for name in ("train", "val"):
         if not splits.get(name):
@@ -358,8 +401,7 @@ def train(
                              f"configured {config.input_channel!r}")
     targets = train_set.target_indices(config.mae.target_channels)
 
-    root = np.random.SeedSequence(config.seed)
-    init_seq, shuffle_seq, mask_seq = root.spawn(3)
+    init_seq, shuffle_seq, mask_seq = np.random.SeedSequence(config.seed).spawn(3)
 
     if resume is None:
         params = mae.init_params(config.mae, init_seq, dtype=np.float32)
@@ -371,9 +413,7 @@ def train(
         best_blobs = _snapshot(params)
     else:
         if resume.epoch >= config.max_epochs:
-            raise TrainerError(
-                f"checkpoint already at epoch {resume.epoch} >= max_epochs"
-            )
+            raise TrainerError(f"checkpoint already at epoch {resume.epoch} >= max_epochs")
         if resume.patience_left <= 0:
             raise TrainerError("checkpoint already stopped early; nothing to resume")
         params = params_from_blobs(config.mae, resume.params)
@@ -383,10 +423,8 @@ def train(
         best_val = resume.best_val_loss
         patience_left = resume.patience_left
         best_blobs = {name: arr.copy() for name, arr in resume.best_params.items()}
-    adam = nc.AdamState.for_params(
-        params.tensors, lr=config.lr, beta1=config.beta1,
-        beta2=config.beta2, epsilon=config.epsilon,
-    )
+    adam = nc.AdamState.for_params(params.tensors, lr=config.lr, beta1=config.beta1,
+                                   beta2=config.beta2, epsilon=config.epsilon)
     if resume is not None:
         adam.m = {name: resume.adam_m[name].copy() for name in params.tensors}
         adam.v = {name: resume.adam_v[name].copy() for name in params.tensors}
@@ -394,39 +432,37 @@ def train(
 
     metrics_lines: list[str] = []
     epoch = start_epoch - 1
-    for epoch in range(start_epoch, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_set))
-        seen = 0
-        loss_sum = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = train_set[order[lo: lo + config.batch_size]]
-            nc.zero_grad(params.tensors)
-            with nc.Tape() as tape:
-                loss, _ = mae.forward_loss(batch.signals[:, 0], batch.signals[:, targets],
-                                           params, mask_rng)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NonFiniteLoss(
-                    f"loss became non-finite at epoch {epoch}, "
-                    f"batch starting at {lo}"
-                )
-            tape.backward(loss)
-            nc.adam_step(params.tensors, adam)
-            loss_sum += value * len(batch)
-            seen += len(batch)
+    workers = min(mae._cores(), TRAIN_SHARDS)
+    from concurrent.futures import ThreadPoolExecutor  # here, so CLI start-up skips it
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for epoch in range(start_epoch, config.max_epochs + 1):
+            order = shuffle_rng.permutation(len(train_set))
+            loss_sum = 0.0
+            for lo in range(0, len(order), config.batch_size):
+                batch = train_set[order[lo: lo + config.batch_size]]
+                value = batch_gradients(params, batch.signals[:, 0], batch.signals[:, targets],
+                                        mae.mask_plans(config.mae, len(batch), mask_rng),
+                                        map if pool is None else pool.map)
+                if not np.isfinite(value):
+                    raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}, "
+                                        f"batch starting at {lo}")
+                nc.adam_step(params.tensors, adam)
+                loss_sum += value * len(batch)
 
-        train_loss = loss_sum / seen
-        val_loss, val_mse = evaluate_split(params, val_set)
-        metrics_lines.append(_format_metrics(epoch, train_loss, val_loss, val_mse))
+            train_loss = loss_sum / len(train_set)
+            val_loss, val_mse = evaluate_split(params, val_set)
+            metrics_lines.append(_format_metrics(epoch, train_loss, val_loss, val_mse))
+            if on_epoch is not None:
+                on_epoch(metrics_lines[-1])
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_blobs = _snapshot(params)
-            patience_left = config.patience
-        else:
-            patience_left -= 1
-            if patience_left <= 0:
-                break
+            if val_loss < best_val:
+                best_val = val_loss
+                best_blobs = _snapshot(params)
+                patience_left = config.patience
+            else:
+                patience_left -= 1
+                if patience_left <= 0:
+                    break
 
     best_params = params_from_blobs(config.mae, best_blobs)
     calibration: dict[str, float] = {}
@@ -447,8 +483,4 @@ def train(
         rng_mask=_philox_state(mask_rng),
         calibrated=config.calibrate_scale,
     )
-    return TrainResult(
-        checkpoint=checkpoint,
-        metrics_lines=metrics_lines,
-        calibration=calibration,
-    )
+    return TrainResult(checkpoint=checkpoint, metrics_lines=metrics_lines, calibration=calibration)

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import os
 import struct
@@ -312,6 +313,85 @@ class TestTrainEval:
         )
         assert code == 2
         assert "99999" in err
+
+
+class TestTrainProgress:
+    def test_resume_appends_to_metrics_log(self, capsys, workspace, tmp_path):
+        data = str(workspace / "data")
+        configs = {}
+        for epochs in (3, 6):
+            configs[epochs] = tmp_path / f"{epochs}.ini"
+            configs[epochs].write_text(
+                TRAIN_CONFIG.replace("max_epochs = 3", f"max_epochs = {epochs}"))
+        full, part = tmp_path / "full", tmp_path / "part"
+        assert main(["train", "--config", str(configs[6]), "--data", data,
+                     "--out", str(full)]) == 0
+        assert main(["train", "--config", str(configs[3]), "--data", data,
+                     "--out", str(part)]) == 0
+        assert main(["train", "--config", str(configs[6]), "--data", data, "--out", str(part),
+                     "--resume", str(part / "checkpoint.psgmae")]) == 0
+        capsys.readouterr()
+        assert (part / "metrics.log").read_bytes() == (full / "metrics.log").read_bytes()
+        assert len((full / "metrics.log").read_text().splitlines()) == 6
+        assert (part / "checkpoint.psgmae").read_bytes() == \
+            (full / "checkpoint.psgmae").read_bytes()
+
+    def test_epoch_lines_reach_stderr_while_training(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        lines = []
+        monkeypatch.setattr(cli, "_info", lambda message: lines.append(
+            (message, (out / "checkpoint.psgmae").exists())))
+        assert main(["train", "--config", str(workspace / "config.ini"),
+                     "--data", str(workspace / "data"), "--out", str(out)]) == 0
+        logged = (out / "metrics.log").read_text().splitlines()
+        # every line arrived before train returned and its outputs were written
+        assert lines == [(line, False) for line in logged]
+
+    def test_eval_builds_no_per_epoch_pairs(self, capsys, workspace, tmp_path, monkeypatch):
+        checkpoint = trainer.load_checkpoint((workspace / "run" / "checkpoint.psgmae").read_bytes())
+        params = trainer.params_from_blobs(checkpoint.train_config().mae, checkpoint.best_params)
+        epochs = trainer.load_dataset(workspace / "data")[1]
+        reference = evalreport.render_table(evalreport.evaluate_records(params, epochs)[0], "csv")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval built the per-epoch pairs")
+
+        monkeypatch.setattr(evalreport, "evaluate_records", refuse)
+        code, _, _ = run(capsys, "eval", "--checkpoint", str(workspace / "run" / "checkpoint.psgmae"),
+                         "--data", str(workspace / "data"), "--out", str(tmp_path),
+                         "--split", "all")
+        assert code == 0
+        assert (tmp_path / "mse_table.csv").read_bytes() == reference
+
+
+class FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize("preset, has_mallopt, calls", [
+    (None, True, [(-8, 1)]),  # M_ARENA_MAX
+    ("4", True, []),
+    (None, False, []),
+], ids=["unset", "user-set", "no-mallopt"])
+def test_main_caps_malloc_arenas(capsys, tmp_path, monkeypatch, preset, has_mallopt, calls):
+    libc = FakeLibc() if has_mallopt else object()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    if preset is None:
+        monkeypatch.delenv("MALLOC_ARENA_MAX", raising=False)
+    else:
+        monkeypatch.setenv("MALLOC_ARENA_MAX", preset)
+    code, _, _ = run(capsys, "inspect", "--edf", str(tmp_path / "absent.edf"))
+    assert code == 2
+    assert getattr(libc, "calls", []) == calls
+    if calls:
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
 
 
 class TestGradcheck:

@@ -32,6 +32,11 @@ def tiny_params(seed=0, dtype=np.float64, **overrides):
     return config, init_params(config, seed=seed, dtype=dtype)
 
 
+def planned_loss(inputs, targets, params, rng):
+    """forward_loss with one mask plan per example drawn from ``rng``."""
+    return forward_loss(inputs, targets, params, mae.mask_plans(params.config, len(inputs), rng))
+
+
 def make_batch(config, rng, n=1):
     """n random float32 epochs of the config's (possibly non-3000) length:
     inputs (n, epoch_len) and targets (n, num_targets, epoch_len), drawn
@@ -233,15 +238,15 @@ class TestForwardLoss:
         config, params = tiny_params(mask_ratio=0.5)
         inputs, targets = make_batch(config, philox(9))
         # run once to capture the reconstruction, then feed it back as target
-        _, recons = forward_loss(inputs, targets, params, philox(42))
-        loss, _ = forward_loss(inputs, recons.astype(np.float32), params, philox(42))
+        _, recons = planned_loss(inputs, targets, params, philox(42))
+        loss, _ = planned_loss(inputs, recons.astype(np.float32), params, philox(42))
         assert loss.item() < 1e-5
 
     def test_loss_in_range_for_random_params(self):
         config, params = tiny_params(seed=123)
         rng = philox(10)
         inputs, targets = make_batch(config, rng, 3)
-        loss, recons = forward_loss(inputs, targets, params, rng)
+        loss, recons = planned_loss(inputs, targets, params, rng)
         assert 0.0 <= loss.item() <= 2.0
         assert np.isfinite(loss.item())
         assert len(recons) == 3
@@ -252,8 +257,8 @@ class TestForwardLoss:
         all_config, all_params = tiny_params(loss_scope="all")
         inputs, targets = make_batch(config, philox(12))
 
-        masked_loss, _ = forward_loss(inputs, targets, params, philox(5))
-        all_loss, _ = forward_loss(inputs, targets, all_params, philox(5))
+        masked_loss, _ = planned_loss(inputs, targets, params, philox(5))
+        all_loss, _ = planned_loss(inputs, targets, all_params, philox(5))
 
         # manual recomputation of the masked-scope value
         plan = make_mask(config.seq_len, config.mask_ratio, philox(5))
@@ -320,7 +325,7 @@ class TestGradients:
         inputs, targets = make_batch(config, rng, 2)
         nc.zero_grad(params.tensors)
         with nc.Tape() as tape:
-            loss, _ = forward_loss(inputs, targets, params, rng)
+            loss, _ = planned_loss(inputs, targets, params, rng)
         tape.backward(loss)
         for name, tensor in params.tensors.items():
             assert tensor.grad is not None, name
@@ -338,9 +343,9 @@ class TestBatching:
         params = init_params(config, seed=4, dtype=np.float32)
         inputs, targets = make_batch(config, philox(20), 5)
 
-        loss, recons = forward_loss(inputs, targets, params, philox(21))
+        loss, recons = planned_loss(inputs, targets, params, philox(21))
         stream = philox(21)  # the same mask stream, drawn one example at a time
-        singles = [forward_loss(inputs[i:i + 1], targets[i:i + 1], params, stream)
+        singles = [planned_loss(inputs[i:i + 1], targets[i:i + 1], params, stream)
                    for i in range(len(inputs))]
 
         mean_single = np.mean([single.item() for single, _ in singles])
@@ -367,7 +372,7 @@ class TestBatching:
         inputs, targets = make_batch(config, rng, 3)
         nc.zero_grad(params.tensors)
         with nc.Tape() as tape:
-            loss, recons = forward_loss(inputs, targets, params, rng)
+            loss, recons = planned_loss(inputs, targets, params, rng)
         tape.backward(loss)
         assert loss.dtype == np.float32
         assert recons.dtype == np.float32

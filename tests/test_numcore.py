@@ -142,6 +142,33 @@ class TestBackward:
         out = nc.mul(x, x)
         assert out.requires_grad is False
 
+    def test_backward_into_dict_matches_grad_path_and_leaves_grad(self):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2)))
+        w = Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True, dtype=np.float32)
+        b = Tensor(rng.normal(0, 1, 4), requires_grad=True, dtype=np.float32)
+        x = Tensor(rng.normal(0, 1, (5, 3)), dtype=np.float32)
+
+        def loss_on_new_tape():
+            tape = Tape()
+            with tape:
+                h = nc.gelu(nc.linear(x, w, b))
+                loss = nc.mean(nc.mul(h, nc.add(h, b)))  # b reaches the loss twice
+            return tape, loss
+
+        tape, loss = loss_on_new_tape()
+        tape.backward(loss)
+        expected = {"w": w.grad.copy(), "b": b.grad.copy()}
+        marker = np.full(w.shape, 7.0, dtype=np.float32)
+        w.grad, b.grad = marker, None
+        into = {}
+        tape, loss = loss_on_new_tape()
+        tape.backward(loss, into=into)
+        assert w.grad is marker and np.all(marker == 7.0) and b.grad is None
+        assert into.keys() == {w, b}
+        for tensor, name in ((w, "w"), (b, "b")):
+            assert into[tensor].dtype == np.float32
+            assert into[tensor].tobytes() == expected[name].tobytes()
+
     def test_composite_ops_match_fd(self):
         # transpose/reshape/concat/gather/softmax/gelu/divide path
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))

@@ -1,5 +1,8 @@
 import json
+import math
 import struct
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -22,7 +25,7 @@ from psgmae.trainer import (
     train,
 )
 
-from conftest import synth_dataset, synth_records
+from conftest import philox, synth_dataset, synth_records
 
 
 def small_config(**overrides):
@@ -177,6 +180,135 @@ class TestTrainLoop:
         losses = [parse_metrics(line)["train_loss"]
                   for line in result.metrics_lines]
         assert min(losses) < 0.05
+
+
+class TestDataParallel:
+    """Mini-batches cut into fixed example shards, each run on its own tape on
+    up to TRAIN_SHARDS threads, with gradients reduced in shard order."""
+
+    @staticmethod
+    def shard_sized(size, make):
+        """``mae.forward_loss`` with the shards of ``size`` examples passed
+        through ``make(result)`` (which may raise)."""
+        real = mae.forward_loss
+
+        def forward_loss(inputs, targets, params, plans):
+            result = real(inputs, targets, params, plans)
+            return make(result) if len(inputs) == size else result
+
+        return forward_loss
+
+    def test_bytes_do_not_depend_on_core_count(self, dataset, monkeypatch):
+        real, threads = mae.forward_loss, set()
+
+        def forward_loss(*args):
+            threads.add(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(mae, "forward_loss", forward_loss)
+        runs = []
+        for cores in (1, 2, 7):
+            monkeypatch.setattr(mae, "_cores", lambda cores=cores: cores)
+            threads.clear()
+            result = train(small_config(max_epochs=2), dataset)
+            runs.append((save_checkpoint(result.checkpoint), result.metrics_lines))
+            # one core: shards run on this thread; more: on the pool's workers
+            assert (threads == {threading.get_ident()}) == (cores == 1), cores
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_stress_more_workers_than_cores_bit_equal_to_serial(self, dataset, monkeypatch):
+        config = small_config(max_epochs=1)
+        workers = mae._cores() + 6
+        monkeypatch.setattr(trainer, "TRAIN_SHARDS", workers)
+        monkeypatch.setattr(mae, "_cores", lambda: 1)
+        reference = save_checkpoint(train(config, dataset).checkpoint)
+        monkeypatch.setattr(mae, "_cores", lambda: workers)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: results.append(save_checkpoint(train(config, dataset).checkpoint)),
+                daemon=True)
+            runner.start()
+            runner.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert results == [reference]
+
+    @pytest.mark.parametrize("scope", ["all", "masked"])
+    def test_sharded_gradient_equals_batch_gradient_in_float64(self, scope):
+        config = mae.MaeConfig(**{**vars(small_config().mae), "loss_scope": scope})
+        params = mae.init_params(config, seed=3, dtype=np.float64)
+        rng = philox(8)
+        inputs = rng.normal(0, 1, (5, config.epoch_len))  # shards of 2 and 3
+        targets = rng.normal(0, 1, (5, len(config.target_channels), config.epoch_len))
+        plans = mae.mask_plans(config, len(inputs), rng)
+        nc.zero_grad(params.tensors)
+        with nc.Tape() as tape:
+            loss, _ = mae.forward_loss(inputs, targets, params, plans)
+        tape.backward(loss)
+        whole = {name: t.grad.copy() for name, t in params.tensors.items()}
+
+        sharded_loss = trainer.batch_gradients(params, inputs, targets, plans)
+        assert trainer._shard_bounds(len(inputs)) == [0, 2, 5]
+        assert sharded_loss == pytest.approx(loss.item(), rel=1e-12, abs=0)
+        for name, tensor in params.tensors.items():
+            assert tensor.grad.dtype == np.float64
+            scale = np.abs(whole[name]).max()
+            assert np.abs(tensor.grad - whole[name]).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("shards, batch_size", [(2, 1), (4, 3)])
+    def test_batches_with_fewer_examples_than_shards_train(self, dataset, monkeypatch,
+                                                           shards, batch_size):
+        monkeypatch.setattr(trainer, "TRAIN_SHARDS", shards)
+        monkeypatch.setattr(mae, "_cores", lambda: 2)
+        assert trainer._shard_bounds(batch_size) == list(range(batch_size + 1))
+        config = small_config(max_epochs=1, batch_size=batch_size, calibrate_scale=False)
+        result = train(config, dataset)
+        init = mae.init_params(config.mae, np.random.SeedSequence(config.seed).spawn(3)[0])
+        assert result.checkpoint.epoch == 1
+        assert result.checkpoint.adam_step == len(dataset["train"]) // batch_size + (
+            len(dataset["train"]) % batch_size > 0)
+        assert not np.array_equal(result.checkpoint.params["mask_token"],
+                                  init.tensors["mask_token"].data)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_error_in_second_shard_propagates(self, dataset, monkeypatch, cores):
+        class Raised(Exception):
+            pass
+
+        def fail(result):
+            raise Raised
+
+        assert trainer._shard_bounds(7) == [0, 3, 7]
+        monkeypatch.setattr(mae, "_cores", lambda: cores)
+        monkeypatch.setattr(mae, "forward_loss", self.shard_sized(4, fail))
+        seven = {"train": dataset["train"][:7], "val": dataset["val"]}
+        with pytest.raises(Raised):
+            train(small_config(batch_size=7, max_epochs=1), seven)
+
+    def test_nan_loss_in_one_shard_raises_before_adam(self, dataset, monkeypatch):
+        steps = []
+        monkeypatch.setattr(mae, "_cores", lambda: 2)
+        monkeypatch.setattr(mae, "forward_loss", self.shard_sized(
+            4, lambda result: (nc.scale(result[0], math.nan), result[1])))
+        monkeypatch.setattr(nc, "adam_step", lambda *args: steps.append(args))
+        seven = {"train": dataset["train"][:7], "val": dataset["val"]}
+        with pytest.raises(NonFiniteLoss, match="epoch 1, batch starting at 0"):
+            train(small_config(batch_size=7, max_epochs=1), seven)
+        assert steps == []
+
+    def test_on_epoch_gets_each_line_as_its_epoch_ends(self, dataset, monkeypatch):
+        steps, seen = [], []
+        adam_step = nc.adam_step
+        monkeypatch.setattr(nc, "adam_step", lambda *args: (steps.append(1), adam_step(*args)))
+        result = train(small_config(max_epochs=3), dataset,
+                       on_epoch=lambda line: seen.append((line, len(steps))))
+        per_epoch = math.ceil(len(dataset["train"]) / small_config().batch_size)
+        assert seen == [(line, per_epoch * epoch)
+                        for epoch, line in enumerate(result.metrics_lines, start=1)]
 
 
 @pytest.fixture(scope="module")
