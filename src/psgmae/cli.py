@@ -52,20 +52,25 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.subjects):
         subject = f"S{i:03d}"
-        spec = synthgen.SynthSpec(
-            seed=(args.seed, i),
-            duration_s=duration_s,
-            noise_std=args.noise_std,
-            subject_id=subject,
-        )
+        spec = synthgen.SynthSpec(seed=(args.seed, i), duration_s=duration_s,
+                                  noise_std=args.noise_std, subject_id=subject)
         recording, annotations = synthgen.generate(spec)
         psg_path = out_dir / f"{subject}-PSG.edf"
         hyp_path = out_dir / f"{subject}-Hypnogram.edf"
         psg_path.write_bytes(edf_io.write_edf(recording))
         hyp_path.write_bytes(edf_io.write_edf(synthgen.hypnogram_recording(spec, annotations)))
-        print(f"{subject}: {psg_path.name} {hyp_path.name} "
-              f"({duration_s // 30} epochs)")
+        print(f"{subject}: {psg_path.name} {hyp_path.name} ({duration_s // 30} epochs)")
     return 0
+
+
+def _segment_night(psg_path: Path, hyp_path: Path, input_channel: str,
+                   targets: list[str]) -> tuple[pipeline.EpochSet, str]:
+    """One night's epochs and subject id; the parsed recording dies on return."""
+    recording = edf_io.parse_edf(psg_path.read_bytes())
+    hypnogram = edf_io.parse_edf(hyp_path.read_bytes())
+    subject = recording.patient_id or psg_path.stem
+    return pipeline.segment_epochs(recording, hypnogram.annotations, input_channel, targets,
+                                   subject_id=subject), subject
 
 
 def cmd_preprocess(args) -> int:
@@ -86,22 +91,15 @@ def cmd_preprocess(args) -> int:
     parts: list[pipeline.EpochSet] = []
     entries: list[pipeline.SubjectEntry] = []
     for psg_path, hyp_path in zip(psg_paths, hyp_paths):
-        recording = edf_io.parse_edf(psg_path.read_bytes())
-        hypnogram = edf_io.parse_edf(hyp_path.read_bytes())
-        subject = recording.patient_id or psg_path.stem
-        epochs = pipeline.segment_epochs(
-            recording, hypnogram.annotations, args.input_channel, targets,
-            subject_id=subject,
-        )
+        epochs, subject = _segment_night(psg_path, hyp_path, args.input_channel, targets)
+        for entry in entries:
+            if entry.subject_id == subject:
+                raise ValueError(f"{entry.psg_path} and {psg_path} are both subject "
+                                 f"{subject!r}; two nights of one subject need distinct ids")
         parts.append(epochs)
-        entries.append(pipeline.SubjectEntry(
-            subject_id=subject,
-            psg_path=str(psg_path),
-            hypnogram_path=str(hyp_path),
-            stage_counts=pipeline.stage_histogram(epochs),
-        ))
+        entries.append(pipeline.SubjectEntry(subject, str(psg_path), str(hyp_path),
+                                             pipeline.stage_histogram(epochs)))
         _info(f"{subject}: {len(epochs)} epochs")
-    dataset = pipeline.EpochSet.concat(parts)
 
     manifest = pipeline.DatasetManifest(subjects=entries, seed=args.seed)
     if len(entries) >= 3:
@@ -111,15 +109,14 @@ def cmd_preprocess(args) -> int:
         manifest.splits = {e.subject_id: "train" for e in entries}
 
     pipeline.save_manifest(out_dir / trainer.MANIFEST_FILENAME, manifest)
-    pipeline.write_epoch_cache(out_dir / trainer.CACHE_FILENAME, dataset)
+    pipeline.write_epoch_cache(out_dir / trainer.CACHE_FILENAME, parts)
 
-    print(f"{len(dataset)} epochs from {len(entries)} subjects")
-    for stage_name, count in pipeline.stage_histogram(dataset).items():
-        print(f"  {stage_name}: {count}")
+    print(f"{sum(map(len, parts))} epochs from {len(entries)} subjects")
+    for stage in pipeline.STAGES:
+        print(f"  {stage.display}: {sum(e.stage_counts[stage.display] for e in entries)}")
     split_sizes = Counter(manifest.splits[entry.subject_id] for entry in entries)
-    print("splits: " + ", ".join(
-        f"{name}={split_sizes[name]}" for name in ("train", "val", "test")
-    ))
+    print("splits: " + ", ".join(f"{name}={split_sizes[name]}"
+                                 for name in ("train", "val", "test")))
     return 0
 
 
@@ -258,17 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("preprocess", help="segment recordings into an epoch cache")
-    p.add_argument("--psg", action="append", required=True,
-                   help="PSG EDF file (repeatable)")
+    p.add_argument("--psg", action="append", required=True, help="PSG EDF file (repeatable)")
     p.add_argument("--hypnogram", action="append", required=True,
                    help="hypnogram EDF+ file, paired with --psg by position")
     p.add_argument("--input-channel", required=True)
-    p.add_argument("--targets", required=True,
-                   help="comma-separated target channel names")
+    p.add_argument("--targets", required=True, help="comma-separated target channel names")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default="0.7,0.1,0.2",
-                   help="train,val,test subject fractions")
+    p.add_argument("--split", default="0.7,0.1,0.2", help="train,val,test subject fractions")
     p.set_defaults(handler=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model on a preprocessed dataset")

@@ -173,9 +173,7 @@ def _parse_start(date_raw: bytes, time_raw: bytes) -> datetime.datetime:
         year = 1900 + yy if yy >= 85 else 2000 + yy
         return datetime.datetime(year, month, day, hour, minute, second)
     except (ValueError, TypeError) as exc:
-        raise MalformedHeader(
-            f"bad start date/time: {date_text!r} {time_text!r}"
-        ) from exc
+        raise MalformedHeader(f"bad start date/time: {date_text!r} {time_text!r}") from exc
 
 
 def _pad(text: str, width: int, what: str) -> bytes:
@@ -226,13 +224,9 @@ def parse_edf(data: bytes) -> EdfRecording:
         raise MalformedHeader(f"record count must be >= 0, got {num_records}")
     expected_header = 256 * (1 + num_signals)
     if header_bytes != expected_header:
-        raise MalformedHeader(
-            f"header byte count {header_bytes} != 256*(1+{num_signals})"
-        )
+        raise MalformedHeader(f"header byte count {header_bytes} != 256*(1+{num_signals})")
     if len(data) < expected_header:
-        raise TruncatedFile(
-            f"header promises {expected_header} bytes, got {len(data)}"
-        )
+        raise TruncatedFile(f"header promises {expected_header} bytes, got {len(data)}")
 
     def block(offset: int, width: int, i: int) -> bytes:
         base = 256 + offset * num_signals
@@ -258,9 +252,7 @@ def parse_edf(data: bytes) -> EdfRecording:
     record_bytes = sum(s.samples_per_record for s in specs) * 2
     expected_total = expected_header + num_records * record_bytes
     if len(data) < expected_total:
-        raise TruncatedFile(
-            f"file promises {expected_total} bytes, got {len(data)}"
-        )
+        raise TruncatedFile(f"file promises {expected_total} bytes, got {len(data)}")
     if len(data) > expected_total:
         raise MalformedHeader(
             f"{len(data) - expected_total} trailing bytes beyond the "

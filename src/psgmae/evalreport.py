@@ -71,16 +71,11 @@ class MseTable:
         self.add_row(input_channel, target_channel)
         self.cells[(input_channel, target_channel, stage)] = cell
 
-    def cell(self, input_channel: str, target_channel: str,
-             stage: SleepStage) -> MseCell | None:
+    def cell(self, input_channel: str, target_channel: str, stage: SleepStage) -> MseCell | None:
         return self.cells.get((input_channel, target_channel, stage))
 
     def input_channels(self) -> list[str]:
-        seen = []
-        for input_channel, _ in self.row_order:
-            if input_channel not in seen:
-                seen.append(input_channel)
-        return seen
+        return list(dict.fromkeys(input_channel for input_channel, _ in self.row_order))
 
     def targets_for(self, input_channel: str) -> list[str]:
         return [t for i, t in self.row_order if i == input_channel]
@@ -182,15 +177,13 @@ def render_table(table: MseTable, fmt: str = "text") -> bytes:
 def _render_csv(table: MseTable) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["input_channel", "target_channel", "stage",
-                     "mean_mse", "epoch_count"])
+    writer.writerow(["input_channel", "target_channel", "stage", "mean_mse", "epoch_count"])
     for input_channel, target_channel in table.row_order:
         for stage in STAGES:
             cell = table.cell(input_channel, target_channel, stage)
-            if cell is None:
-                continue
-            writer.writerow([input_channel, target_channel, stage.display,
-                             repr(cell.mean_mse), cell.epoch_count])
+            if cell is not None:
+                writer.writerow([input_channel, target_channel, stage.display,
+                                 repr(cell.mean_mse), cell.epoch_count])
     return out.getvalue().encode("utf-8")
 
 
@@ -210,8 +203,7 @@ def table_from_csv(data: bytes) -> MseTable:
 def _render_text(table: MseTable) -> bytes:
     inputs = table.input_channels()
     input_width = max([len("Input")] + [len(i) for i in inputs])
-    target_width = max([len("Reconstruction")]
-                       + [len(t) for _, t in table.row_order])
+    target_width = max([len("Reconstruction")] + [len(t) for _, t in table.row_order])
     col_width = 6
 
     lines = []
@@ -220,14 +212,12 @@ def _render_text(table: MseTable) -> bytes:
     lines.append(header)
     lines.append("-" * len(header))
     for input_channel in inputs:
-        first = True
-        for target_channel in table.targets_for(input_channel):
+        for k, target_channel in enumerate(table.targets_for(input_channel)):
             cells = []
             for stage in STAGES:
                 cell = table.cell(input_channel, target_channel, stage)
                 cells.append("-" if cell is None else f"{cell.mean_mse:.1f}")
-            label = input_channel if first else ""
-            first = False
+            label = "" if k else input_channel
             lines.append(
                 f"{label:<{input_width}}  {target_channel:<{target_width}}  "
                 + "  ".join(f"{c:>{col_width}}" for c in cells)

@@ -10,7 +10,6 @@ similarity per patch pair.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,13 +305,6 @@ def forward_loss(
     return cosine_loss(pred, Tensor(target, dtype=params.dtype)), unpatchify(recon.data)
 
 
-def _cores() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def predict(params: MaeParams, inputs) -> np.ndarray:
     """Full-visibility reconstructions (N, num_targets, epoch_len) of N input
     epochs (an (N, epoch_len) array or a sequence of epoch arrays).
@@ -327,7 +319,7 @@ def predict(params: MaeParams, inputs) -> np.ndarray:
     plan = full_visibility(config.seq_len)
     out = np.empty((len(inputs), len(config.target_channels), config.epoch_len),
                    dtype=params.dtype)
-    workers = min(_cores(), PREDICT_CHUNK) if len(inputs) >= 2 * PREDICT_CHUNK else 1
+    workers = min(nc.cores(), PREDICT_CHUNK) if len(inputs) >= 2 * PREDICT_CHUNK else 1
     chunk = PREDICT_CHUNK // workers
 
     def run(lo: int) -> None:

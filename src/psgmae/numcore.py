@@ -12,10 +12,18 @@ into a dict the caller passes.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def cores() -> int:
+    """CPUs this process may run on: the worker count of every thread pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class NumcoreError(Exception):
@@ -263,9 +271,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     try:
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as exc:
-        raise ShapeMismatch(
-            f"concat axis {axis} of shapes {[t.shape for t in tensors]}"
-        ) from exc
+        raise ShapeMismatch(f"concat axis {axis} of shapes {[t.shape for t in tensors]}") from exc
     bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def backward(g):

@@ -21,6 +21,7 @@ arrays as they are (all little-endian), magic ``PSGEPO02`` followed by:
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import struct
@@ -30,12 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numcore
 from .edf_io import Annotation, EdfRecording
 
 EPOCH_S = 30
 TARGET_RATE_HZ = 100.0
 EPOCH_SAMPLES = 3000
 SIGMA_FLOOR = 1e-6
+# epochs per unit of segment_epochs' work: fixed, so no byte depends on the core count
+SEGMENT_BLOCK = 64
 
 CACHE_MAGIC = b"PSGEPO02"
 _CACHE_COUNTS = struct.Struct("<IHHI")  # N, C, S, T of the module docstring
@@ -98,28 +102,32 @@ def map_stage_label(label: str) -> SleepStage | None:
     return _LABELS.get(label)
 
 
-def resample_linear(samples: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
-    """Linear-interpolation resample; queries past the end hold the last value."""
+def _resampling(samples: np.ndarray, from_hz: float, to_hz: float):
+    """(float64 samples, their times or None when the rates match, output
+    length) of a resample_linear call, after its argument checks."""
     if from_hz <= 0 or to_hz <= 0:
         raise ValueError("sample rates must be positive")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise EmptyInput("cannot resample an empty array")
     if from_hz == to_hz:
+        return samples, None, len(samples)
+    return (samples, np.arange(len(samples), dtype=np.float64) / from_hz,
+            int(round(len(samples) * to_hz / from_hz)))
+
+
+def resample_linear(samples: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
+    """Linear-interpolation resample; queries past the end hold the last value."""
+    samples, t_in, out_len = _resampling(samples, from_hz, to_hz)
+    if t_in is None:
         return samples.copy()
-    out_len = int(round(len(samples) * to_hz / from_hz))
-    t_out = np.arange(out_len, dtype=np.float64) / to_hz
-    t_in = np.arange(len(samples), dtype=np.float64) / from_hz
-    return np.interp(t_out, t_in, samples)
+    return np.interp(np.arange(out_len, dtype=np.float64) / to_hz, t_in, samples)
 
 
 def normalize_epoch(samples: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Z-score one epoch; std is floored at SIGMA_FLOOR so the map inverts."""
     samples = np.asarray(samples, dtype=np.float64)
-    mean = float(samples.mean())
-    std = float(samples.std())
-    if std < SIGMA_FLOOR:
-        std = SIGMA_FLOOR
+    mean, std = float(samples.mean()), max(float(samples.std()), SIGMA_FLOOR)
     return (samples - mean) / std, mean, std
 
 
@@ -279,16 +287,24 @@ class EpochSet:
     @classmethod
     def concat(cls, parts: list[EpochSet]) -> EpochSet:
         """Join sets over the same channels, in order, merging subject ids."""
-        channels = parts[0].channels
-        if any(part.channels != channels for part in parts):
-            raise ValueError("epoch sets disagree on their channels")
-        subjects = tuple(dict.fromkeys(s for part in parts for s in part.subjects))
-        position = {s: i for i, s in enumerate(subjects)}
-        subject = [np.array([position[s] for s in part.subjects], dtype=np.uint16)[part.subject]
-                   for part in parts]
+        channels, subjects, subject = _joined_subjects(parts)
         return cls(channels, subjects, np.concatenate(subject), *(
             np.concatenate([getattr(part, name) for part in parts])
             for name in ("epoch_index", "stage", "norm", "signals")))
+
+
+def _joined_subjects(parts: list[EpochSet]):
+    """(channels, subject ids, each part's subject column indexing those ids)
+    of sets over the same channels joined in order; ids merge on first use."""
+    if not parts:
+        raise ValueError("no epoch sets to join")
+    if any(part.channels != parts[0].channels for part in parts):
+        raise ValueError("epoch sets disagree on their channels")
+    subjects = tuple(dict.fromkeys(s for part in parts for s in part.subjects))
+    position = {s: i for i, s in enumerate(subjects)}
+    return parts[0].channels, subjects, [
+        np.array([position[s] for s in part.subjects], dtype=np.uint16)[part.subject]
+        for part in parts]
 
 
 def as_epoch_set(epochs) -> EpochSet:
@@ -310,16 +326,28 @@ def as_epoch_set(epochs) -> EpochSet:
     )
 
 
-def _stage_per_epoch(annotations: list[Annotation], n_epochs: int) -> list[SleepStage | None]:
-    stages: list[SleepStage | None] = [None] * n_epochs
+def _stage_codes(annotations: list[Annotation], n_epochs: int) -> np.ndarray:
+    """Each epoch's stage code, or -1 where no annotation gives it a usable stage."""
+    codes = np.full(n_epochs, -1, dtype=np.int8)
     for ann in sorted(annotations, key=lambda a: a.onset_s):
-        if ann.duration_s <= 0:
-            continue
-        first = int(np.ceil(ann.onset_s / EPOCH_S - 1e-9))
-        last = int(np.floor((ann.onset_s + ann.duration_s) / EPOCH_S + 1e-9))
-        for e in range(max(first, 0), min(last, n_epochs)):
-            stages[e] = map_stage_label(ann.label)
-    return stages
+        if ann.duration_s > 0:
+            first = int(np.ceil(ann.onset_s / EPOCH_S - 1e-9))
+            last = int(np.floor((ann.onset_s + ann.duration_s) / EPOCH_S + 1e-9))
+            stage = map_stage_label(ann.label)
+            codes[max(first, 0): max(min(last, n_epochs), 0)] = -1 if stage is None else stage.code
+    return codes
+
+
+def _epochs_of(channel, span: slice) -> np.ndarray:
+    """The epochs in ``span`` of one _resampling(..., TARGET_RATE_HZ) channel as
+    a float64 (epochs, EPOCH_SAMPLES) array: a view when already at that rate,
+    else np.interp at these epochs' times only, pointwise resample_linear's."""
+    samples, t_in, _ = channel
+    lo, hi = span.start * EPOCH_SAMPLES, span.stop * EPOCH_SAMPLES
+    if t_in is None:
+        return samples[lo:hi].reshape(-1, EPOCH_SAMPLES)
+    t_out = np.arange(lo, hi, dtype=np.float64) / TARGET_RATE_HZ
+    return np.interp(t_out, t_in, samples).reshape(-1, EPOCH_SAMPLES)
 
 
 def segment_epochs(
@@ -335,7 +363,11 @@ def segment_epochs(
 
     All involved channels are resampled to 100 Hz before slicing. Wake
     periods are trimmed to at most ``wake_trim_epochs`` epochs (30 min by
-    default) before the first and after the last non-Wake epoch.
+    default) before the first and after the last non-Wake epoch. The result
+    is what resample_linear, reject_artifact and normalize_epoch give epoch
+    by epoch, computed in blocks of SEGMENT_BLOCK epochs on one thread per
+    core: a first pass takes each epoch's mean, std and peak-to-peak, a
+    second normalizes the kept epochs into their own rows.
     """
     if input_channel in target_channels:
         raise ValueError("input channel cannot be one of its own targets")
@@ -346,38 +378,49 @@ def segment_epochs(
             raise MissingChannel(f"channel {name!r} not in recording "
                                  f"(available: {sorted(labels)})")
 
-    resampled = [resample_linear(recording.samples[i], recording.sample_rate(i), TARGET_RATE_HZ)
-                 for i in map(recording.signal_index, names)]
-
-    n_available = min(len(arr) for arr in resampled) // EPOCH_SAMPLES
+    channels = [_resampling(recording.samples[i], recording.sample_rate(i), TARGET_RATE_HZ)
+                for i in map(recording.signal_index, names)]
+    n_available = min(length for _, _, length in channels) // EPOCH_SAMPLES
     n_epochs = min(int(recording.duration_s() // EPOCH_S), n_available)
-    stages = _stage_per_epoch(annotations, n_epochs)
-    if not any(s is not None for s in stages):
+    codes = _stage_codes(annotations, n_epochs)
+    if not (codes >= 0).any():
         raise NoLabeledEpochs("no epoch carries a usable sleep stage label")
+    sleep, epoch = np.flatnonzero(codes > 0), np.arange(n_epochs)
+    # Wake within wake_trim_epochs of sleep is kept; with no sleep to anchor a trim, all of it
+    lo, hi = (sleep[0] - wake_trim_epochs, sleep[-1] + wake_trim_epochs) if len(sleep) else (
+        0, n_epochs)
+    keep = (codes > 0) | ((codes == 0) & (lo <= epoch) & (epoch <= hi))
+    blocks = [slice(b, min(b + SEGMENT_BLOCK, n_epochs)) for b in range(0, n_epochs, SEGMENT_BLOCK)
+              if keep[b: b + SEGMENT_BLOCK].any()]
+    limits = [thresholds.limit_for(channel_kind(name)) for name in names]
+    mean, std = np.empty((n_epochs, len(names))), np.empty((n_epochs, len(names)))
 
-    sleep_idx = [e for e, s in enumerate(stages) if s not in (None, SleepStage.WAKE)]
-    if sleep_idx:
-        lo, hi = sleep_idx[0] - wake_trim_epochs, sleep_idx[-1] + wake_trim_epochs
-    else:
-        lo, hi = 0, n_epochs - 1  # all-wake recording: nothing to anchor a trim
+    def measure(span: slice) -> None:
+        for c, (channel, limit) in enumerate(zip(channels, limits)):
+            x = _epochs_of(channel, span)
+            mean[span, c], std[span, c] = x.mean(axis=1), x.std(axis=1)
+            keep[span] &= ~((x.max(axis=1) - x.min(axis=1) > limit)
+                            | (std[span, c] < thresholds.flatline_std))
 
-    def windows(e: int) -> list[np.ndarray]:
-        return [arr[e * EPOCH_SAMPLES: (e + 1) * EPOCH_SAMPLES] for arr in resampled]
+    def normalize(span: slice) -> None:
+        take, rows = keep[span], slice(row[span.start], row[span.stop])
+        for c, channel in enumerate(channels):
+            m, s = mean[span, c][take], np.maximum(std[span, c][take], SIGMA_FLOOR)
+            signals[rows, c] = (_epochs_of(channel, span)[take] - m[:, None]) / s[:, None]
+            norm[rows, c, 0], norm[rows, c, 1] = m, s
 
-    kept = [e for e, stage in enumerate(stages)
-            if stage is not None and (stage is not SleepStage.WAKE or lo <= e <= hi)
-            and not any(reject_artifact(arr, channel_kind(name), thresholds)
-                        for name, arr in zip(names, windows(e)))]
-    signals = np.empty((len(kept), len(names), EPOCH_SAMPLES), dtype=np.float32)
-    norm = np.empty((len(kept), len(names), 2), dtype=np.float32)
-    for row, e in enumerate(kept):
-        for c, arr in enumerate(windows(e)):
-            normalized, mean, std = normalize_epoch(arr)
-            signals[row, c] = normalized
-            norm[row, c] = mean, std
+    workers = numcore.cores() if len(blocks) >= 2 else 1
+    from concurrent.futures import ThreadPoolExecutor  # here, so CLI start-up skips it
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else pool.map
+        list(run(measure, blocks))  # reading each result re-raises its error
+        row = np.concatenate(([0], np.cumsum(keep)))  # epoch e's output row is row[e]
+        signals = np.empty((row[-1], len(names), EPOCH_SAMPLES), dtype=np.float32)
+        norm = np.empty((row[-1], len(names), 2), dtype=np.float32)
+        list(run(normalize, blocks))
+    kept = np.flatnonzero(keep)
     subject = subject_id if subject_id is not None else recording.patient_id
-    return EpochSet(names, (subject,), np.zeros(len(kept)), kept,
-                    [stages[e].code for e in kept], norm, signals)
+    return EpochSet(names, (subject,), np.zeros(len(kept)), kept, codes[kept], norm, signals)
 
 
 @dataclass
@@ -459,22 +502,25 @@ _CACHE_ARRAYS = (("signals", "<f4"), ("norm", "<f4"), ("epoch_index", "<u4"),
                  ("subject", "<u2"), ("stage", "u1"))
 
 
-def write_epoch_cache(path: Path | str, epochs: EpochSet) -> None:
-    """Write the binary cache (see module docstring) one array at a time,
-    without assembling the file in memory."""
+def write_epoch_cache(path: Path | str, epochs: EpochSet | list[EpochSet]) -> None:
+    """Write the binary cache (see module docstring) of one set, or of sets
+    over the same channels joined as EpochSet.concat joins them, array by
+    array and part by part, without assembling the file or the join."""
+    parts = [epochs] if isinstance(epochs, EpochSet) else list(epochs)
+    channels, subjects, subject = _joined_subjects(parts)
     table = b"".join(struct.pack("<H", len(raw)) + raw for raw in
-                     (name.encode("utf-8") for name in epochs.channels + epochs.subjects))
-    counts = _CACHE_COUNTS.pack(len(epochs), len(epochs.channels), len(epochs.subjects),
-                                len(table))
-    arrays = [np.ascontiguousarray(getattr(epochs, name), dtype=dtype)
-              for name, dtype in _CACHE_ARRAYS]
-    crc = 0
+                     (name.encode("utf-8") for name in channels + subjects))
+    counts = _CACHE_COUNTS.pack(sum(map(len, parts)), len(channels), len(subjects), len(table))
+    crc = zlib.crc32(counts)
     with open(path, "wb") as handle:
-        handle.write(CACHE_MAGIC)
-        for chunk in [counts, *arrays, table]:
-            handle.write(chunk)
-            crc = zlib.crc32(chunk, crc)
-        handle.write(struct.pack("<I", crc))
+        handle.write(CACHE_MAGIC + counts)
+        for name, dtype in _CACHE_ARRAYS:
+            for part, column in zip(parts, subject):
+                chunk = np.ascontiguousarray(column if name == "subject" else getattr(part, name),
+                                             dtype=dtype)
+                handle.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+        handle.write(table + struct.pack("<I", zlib.crc32(table, crc)))
 
 
 def read_epoch_cache(path: Path | str) -> EpochSet:

@@ -432,7 +432,7 @@ def train(
 
     metrics_lines: list[str] = []
     epoch = start_epoch - 1
-    workers = min(mae._cores(), TRAIN_SHARDS)
+    workers = min(nc.cores(), TRAIN_SHARDS)
     from concurrent.futures import ThreadPoolExecutor  # here, so CLI start-up skips it
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for epoch in range(start_epoch, config.max_epochs + 1):

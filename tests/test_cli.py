@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import psgmae
-from psgmae import cli, evalreport, mae, trainer
+from psgmae import cli, evalreport, mae, numcore as nc, trainer
 from psgmae.cli import main
 from psgmae.pipeline import denormalize
 
@@ -145,6 +145,41 @@ class TestPreprocess:
             outputs.append((out_dir / trainer.CACHE_FILENAME).read_bytes())
         assert outputs[0] == outputs[1]
 
+
+    def test_bytes_do_not_depend_on_core_count(self, capsys, tmp_path, monkeypatch):
+        # 2 subjects x 70 min: three segmentation blocks each, so 2 and 7 cores use a pool
+        assert main(["synth", "--out", str(tmp_path / "raw"), "--seed", "4",
+                     "--minutes", "70", "--subjects", "2"]) == 0
+        capsys.readouterr()
+        args = ["--input-channel", "EEG Fpz-Cz", "--targets", "EOG horizontal,EMG submental"]
+        for i in range(2):
+            args += ["--psg", str(tmp_path / "raw" / f"S00{i}-PSG.edf"),
+                     "--hypnogram", str(tmp_path / "raw" / f"S00{i}-Hypnogram.edf")]
+        runs = []
+        for cores in (1, 2, 7):
+            monkeypatch.setattr(nc, "cores", lambda cores=cores: cores)
+            out_dir = tmp_path / f"cores{cores}"
+            code, out, err = run(capsys, "preprocess", *args, "--out", str(out_dir))
+            assert code == 0, err
+            runs.append((out, err, (out_dir / trainer.CACHE_FILENAME).read_bytes(),
+                         (out_dir / trainer.MANIFEST_FILENAME).read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
+        assert "280 epochs from 2 subjects" in runs[0][0]
+
+    def test_repeated_subject_exits_2(self, capsys, workspace, tmp_path):
+        copy = tmp_path / "second-night-PSG.edf"  # patient_id is still S000
+        copy.write_bytes((workspace / "raw" / "S000-PSG.edf").read_bytes())
+        args = []
+        for psg in [*(workspace / "raw" / f"S00{i}-PSG.edf" for i in range(3)), copy]:
+            args += ["--psg", str(psg), "--hypnogram",
+                     str(workspace / "raw" / "S000-Hypnogram.edf")]
+        code, out, err = run(capsys, "preprocess", *args, "--input-channel", "EEG Fpz-Cz",
+                             "--targets", "EOG horizontal", "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "Traceback" not in err and out == ""
+        assert "S000-PSG.edf" in err and str(copy) in err and "'S000'" in err
+        assert not (tmp_path / "out" / trainer.MANIFEST_FILENAME).exists()
+        assert not (tmp_path / "out" / trainer.CACHE_FILENAME).exists()
 
 class TestTrainEval:
     def test_train_outputs_exist(self, workspace):

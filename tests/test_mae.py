@@ -389,8 +389,8 @@ class TestParallelPredict:
 
     @pytest.fixture
     def workers(self, monkeypatch):
-        workers = mae._cores() + 2
-        monkeypatch.setattr(mae, "_cores", lambda: workers)
+        workers = nc.cores() + 2
+        monkeypatch.setattr(nc, "cores", lambda: workers)
         return workers
 
     @staticmethod
@@ -444,7 +444,7 @@ class TestParallelPredict:
     def test_in_flight_bounded_on_more_cores_than_chunk(self, monkeypatch):
         """On more cores than PREDICT_CHUNK, at most PREDICT_CHUNK epochs are
         between the start of encode and the end of decode at any moment."""
-        monkeypatch.setattr(mae, "_cores", lambda: 3 * mae.PREDICT_CHUNK)
+        monkeypatch.setattr(nc, "cores", lambda: 3 * mae.PREDICT_CHUNK)
         lock, in_flight, peak = threading.Lock(), [0], [0]
         encode, decode = mae.encode, mae.decode
 

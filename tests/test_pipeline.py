@@ -1,5 +1,7 @@
 import struct
+import sys
 import tempfile
+import threading
 import zlib
 from pathlib import Path
 
@@ -7,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psgmae import evalreport, mae, pipeline, synthgen
-from psgmae.edf_io import Annotation
+from psgmae import evalreport, mae, numcore as nc, pipeline, synthgen
+from psgmae.edf_io import Annotation, EdfRecording, SignalSpec
 from psgmae.pipeline import (
+    ArtifactThresholds,
     CorruptCache,
     DatasetManifest,
     EmptyInput,
@@ -30,7 +33,7 @@ from psgmae.pipeline import (
     write_epoch_cache,
 )
 
-from conftest import synth_records
+from conftest import philox, synth_records
 
 
 class TestStageLabels:
@@ -241,6 +244,186 @@ class TestSegmentation:
             for i in range(len(recording.signals))
         )
         assert len(records) * 3000 <= shortest
+
+
+RATES = {"EEG in": 100, "EOG fast": 200, "EMG slow": 50}
+STAGE_LABELS = ["Sleep stage W", "Sleep stage 1", "Sleep stage 2", "Sleep stage 3",
+                "Sleep stage 4", "Sleep stage R", "Sleep stage ?", "Movement time"]
+
+
+def mixed_rate_recording(n_epochs, seed, labels=None, short_s=0, spikes=(), flat=False):
+    """Noise channels at 100, 200 and 50 Hz (plus an all-zero one when flat),
+    scored with ``labels`` (random labels, some unusable, when None). The
+    200 Hz channel ends ``short_s`` seconds early; each epoch in ``spikes``
+    gets a 900 uV sample on the input channel."""
+    rng = philox(seed)
+    seconds = 30 * n_epochs
+    rates = {**RATES, "EEG flat": 100} if flat else RATES
+    samples = {name: rng.normal(0.0, 20.0, seconds * rate) for name, rate in rates.items()}
+    if flat:
+        samples["EEG flat"][:] = 0.0
+    samples["EOG fast"] = samples["EOG fast"][:len(samples["EOG fast"]) - 200 * short_s]
+    for e in spikes:
+        samples["EEG in"][e * 3000 + 1234] = 900.0
+    recording = EdfRecording(
+        patient_id="P", record_duration_s=1.0, num_records=seconds,
+        signals=[SignalSpec(name, samples_per_record=rate) for name, rate in rates.items()],
+        samples=list(samples.values()))
+    if labels is None:
+        labels = [STAGE_LABELS[i] for i in rng.integers(0, len(STAGE_LABELS), n_epochs)]
+    return recording, annotations_for(labels), list(rates)
+
+
+def per_epoch_segmentation(recording, annotations, names,
+                           thresholds=pipeline.DEFAULT_THRESHOLDS, wake_trim_epochs=60):
+    """(kept epoch indices, signals, norm) built epoch by epoch from the public
+    resample_linear, reject_artifact and normalize_epoch."""
+    resampled = [resample_linear(recording.samples[i], recording.sample_rate(i), 100.0)
+                 for i in map(recording.signal_index, names)]
+    n_epochs = min(int(recording.duration_s() // 30), min(map(len, resampled)) // 3000)
+    stages = [map_stage_label(a.label) for a in annotations][:n_epochs]  # one per epoch
+    sleep = [e for e, s in enumerate(stages) if s not in (None, SleepStage.WAKE)]
+    lo, hi = (sleep[0] - wake_trim_epochs, sleep[-1] + wake_trim_epochs) if sleep else (
+        0, n_epochs - 1)
+    kept, signals, norm = [], [], []
+    for e, stage in enumerate(stages):
+        windows = [arr[e * 3000: (e + 1) * 3000] for arr in resampled]
+        if stage is None or (stage is SleepStage.WAKE and not lo <= e <= hi) or any(
+                reject_artifact(w, pipeline.channel_kind(n), thresholds)
+                for n, w in zip(names, windows)):
+            continue
+        kept.append(e)
+        normalized = [normalize_epoch(w) for w in windows]
+        signals.append([x for x, _, _ in normalized])
+        norm.append([(mean, std) for _, mean, std in normalized])
+    return (kept, np.array(signals, dtype=np.float32).reshape(-1, len(names), 3000),
+            np.array(norm, dtype=np.float32).reshape(-1, len(names), 2))
+
+
+def assert_segments_like_reference(recording, annotations, names, **kwargs):
+    got = segment_epochs(recording, annotations, names[0], names[1:], **kwargs)
+    kept, signals, norm = per_epoch_segmentation(recording, annotations, names, **kwargs)
+    assert got.epoch_index.tolist() == kept
+    assert np.array_equal(got.signals, signals)
+    assert np.array_equal(got.norm, norm)
+    return got
+
+
+class TestBlockSegmentation:
+    """segment_epochs works in SEGMENT_BLOCK-epoch blocks on every core; its
+    bytes must be those of the per-epoch reference, whatever the core count."""
+
+    @pytest.mark.parametrize("n_epochs, short_s", [
+        (150, 0),    # 64 + 64 + a partial block of 22
+        (10, 0),     # fewer epochs than one block
+        (150, 95),   # the 200 Hz channel ends inside epoch 146
+        (128, 0),    # whole blocks only
+    ])
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    def test_bit_equal_to_per_epoch_reference(self, monkeypatch, n_epochs, short_s, cores):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        recording, annotations, names = mixed_rate_recording(n_epochs, n_epochs, short_s=short_s)
+        # no flatline limit: epochs past a short channel's end would be flat, not dropped
+        got = assert_segments_like_reference(recording, annotations, names,
+                                             thresholds=ArtifactThresholds(flatline_std=0.0))
+        assert len(got) > 0
+        if short_s:
+            assert got.epoch_index.max() < n_epochs - 4
+
+    def test_spikes_dropped_as_the_reference_drops_them(self):
+        spikes = (0, 63, 64, 100, 149)
+        recording, annotations, names = mixed_rate_recording(
+            150, 1, labels=["Sleep stage 2"] * 150, spikes=spikes)
+        got = assert_segments_like_reference(recording, annotations, names)
+        assert got.epoch_index.tolist() == [e for e in range(150) if e not in spikes]
+
+    def test_flat_channel_at_the_sigma_floor(self):
+        recording, annotations, names = mixed_rate_recording(
+            70, 2, labels=["Sleep stage 3"] * 70, flat=True)
+        assert len(segment_epochs(recording, annotations, names[0], names[1:])) == 0
+        got = assert_segments_like_reference(
+            recording, annotations, names, thresholds=ArtifactThresholds(flatline_std=0.0))
+        assert len(got) == 70
+        assert np.all(got.norm[:, 3, 1] == np.float32(pipeline.SIGMA_FLOOR))
+
+    def test_wake_trimming(self):
+        labels = ["Sleep stage W"] * 150 + ["Sleep stage 2"] * 5 + ["Sleep stage W"] * 100
+        recording, annotations, names = mixed_rate_recording(len(labels), 3, labels=labels)
+        got = assert_segments_like_reference(recording, annotations, names, wake_trim_epochs=70)
+        assert got.epoch_index.tolist() == list(range(80, 225))
+
+    def test_read_only_recording_segments(self):
+        recording, annotations, names = mixed_rate_recording(150, 4)
+        before = [arr.copy() for arr in recording.samples]
+        writable = segment_epochs(recording, annotations, names[0], names[1:])
+        for arr in recording.samples:
+            arr.flags.writeable = False
+        frozen = segment_epochs(recording, annotations, names[0], names[1:])
+        assert np.array_equal(frozen.signals, writable.signals)
+        assert np.array_equal(frozen.norm, writable.norm)
+        for arr, old in zip(recording.samples, before):
+            assert np.array_equal(arr, old)
+
+    @pytest.mark.parametrize("n_epochs, cores, pooled", [
+        (150, 1, False), (150, 2, True), (150, 7, True), (64, 7, False), (10, 2, False)])
+    def test_blocks_run_on_a_pool_only_with_two_blocks_and_cores(
+            self, monkeypatch, n_epochs, cores, pooled):
+        real, threads, spans = pipeline._epochs_of, set(), set()
+
+        def epochs_of(channel, span):
+            threads.add(threading.get_ident())
+            spans.add((span.start, span.stop))
+            return real(channel, span)
+
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        monkeypatch.setattr(pipeline, "_epochs_of", epochs_of)
+        recording, annotations, names = mixed_rate_recording(
+            n_epochs, 5, labels=["Sleep stage 2"] * n_epochs)
+        segment_epochs(recording, annotations, names[0], names[1:])
+        assert (threading.get_ident() not in threads) == pooled
+        # the blocks are SEGMENT_BLOCK epochs whatever the core count
+        assert spans == {(lo, min(lo + 64, n_epochs)) for lo in range(0, n_epochs, 64)}
+
+    def test_stress_more_workers_than_blocks_bit_equal_to_serial(self, monkeypatch):
+        recording, annotations, names = mixed_rate_recording(200, 6)  # 4 blocks
+        monkeypatch.setattr(nc, "cores", lambda: 1)
+        serial = segment_epochs(recording, annotations, names[0], names[1:])
+        monkeypatch.setattr(nc, "cores", lambda: 11)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                results.append(segment_epochs(recording, annotations, names[0], names[1:]))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert np.array_equal(got.epoch_index, serial.epoch_index)
+            assert np.array_equal(got.signals, serial.signals)
+            assert np.array_equal(got.norm, serial.norm)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("stage", ["measure", "normalize"])
+    def test_error_in_a_later_block_propagates(self, monkeypatch, cores, stage):
+        class Raised(Exception):
+            pass
+
+        real, calls = pipeline._epochs_of, []
+
+        def epochs_of(channel, span):
+            calls.append(span.start)
+            # the first pass reads each channel of a block once, the second once more
+            if span.start == 2 * pipeline.SEGMENT_BLOCK and (
+                    stage == "measure" or calls.count(span.start) > len(names)):
+                raise Raised
+            return real(channel, span)
+
+        recording, annotations, names = mixed_rate_recording(
+            150, 7, labels=["Sleep stage 2"] * 150)
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        monkeypatch.setattr(pipeline, "_epochs_of", epochs_of)
+        with pytest.raises(Raised):
+            segment_epochs(recording, annotations, names[0], names[1:])
 
 
 def manifest_of(n):
@@ -493,6 +676,23 @@ class TestEpochSet:
         other = EpochSet(("x",), (), [], [], [], np.zeros((0, 1, 2)), np.zeros((0, 1, 3000)))
         with pytest.raises(ValueError, match="disagree"):
             EpochSet.concat([a, other])
+
+    def test_cache_of_parts_is_the_cache_of_their_concat(self, tmp_path):
+        a = synth_records(seed=17, minutes=1.0, subject_id="A")
+        b = synth_records(seed=18, minutes=1.0, subject_id="B")
+        again = synth_records(seed=19, minutes=1.5, subject_id="A")  # A's second part
+        parts = [a, b, again, b[:0]]
+        write_epoch_cache(tmp_path / "parts", parts)
+        write_epoch_cache(tmp_path / "joined", EpochSet.concat(parts))
+        assert (tmp_path / "parts").read_bytes() == (tmp_path / "joined").read_bytes()
+        back = read_epoch_cache(tmp_path / "parts")
+        assert back.subjects == ("A", "B")
+        assert [back.subjects[i] for i in back.subject] == (
+            ["A"] * len(a) + ["B"] * len(b) + ["A"] * len(again))
+        other = EpochSet(("x",), (), [], [], [], np.zeros((0, 1, 2)), np.zeros((0, 1, 3000)))
+        for bad, message in (([a, other], "disagree"), ([], "no epoch sets")):
+            with pytest.raises(ValueError, match=message):
+                write_epoch_cache(tmp_path / "bad", bad)
 
     def test_from_records(self):
         epochs = synth_records(seed=19, minutes=1.0)

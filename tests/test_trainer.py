@@ -208,7 +208,7 @@ class TestDataParallel:
         monkeypatch.setattr(mae, "forward_loss", forward_loss)
         runs = []
         for cores in (1, 2, 7):
-            monkeypatch.setattr(mae, "_cores", lambda cores=cores: cores)
+            monkeypatch.setattr(nc, "cores", lambda cores=cores: cores)
             threads.clear()
             result = train(small_config(max_epochs=2), dataset)
             runs.append((save_checkpoint(result.checkpoint), result.metrics_lines))
@@ -218,11 +218,11 @@ class TestDataParallel:
 
     def test_stress_more_workers_than_cores_bit_equal_to_serial(self, dataset, monkeypatch):
         config = small_config(max_epochs=1)
-        workers = mae._cores() + 6
+        workers = nc.cores() + 6
         monkeypatch.setattr(trainer, "TRAIN_SHARDS", workers)
-        monkeypatch.setattr(mae, "_cores", lambda: 1)
+        monkeypatch.setattr(nc, "cores", lambda: 1)
         reference = save_checkpoint(train(config, dataset).checkpoint)
-        monkeypatch.setattr(mae, "_cores", lambda: workers)
+        monkeypatch.setattr(nc, "cores", lambda: workers)
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -263,7 +263,7 @@ class TestDataParallel:
     def test_batches_with_fewer_examples_than_shards_train(self, dataset, monkeypatch,
                                                            shards, batch_size):
         monkeypatch.setattr(trainer, "TRAIN_SHARDS", shards)
-        monkeypatch.setattr(mae, "_cores", lambda: 2)
+        monkeypatch.setattr(nc, "cores", lambda: 2)
         assert trainer._shard_bounds(batch_size) == list(range(batch_size + 1))
         config = small_config(max_epochs=1, batch_size=batch_size, calibrate_scale=False)
         result = train(config, dataset)
@@ -283,7 +283,7 @@ class TestDataParallel:
             raise Raised
 
         assert trainer._shard_bounds(7) == [0, 3, 7]
-        monkeypatch.setattr(mae, "_cores", lambda: cores)
+        monkeypatch.setattr(nc, "cores", lambda: cores)
         monkeypatch.setattr(mae, "forward_loss", self.shard_sized(4, fail))
         seven = {"train": dataset["train"][:7], "val": dataset["val"]}
         with pytest.raises(Raised):
@@ -291,7 +291,7 @@ class TestDataParallel:
 
     def test_nan_loss_in_one_shard_raises_before_adam(self, dataset, monkeypatch):
         steps = []
-        monkeypatch.setattr(mae, "_cores", lambda: 2)
+        monkeypatch.setattr(nc, "cores", lambda: 2)
         monkeypatch.setattr(mae, "forward_loss", self.shard_sized(
             4, lambda result: (nc.scale(result[0], math.nan), result[1])))
         monkeypatch.setattr(nc, "adam_step", lambda *args: steps.append(args))
