@@ -117,6 +117,10 @@ def cmd_preprocess(args) -> int:
     split_sizes = Counter(manifest.splits[entry.subject_id] for entry in entries)
     print("splits: " + ", ".join(f"{name}={split_sizes[name]}"
                                  for name in ("train", "val", "test")))
+    empty = [name for name in ("train", "val", "test") if not split_sizes[name]]
+    if empty and len(entries) >= 3:  # fewer subjects all train by design
+        _info(f"warning: empty {' and '.join(empty)} split; `psgmae train` needs at least "
+              "one train and one val subject")
     return 0
 
 

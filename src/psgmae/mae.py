@@ -309,26 +309,26 @@ def predict(params: MaeParams, inputs) -> np.ndarray:
     """Full-visibility reconstructions (N, num_targets, epoch_len) of N input
     epochs (an (N, epoch_len) array or a sequence of epoch arrays).
 
-    Inputs of at least two PREDICT_CHUNKs run on one thread per available
-    core, up to PREDICT_CHUNK threads, each chunk writing only its own rows
-    of the result; at most PREDICT_CHUNK epochs are in flight across all
-    workers, so activation memory does not grow with the core count.
-    Smaller inputs run on the calling thread (no per-thread malloc arenas),
-    PREDICT_CHUNK epochs per forward pass."""
+    The epochs run in chunks of min(ceil(N / W), PREDICT_CHUNK // W) epochs,
+    at least one, on W = min(cores, PREDICT_CHUNK) threads, each chunk writing
+    only its own rows of the result; at most PREDICT_CHUNK epochs are in
+    flight across all workers, so activation memory does not grow with the
+    core count. A single chunk, or a single core, runs on the calling thread."""
     config = params.config
     plan = full_visibility(config.seq_len)
     out = np.empty((len(inputs), len(config.target_channels), config.epoch_len),
                    dtype=params.dtype)
-    workers = min(nc.cores(), PREDICT_CHUNK) if len(inputs) >= 2 * PREDICT_CHUNK else 1
-    chunk = PREDICT_CHUNK // workers
+    workers = min(nc.cores(), PREDICT_CHUNK)
+    chunk = max(1, min(PREDICT_CHUNK // workers, -(-len(inputs) // workers)))
+    starts = range(0, len(inputs), chunk)
+    workers = min(workers, len(starts))
 
     def run(lo: int) -> None:
         tokens = patchify(np.stack(inputs[lo: lo + chunk]), config)
         recon = decode(encode(tokens, plan, params), plan, params)
         out[lo: lo + len(tokens)] = unpatchify(recon.data)
 
-    starts = range(0, len(inputs), chunk)
-    if workers == 1:
+    if workers <= 1:
         for lo in starts:
             run(lo)
     else:

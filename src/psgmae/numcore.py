@@ -184,7 +184,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeMismatch(f"linear cannot apply {w.shape} weight to {x.shape}")
     # one 2-d product: np.matmul would call BLAS once per example
     flat_x = x.data.reshape(-1, w.shape[0])
-    out = flat_x @ w.data if b is None else flat_x @ w.data + b.data
+    out = flat_x @ w.data
+    if b is not None:
+        out += b.data
 
     def backward(g):
         rows = g.reshape(-1, w.shape[1])
@@ -336,13 +338,18 @@ def scatter_rows(rows: Tensor, indices, length: int, fill: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    top = a.data[..., :1].copy()
+    for j in range(1, a.shape[-1]):  # column by column: max(axis=-1) is slow on short rows
+        np.maximum(top, a.data[..., j:j + 1], out=top)
+    out = np.subtract(a.data, top)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) * out,)
+        dx = g * out
+        np.subtract(g, dx.sum(axis=-1, keepdims=True), out=dx)
+        dx *= out
+        return (dx,)
 
     return _make(out, (a,), backward)
 
@@ -352,19 +359,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeMismatch(f"layer_norm gain/bias {gain.shape}/{bias.shape} vs input {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    xhat = x.data - mu
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
-    def backward(g):
-        h = g * gain.data
-        dx = inv * (h - h.mean(axis=-1, keepdims=True)
-                    - xhat * (h * xhat).mean(axis=-1, keepdims=True))
-        dgain = _reduce_to(g * xhat, gain.shape)
-        dbias = _reduce_to(g, bias.shape)
-        return dx, dgain, dbias
+    def backward(g):  # inv * ((h - mean(h)) - xhat * mean(h * xhat)), h = g * gain
+        dx = g * gain.data
+        scratch = dx * xhat
+        projection = scratch.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, projection, out=scratch)
+        dx *= inv
+        dgain = _reduce_to(np.multiply(g, xhat, out=scratch), gain.shape)
+        return dx, dgain, _reduce_to(g, bias.shape)
 
     return _make(out, (x, gain, bias), backward)
 
@@ -379,15 +389,32 @@ _GELU_SATURATION = 10.0
 def gelu(a: Tensor) -> Tensor:
     """GELU in its tanh form (Hendrycks & Gimpel, arXiv 1606.08415), within
     4.7e-4 of the erf form, with its exact derivative."""
+    # (0.5 * x) * (1 + tanh((k * c) * (1 + C * (c * c)))), c = clip(x), in this grouping
     x = a.data
-    clipped = np.clip(x, -_GELU_SATURATION, _GELU_SATURATION)
-    square = clipped * clipped
-    t = np.tanh(_GELU_K * clipped * (1.0 + _GELU_C * square))
-    out = 0.5 * x * (1.0 + t)
+    t = np.clip(x, -_GELU_SATURATION, _GELU_SATURATION)
+    square = t * t
+    scratch = np.multiply(square, _GELU_C)
+    scratch += 1.0
+    t *= _GELU_K
+    t *= scratch
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5)
+    out *= np.add(t, 1.0, out=scratch)
 
-    def backward(g):
-        dt = (1.0 - t * t) * (_GELU_K * (1.0 + 3.0 * _GELU_C * square))
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+    def backward(g):  # g * (0.5 * (1 + t) + (0.5 * x) * ((1 - t * t) * (k * (1 + 3C * c * c))))
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        scratch = np.multiply(square, 3.0 * _GELU_C)
+        scratch += 1.0
+        scratch *= _GELU_K
+        slope *= scratch  # d tanh / dx
+        np.multiply(x, 0.5, out=scratch)
+        scratch *= slope
+        dx = np.add(t, 1.0, out=slope)
+        dx *= 0.5
+        dx += scratch
+        dx *= g
+        return (dx,)
 
     return _make(out, (a,), backward)
 

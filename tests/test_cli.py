@@ -181,6 +181,27 @@ class TestPreprocess:
         assert not (tmp_path / "out" / trainer.MANIFEST_FILENAME).exists()
         assert not (tmp_path / "out" / trainer.CACHE_FILENAME).exists()
 
+    @pytest.mark.parametrize("subjects, split, warnings", [
+        (4, "train=3, val=0, test=1", ["warning: empty val split; `psgmae train` needs at "
+                                       "least one train and one val subject"]),
+        (10, "train=7, val=1, test=2", []),
+        (2, "train=2, val=0, test=0", []),  # too few to split: everything trains
+    ])
+    def test_empty_split_warns(self, capsys, tmp_path, subjects, split, warnings):
+        assert main(["synth", "--out", str(tmp_path / "raw"), "--minutes", "1",
+                     "--subjects", str(subjects)]) == 0
+        capsys.readouterr()
+        args = ["--input-channel", "EEG Fpz-Cz", "--targets", "EOG horizontal"]
+        for i in range(subjects):
+            args += ["--psg", str(tmp_path / "raw" / f"S{i:03d}-PSG.edf"),
+                     "--hypnogram", str(tmp_path / "raw" / f"S{i:03d}-Hypnogram.edf")]
+        code, out, err = run(capsys, "preprocess", *args, "--out", str(tmp_path / "data"))
+        assert code == 0
+        assert out.endswith(f"splits: {split}\n") and "warning" not in out
+        assert (tmp_path / "data" / trainer.MANIFEST_FILENAME).exists()
+        assert [line for line in err.splitlines() if line.startswith("warning")] == warnings
+
+
 class TestTrainEval:
     def test_train_outputs_exist(self, workspace):
         assert (workspace / "run" / "checkpoint.psgmae").exists()

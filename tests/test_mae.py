@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import threading
 import time
@@ -405,7 +406,7 @@ class TestParallelPredict:
     def test_stress_bit_equal_to_serial_chunks(self, workers):
         params, chunk, inputs = self.setup(workers, 4 * workers + 1)
         inputs = inputs[:len(inputs) - 3]  # a short last chunk
-        # reference: the same chunks one at a time, each below the threading threshold
+        # reference: the same chunks one predict call at a time
         reference = np.concatenate([mae.predict(params, inputs[lo: lo + chunk])
                                     for lo in range(0, len(inputs), chunk)])
         assert len(inputs) > 2 * chunk * workers
@@ -429,8 +430,8 @@ class TestParallelPredict:
         with nc.Tape() as tape:
             mae.predict(params, inputs[:2 * mae.PREDICT_CHUNK])
         assert tape._records == []
-        with nc.Tape() as tape:  # below the threshold predict runs on this thread
-            mae.predict(params, inputs[:3])
+        with nc.Tape() as tape:  # one chunk runs on this thread
+            mae.predict(params, inputs[:1])
         assert tape._records
 
     def test_wrong_length_in_late_chunk_raises(self, workers):
@@ -440,6 +441,9 @@ class TestParallelPredict:
         assert len(epochs) % chunk == 1
         with pytest.raises(WrongLength):
             mae.predict(params, epochs)
+        # a small input on the pool: the short epoch cannot stack with its chunk
+        with pytest.raises(ValueError):
+            mae.predict(params, [*inputs[:83], inputs[83][:-1]])
 
     def test_in_flight_bounded_on_more_cores_than_chunk(self, monkeypatch):
         """On more cores than PREDICT_CHUNK, at most PREDICT_CHUNK epochs are
@@ -470,11 +474,44 @@ class TestParallelPredict:
         assert in_flight[0] == 0
         assert 1 < peak[0] <= mae.PREDICT_CHUNK
 
-    def test_zero_epochs(self, workers):
-        params, _, inputs = self.setup(workers, 1)
-        out = mae.predict(params, inputs[:0])
-        assert out.shape == (0, 2, params.config.epoch_len)
-        assert out.dtype == np.float32
+    @pytest.fixture(scope="class")
+    def one_at_a_time(self):
+        """130 epochs and their reconstructions, one predict call per epoch."""
+        config = MaeConfig(**TestParallelPredict.CONFIG)
+        params = init_params(config, seed=8, dtype=np.float32)
+        inputs = philox(32).normal(0, 1, (130, config.epoch_len)).astype(np.float32)
+        singles = [mae.predict(params, inputs[i:i + 1]) for i in range(len(inputs))]
+        return params, inputs, np.concatenate(singles)
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    @pytest.mark.parametrize("n", [0, 1, 7, 12, 84, 127, 128, 130])
+    def test_any_size_bit_equal_to_one_epoch_at_a_time(self, one_at_a_time, monkeypatch,
+                                                       cores, n):
+        """Small inputs use the pool too, when they make two chunks on two
+        cores; chunks hold 1 to PREDICT_CHUNK // workers epochs."""
+        params, inputs, reference = one_at_a_time
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        chunks, pools = [], []
+        encode = mae.encode
+
+        def counting_encode(tokens, plan, params):
+            chunks.append(len(tokens))
+            return encode(tokens, plan, params)
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(mae, "encode", counting_encode)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        out = mae.predict(params, inputs[:n])
+        assert out.shape == reference[:n].shape and out.dtype == np.float32
+        assert out.tobytes() == reference[:n].tobytes()
+        workers = min(cores, mae.PREDICT_CHUNK)
+        assert sum(chunks) == n
+        assert all(1 <= size <= mae.PREDICT_CHUNK // workers for size in chunks)
+        assert pools == ([min(workers, len(chunks))] if cores >= 2 and n >= 2 else [])
 
 
 def test_init_ignores_ln_in_channel_names():

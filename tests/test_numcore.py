@@ -19,6 +19,8 @@ from psgmae.numcore import (
     zero_grad,
 )
 
+from conftest import philox
+
 
 def t64(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
@@ -332,3 +334,132 @@ class TestNumericalSafety:
         second = run()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+# The kernels' earlier expressions, one fresh array per sub-expression, kept as
+# the byte reference: each returns (output, partials for every input) for the
+# upstream gradient g. The kernels must perform the same floating-point
+# operations on the same operands in the same grouping, so every byte agrees.
+def _reduce_ref(grad, shape):
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    return grad
+
+
+def ref_linear(x, w, b, g):
+    flat_x = x.reshape(-1, w.shape[0])
+    out = (flat_x @ w + b).reshape(x.shape[:-1] + w.shape[1:])
+    rows = g.reshape(-1, w.shape[1])
+    return out, ((rows @ w.T).reshape(x.shape), flat_x.T @ rows, rows.sum(axis=0))
+
+
+def ref_gelu(x, g):
+    k, c = math.sqrt(2.0 / math.pi), 0.044715
+    clipped = np.clip(x, -10.0, 10.0)
+    square = clipped * clipped
+    t = np.tanh(k * clipped * (1.0 + c * square))
+    out = 0.5 * x * (1.0 + t)
+    dt = (1.0 - t * t) * (k * (1.0 + 3.0 * c * square))
+    return out, (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = xhat * gain + bias
+    h = g * gain
+    dx = inv * (h - h.mean(axis=-1, keepdims=True)
+                - xhat * (h * xhat).mean(axis=-1, keepdims=True))
+    return out, (dx, _reduce_ref(g * xhat, gain.shape), _reduce_ref(g, bias.shape))
+
+
+def ref_softmax(a, g):
+    shifted = a - a.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return out, ((g - inner) * out,)
+
+
+KERNELS = {"linear": (nc.linear, ref_linear), "gelu": (nc.gelu, ref_gelu),
+           "layer_norm": (nc.layer_norm, ref_layer_norm), "softmax": (nc.softmax, ref_softmax)}
+
+
+def _read_only(arr):
+    arr = np.array(arr)
+    arr.setflags(write=False)
+    return arr
+
+
+def kernel_inputs(name, dtype, scale, shape=(3, 5, 12)):
+    """Read-only inputs of kernel ``name``: a scaled normal x whose first
+    entries are exactly +0, -0, +10 and -10 (the GELU clip edge), plus the
+    weight and bias arguments; and a read-only upstream gradient."""
+    rng = philox([len(name), int(math.log2(scale))])
+    x = rng.normal(0, 1, shape) * scale
+    x.reshape(-1)[:4] = [0.0, -0.0, 10.0, -10.0]
+    width = shape[-1]
+    extra = {"linear": [rng.normal(0, 1, (width, 7)), rng.normal(0, 1, 7)],
+             "layer_norm": [rng.normal(1, 0.5, width), rng.normal(0, 1, width)]}.get(name, [])
+    inputs = [_read_only(np.asarray(a, dtype=dtype)) for a in (x, *extra)]
+    out_shape = shape[:-1] + (7,) if name == "linear" else shape
+    g = rng.normal(0, 1, out_shape)
+    g.reshape(-1)[:2] = [0.0, -0.0]
+    return inputs, _read_only(g.astype(dtype))
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestKernelBytes:
+    """linear, gelu, layer_norm and softmax write into arrays they allocate,
+    and give the same bytes as their one-array-per-sub-expression references."""
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1.0, 8.0, 1e3, 1e20])
+    def test_output_and_partials_match_reference(self, name, dtype, scale):
+        kernel, reference = KERNELS[name]
+        inputs, g = kernel_inputs(name, dtype, scale)
+        tensors = [Tensor(a, requires_grad=True) for a in inputs]
+        assert not any(t.data.flags.writeable for t in tensors)  # writing into one raises
+        with Tape() as tape, np.errstate(all="ignore"):
+            out = kernel(*tensors)
+        (record_out, record_inputs, backward), = tape._records
+        assert record_out is out and list(record_inputs) == tensors
+        with np.errstate(all="ignore"):
+            partials = backward(g)  # read-only g: writing into it raises
+            expected_out, expected_partials = reference(*inputs, g)
+        assert_same_bits(out.data, expected_out)
+        assert len(partials) == len(expected_partials) == len(inputs)
+        for partial, expected in zip(partials, expected_partials):
+            assert_same_bits(np.asarray(partial), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_upstream_through_add(self, dtype):
+        """add hands one gradient array to both inputs; each kernel's branch
+        must see it unchanged, so x's gradient is the references' sum."""
+        (x, gain, bias), _ = kernel_inputs("layer_norm", dtype, 1.0, shape=(4, 6, 12))
+        rng = philox(5)
+        w = rng.normal(0, 1, (12, 12)).astype(dtype)  # square: every branch keeps x's shape
+        b, weights = rng.normal(0, 1, 12).astype(dtype), rng.normal(0, 1, x.shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            total = nc.add(nc.add(nc.add(nc.gelu(xt), nc.softmax(xt)),
+                                  nc.layer_norm(xt, Tensor(gain), Tensor(bias))),
+                           nc.linear(xt, Tensor(w), Tensor(b)))
+            loss = nc.sum(nc.mul(total, Tensor(weights)))
+        tape.backward(loss)
+        g = np.ones_like(weights) * weights  # d loss / d total, as mul's backward makes it
+        # partials reach x in reverse record order: linear, layer_norm, softmax, gelu
+        expected = np.zeros_like(x)
+        for partial in (ref_linear(x, w, b, g)[1][0], ref_layer_norm(x, gain, bias, g)[1][0],
+                        ref_softmax(x, g)[1][0], ref_gelu(x, g)[1][0]):
+            expected += partial
+        assert_same_bits(xt.grad, expected)
