@@ -30,6 +30,14 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _warn_blas_threads() -> None:
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        if os.environ.get(name, "1") != "1":
+            _info(f"warning: {name}={os.environ[name]}: threaded BLAS sums in another "
+                  "order, so outputs are not byte-identical to the default of 1")
+            break
+
+
 def cmd_inspect(args) -> int:
     path = Path(args.edf)
     recording = edf_io.parse_edf(path.read_bytes())
@@ -320,6 +328,8 @@ def _cap_malloc_arenas() -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _cap_malloc_arenas()  # before any worker thread starts
+    if args.command in ("train", "eval", "reconstruct"):
+        _warn_blas_threads()
     try:
         return args.handler(args)
     except (edf_io.EdfError, pipeline.PipelineError, trainer.TrainerError,

@@ -248,6 +248,10 @@ def parse_edf(data: bytes) -> EdfRecording:
 
     for spec in specs:
         spec.validate()
+    # EDF+ allows a 0 s record only in an annotation-only file
+    if not (0 < record_duration < math.inf or record_duration == 0 and all(
+            s.label == ANNOTATION_LABEL for s in specs)):
+        raise MalformedHeader(f"record duration must be finite and > 0, got {record_duration:g}")
 
     record_bytes = sum(s.samples_per_record for s in specs) * 2
     expected_total = expected_header + num_records * record_bytes

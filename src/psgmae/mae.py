@@ -10,6 +10,7 @@ similarity per patch pair.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,31 +311,29 @@ def predict(params: MaeParams, inputs) -> np.ndarray:
     epochs (an (N, epoch_len) array or a sequence of epoch arrays).
 
     The epochs run in chunks of min(ceil(N / W), PREDICT_CHUNK // W) epochs,
-    at least one, on W = min(cores, PREDICT_CHUNK) threads, each chunk writing
-    only its own rows of the result; at most PREDICT_CHUNK epochs are in
-    flight across all workers, so activation memory does not grow with the
-    core count. A single chunk, or a single core, runs on the calling thread."""
+    at least one, on W = min(cores, PREDICT_CHUNK) lanes of the numcore pool,
+    each pulling the next chunk and writing its rows of the result until none
+    is left; at most PREDICT_CHUNK epochs are in flight, so activation memory
+    does not grow with the core count. One chunk or one core runs on this thread."""
     config = params.config
     plan = full_visibility(config.seq_len)
     out = np.empty((len(inputs), len(config.target_channels), config.epoch_len),
                    dtype=params.dtype)
     workers = min(nc.cores(), PREDICT_CHUNK)
     chunk = max(1, min(PREDICT_CHUNK // workers, -(-len(inputs) // workers)))
-    starts = range(0, len(inputs), chunk)
-    workers = min(workers, len(starts))
+    starts, lock = iter(range(0, len(inputs), chunk)), threading.Lock()
 
-    def run(lo: int) -> None:
-        tokens = patchify(np.stack(inputs[lo: lo + chunk]), config)
-        recon = decode(encode(tokens, plan, params), plan, params)
-        out[lo: lo + len(tokens)] = unpatchify(recon.data)
+    def lane(_) -> None:  # runs chunks, each pulled from ``starts``, until none is left
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            tokens = patchify(np.stack(inputs[lo: lo + chunk]), config)
+            recon = decode(encode(tokens, plan, params), plan, params)
+            out[lo: lo + len(tokens)] = unpatchify(recon.data)
 
-    if workers <= 1:
-        for lo in starts:
-            run(lo)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here, so CLI start-up skips it
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, starts))  # reading each result re-raises its error
+    nc._parallel_map(lane, range(min(workers, -(-len(inputs) // chunk))))
     return out
 
 

@@ -5,8 +5,8 @@ Tensors wrap contiguous row-major numpy arrays (float32 for training,
 float64 for gradient checks). Ops executed while a Tape is active record a
 backward rule; ``Tape.backward`` walks the records in reverse, which is a
 valid reverse-topological order because records are appended in execution
-order. Gradients accumulate into ``.grad`` of every requires_grad leaf, or
-into a dict the caller passes.
+order. It returns each requires_grad leaf's gradient, keyed by the leaf.
+``_parallel_map`` runs every parallel loop of the package on one shared pool.
 """
 
 from __future__ import annotations
@@ -20,10 +20,29 @@ import numpy as np
 
 
 def cores() -> int:
-    """CPUs this process may run on: the worker count of every thread pool."""
+    """CPUs this process may run on: the thread count of the shared pool."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+_POOL_LOCK = threading.Lock()
+_POOL = None
+
+
+def _parallel_map(fn, items) -> list:
+    """[fn(item) for item in items] on the process-wide pool of cores() threads,
+    made on first use; serial for one item, one core or a call from a pool
+    thread (which would wait on itself). All items end before an error re-raises."""
+    global _POOL
+    if len(items) < 2 or cores() < 2 or threading.current_thread().name.startswith("numcore"):
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor, wait  # here, so CLI start-up skips it
+    with _POOL_LOCK:
+        _POOL = _POOL or ThreadPoolExecutor(cores(), "numcore")
+    futures = [_POOL.submit(fn, item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 class NumcoreError(Exception):
@@ -49,7 +68,7 @@ class NonFiniteValue(NumcoreError):
 class Tensor:
     """Dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -57,7 +76,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,16 +122,16 @@ class Tape:
         self._records.append((output, inputs, backward))
         self._output_ids.add(id(output))
 
-    def backward(self, loss: Tensor, into: dict | None = None) -> None:
-        """Accumulate d(loss)/d(leaf) into ``.grad`` of requires_grad leaves,
-        or into ``into[leaf]`` when a dict is given, leaving ``.grad`` alone
-        (so that tapes on several threads can share leaves)."""
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """d(loss)/d(leaf) of each requires_grad leaf the loss reaches, keyed by the
+        leaf; nothing is written onto tensors, so tapes on many threads share leaves."""
         if loss.data.size != 1:
             raise LossNotScalar(f"loss has shape {loss.shape}, expected a scalar")
         if id(loss) not in self._output_ids:
             raise DetachedTensor("loss was not produced by an op on this tape")
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        leaves: dict[Tensor, np.ndarray] = {}
         for output, inputs, backward_fn in reversed(self._records):
             upstream = grads.pop(id(output), None)
             if upstream is None:
@@ -125,14 +143,11 @@ class Tape:
                 if id(tensor) in self._output_ids:
                     held = grads.get(id(tensor))
                     grads[id(tensor)] = partial if held is None else held + partial
-                elif into is not None:
-                    if tensor not in into:
-                        into[tensor] = np.zeros_like(tensor.data)
-                    into[tensor] += partial
                 else:
-                    if tensor.grad is None:
-                        tensor.grad = np.zeros_like(tensor.data)
-                    tensor.grad += partial
+                    if tensor not in leaves:
+                        leaves[tensor] = np.zeros_like(tensor.data)
+                    leaves[tensor] += partial
+        return leaves
 
 
 def _active_tape() -> Tape | None:
@@ -481,12 +496,6 @@ def maximum_scalar(a: Tensor, floor: float) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def zero_grad(params) -> None:
-    tensors = params.values() if isinstance(params, dict) else params
-    for t in tensors:
-        t.grad = None
-
-
 @dataclass
 class AdamState:
     """Adam moments and hyperparameters for a named parameter set."""
@@ -510,13 +519,13 @@ class AdamState:
         return state
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
-    """One in-place Adam update with bias correction over named parameters."""
+def adam_step(params: dict[str, Tensor], state: AdamState, grads: dict[str, np.ndarray]) -> None:
+    """One in-place Adam update from gradients by name (absent: zero), with bias correction."""
     state.step += 1
     correction1 = 1.0 - state.beta1 ** state.step
     correction2 = 1.0 - state.beta2 ** state.step
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = grads[name] if name in grads else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"grad shape {g.shape} != param shape {p.data.shape} for {name!r}")
         m = state.m[name]
@@ -546,11 +555,10 @@ def grad_check(function, params: dict[str, Tensor], fd_step: float = 1e-3) -> fl
         loss = function(params)
     if not np.isfinite(loss.data).all():
         raise NonFiniteValue("loss is not finite at the expansion point")
-    zero_grad(params)
-    tape.backward(loss)
+    grads = tape.backward(loss)
     analytic = {}
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = grads[p] if p in grads else np.zeros_like(p.data)
         if not np.isfinite(g).all():
             raise NonFiniteValue(f"non-finite analytic gradient for {name!r}")
         analytic[name] = g.astype(np.float64)

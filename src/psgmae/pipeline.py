@@ -21,7 +21,6 @@ arrays as they are (all little-endian), magic ``PSGEPO02`` followed by:
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import json
 import struct
@@ -409,15 +408,11 @@ def segment_epochs(
             signals[rows, c] = (_epochs_of(channel, span)[take] - m[:, None]) / s[:, None]
             norm[rows, c, 0], norm[rows, c, 1] = m, s
 
-    workers = numcore.cores() if len(blocks) >= 2 else 1
-    from concurrent.futures import ThreadPoolExecutor  # here, so CLI start-up skips it
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        run = map if pool is None else pool.map
-        list(run(measure, blocks))  # reading each result re-raises its error
-        row = np.concatenate(([0], np.cumsum(keep)))  # epoch e's output row is row[e]
-        signals = np.empty((row[-1], len(names), EPOCH_SAMPLES), dtype=np.float32)
-        norm = np.empty((row[-1], len(names), 2), dtype=np.float32)
-        list(run(normalize, blocks))
+    numcore._parallel_map(measure, blocks)
+    row = np.concatenate(([0], np.cumsum(keep)))  # epoch e's output row is row[e]
+    signals = np.empty((row[-1], len(names), EPOCH_SAMPLES), dtype=np.float32)
+    norm = np.empty((row[-1], len(names), 2), dtype=np.float32)
+    numcore._parallel_map(normalize, blocks)
     kept = np.flatnonzero(keep)
     subject = subject_id if subject_id is not None else recording.patient_id
     return EpochSet(names, (subject,), np.zeros(len(kept)), kept, codes[kept], norm, signals)

@@ -21,7 +21,6 @@ Checkpoint layout (little-endian), magic ``PSGMAE02``:
 from __future__ import annotations
 
 import configparser
-import contextlib
 import functools
 import io
 import json
@@ -342,30 +341,28 @@ def _shard_bounds(n: int) -> list[int]:
 
 
 def batch_gradients(params: MaeParams, inputs: np.ndarray, targets: np.ndarray,
-                    plans: list[mae.MaskPlan], run=map) -> float:
-    """Set each parameter's ``.grad`` to the gradient of the batch's masked
-    cosine loss and return that loss. ``run`` (``map`` or a pool's) runs each
-    example shard's forward and backward on its own tape (a non-finite loss
-    skips backward). Gradients are reduced per parameter in shard order as
+                    plans: list[mae.MaskPlan]) -> tuple[float, dict[str, np.ndarray]]:
+    """The batch's masked cosine loss and its gradient by parameter name (none
+    for a parameter the loss does not reach). Each example shard runs its
+    forward and backward on its own tape, on the numcore pool (a non-finite
+    loss skips backward). Gradients are reduced per parameter in shard order as
     sum(g_k * n_k / B) in the parameters' dtype, the loss as sum(n_k * loss_k) / B,
     so no result depends on the thread count."""
     bounds = _shard_bounds(len(inputs))
 
-    def shard(lo: int, hi: int) -> tuple[float, dict]:
-        grads: dict[nc.Tensor, np.ndarray] = {}
+    def shard(part: slice) -> tuple[float, dict]:
         with nc.Tape() as tape:
-            loss, _ = mae.forward_loss(inputs[lo:hi], targets[lo:hi], params, plans[lo:hi])
-        if np.isfinite(loss.data).all():
-            tape.backward(loss, into=grads)
-        return loss.item(), grads
+            loss, _ = mae.forward_loss(inputs[part], targets[part], params, plans[part])
+        return loss.item(), tape.backward(loss) if np.isfinite(loss.data).all() else {}
 
-    shards = list(run(shard, bounds[:-1], bounds[1:]))  # reading each result re-raises its error
+    shards = nc._parallel_map(shard, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     sizes = np.diff(bounds).tolist()
-    for tensor in params.tensors.values():
-        terms = [grads[tensor] * (n / len(inputs)) for n, (_, grads) in zip(sizes, shards)
-                 if tensor in grads]
-        tensor.grad = functools.reduce(np.add, terms) if terms else None
-    return sum(n * loss for n, (loss, _) in zip(sizes, shards)) / len(inputs)
+    grads = {}
+    for name, tensor in params.tensors.items():
+        terms = [g[tensor] * (n / len(inputs)) for n, (_, g) in zip(sizes, shards) if tensor in g]
+        if terms:
+            grads[name] = functools.reduce(np.add, terms)
+    return sum(n * loss for n, (loss, _) in zip(sizes, shards)) / len(inputs), grads
 
 
 @dataclass
@@ -432,37 +429,33 @@ def train(
 
     metrics_lines: list[str] = []
     epoch = start_epoch - 1
-    workers = min(nc.cores(), TRAIN_SHARDS)
-    from concurrent.futures import ThreadPoolExecutor  # here, so CLI start-up skips it
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for epoch in range(start_epoch, config.max_epochs + 1):
-            order = shuffle_rng.permutation(len(train_set))
-            loss_sum = 0.0
-            for lo in range(0, len(order), config.batch_size):
-                batch = train_set[order[lo: lo + config.batch_size]]
-                value = batch_gradients(params, batch.signals[:, 0], batch.signals[:, targets],
-                                        mae.mask_plans(config.mae, len(batch), mask_rng),
-                                        map if pool is None else pool.map)
-                if not np.isfinite(value):
-                    raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}, "
-                                        f"batch starting at {lo}")
-                nc.adam_step(params.tensors, adam)
-                loss_sum += value * len(batch)
+    for epoch in range(start_epoch, config.max_epochs + 1):
+        order = shuffle_rng.permutation(len(train_set))
+        loss_sum = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            batch = train_set[order[lo: lo + config.batch_size]]
+            value, grads = batch_gradients(params, batch.signals[:, 0], batch.signals[:, targets],
+                                           mae.mask_plans(config.mae, len(batch), mask_rng))
+            if not np.isfinite(value):
+                raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}, "
+                                    f"batch starting at {lo}")
+            nc.adam_step(params.tensors, adam, grads)
+            loss_sum += value * len(batch)
 
-            train_loss = loss_sum / len(train_set)
-            val_loss, val_mse = evaluate_split(params, val_set)
-            metrics_lines.append(_format_metrics(epoch, train_loss, val_loss, val_mse))
-            if on_epoch is not None:
-                on_epoch(metrics_lines[-1])
+        train_loss = loss_sum / len(train_set)
+        val_loss, val_mse = evaluate_split(params, val_set)
+        metrics_lines.append(_format_metrics(epoch, train_loss, val_loss, val_mse))
+        if on_epoch is not None:
+            on_epoch(metrics_lines[-1])
 
-            if val_loss < best_val:
-                best_val = val_loss
-                best_blobs = _snapshot(params)
-                patience_left = config.patience
-            else:
-                patience_left -= 1
-                if patience_left <= 0:
-                    break
+        if val_loss < best_val:
+            best_val = val_loss
+            best_blobs = _snapshot(params)
+            patience_left = config.patience
+        else:
+            patience_left -= 1
+            if patience_left <= 0:
+                break
 
     best_params = params_from_blobs(config.mae, best_blobs)
     calibration: dict[str, float] = {}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psgmae import mae, pipeline, synthgen, trainer
+from psgmae import mae, numcore, pipeline, synthgen, trainer
 
 
 TINY_CONFIG_KWARGS = dict(
@@ -9,6 +9,17 @@ TINY_CONFIG_KWARGS = dict(
     encoder_layers=1, decoder_layers=1, mask_ratio=0.5,
     target_channels=("t0", "t1"),
 )
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """numcore's process-wide pool made anew on its next use, so that it has
+    as many threads as the core count the test patches in, and shut down
+    after the test."""
+    monkeypatch.setattr(numcore, "_POOL", None)
+    yield
+    if numcore._POOL is not None:
+        numcore._POOL.shutdown(wait=False)
 
 
 @pytest.fixture

@@ -94,6 +94,28 @@ class TestInspect:
         assert code == 2
         assert "nope.edf" in err
 
+    @pytest.mark.parametrize("duration", ["0", "nan", "inf", "-1"])
+    def test_bad_record_duration_exits_2(self, capsys, workspace, tmp_path, duration):
+        raw = workspace / "raw"
+        data = (raw / "S000-PSG.edf").read_bytes()
+        bad = tmp_path / "bad-PSG.edf"
+        bad.write_bytes(data[:244] + duration.encode().ljust(8) + data[252:])
+        code, out, err = run(capsys, "inspect", "--edf", str(bad))
+        assert (code, out) == (2, "") and err.startswith("error: record duration")
+        code, out, err = run(capsys, "preprocess", "--psg", str(bad),
+                             "--hypnogram", str(raw / "S000-Hypnogram.edf"),
+                             "--input-channel", "EEG Fpz-Cz", "--targets", "EOG horizontal",
+                             "--out", str(tmp_path / "data"))
+        assert (code, out) == (2, "") and err.startswith("error: record duration")
+        if duration == "0":  # once in a fresh process: the message, and no traceback
+            proc = subprocess.run([sys.executable, "-m", "psgmae.cli", "inspect", "--edf",
+                                   str(bad)], capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": str(
+                                      Path(psgmae.__file__).resolve().parents[1])})
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("error: record duration")
+            assert "Traceback" not in proc.stderr
+
     def test_unknown_flag_is_an_error(self, workspace):
         with pytest.raises(SystemExit) as exit_info:
             main(["inspect", "--edf", "x", "--frobnicate"])
@@ -496,8 +518,10 @@ def run_probe(probe: str, **environ) -> str:
 
 
 def test_cli_import_loads_no_scipy():
+    """Nor concurrent.futures: the worker pool is imported by its first use."""
     probe = ("import sys, psgmae.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('scipy', 'concurrent')))")
     assert run_probe(probe).strip() == "[]"
 
 
@@ -507,3 +531,33 @@ def test_cli_import_pins_blas_threads(preset):
              f"print(*(os.environ[name] for name in {BLAS_THREAD_VARIABLES}))")
     environ = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
     assert run_probe(probe, **environ).split() == [preset or "1", "1", "1"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "reconstruct"])
+def test_blas_thread_variable_warns_once_on_stderr(capsys, workspace, tmp_path, monkeypatch,
+                                                   command):
+    """Only stderr changes: in this process BLAS kept the thread count it started with."""
+    data, checkpoint = str(workspace / "data"), str(workspace / "run" / "checkpoint.psgmae")
+    argv = {"train": ["--config", str(workspace / "config.ini"), "--data", data],
+            "eval": ["--checkpoint", checkpoint, "--data", data],
+            "reconstruct": ["--checkpoint", checkpoint, "--data", data, "--epoch-index", "0"]}
+    runs = []
+    for value in (None, "2"):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        if value is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        out_dir = tmp_path / f"blas-{value}"
+        target = out_dir / "epoch.csv" if command == "reconstruct" else out_dir
+        code, out, err = run(capsys, command, *argv[command], "--out", str(target))
+        assert code == 0
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        if value is None:
+            assert warnings == []
+        else:
+            assert len(warnings) == 1
+            assert "OPENBLAS_NUM_THREADS=2" in warnings[0] and "byte-identical" in warnings[0]
+        files = {path.relative_to(out_dir): path.read_bytes()
+                 for path in sorted(out_dir.rglob("*")) if path.is_file()}
+        runs.append((out.replace(str(out_dir), "OUT"), files))
+    assert runs[0] == runs[1]

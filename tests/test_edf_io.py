@@ -128,6 +128,34 @@ class TestParse:
             parse_edf(header + signal + b"\x00\x00")
 
 
+class TestRecordDuration:
+    @staticmethod
+    def with_duration(data: bytes, text: str) -> bytes:
+        return data[:244] + text.encode().ljust(8) + data[252:]
+
+    @pytest.mark.parametrize("text", ["0", "nan", "inf", "-inf", "-1"])
+    def test_bad_duration_rejected(self, text):
+        data = self.with_duration(one_signal_file([0, 1, 2, 3]), text)
+        with pytest.raises(MalformedHeader, match="record duration"):
+            parse_edf(data)
+
+    def test_fraction_of_a_second_parses(self):
+        parsed = parse_edf(self.with_duration(one_signal_file([0, 1, 2, 3]), "0.5"))
+        assert parsed.record_duration_s == 0.5 and parsed.sample_rate(0) == 8.0
+
+    def test_zero_duration_annotation_only_file_parses(self):
+        spec = synthgen.SynthSpec(seed=3, duration_s=90)
+        _, annotations = synthgen.generate(spec)
+        hypnogram = synthgen.hypnogram_recording(spec, annotations)
+        data = self.with_duration(write_edf(hypnogram), "0")
+        parsed = parse_edf(data)
+        assert parsed.record_duration_s == 0.0
+        assert parsed.signals == [] and parsed.annotations == annotations
+        for text in ("nan", "-1"):  # an annotation-only file still needs a usable duration
+            with pytest.raises(MalformedHeader):
+                parse_edf(self.with_duration(data, text))
+
+
 class TestWrite:
     @staticmethod
     def recording(samples, physical_min=-200.0, physical_max=200.0):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import sys
 import threading
 import time
@@ -324,13 +323,12 @@ class TestGradients:
         config, params = tiny_params(seed=2, dtype=np.float32)
         rng = philox(14)
         inputs, targets = make_batch(config, rng, 2)
-        nc.zero_grad(params.tensors)
         with nc.Tape() as tape:
             loss, _ = planned_loss(inputs, targets, params, rng)
-        tape.backward(loss)
+        grads = tape.backward(loss)
         for name, tensor in params.tensors.items():
-            assert tensor.grad is not None, name
-            assert np.any(tensor.grad != 0.0), name
+            assert tensor in grads, name
+            assert np.any(grads[tensor] != 0.0), name
 
 
 class TestBatching:
@@ -371,14 +369,13 @@ class TestBatching:
         params = init_params(config, seed=6, dtype=np.float32)
         rng = philox(23)
         inputs, targets = make_batch(config, rng, 3)
-        nc.zero_grad(params.tensors)
         with nc.Tape() as tape:
             loss, recons = planned_loss(inputs, targets, params, rng)
-        tape.backward(loss)
+        grads = tape.backward(loss)
         assert loss.dtype == np.float32
         assert recons.dtype == np.float32
         for name, tensor in params.tensors.items():
-            assert tensor.grad.dtype == np.float32, name
+            assert grads[tensor].dtype == np.float32, name
         assert mae.predict(params, inputs).dtype == np.float32
 
 
@@ -445,7 +442,7 @@ class TestParallelPredict:
         with pytest.raises(ValueError):
             mae.predict(params, [*inputs[:83], inputs[83][:-1]])
 
-    def test_in_flight_bounded_on_more_cores_than_chunk(self, monkeypatch):
+    def test_in_flight_bounded_on_more_cores_than_chunk(self, monkeypatch, fresh_pool):
         """On more cores than PREDICT_CHUNK, at most PREDICT_CHUNK epochs are
         between the start of encode and the end of decode at any moment."""
         monkeypatch.setattr(nc, "cores", lambda: 3 * mae.PREDICT_CHUNK)
@@ -486,32 +483,40 @@ class TestParallelPredict:
     @pytest.mark.parametrize("cores", [1, 2, 7])
     @pytest.mark.parametrize("n", [0, 1, 7, 12, 84, 127, 128, 130])
     def test_any_size_bit_equal_to_one_epoch_at_a_time(self, one_at_a_time, monkeypatch,
-                                                       cores, n):
+                                                       fresh_pool, cores, n):
         """Small inputs use the pool too, when they make two chunks on two
-        cores; chunks hold 1 to PREDICT_CHUNK // workers epochs."""
+        cores; chunks hold 1 to PREDICT_CHUNK // workers epochs, and each of
+        the min(workers, chunks) lanes runs on its own pool thread."""
         params, inputs, reference = one_at_a_time
-        monkeypatch.setattr(nc, "cores", lambda: cores)
-        chunks, pools = [], []
+        monkeypatch.setattr(nc, "cores", lambda: cores)  # fresh_pool: `cores` pool threads
+        workers = min(cores, mae.PREDICT_CHUNK)
+        chunk = max(1, min(mae.PREDICT_CHUNK // workers, -(-n // workers)))
+        lanes = min(workers, -(-n // chunk))
+        chunks, threads = [], set()
+        # each lane's first chunk waits for every lane to start, so that
+        # `lanes` threads must run encode, whichever lane pulls which chunk
+        lanes_started = threading.Barrier(max(1, lanes), timeout=60)
         encode = mae.encode
 
         def counting_encode(tokens, plan, params):
             chunks.append(len(tokens))
+            thread = threading.current_thread()
+            if thread not in threads:
+                threads.add(thread)
+                lanes_started.wait()
             return encode(tokens, plan, params)
 
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
-
         monkeypatch.setattr(mae, "encode", counting_encode)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         out = mae.predict(params, inputs[:n])
         assert out.shape == reference[:n].shape and out.dtype == np.float32
         assert out.tobytes() == reference[:n].tobytes()
-        workers = min(cores, mae.PREDICT_CHUNK)
         assert sum(chunks) == n
         assert all(1 <= size <= mae.PREDICT_CHUNK // workers for size in chunks)
-        assert pools == ([min(workers, len(chunks))] if cores >= 2 and n >= 2 else [])
+        if cores >= 2 and n >= 2:
+            assert len(threads) == lanes == min(workers, len(chunks)) >= 2
+            assert threading.current_thread() not in threads
+        else:
+            assert threads == ({threading.current_thread()} if n else set())
 
 
 def test_init_ignores_ln_in_channel_names():

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from psgmae.numcore import (
     Tensor,
     adam_step,
     grad_check,
-    zero_grad,
 )
 
 from conftest import philox
@@ -98,31 +99,28 @@ class TestBackward:
         x = t64([1.0, -2.0, 3.0, 0.5], requires_grad=True)
         with Tape() as tape:
             loss = nc.sum(nc.mul(x, x))
-        tape.backward(loss)
-        assert np.array_equal(x.grad, 2.0 * x.data)
+        assert np.array_equal(tape.backward(loss)[x], 2.0 * x.data)
 
     def test_mean_gradient(self):
         x = t64(np.arange(5.0), requires_grad=True)
         with Tape() as tape:
             loss = nc.mean(x)
-        tape.backward(loss)
-        assert np.array_equal(x.grad, np.full(5, 0.2))
+        assert np.array_equal(tape.backward(loss)[x], np.full(5, 0.2))
 
     def test_broadcast_add_sums_over_axes(self):
         a = t64(np.ones((2, 3)), requires_grad=True)
         b = t64(np.ones(3), requires_grad=True)
         with Tape() as tape:
             loss = nc.sum(nc.add(a, b))
-        tape.backward(loss)
-        assert np.array_equal(a.grad, np.ones((2, 3)))
-        assert np.array_equal(b.grad, np.full(3, 2.0))
+        grads = tape.backward(loss)
+        assert np.array_equal(grads[a], np.ones((2, 3)))
+        assert np.array_equal(grads[b], np.full(3, 2.0))
 
     def test_gradient_accumulates_across_uses(self):
         x = t64([2.0], requires_grad=True)
         with Tape() as tape:
             loss = nc.sum(nc.add(nc.mul(x, x), x))  # x^2 + x
-        tape.backward(loss)
-        assert np.array_equal(x.grad, [5.0])
+        assert np.array_equal(tape.backward(loss)[x], [5.0])
 
     def test_loss_not_scalar(self):
         x = t64([1.0, 2.0], requires_grad=True)
@@ -144,32 +142,33 @@ class TestBackward:
         out = nc.mul(x, x)
         assert out.requires_grad is False
 
-    def test_backward_into_dict_matches_grad_path_and_leaves_grad(self):
+    def test_backward_returns_each_leaf_gradient_once(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2)))
         w = Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True, dtype=np.float32)
         b = Tensor(rng.normal(0, 1, 4), requires_grad=True, dtype=np.float32)
+        b_linear, b_add = (Tensor(b.data.copy(), requires_grad=True) for _ in range(2))
         x = Tensor(rng.normal(0, 1, (5, 3)), dtype=np.float32)
 
-        def loss_on_new_tape():
-            tape = Tape()
-            with tape:
-                h = nc.gelu(nc.linear(x, w, b))
-                loss = nc.mean(nc.mul(h, nc.add(h, b)))  # b reaches the loss twice
+        def tape_and_loss(linear_bias, add_bias):
+            with Tape() as tape:
+                h = nc.gelu(nc.linear(x, w, linear_bias))
+                loss = nc.mean(nc.mul(h, nc.add(h, add_bias)))
             return tape, loss
 
-        tape, loss = loss_on_new_tape()
-        tape.backward(loss)
-        expected = {"w": w.grad.copy(), "b": b.grad.copy()}
-        marker = np.full(w.shape, 7.0, dtype=np.float32)
-        w.grad, b.grad = marker, None
-        into = {}
-        tape, loss = loss_on_new_tape()
-        tape.backward(loss, into=into)
-        assert w.grad is marker and np.all(marker == 7.0) and b.grad is None
-        assert into.keys() == {w, b}
-        for tensor, name in ((w, "w"), (b, "b")):
-            assert into[tensor].dtype == np.float32
-            assert into[tensor].tobytes() == expected[name].tobytes()
+        tape, loss = tape_and_loss(b, b)  # b reaches the loss twice
+        grads = tape.backward(loss)
+        assert grads.keys() == {w, b}  # leaves only: not x, not the intermediates
+        assert all(g.dtype == np.float32 for g in grads.values())
+        again = tape.backward(loss)  # nothing carried over from the first call
+        assert again is not grads and all(
+            again[t].tobytes() == grads[t].tobytes() for t in (w, b))
+        # b's gradient is the sum of its two uses, each seen as its own leaf
+        tape, loss = tape_and_loss(b_linear, b_add)
+        split = tape.backward(loss)
+        assert split.keys() == {w, b_linear, b_add}
+        assert grads[w].tobytes() == split[w].tobytes()
+        assert grads[b].tobytes() == (split[b_add] + split[b_linear]).tobytes()
+        assert not (grads[b] == split[b_linear]).all()
 
     def test_composite_ops_match_fd(self):
         # transpose/reshape/concat/gather/softmax/gelu/divide path
@@ -198,9 +197,8 @@ class TestAdam:
         lr, eps = 1e-3, 1e-8
         w = t64([1.0, -2.0, 0.5], requires_grad=True)
         g = np.array([0.3, -0.7, 0.001])
-        w.grad = g.copy()
         state = AdamState.for_params({"w": w}, lr=lr, epsilon=eps)
-        adam_step({"w": w}, state)
+        adam_step({"w": w}, state, {"w": g.copy()})
         # m_hat = g, v_hat = g^2  =>  delta = -lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0, 0.5]) - lr * g / (np.abs(g) + eps)
         assert np.allclose(w.data, expected, rtol=0, atol=1e-15)
@@ -210,19 +208,25 @@ class TestAdam:
         w = t64([1.0, 2.0], requires_grad=True)
         state = AdamState.for_params({"w": w})
         for _ in range(5):
-            w.grad = np.zeros(2)
-            adam_step({"w": w}, state)
+            adam_step({"w": w}, state, {"w": np.zeros(2)})
         assert np.array_equal(w.data, [1.0, 2.0])
         assert np.all(state.m["w"] == 0.0)
+
+    def test_absent_gradient_counts_as_zero(self):
+        w, v = t64([1.0, 2.0], requires_grad=True), t64([3.0], requires_grad=True)
+        state = AdamState.for_params({"w": w, "v": v})
+        for _ in range(3):
+            adam_step({"w": w, "v": v}, state, {"v": np.array([0.5])})
+        assert np.array_equal(w.data, [1.0, 2.0])
+        assert np.all(state.m["w"] == 0.0) and np.all(state.v["w"] == 0.0)
+        assert v.data[0] < 3.0 and state.step == 3
 
     def test_moments_decay_after_zero_grads(self):
         w = t64([0.0], requires_grad=True)
         state = AdamState.for_params({"w": w}, lr=0.0)
-        w.grad = np.array([1.0])
-        adam_step({"w": w}, state)
+        adam_step({"w": w}, state, {"w": np.array([1.0])})
         m_before = state.m["w"].copy()
-        w.grad = np.array([0.0])
-        adam_step({"w": w}, state)
+        adam_step({"w": w}, state, {"w": np.array([0.0])})
         assert abs(state.m["w"][0]) < abs(m_before[0])
 
     def test_scalar_quadratic_converges(self):
@@ -231,17 +235,83 @@ class TestAdam:
         w = t64([0.0], requires_grad=True)
         state = AdamState.for_params({"w": w}, lr=0.1)
         for _ in range(200):
-            zero_grad({"w": w})
-            w.grad = 2.0 * (w.data - 3.0)
-            adam_step({"w": w}, state)
+            adam_step({"w": w}, state, {"w": 2.0 * (w.data - 3.0)})
         assert abs(w.data[0] - 3.0) < 0.01
 
     def test_shape_mismatch(self):
         w = t64([1.0, 2.0], requires_grad=True)
-        w.grad = np.zeros(3)
         state = AdamState.for_params({"w": w})
         with pytest.raises(ShapeMismatch):
-            adam_step({"w": w}, state)
+            adam_step({"w": w}, state, {"w": np.zeros(3)})
+
+
+class TestParallelMap:
+    """numcore's one worker pool, made afresh in each test for the core count given."""
+
+    @pytest.fixture
+    def pool_of(self, monkeypatch, fresh_pool):
+        return lambda cores: monkeypatch.setattr(nc, "cores", lambda: cores)
+
+    def test_results_come_back_in_item_order(self, pool_of):
+        pool_of(4)
+
+        def square(i):
+            time.sleep(0.005 * (8 - i))  # later items finish first
+            return i * i
+
+        assert nc._parallel_map(square, range(8)) == [i * i for i in range(8)]
+
+    @pytest.mark.parametrize("failing", [3, 0])
+    def test_error_reraises_after_every_item_ends(self, pool_of, failing):
+        pool_of(2)
+        done = []
+
+        def item(i):
+            if i == failing:
+                raise KeyError(i)
+            time.sleep(0.02)
+            done.append(i)
+
+        with pytest.raises(KeyError):
+            nc._parallel_map(item, range(4))
+        assert sorted(done) == sorted({0, 1, 2, 3} - {failing})
+
+    def test_call_from_a_pool_thread_runs_serially(self, pool_of):
+        """Both pool threads busy with outer items: a nested call that waited
+        on the pool would never return."""
+        pool_of(2)
+        seen = {}
+
+        def outer(i):
+            inner = nc._parallel_map(lambda _: threading.current_thread(), range(3))
+            seen[i] = (threading.current_thread(), inner)
+
+        runner = threading.Thread(target=nc._parallel_map, args=(outer, range(2)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert sorted(seen) == [0, 1]
+        for thread, inner in seen.values():
+            assert thread is not runner and inner == [thread] * 3
+
+    def test_second_call_reuses_the_first_calls_threads(self, pool_of):
+        pool_of(2)
+        barrier = threading.Barrier(2, timeout=30)
+
+        def meet(_):
+            barrier.wait()  # both items at once, so on two threads
+            return threading.current_thread()
+
+        first = nc._parallel_map(meet, range(2))
+        assert len(set(first)) == 2 and threading.current_thread() not in first
+        assert set(nc._parallel_map(meet, range(2))) == set(first)
+
+    @pytest.mark.parametrize("cores, count", [(4, 0), (4, 1), (1, 5)])
+    def test_one_item_or_one_core_runs_on_the_calling_thread(self, pool_of, cores, count):
+        pool_of(cores)
+        here = threading.current_thread()
+        assert nc._parallel_map(lambda _: threading.current_thread(), range(count)) == [here] * count
+        assert nc._POOL is None
 
 
 class TestGradCheck:
@@ -305,10 +375,10 @@ class TestNumericalSafety:
         with Tape() as tape, np.errstate(over="ignore"):  # only the sum may overflow
             out = nc.gelu(x)
             loss = nc.sum(out)
-        tape.backward(loss)
+        grad = tape.backward(loss)[x]
         assert np.isfinite(out.data).all()
-        assert np.isfinite(x.grad).all()
-        assert out.dtype == x.grad.dtype == data.dtype
+        assert np.isfinite(grad).all()
+        assert out.dtype == grad.dtype == data.dtype
 
     @pytest.mark.parametrize("x", [-8.0, -5.0, -3.0, -2.0, -1.5, -1.0, -0.5,
                                    -0.1, 0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])
@@ -327,8 +397,8 @@ class TestNumericalSafety:
                        dtype=np.float32)
             with Tape() as tape:
                 loss = nc.mean(nc.gelu(nc.matmul(x, w)))
-            tape.backward(loss)
-            return loss.data.copy(), x.grad.copy(), w.grad.copy()
+            grads = tape.backward(loss)
+            return loss.data.copy(), grads[x], grads[w]
 
         first = run()
         second = run()
@@ -455,11 +525,11 @@ class TestKernelBytes:
                                   nc.layer_norm(xt, Tensor(gain), Tensor(bias))),
                            nc.linear(xt, Tensor(w), Tensor(b)))
             loss = nc.sum(nc.mul(total, Tensor(weights)))
-        tape.backward(loss)
+        grads = tape.backward(loss)
         g = np.ones_like(weights) * weights  # d loss / d total, as mul's backward makes it
         # partials reach x in reverse record order: linear, layer_norm, softmax, gelu
         expected = np.zeros_like(x)
         for partial in (ref_linear(x, w, b, g)[1][0], ref_layer_norm(x, gain, bias, g)[1][0],
                         ref_softmax(x, g)[1][0], ref_gelu(x, g)[1][0]):
             expected += partial
-        assert_same_bits(xt.grad, expected)
+        assert_same_bits(grads[xt], expected)

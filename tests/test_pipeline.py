@@ -384,7 +384,7 @@ class TestBlockSegmentation:
         # the blocks are SEGMENT_BLOCK epochs whatever the core count
         assert spans == {(lo, min(lo + 64, n_epochs)) for lo in range(0, n_epochs, 64)}
 
-    def test_stress_more_workers_than_blocks_bit_equal_to_serial(self, monkeypatch):
+    def test_stress_more_workers_than_blocks_bit_equal_to_serial(self, monkeypatch, fresh_pool):
         recording, annotations, names = mixed_rate_recording(200, 6)  # 4 blocks
         monkeypatch.setattr(nc, "cores", lambda: 1)
         serial = segment_epochs(recording, annotations, names[0], names[1:])
