@@ -138,6 +138,10 @@ def cmd_train(args) -> int:
     resume = None
     if args.resume:
         resume = trainer.load_checkpoint(Path(args.resume).read_bytes())
+        if resume.numerics != trainer.NUMERICS:
+            _info(f"warning: {args.resume} has numerics version {resume.numerics}, this build "
+                  f"trains with {trainer.NUMERICS}: the resumed run will not match an "
+                  "uninterrupted run from before the change")
 
     result = trainer.train(config, splits, resume=resume, on_epoch=_info)
 

@@ -9,7 +9,6 @@ similarity per patch pair.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 
@@ -189,16 +188,10 @@ def _visible(plan) -> np.ndarray:
 
 def _attention(h: Tensor, params: MaeParams, prefix: str) -> Tensor:
     t = params.tensors
-    heads = params.config.num_heads
-
-    def project(name: str) -> Tensor:
-        out = nc.linear(h, t[f"{prefix}.attn.w{name}"], t.get(f"{prefix}.attn.b{name}"))
-        return nc.split_heads(out, heads)  # (..., heads, n, head_dim)
-
-    q, k, v = project("q"), project("k"), project("v")
-    scores = nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
-    mixed = nc.matmul(nc.softmax(scores), v)
-    return nc.linear(nc.merge_heads(mixed), t[f"{prefix}.attn.wo"], t[f"{prefix}.attn.bo"])
+    q, k, v = (nc.linear(h, t[f"{prefix}.attn.w{name}"], t.get(f"{prefix}.attn.b{name}"))
+               for name in "qkv")
+    mixed = nc.attention(q, k, v, params.config.num_heads)
+    return nc.linear(mixed, t[f"{prefix}.attn.wo"], t[f"{prefix}.attn.bo"])
 
 
 def _mlp(h: Tensor, params: MaeParams, prefix: str) -> Tensor:
@@ -254,21 +247,38 @@ def decode(latents: Tensor, plan, params: MaeParams) -> Tensor:
 
 def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean over patch pairs (last axis; all leading axes are pooled) of
-    1 - cos(pred, target).
+    1 - cos(pred, target), as one tape record with its analytic backward.
 
     cos uses eps-clamped norms, so an all-zero patch scores cos 0 (loss 1)
-    instead of NaN. Result is a scalar in [0, 2].
+    instead of NaN. Result is a scalar in [0, 2]. Dot products and norms are
+    einsum row dots, so no patch's value depends on how many share the call.
     """
-    if pred.shape != target.shape:
+    if pred.shape != target.shape or pred.data.ndim < 1:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
-    dot = nc.sum(nc.mul(pred, target), axis=-1)
-    norm_pred = nc.sqrt(nc.sum(nc.mul(pred, pred), axis=-1))
-    norm_target = nc.sqrt(nc.sum(nc.mul(target, target), axis=-1))
-    denom = nc.mul(nc.maximum_scalar(norm_pred, COSINE_EPS),
-                   nc.maximum_scalar(norm_target, COSINE_EPS))
-    cos = nc.divide(dot, denom)
-    ones = Tensor(np.ones(cos.shape), dtype=cos.dtype)
-    return nc.mean(nc.add(ones, nc.scale(cos, -1.0)))
+    rows = [t.data.reshape(-1, pred.shape[-1]) for t in (pred, target)]
+    norms = [np.sqrt(np.einsum("ij,ij->i", x, x)) for x in rows]
+    inverse = [1.0 / np.maximum(norm, COSINE_EPS) for norm in norms]
+    cos = np.einsum("ij,ij->i", *rows)
+    cos *= inverse[0] * inverse[1]
+
+    def backward(g):
+        # d cos / d x = other / (|x| |other|) - cos * x / |x|^2, the second term
+        # only where |x| is not clamped; the loss is symmetric in its inputs
+        dcos = g / -len(cos)
+        across = dcos * inverse[0] * inverse[1]
+        partials = []
+        for i, tensor in enumerate((pred, target)):
+            if not tensor.requires_grad:
+                partials.append(None)
+                continue
+            along = dcos * cos * (norms[i] >= COSINE_EPS)
+            along *= inverse[i] * inverse[i]
+            grad = rows[1 - i] * across[:, None]
+            grad -= rows[i] * along[:, None]
+            partials.append(grad.reshape(tensor.shape))
+        return partials
+
+    return nc._make(np.mean(1.0 - cos), (pred, target), backward)
 
 
 def mask_plans(config: MaeConfig, count: int, rng: np.random.Generator) -> list[MaskPlan]:

@@ -177,20 +177,6 @@ def _swap(arr: np.ndarray) -> np.ndarray:
     return np.swapaxes(arr, -1, -2)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeMismatch(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-
-    def backward(g):
-        return (_reduce_to(np.matmul(g, _swap(b.data)), a.shape),
-                _reduce_to(np.matmul(_swap(a.data), g), b.shape))
-
-    return _make(out, (a, b), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b) for a 2-d weight as one tape record; the leading axes of x
     are batch axes."""
@@ -236,50 +222,53 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def scale(a: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-
-    def backward(g):
-        return (g * factor,)
-
-    return _make(a.data * factor, (a,), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeMismatch(f"transpose needs >=2-d input, got {a.shape}")
-
-    def backward(g):
-        return (_swap(g),)
-
-    return _make(_swap(a.data), (a,), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    try:
-        out = a.data.reshape(shape)
-    except ValueError as exc:
-        raise ShapeMismatch(f"cannot reshape {a.shape} to {shape}") from exc
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return _make(out, (a,), backward)
+def _heads(arr: np.ndarray, heads: int) -> np.ndarray:
+    """(..., n, heads * d) -> (..., heads, n, d), as a view of arr."""
+    *lead, n, width = arr.shape
+    return np.swapaxes(arr.reshape(*lead, n, heads, width // heads), -2, -3)
 
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
     """(..., n, heads * d) -> (..., heads, n, d)."""
-    *lead, n, width = a.shape
-    out = np.swapaxes(a.data.reshape(*lead, n, heads, width // heads), -2, -3)
-    return _make(out, (a,), lambda g: (np.swapaxes(g, -2, -3).reshape(a.shape),))
+    return _make(_heads(a.data, heads), (a,),
+                 lambda g: (np.swapaxes(g, -2, -3).reshape(a.shape),))
 
 
-def merge_heads(a: Tensor) -> Tensor:
-    """(..., heads, n, d) -> (..., n, heads * d); inverse of split_heads."""
-    *lead, heads, n, d = a.shape
-    out = np.swapaxes(a.data, -2, -3).reshape(*lead, n, heads * d)
-    return _make(out, (a,), lambda g: (np.swapaxes(g.reshape(*lead, n, heads, d), -2, -3),))
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape record: projections
+    q, k and v (..., n, heads * d) give the heads' outputs, merged as
+    (..., n, heads * d); each head is a view of its d columns.
+
+    The weights are held transposed, (..., heads, keys, queries), so the
+    softmax's max and sum run across rows (axis -2). A query's weights then
+    do not depend on how many sequences share the call, as they would with
+    BLAS products by a ones vector, and no reduction runs along short rows."""
+    if not q.shape == k.shape == v.shape or q.data.ndim < 2 or q.shape[-1] % heads:
+        raise ShapeMismatch(f"attention of {heads} heads over q {q.shape}, k {k.shape}, "
+                            f"v {v.shape}")
+    qh, kh, vh = (_heads(t.data, heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    p = np.matmul(kh, _swap(qh))
+    p *= scale
+    p -= p.max(axis=-2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-2, keepdims=True)
+    out = np.empty_like(q.data)
+    np.matmul(_swap(p), vh, out=_heads(out, heads))
+
+    def backward(g):
+        gh = _heads(g, heads)
+        ds = np.matmul(vh, _swap(gh))  # d loss / d p, then through the softmax and scale
+        ds -= np.multiply(ds, p).sum(axis=-2, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq, dk, dv = (np.empty_like(q.data) for _ in range(3))
+        np.matmul(_swap(ds), kh, out=_heads(dq, heads))
+        np.matmul(ds, qh, out=_heads(dk, heads))
+        np.matmul(p, gh, out=_heads(dv, heads))
+        return dq, dk, dv
+
+    return _make(out, (q, k, v), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -349,24 +338,6 @@ def scatter_rows(rows: Tensor, indices, length: int, fill: Tensor) -> Tensor:
         return picked.reshape(rows.shape), rest.sum(axis=0)
 
     return _make(out, (rows, fill), backward)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
-    top = a.data[..., :1].copy()
-    for j in range(1, a.shape[-1]):  # column by column: max(axis=-1) is slow on short rows
-        np.maximum(top, a.data[..., j:j + 1], out=top)
-    out = np.subtract(a.data, top)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dx = g * out
-        np.subtract(g, dx.sum(axis=-1, keepdims=True), out=dx)
-        dx *= out
-        return (dx,)
-
-    return _make(out, (a,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -455,43 +426,6 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def backward(g):
         return ((_spread(g, a, axis, keepdims) / count).astype(a.data.dtype, copy=False),)
-
-    return _make(out, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root; input must be non-negative.
-
-    The backward pass guards the 0.5/sqrt(x) factor at x == 0 (where the
-    incoming gradient is zero along every guarded path in this package).
-    """
-    out = np.sqrt(a.data)
-
-    def backward(g):
-        return (g * 0.5 / np.maximum(out, 1e-12),)
-
-    return _make(out, (a,), backward)
-
-
-def divide(a: Tensor, b: Tensor, eps: float = 0.0) -> Tensor:
-    """a / (b + eps); pass eps > 0 to guard denominators near zero."""
-    denom = b.data + eps
-    out = a.data / denom
-
-    def backward(g):
-        da = _reduce_to(g / denom, a.shape)
-        db = _reduce_to(-g * out / denom, b.shape)
-        return da, db
-
-    return _make(out, (a, b), backward)
-
-
-def maximum_scalar(a: Tensor, floor: float) -> Tensor:
-    """Elementwise max(a, floor); gradient passes through where a >= floor."""
-    out = np.maximum(a.data, floor)
-
-    def backward(g):
-        return (g * (a.data >= floor),)
 
     return _make(out, (a,), backward)
 

@@ -11,8 +11,9 @@ Checkpoint layout (little-endian), magic ``PSGMAE02``:
     u32  config INI byte length L
     u32  meta JSON byte length M
     L    config INI text (UTF-8)
-    M    meta JSON (epoch, best val loss, patience, rng states, ...) whose
-         "tensors" table lists [name, shape] per parameter, in params order
+    M    meta JSON (epoch, best val loss, patience, rng states, numerics
+         version, ...) whose "tensors" table lists [name, shape] per
+         parameter, in params order
     4 x K f32  params, best_params, adam_m, adam_v: each section is the
          table's tensors in table order, K values in all
     u32  CRC32 of every byte after the magic and before the CRC
@@ -43,6 +44,12 @@ _LENGTHS = struct.Struct("<II")  # config and meta byte lengths
 
 MANIFEST_FILENAME = "manifest.json"
 CACHE_FILENAME = "epochs.psgepo"
+
+# version of the training arithmetic, kept in each checkpoint: a run resumed
+# from another version's checkpoint does not give the bytes an uninterrupted run
+# of that version would. 1 (or no key): before the fused attention and
+# cosine-loss kernels
+NUMERICS = 2
 
 # example shards per mini-batch: their bounds depend only on the batch size,
 # never on the core count, so the gradient's summation order is fixed
@@ -163,6 +170,7 @@ class Checkpoint:
     rng_shuffle: dict
     rng_mask: dict
     calibrated: bool = False
+    numerics: int = NUMERICS
 
     def train_config(self) -> TrainConfig:
         return config_from_ini(self.config_text)
@@ -214,7 +222,8 @@ def save_checkpoint(checkpoint: Checkpoint) -> bytes:
     bad = {name for (name, _), arr in zip(table * 4, arrays) if not np.isfinite(arr).all()}
     if bad:
         raise nc.NonFiniteValue(f"non-finite values in blobs {sorted(bad)}")
-    meta = json.dumps({**{key: getattr(checkpoint, key) for key in _META}, "tensors": table},
+    meta = json.dumps({**{key: getattr(checkpoint, key) for key in _META},
+                       "numerics": checkpoint.numerics, "tensors": table},
                       sort_keys=True).encode("utf-8")
     config = checkpoint.config_text.encode("utf-8")
     out = b"".join([CHECKPOINT_MAGIC, _LENGTHS.pack(len(config), len(meta)), config, meta,
@@ -250,7 +259,8 @@ def load_checkpoint(data: bytes) -> Checkpoint:
                      for (name, shape), lo, hi in zip(table, bounds, bounds[1:])} for row in rows]
         return Checkpoint(data[start: start + config_len].decode("utf-8"),
                           **dict(zip(_SECTIONS, sections)),
-                          **{key: kind(meta[key]) for key, kind in _META.items()})
+                          **{key: kind(meta[key]) for key, kind in _META.items()},
+                          numerics=int(meta.get("numerics", 1)))
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise ShapeMismatchOnLoad(f"malformed checkpoint: {exc}") from exc
 

@@ -1,3 +1,12 @@
+import faulthandler
+import json
+import os
+import struct
+import sys
+import threading
+import time
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +18,35 @@ TINY_CONFIG_KWARGS = dict(
     encoder_layers=1, decoder_layers=1, mask_ratio=0.5,
     target_channels=("t0", "t1"),
 )
+
+
+# seconds the session's end waits for numcore's pool threads: an idle one exits
+# as soon as the pool shuts down, so one still running after this is stuck
+POOL_EXIT_WAIT_S = 10.0
+
+
+def pytest_unconfigure(config):
+    """Shut numcore's pool down and join its threads for at most
+    POOL_EXIT_WAIT_S. The interpreter's exit would join a deadlocked one
+    forever, where faulthandler_timeout no longer covers anything, so a
+    thread still alive then has every stack dumped and the process ends
+    with a failing status."""
+    if numcore._POOL is not None:
+        numcore._POOL.shutdown(wait=False)
+    deadline = time.monotonic() + POOL_EXIT_WAIT_S
+    pool_threads = [t for t in threading.enumerate() if t.name.startswith("numcore")]
+    for thread in pool_threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    stuck = [thread.name for thread in pool_threads if thread.is_alive()]
+    if stuck:
+        capture = config.pluginmanager.getplugin("capturemanager")
+        if capture is not None:
+            capture.suspend_global_capture(in_=True)
+        print(f"numcore pool threads {stuck} still running {POOL_EXIT_WAIT_S:g} s after "
+              "the tests ended; every thread's stack:", file=sys.stderr, flush=True)
+        faulthandler.dump_traceback(file=sys.stderr, all_threads=True)
+        sys.stdout.flush()
+        os._exit(1)
 
 
 @pytest.fixture
@@ -29,6 +67,43 @@ def tiny_config():
 
 def philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+# a fused kernel against its float64 reference: the largest error it may
+# show, relative to max(1, the reference's largest magnitude)
+FUSED_TOLERANCE = {np.float32: 2e-5, np.float64: 1e-12}
+
+
+def assert_close(actual, expected, dtype):
+    actual = np.asarray(actual)
+    assert actual.dtype == dtype and actual.shape == np.shape(expected)
+    scale = max(1.0, float(np.abs(expected).max()))
+    assert np.abs(actual - expected).max() <= FUSED_TOLERANCE[dtype] * scale
+
+
+def one_record(kernel, tensors, g, *args):
+    """The kernel's output and partials from its single tape record."""
+    with numcore.Tape() as tape:
+        out = kernel(*tensors, *args)
+    (record_out, record_inputs, backward), = tape._records
+    assert record_out is out and list(record_inputs) == list(tensors)
+    return out, backward(g)
+
+
+def reseal(blob: bytes) -> bytes:
+    """``blob`` (magic through body, no CRC) with its CRC32 appended."""
+    return blob + struct.pack("<I", zlib.crc32(blob[8:]))
+
+
+def edit_meta(blob: bytes, edit) -> bytes:
+    """``blob`` with its meta JSON replaced by ``edit(meta)`` (JSON bytes when
+    ``edit`` returns bytes) and a fresh CRC."""
+    config_len, meta_len = struct.unpack_from("<II", blob, 8)
+    start = 16 + config_len
+    raw = edit(json.loads(blob[start: start + meta_len]))
+    raw = raw if isinstance(raw, bytes) else json.dumps(raw).encode()
+    return reseal(blob[:8] + struct.pack("<II", config_len, len(raw)) + blob[16:start]
+                  + raw + blob[start + meta_len: -4])
 
 
 def synth_records(seed=0, minutes=5.0, noise_std=5.0, subject_id="S000"):

@@ -14,6 +14,8 @@ from psgmae import cli, evalreport, mae, numcore as nc, trainer
 from psgmae.cli import main
 from psgmae.pipeline import denormalize
 
+from conftest import edit_meta
+
 
 TRAIN_CONFIG = """\
 [mae]
@@ -413,6 +415,36 @@ class TestTrainProgress:
         assert len((full / "metrics.log").read_text().splitlines()) == 6
         assert (part / "checkpoint.psgmae").read_bytes() == \
             (full / "checkpoint.psgmae").read_bytes()
+
+    def test_checkpoint_before_numerics_version(self, capsys, workspace, tmp_path):
+        """A checkpoint without the numerics key (version 1) still evaluates,
+        reconstructs and resumes with the stdout of the same checkpoint at the
+        current version; only its resume warns, once, on stderr."""
+        data, config = str(workspace / "data"), tmp_path / "4.ini"
+        config.write_text(TRAIN_CONFIG.replace("max_epochs = 3", "max_epochs = 4"))
+        current = (workspace / "run" / "checkpoint.psgmae").read_bytes()
+        runs = {}
+        for name, blob in (("current", current), ("older", edit_meta(
+                current, lambda meta: {k: v for k, v in meta.items() if k != "numerics"}))):
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            (out_dir / "checkpoint.psgmae").write_bytes(blob)
+            given = ["--checkpoint", str(out_dir / "checkpoint.psgmae"), "--data", data]
+            runs[name] = []
+            for argv in (["eval", *given, "--out", str(out_dir / "eval")],
+                         ["reconstruct", *given, "--epoch-index", "0",
+                          "--out", str(out_dir / "epoch.csv")],
+                         ["train", "--config", str(config), "--data", data, "--resume",
+                          str(out_dir / "checkpoint.psgmae"), "--out", str(out_dir / "resumed")]):
+                code, out, err = run(capsys, *argv)
+                assert code == 0
+                runs[name].append((out.replace(str(out_dir), "OUT"),
+                                   [line for line in err.splitlines() if "warning" in line]))
+        assert [out for out, _ in runs["older"]] == [out for out, _ in runs["current"]]
+        assert [warnings for _, warnings in runs["current"]] == [[], [], []]
+        assert [len(warnings) for _, warnings in runs["older"]] == [0, 0, 1]
+        assert "numerics version 1" in runs["older"][2][1][0]
+        assert "will not match an uninterrupted run" in runs["older"][2][1][0]
 
     def test_epoch_lines_reach_stderr_while_training(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "run"

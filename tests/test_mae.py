@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from psgmae import mae, numcore as nc
 from psgmae.mae import (
@@ -24,7 +25,7 @@ from psgmae.mae import (
 )
 from psgmae.numcore import Tensor
 
-from conftest import TINY_CONFIG_KWARGS, philox, synth_records
+from conftest import TINY_CONFIG_KWARGS, assert_close, one_record, philox, synth_records
 
 
 def tiny_params(seed=0, dtype=np.float64, **overrides):
@@ -196,6 +197,21 @@ class TestDecode:
             decode(bad_latents, plan, params)
 
 
+def ref_cosine_loss(pred, target, g, eps=1e-8):
+    """float64 reference of cosine_loss: (loss, (d pred, d target)) for the
+    upstream gradient g."""
+    p, t = (np.asarray(a, np.float64).reshape(-1, pred.shape[-1]) for a in (pred, target))
+    norm_p, norm_t = np.linalg.norm(p, axis=1), np.linalg.norm(t, axis=1)
+    denom = np.maximum(norm_p, eps) * np.maximum(norm_t, eps)
+    cos = (p * t).sum(axis=1) / denom
+    dcos = -float(g) / len(cos)
+    dp = dcos * (t / denom[:, None]
+                 - (cos * (norm_p >= eps) / np.maximum(norm_p, eps) ** 2)[:, None] * p)
+    dt = dcos * (p / denom[:, None]
+                 - (cos * (norm_t >= eps) / np.maximum(norm_t, eps) ** 2)[:, None] * t)
+    return np.mean(1.0 - cos), (dp.reshape(pred.shape), dt.reshape(target.shape))
+
+
 class TestCosineLoss:
     def test_identical_orthogonal_negated(self):
         rng = philox(7)
@@ -231,6 +247,62 @@ class TestCosineLoss:
     def test_shape_mismatch(self):
         with pytest.raises(nc.ShapeMismatch):
             cosine_loss(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+
+    @given(arrays(np.float64, (4, 6), elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    @settings(max_examples=60, deadline=None)
+    def test_finite_on_finite_inputs(self, data):
+        """Zero and tiny rows included: the clamped norms keep the loss and
+        both partials finite."""
+        tensors = [Tensor(a, requires_grad=True) for a in (data, data[::-1].copy())]
+        out, partials = one_record(cosine_loss, tensors, np.array(1.0))
+        assert np.isfinite(out.data).all()
+        assert all(np.isfinite(partial).all() for partial in partials)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 10), (2, 3, 4, 10)])
+    def test_output_and_partials(self, dtype, shape):
+        """Both inputs require grad. Rows 0 and 1 hold a zero-norm patch in
+        pred and in target: each scores loss 1 with finite partials. Row 2's
+        pred has a norm below eps, so its norm is clamped and passes no gradient."""
+        rng = philox([len(shape), 41])
+        pred, target = (rng.normal(0, 1, shape) for _ in range(2))
+        pred.reshape(-1, shape[-1])[0] = 0.0
+        target.reshape(-1, shape[-1])[1] = 0.0
+        pred.reshape(-1, shape[-1])[2] *= 1e-10
+        pred, target, g = (a.astype(dtype) for a in (pred, target, np.array(0.75)))
+        for a in (pred, target, g):
+            a.setflags(write=False)  # neither pass may write into what it is given
+        out, partials = one_record(cosine_loss, [Tensor(a, requires_grad=True)
+                                                 for a in (pred, target)], g)
+        expected_out, expected_partials = ref_cosine_loss(pred, target, g)
+        assert out.data.size == 1
+        assert_close(out.data.reshape(()), expected_out, dtype)
+        for partial, expected in zip(partials, expected_partials):
+            assert np.isfinite(partial).all()
+            assert_close(partial, expected, dtype)
+
+    @pytest.mark.parametrize("tracked", [(True, False), (False, True)])
+    def test_partial_for_each_tracked_input(self, tracked):
+        rng = philox(42)
+        tensors = [Tensor(rng.normal(0, 1, (5, 8)), requires_grad=r, dtype=np.float64)
+                   for r in tracked]
+        _, partials = one_record(cosine_loss, tensors, np.array(1.0))
+        expected = ref_cosine_loss(*(t.data for t in tensors), 1.0)[1]
+        for requires_grad, partial, reference in zip(tracked, partials, expected):
+            if requires_grad:
+                assert_close(partial, reference, np.float64)
+            else:
+                assert partial is None
+
+    def test_matches_fd(self):
+        rng = philox(44)
+        params = {name: Tensor(rng.normal(0, 1, (3, 4, 6)), requires_grad=True, dtype=np.float64)
+                  for name in ("pred", "target")}
+
+        def fn(p):
+            return cosine_loss(p["pred"], p["target"])
+
+        assert nc.grad_check(fn, params, fd_step=1e-5) < 1e-6
 
 
 class TestForwardLoss:
@@ -275,6 +347,29 @@ class TestForwardLoss:
                 per_token.append(1.0 - cos)
         assert masked_loss.item() == pytest.approx(np.mean(per_token), abs=1e-6)
         assert masked_loss.item() != pytest.approx(all_loss.item(), abs=1e-9)
+
+    def test_masked_scope_loss_is_one_record_over_masked_rows(self):
+        """The fused loss's record reads exactly the masked tokens of each
+        reconstruction and target, and its value and partial for the
+        reconstruction rows match the float64 reference."""
+        config, params = tiny_params(loss_scope="masked", dtype=np.float32)
+        inputs, targets = make_batch(config, philox(15), 3)
+        with nc.Tape() as tape:
+            loss, recons = planned_loss(inputs, targets, params, philox(16))
+        out, (pred, target), backward = tape._records[-1]
+        masked = np.array([plan.masked_indices for plan in
+                           mae.mask_plans(config, 3, philox(16))])[:, None, :, None]
+        assert out is loss and pred.requires_grad and not target.requires_grad
+        for tensor, full in ((pred, recons), (target, targets)):
+            expected = np.take_along_axis(patchify(full, config), masked, axis=-2)
+            assert tensor.shape == (3, 2, 2, 10)  # (B, targets, masked tokens, patch)
+            assert tensor.data.tobytes() == expected.astype(np.float32).tobytes()
+        g = np.array(1.0, dtype=np.float32)
+        partial, none = backward(g)
+        expected_loss, (expected_partial, _) = ref_cosine_loss(pred.data, target.data, g)
+        assert none is None
+        assert loss.item() == pytest.approx(expected_loss, abs=1e-6)
+        assert np.abs(partial - expected_partial).max() <= 1e-5 * np.abs(expected_partial).max()
 
 
 class TestGradients:

@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from psgmae.numcore import (
     grad_check,
 )
 
-from conftest import philox
+from conftest import POOL_EXIT_WAIT_S, assert_close, one_record, philox
 
 
 def t64(data, requires_grad=False):
@@ -28,25 +33,39 @@ def t64(data, requires_grad=False):
 
 
 class TestForward:
-    def test_matmul_hand_computed(self):
+    def test_matmul_hand_computed(self):  # linear is numcore's matrix product
         a = t64([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         b = t64([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        out = nc.matmul(a, b)
-        assert np.array_equal(out.data, [[4.0, 5.0], [10.0, 11.0]])
+        out = nc.linear(a, b, t64([0.5, -1.0]))
+        assert np.array_equal(out.data, [[4.5, 4.0], [10.5, 10.0]])
 
     def test_matmul_shape_error_mentions_shapes(self):
         with pytest.raises(ShapeMismatch) as err:
-            nc.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+            nc.linear(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
         assert "(2, 3)" in str(err.value)
 
     def test_softmax_uniform(self):
-        out = nc.softmax(t64([0.0, 0.0, 0.0]))
-        assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3])
+        """Equal keys give every key the same attention weight, so each
+        query's output is the mean of the values."""
+        rng = philox(0)
+        q, v = (t64(rng.normal(0, 1, (2, 5, 6))) for _ in range(2))
+        k = t64(np.broadcast_to(rng.normal(0, 1, 6), (2, 5, 6)))
+        out = nc.attention(q, k, v, 3)
+        means = np.broadcast_to(v.data.mean(axis=-2, keepdims=True), v.shape)
+        assert np.abs(out.data - means).max() < 1e-12
 
     def test_softmax_rows_sum_to_one(self):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-        out = nc.softmax(Tensor(rng.normal(0, 10, (5, 7)), dtype=np.float64))
-        assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-6
+        """Each query's attention weights sum to one, so unit values give unit outputs."""
+        rng = philox(0)
+        q, k = (Tensor(rng.normal(0, 10, (5, 7, 4)), dtype=np.float64) for _ in range(2))
+        out = nc.attention(q, k, t64(np.ones((5, 7, 4))), 2)
+        assert np.abs(out.data - 1.0).max() < 1e-6
+
+    def test_attention_shape_error_mentions_shapes(self):
+        with pytest.raises(ShapeMismatch, match=r"\(2, 3, 4\)"):
+            nc.attention(*(t64(np.ones((2, 3, 4))) for _ in range(2)), t64(np.ones((2, 4, 4))), 2)
+        with pytest.raises(ShapeMismatch, match="3 heads"):
+            nc.attention(*(t64(np.ones((2, 3, 4))) for _ in range(3)), 3)
 
     def test_layer_norm_statistics(self):
         gain = t64(np.ones(3))
@@ -54,12 +73,6 @@ class TestForward:
         out = nc.layer_norm(t64([1.0, 2.0, 3.0]), gain, bias)
         assert abs(out.data.mean()) < 1e-6
         assert abs(out.data.std() - 1.0) < 1e-5
-
-    def test_transpose_and_reshape(self):
-        x = t64(np.arange(6.0).reshape(2, 3))
-        assert np.array_equal(nc.transpose(x).data, x.data.T)
-        assert np.array_equal(nc.reshape(x, (3, 2)).data,
-                              x.data.reshape(3, 2))
 
     def test_gather_rows(self):
         x = t64(np.arange(12.0).reshape(4, 3))
@@ -70,22 +83,6 @@ class TestForward:
         a = t64(np.ones((2, 2)))
         b = t64(np.zeros((2, 3)))
         assert nc.concat([a, b], axis=1).shape == (2, 5)
-
-    def test_scale(self):
-        out = nc.scale(t64([1.0, -2.0]), -0.5)
-        assert np.array_equal(out.data, [-0.5, 1.0])
-
-    def test_divide_with_eps(self):
-        out = nc.divide(t64([1.0, 2.0]), t64([0.0, 3.0]), eps=1.0)
-        assert np.array_equal(out.data, [1.0, 0.5])
-
-    def test_maximum_scalar(self):
-        out = nc.maximum_scalar(t64([-1.0, 0.5, 2.0]), 0.5)
-        assert np.array_equal(out.data, [0.5, 0.5, 2.0])
-
-    def test_sqrt(self):
-        out = nc.sqrt(t64([0.0, 4.0, 9.0]))
-        assert np.array_equal(out.data, [0.0, 2.0, 3.0])
 
     def test_gelu_values(self):
         out = nc.gelu(t64([0.0, 100.0, -100.0]))
@@ -171,23 +168,19 @@ class TestBackward:
         assert not (grads[b] == split[b_linear]).all()
 
     def test_composite_ops_match_fd(self):
-        # transpose/reshape/concat/gather/softmax/gelu/divide path
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
-        params = {
-            "a": Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True,
-                        dtype=np.float64),
-            "b": Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True,
-                        dtype=np.float64),
-        }
+        # concat/gather/scatter/split_heads/attention/gelu/layer_norm path
+        rng = philox(1)
+        params = {name: Tensor(rng.normal(0, 1, shape), requires_grad=True, dtype=np.float64)
+                  for name, shape in (("a", (3, 4)), ("b", (5, 4)), ("fill", (4,)))}
+        ones, zeros = t64(np.ones(4)), t64(np.zeros(4))
 
         def fn(p):
-            stacked = nc.concat([nc.transpose(p["a"]), nc.transpose(p["b"])],
-                                axis=0)  # (8, 3)
-            picked = nc.gather_rows(stacked, [0, 3, 3, 7])
-            soft = nc.softmax(picked)
-            squashed = nc.gelu(nc.reshape(soft, (12,)))
-            ratio = nc.divide(squashed, nc.maximum_scalar(squashed, 0.5), eps=1e-3)
-            return nc.mean(nc.mul(ratio, ratio))
+            stacked = nc.concat([p["a"], p["b"]], axis=0)  # (8, 4)
+            picked = nc.gather_rows(stacked, [0, 3, 3, 7, 5])
+            mixed = nc.attention(picked, nc.gelu(picked), picked, 2)
+            spread = nc.scatter_rows(mixed, [4, 0, 2, 6, 1], 7, p["fill"])
+            normed = nc.layer_norm(spread, ones, zeros)
+            return nc.mean(nc.mul(nc.split_heads(normed, 2), nc.split_heads(spread, 2)))
 
         assert grad_check(fn, params, fd_step=1e-5) < 1e-6
 
@@ -314,12 +307,47 @@ class TestParallelMap:
         assert nc._POOL is None
 
 
+def test_deadlocked_pool_thread_ends_the_session_with_a_failing_status(tmp_path):
+    """A test run whose pool threads never return exits non-zero, with their
+    stacks on stderr, instead of hanging when the interpreter joins them."""
+    (tmp_path / "test_deadlock.py").write_text(textwrap.dedent("""\
+        import threading
+
+        from psgmae import numcore as nc
+
+
+        def test_leaves_two_pool_threads_waiting_forever(monkeypatch):
+            monkeypatch.setattr(nc, "cores", lambda: 2)
+            started, never = threading.Semaphore(0), threading.Event()
+
+            def wait_forever(_):
+                started.release()
+                never.wait()
+
+            threading.Thread(target=nc._parallel_map, args=(wait_forever, range(2)),
+                             daemon=True).start()
+            assert all(started.acquire(timeout=30) for _ in range(2))
+        """))
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here), str(here.parent / "src")])}
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "conftest",
+                           "-p", "no:cacheprovider", "test_deadlock.py"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=POOL_EXIT_WAIT_S + 60)
+    assert time.monotonic() - started < POOL_EXIT_WAIT_S + 60
+    assert proc.returncode != 0
+    assert "1 passed" in proc.stdout
+    assert "numcore pool threads ['numcore_0', 'numcore_1'] still running" in proc.stderr
+    assert "wait_forever" in proc.stderr  # the stuck threads' stacks
+
+
 class TestGradCheck:
     def test_constant_function(self):
         params = {"x": t64([1.0, 2.0], requires_grad=True)}
 
         def fn(p):
-            return nc.sum(nc.scale(nc.mul(p["x"], p["x"]), 0.0))
+            return nc.sum(nc.mul(nc.mul(p["x"], p["x"]), t64(0.0)))
 
         assert grad_check(fn, params, fd_step=1e-4) < 1e-9
 
@@ -337,7 +365,7 @@ class TestGradCheck:
         params = {"x": t64([1.0], requires_grad=True)}
 
         def fn(p):
-            return nc.sum(nc.scale(p["x"], np.nan))
+            return nc.sum(nc.mul(p["x"], t64(np.nan)))
 
         with pytest.raises(NonFiniteValue):
             grad_check(fn, params)
@@ -351,13 +379,9 @@ class TestNumericalSafety:
         x = Tensor(data, dtype=np.float64)
         gain = t64(np.ones(6))
         bias = t64(np.zeros(6))
-        assert np.isfinite(nc.softmax(x).data).all()
+        assert np.isfinite(nc.attention(x, x, x, 2).data).all()
         assert np.isfinite(nc.layer_norm(x, gain, bias).data).all()
         assert np.isfinite(nc.gelu(x).data).all()
-        norms = nc.sqrt(nc.sum(nc.mul(x, x), axis=-1))
-        assert np.isfinite(norms.data).all()
-        guarded = nc.divide(norms, nc.maximum_scalar(norms, 1e-8))
-        assert np.isfinite(guarded.data).all()
 
     @given(st.one_of(
         arrays(np.float32, 8, elements=st.floats(width=32, allow_nan=False,
@@ -396,7 +420,7 @@ class TestNumericalSafety:
             w = Tensor(rng.normal(0, 1, (8, 8)), requires_grad=True,
                        dtype=np.float32)
             with Tape() as tape:
-                loss = nc.mean(nc.gelu(nc.matmul(x, w)))
+                loss = nc.mean(nc.gelu(nc.linear(x, w)))
             grads = tape.backward(loss)
             return loss.data.copy(), grads[x], grads[w]
 
@@ -446,16 +470,8 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5):
     return out, (dx, _reduce_ref(g * xhat, gain.shape), _reduce_ref(g, bias.shape))
 
 
-def ref_softmax(a, g):
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-    inner = (g * out).sum(axis=-1, keepdims=True)
-    return out, ((g - inner) * out,)
-
-
 KERNELS = {"linear": (nc.linear, ref_linear), "gelu": (nc.gelu, ref_gelu),
-           "layer_norm": (nc.layer_norm, ref_layer_norm), "softmax": (nc.softmax, ref_softmax)}
+           "layer_norm": (nc.layer_norm, ref_layer_norm)}
 
 
 def _read_only(arr):
@@ -488,7 +504,7 @@ def assert_same_bits(actual, expected):
 
 
 class TestKernelBytes:
-    """linear, gelu, layer_norm and softmax write into arrays they allocate,
+    """linear, gelu and layer_norm write into arrays they allocate,
     and give the same bytes as their one-array-per-sub-expression references."""
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -521,15 +537,79 @@ class TestKernelBytes:
         b, weights = rng.normal(0, 1, 12).astype(dtype), rng.normal(0, 1, x.shape).astype(dtype)
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            total = nc.add(nc.add(nc.add(nc.gelu(xt), nc.softmax(xt)),
-                                  nc.layer_norm(xt, Tensor(gain), Tensor(bias))),
+            total = nc.add(nc.add(nc.gelu(xt), nc.layer_norm(xt, Tensor(gain), Tensor(bias))),
                            nc.linear(xt, Tensor(w), Tensor(b)))
             loss = nc.sum(nc.mul(total, Tensor(weights)))
         grads = tape.backward(loss)
         g = np.ones_like(weights) * weights  # d loss / d total, as mul's backward makes it
-        # partials reach x in reverse record order: linear, layer_norm, softmax, gelu
+        # partials reach x in reverse record order: linear, layer_norm, gelu
         expected = np.zeros_like(x)
         for partial in (ref_linear(x, w, b, g)[1][0], ref_layer_norm(x, gain, bias, g)[1][0],
-                        ref_softmax(x, g)[1][0], ref_gelu(x, g)[1][0]):
+                        ref_gelu(x, g)[1][0]):
             expected += partial
         assert_same_bits(grads[xt], expected)
+
+
+# float64 reference of the fused attention kernel, in the plain (queries, keys)
+# layout with one expression per step: (output, partials) for the upstream
+# gradient g. The kernel groups its sums differently, so it is held to a
+# tolerance set by the dtype (assert_close), not to the reference's bytes.
+def ref_attention(q, k, v, g, heads):
+    *lead, n, width = q.shape
+    d = width // heads
+    qh, kh, vh, gh = (np.asarray(a, np.float64).reshape(*lead, n, heads, d) for a in (q, k, v, g))
+    scores = np.einsum("...qhd,...khd->...hqk", qh, kh) / math.sqrt(d)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = np.einsum("...qhd,...khd->...hqk", gh, vh)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) / math.sqrt(d)
+    out = np.einsum("...hqk,...khd->...qhd", p, vh)
+    partials = (np.einsum("...hqk,...khd->...qhd", ds, kh),
+                np.einsum("...hqk,...qhd->...khd", ds, qh),
+                np.einsum("...hqk,...qhd->...khd", p, gh))
+    return out.reshape(q.shape), tuple(a.reshape(q.shape) for a in partials)
+
+
+class TestAttentionKernel:
+    """One tape record, held to the float64 reference; read-only inputs and
+    upstream gradient show that neither pass writes into what it is given."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads, shape", [(1, (3, 5, 4)), (2, (2, 3, 7, 8)), (4, (4, 6, 16))])
+    @pytest.mark.parametrize("scale", [1.0, 8.0])
+    def test_output_and_partials(self, dtype, heads, shape, scale):
+        rng = philox([heads, len(shape), int(scale)])
+        q, k, v, g = (_read_only((rng.normal(0, 1, shape) * s).astype(dtype))
+                      for s in (scale, scale, 1.0, 1.0))
+        out, partials = one_record(nc.attention, [Tensor(a, requires_grad=True) for a in (q, k, v)],
+                                   g, heads)
+        expected_out, expected_partials = ref_attention(q, k, v, g, heads)
+        assert_close(out.data, expected_out, dtype)
+        assert len(partials) == 3
+        for partial, expected in zip(partials, expected_partials):
+            assert_close(partial, expected, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sequences_do_not_share_bits(self, dtype):
+        """Each sequence's output and partials are byte-equal to its own call:
+        no reduction in the kernel depends on the batch size."""
+        rng = philox(40)
+        q, k, v, g = (rng.normal(0, 1, (9, 7, 16)).astype(dtype) for _ in range(4))
+        batch = one_record(nc.attention, [Tensor(a, requires_grad=True) for a in (q, k, v)], g, 4)
+        for i in (0, 4, 8):
+            alone = one_record(nc.attention, [Tensor(a[i:i + 1], requires_grad=True)
+                                              for a in (q, k, v)], g[i:i + 1], 4)
+            assert alone[0].data.tobytes() == batch[0].data[i:i + 1].tobytes()
+            for single, batched in zip(alone[1], batch[1]):
+                assert single.tobytes() == batched[i:i + 1].tobytes()
+
+    def test_matches_fd(self):
+        rng = philox(43)
+        params = {name: Tensor(rng.normal(0, 1, (2, 5, 6)), requires_grad=True, dtype=np.float64)
+                  for name in "qkv"}
+        weights = t64(rng.normal(0, 1, (2, 5, 6)))
+
+        def fn(p):
+            return nc.sum(nc.mul(nc.attention(p["q"], p["k"], p["v"], 3), weights))
+
+        assert grad_check(fn, params, fd_step=1e-5) < 1e-6

@@ -1,9 +1,8 @@
-import json
+import dataclasses
 import math
 import struct
 import sys
 import threading
-import zlib
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from psgmae.trainer import (
     train,
 )
 
-from conftest import philox, synth_dataset, synth_records
+from conftest import edit_meta, philox, reseal, synth_dataset, synth_records
 
 
 def small_config(**overrides):
@@ -293,7 +292,7 @@ class TestDataParallel:
         steps = []
         monkeypatch.setattr(nc, "cores", lambda: 2)
         monkeypatch.setattr(mae, "forward_loss", self.shard_sized(
-            4, lambda result: (nc.scale(result[0], math.nan), result[1])))
+            4, lambda result: (nc.mul(result[0], nc.Tensor(math.nan)), result[1])))
         monkeypatch.setattr(nc, "adam_step", lambda *args: steps.append(args))
         seven = {"train": dataset["train"][:7], "val": dataset["val"]}
         with pytest.raises(NonFiniteLoss, match="epoch 1, batch starting at 0"):
@@ -315,22 +314,6 @@ class TestDataParallel:
 def saved(dataset):
     """A one-epoch checkpoint's bytes."""
     return save_checkpoint(train(small_config(max_epochs=1), dataset).checkpoint)
-
-
-def reseal(blob: bytes) -> bytes:
-    """``blob`` (magic through body, no CRC) with its CRC32 appended."""
-    return blob + struct.pack("<I", zlib.crc32(blob[8:]))
-
-
-def edit_meta(blob: bytes, edit) -> bytes:
-    """``blob`` with its meta JSON replaced by ``edit(meta)`` (JSON bytes when
-    ``edit`` returns bytes) and a fresh CRC."""
-    config_len, meta_len = struct.unpack_from("<II", blob, 8)
-    start = 16 + config_len
-    raw = edit(json.loads(blob[start: start + meta_len]))
-    raw = raw if isinstance(raw, bytes) else json.dumps(raw).encode()
-    return reseal(blob[:8] + struct.pack("<II", config_len, len(raw)) + blob[16:start]
-                  + raw + blob[start + meta_len: -4])
 
 
 def grow_first_dim(meta):
@@ -359,6 +342,17 @@ class TestCheckpoint:
         assert loaded.epoch == result.checkpoint.epoch
         assert loaded.rng_mask == result.checkpoint.rng_mask
 
+    def test_numerics_version(self, saved):
+        """Checkpoints carry the numerics version they were trained with; one
+        written before the key existed loads as version 1, otherwise intact."""
+        loaded = load_checkpoint(saved)
+        assert loaded.numerics == trainer.NUMERICS == 2
+        assert b'"numerics": 2' in saved
+        older = load_checkpoint(edit_meta(
+            saved, lambda meta: {k: v for k, v in meta.items() if k != "numerics"}))
+        assert older.numerics == 1
+        assert save_checkpoint(older) == save_checkpoint(dataclasses.replace(loaded, numerics=1))
+
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
             load_checkpoint(b"NOTMAGIC" + b"\x00" * 100)
@@ -383,6 +377,7 @@ class TestCheckpoint:
         lambda b: edit_meta(b, lambda meta: b"[" * 10**5 + b"]" * 10**5),
         lambda b: edit_meta(b, lambda meta: b"{"),
         lambda b: edit_meta(b, lambda meta: {**meta, "rng_mask": "state"}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "numerics": "two"}),
         lambda b: edit_meta(b, lambda meta: {**meta, "tensors": meta["tensors"] * 2}),
         lambda b: edit_meta(b, lambda meta: {**meta, "tensors": [[1, [2]]]}),
         lambda b: edit_meta(b, lambda meta: {**meta, "tensors": [["w", [-1]]]}),
@@ -392,7 +387,7 @@ class TestCheckpoint:
         lambda b: reseal(b[:8] + struct.pack("<I", 2**31) + b[12:-4]),  # config length
         lambda b: reseal(b[:16] + b"\xff" + b[17:-4]),  # config text not UTF-8
     ], ids=["table-size", "meta-list", "meta-missing", "meta-type", "meta-infinite",
-            "meta-deep", "meta-not-json", "rng-type",
+            "meta-deep", "meta-not-json", "rng-type", "numerics-type",
             "duplicate-names", "name-type", "negative-dim", "float-dim", "nan", "trailing",
             "config-length", "utf8"])
     def test_damage_behind_valid_crc_rejected(self, saved, damage):
