@@ -162,22 +162,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_inputs(checkpoint_path: str, data_dir: str, split: str):
+def _open_eval_inputs(checkpoint_path: str, data_dir: str):
+    """The checkpoint's train config and best parameters, the dataset's
+    manifest, and a reader of its epoch cache for the caller to close."""
     checkpoint = trainer.load_checkpoint(Path(checkpoint_path).read_bytes())
     config = checkpoint.train_config()
     params = trainer.params_from_blobs(config.mae, checkpoint.best_params)
-    manifest, epochs = trainer.load_dataset(data_dir)
-    if split != "all":
-        epochs = trainer.split_records(manifest, epochs)[split]
-    return checkpoint, config, params, epochs
+    manifest = pipeline.load_manifest(Path(data_dir) / trainer.MANIFEST_FILENAME)
+    return config, params, manifest, pipeline.EpochCacheReader(
+        Path(data_dir) / trainer.CACHE_FILENAME)
 
 
 def cmd_eval(args) -> int:
-    _, config, params, records = _load_eval_inputs(args.checkpoint, args.data, args.split)
-    if not records:
-        raise ValueError(f"no epochs in split {args.split!r}")
-    table, _ = evalreport.model_table(params, records, physical_units=args.physical)
-    baseline = evalreport.baseline_table(records, physical_units=args.physical)
+    config, params, manifest, cache = _open_eval_inputs(args.checkpoint, args.data)
+    with cache:
+        rows = (np.arange(len(cache)) if args.split == "all"
+                else trainer.split_rows(manifest, cache)[args.split])
+        if not len(rows):
+            raise ValueError(f"no epochs in split {args.split!r}")
+        if cache.channels[0] != config.input_channel:
+            raise ValueError(f"cache input channel {cache.channels[0]!r} is not the "
+                             f"checkpoint's {config.input_channel!r}")
+        # the cache is verified before any output file is opened
+        table, baseline = evalreport.cache_tables(params, cache, rows, args.physical)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,14 +202,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _, _, params, records = _load_eval_inputs(args.checkpoint, args.data, "all")
-    if not 0 <= args.epoch_index < len(records):
-        raise ValueError(
-            f"--epoch-index {args.epoch_index} out of range (cache has "
-            f"{len(records)} epochs)"
-        )
-    record = records[args.epoch_index]
-    recons = mae.reconstruct_epoch(params, record)
+    config, params, _, cache = _open_eval_inputs(args.checkpoint, args.data)
+    with cache:
+        if not 0 <= args.epoch_index < len(cache):
+            raise ValueError(
+                f"--epoch-index {args.epoch_index} out of range (cache has "
+                f"{len(cache)} epochs)"
+            )
+        # every row is read for the CRC; only the one asked for is kept
+        scratch = cache.buffer(min(len(cache), mae.PREDICT_CHUNK))
+        signals = cache.read(args.epoch_index, 1, scratch).copy()
+        cache.verify(scratch)
+        record = cache.epochs([args.epoch_index], signals)[0]
+    recons = dict(zip(config.mae.target_channels, mae.predict(params, signals[:, 0])[0]))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     evalreport.export_reconstruction(record, recons, out_path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import mae
 from .mae import MaeParams
-from .pipeline import EpochRecord, EpochSet, SleepStage, STAGES, as_epoch_set, denormalize
+from .pipeline import (EpochCacheReader, EpochRecord, EpochSet, MissingChannel, SleepStage, STAGES,
+                       as_epoch_set, denormalize)
 
 STAGE_COLUMNS = tuple(stage.display for stage in STAGES)
 
@@ -94,32 +96,36 @@ class MseTable:
         return total / count
 
 
-def _score_row(table: MseTable, input_channel: str, target: str, stage: np.ndarray,
-               pred: np.ndarray, orig: np.ndarray, norm: np.ndarray | list | None) -> None:
-    """Add row (input_channel, target): per ``stage`` code, the mean over N
-    epochs of ``mse`` of ``pred`` against ``orig`` (N, epoch_len), both first
-    de-normalized through ``norm``'s (N, 2) (mean, std) unless it is None."""
-    if np.shape(pred) != np.shape(orig):
-        raise LengthMismatch(f"{target!r}: pred shape {np.shape(pred)} "
-                             f"!= orig shape {np.shape(orig)}")
-    errors = np.empty(len(stage))
-    for lo in range(0, len(stage), SCORE_CHUNK):
+def epoch_errors(pred: np.ndarray | None, orig: np.ndarray,
+                 norm: np.ndarray | list | None = None) -> np.ndarray:
+    """Per-epoch ``mse`` (N, ...) of ``pred`` against ``orig``, both (N, ...,
+    epoch_len), each first de-normalized through ``norm``'s (N, ..., 2)
+    (mean, std) unless it is None; ``pred`` None is the all-zeros baseline."""
+    errors = np.empty(np.shape(orig)[:-1])
+    for lo in range(0, len(orig), SCORE_CHUNK):
         rows = slice(lo, lo + SCORE_CHUNK)
-        chunk_pred, chunk_orig = pred[rows], orig[rows]
+        chunk_pred, chunk_orig = 0.0 if pred is None else pred[rows], orig[rows]
         if norm is not None:
-            mean, std = np.asarray(norm[rows], dtype=np.float64).T[:, :, None]
+            mean, std = np.moveaxis(np.asarray(norm[rows], dtype=np.float64), -1, 0)[..., None]
             chunk_pred = denormalize(chunk_pred, mean, std)
             chunk_orig = denormalize(chunk_orig, mean, std)
         diff = np.subtract(chunk_pred, chunk_orig, dtype=np.float64)
         errors[rows] = np.mean(np.square(diff, out=diff), axis=-1)
-    # bincount sums each stage's errors sequentially, in epoch order
-    totals = np.bincount(stage, weights=errors, minlength=len(STAGES)).tolist()
+    return errors
+
+
+def _add_rows(table: MseTable, input_channel: str, targets, stage: np.ndarray,
+              errors: np.ndarray) -> MseTable:
+    """``table`` with rows (input_channel, target j): per ``stage`` code, the
+    mean of its epochs' errors[:, j], which bincount sums in epoch order."""
     counts = np.bincount(stage, minlength=len(STAGES)).tolist()
-    table.add_row(input_channel, target)
-    for cell_stage, total, count in zip(STAGES, totals, counts):
-        if count:
-            table.set_cell(input_channel, target, cell_stage,
-                           MseCell(mean_mse=total / count, epoch_count=count))
+    for j, target in enumerate(targets if len(stage) else ()):
+        totals = np.bincount(stage, weights=errors[:, j], minlength=len(STAGES)).tolist()
+        table.add_row(input_channel, target)
+        for cell_stage, total, count in zip(STAGES, totals, counts):
+            if count:
+                table.set_cell(input_channel, target, cell_stage, MseCell(total / count, count))
+    return table
 
 
 def stage_table(epochs: EpochSet, recons: dict[str, np.ndarray] | None = None,
@@ -127,14 +133,64 @@ def stage_table(epochs: EpochSet, recons: dict[str, np.ndarray] | None = None,
     """Mean MSE per (input, target, stage) of ``recons`` (target -> (N, epoch_len),
     normalized) against an EpochSet, or of the all-zeros baseline if None; in
     squared physical units, through each epoch's (mean, std), if ``physical_units``."""
-    table = MseTable()
+    errors = np.empty((len(epochs), len(epochs.target_channels)))
     for j, target in enumerate(epochs.target_channels if len(epochs) else (), start=1):
-        orig = epochs.signals[:, j]
-        # zero-strided zeros: the baseline costs no (N, epoch_len) array
-        pred = np.broadcast_to(np.float32(0), orig.shape) if recons is None else recons[target]
-        _score_row(table, epochs.input_channel, target, epochs.stage, pred, orig,
-                   epochs.norm[:, j] if physical_units else None)
-    return table
+        orig, pred = epochs.signals[:, j], None if recons is None else recons[target]
+        if pred is not None and np.shape(pred) != orig.shape:
+            raise LengthMismatch(f"{target!r}: pred shape {np.shape(pred)} "
+                                 f"!= orig shape {orig.shape}")
+        errors[:, j - 1] = epoch_errors(pred, orig, epochs.norm[:, j] if physical_units else None)
+    return _add_rows(MseTable(), epochs.input_channel, epochs.target_channels, epochs.stage,
+                     errors)
+
+
+class _CacheLanes:
+    """predict's inputs and sink over the cache rows ``rows``: a slice reads its
+    rows into a buffer of the lane taking it, and the sink scores that lane's
+    reconstructions, model head ``heads[j]`` for the cache's target j, into
+    per-epoch model and baseline errors (N, targets)."""
+
+    def __init__(self, reader: EpochCacheReader, rows: np.ndarray, heads: list[int],
+                 physical_units: bool):
+        self.reader, self.rows, self.heads, self.physical_units = reader, rows, heads, physical_units
+        self.model, self.baseline = np.empty((2, len(rows), len(heads)))
+        self._lane = threading.local()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        wanted, buffer = self.rows[span], getattr(self._lane, "buffer", None)
+        if buffer is None or len(buffer) < len(wanted):
+            buffer = self._lane.buffer = self.reader.buffer(len(wanted))
+        kept = 0
+        for run in np.split(wanted, np.flatnonzero(np.diff(wanted) != 1) + 1):
+            kept += len(self.reader.read(run[0], len(run), buffer[kept:]))
+        return buffer[:kept, 0]
+
+    def __call__(self, lo: int, recon: np.ndarray) -> None:
+        span, orig = slice(lo, lo + len(recon)), self._lane.buffer[:len(recon), 1:]
+        norm = self.reader.norm[self.rows[span], 1:] if self.physical_units else None
+        self.model[span] = epoch_errors(recon[:, self.heads], orig, norm)
+        self.baseline[span] = epoch_errors(None, orig, norm)
+
+
+def cache_tables(params: MaeParams, reader: EpochCacheReader, rows: np.ndarray,
+                 physical_units: bool = False) -> tuple[MseTable, MseTable]:
+    """``model_table``'s table and ``baseline_table`` of the cache rows ``rows``
+    (ascending), streamed through predict's lanes: each lane reads a chunk's
+    rows into a buffer it reuses and scores them there, so only per-epoch
+    errors are kept. Other rows are read for the CRC only, and the reader is
+    verified before the tables return."""
+    channels, order = reader.channels, params.config.target_channels
+    if sorted(channels[1:]) != sorted(order):
+        raise MissingChannel(f"cache target channels {list(channels[1:])} are not the "
+                             f"model's {list(order)}")
+    lanes = _CacheLanes(reader, rows, [order.index(t) for t in channels[1:]], physical_units)
+    mae.predict(params, lanes, lanes)
+    reader.verify(reader.buffer(min(len(reader), mae.PREDICT_CHUNK)))  # untouched unless needed
+    return tuple(_add_rows(MseTable(), channels[0], channels[1:], reader.stage[rows], errors)
+                 for errors in (lanes.model, lanes.baseline))
 
 
 def aggregate_by_stage(pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]],
@@ -152,9 +208,11 @@ def aggregate_by_stage(pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]
     table = MseTable()
     for (input_channel, target), group in groups.items():
         records, preds = zip(*group)
-        _score_row(table, input_channel, target, np.array([r.stage.code for r in records]),
-                   np.array(preds), np.array([r.targets[target] for r in records]),
-                   [r.norm_params[target] for r in records] if physical_units else None)
+        errors = epoch_errors(np.array(preds), np.array([r.targets[target] for r in records]),
+                              [r.norm_params[target] for r in records] if physical_units
+                              else None)
+        _add_rows(table, input_channel, [target], np.array([r.stage.code for r in records]),
+                  errors[:, None])
     return table
 
 
@@ -223,11 +281,6 @@ def _render_text(table: MseTable) -> bytes:
                 + "  ".join(f"{c:>{col_width}}" for c in cells)
             )
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def zero_reconstructions(record: EpochRecord) -> dict[str, np.ndarray]:
-    """The predict-mean baseline: all-zero reconstructions in normalized units."""
-    return {ch: np.zeros_like(record.targets[ch]) for ch in record.target_channels}
 
 
 def model_table(params: MaeParams, epochs: EpochSet,

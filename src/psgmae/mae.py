@@ -316,19 +316,23 @@ def forward_loss(
     return cosine_loss(pred, Tensor(target, dtype=params.dtype)), unpatchify(recon.data)
 
 
-def predict(params: MaeParams, inputs) -> np.ndarray:
+def predict(params: MaeParams, inputs, sink=None) -> np.ndarray | None:
     """Full-visibility reconstructions (N, num_targets, epoch_len) of N input
-    epochs (an (N, epoch_len) array or a sequence of epoch arrays).
+    epochs: an (N, epoch_len) array, a sequence of epoch arrays, or any object
+    with a length whose slices are those.
 
     The epochs run in chunks of min(ceil(N / W), PREDICT_CHUNK // W) epochs,
     at least one, on W = min(cores, PREDICT_CHUNK) lanes of the numcore pool,
-    each pulling the next chunk and writing its rows of the result until none
-    is left; at most PREDICT_CHUNK epochs are in flight, so activation memory
-    does not grow with the core count. One chunk or one core runs on this thread."""
+    each taking the next chunk's slice of ``inputs`` under one lock, so slices
+    are taken in chunk order, until none is left; at most PREDICT_CHUNK epochs
+    are in flight, so activation memory does not grow with the core count.
+    One chunk or one core runs on this thread. With ``sink``, each chunk's
+    reconstructions go to sink(lo, recon) on the lane that took the slice
+    inputs[lo: lo + len(recon)], before it takes another, and predict returns None."""
     config = params.config
     plan = full_visibility(config.seq_len)
     out = np.empty((len(inputs), len(config.target_channels), config.epoch_len),
-                   dtype=params.dtype)
+                   dtype=params.dtype) if sink is None else None
     workers = min(nc.cores(), PREDICT_CHUNK)
     chunk = max(1, min(PREDICT_CHUNK // workers, -(-len(inputs) // workers)))
     starts, lock = iter(range(0, len(inputs), chunk)), threading.Lock()
@@ -337,18 +341,14 @@ def predict(params: MaeParams, inputs) -> np.ndarray:
         while True:
             with lock:
                 lo = next(starts, None)
-            if lo is None:
-                return
-            tokens = patchify(np.stack(inputs[lo: lo + chunk]), config)
-            recon = decode(encode(tokens, plan, params), plan, params)
-            out[lo: lo + len(tokens)] = unpatchify(recon.data)
+                if lo is None:
+                    return
+                batch = inputs[lo: lo + chunk]
+            recon = decode(encode(patchify(np.stack(batch), config), plan, params), plan, params)
+            if sink is None:
+                out[lo: lo + len(batch)] = unpatchify(recon.data)
+            else:
+                sink(lo, unpatchify(recon.data))
 
     nc._parallel_map(lane, range(min(workers, -(-len(inputs) // chunk))))
     return out
-
-
-def reconstruct_epoch(params: MaeParams, record) -> dict[str, np.ndarray]:
-    """Full-visibility reconstruction of one EpochRecord, keyed by target
-    channel (normalized units)."""
-    recon = predict(params, [record.input_samples])[0]
-    return dict(zip(params.config.target_channels, recon))

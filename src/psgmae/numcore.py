@@ -74,7 +74,8 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        self.data = np.ascontiguousarray(arr)
+        # ascontiguousarray would give a 0-d array (a scalar loss) shape (1,)
+        self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
 
     @property

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -518,40 +519,127 @@ def write_epoch_cache(path: Path | str, epochs: EpochSet | list[EpochSet]) -> No
         handle.write(table + struct.pack("<I", zlib.crc32(table, crc)))
 
 
+class EpochCacheReader:
+    """A cache written by write_epoch_cache, read in file order.
+
+    Opening checks the magic, the header and the file size, then reads the
+    small columns and the name table and checks them as EpochSet does: the
+    read-only ``norm``, ``epoch_index``, ``subject`` and ``stage`` arrays and
+    the ``channels`` and ``subjects``. ``read`` hands out signal rows in file
+    order, chaining the CRC32 over them, and ``verify`` reads the rest and
+    checks it: anything but an intact PSGEPO02 cache raises CorruptCache by
+    then. Calls from several threads must not overlap.
+    """
+
+    def __init__(self, path: Path | str):
+        self._file = open(path, "rb", buffering=0)
+        try:
+            self._read_columns()
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _read_columns(self) -> None:
+        head = self._file.read(len(CACHE_MAGIC) + _CACHE_COUNTS.size)
+        if head[:8] != CACHE_MAGIC:
+            hint = "; re-run preprocess to rebuild it" if head[:8] == b"PSGEPO01" else ""
+            raise CorruptCache(f"bad epoch cache magic {head[:8]!r}{hint}")
+        if len(head) < len(CACHE_MAGIC) + _CACHE_COUNTS.size:
+            raise CorruptCache("truncated epoch cache header")
+        n, c, s, table_len = _CACHE_COUNTS.unpack_from(head, len(CACHE_MAGIC))
+        if c == 0:
+            raise CorruptCache("epoch cache has no channels")
+        start = len(head) + 4 * n * c * EPOCH_SAMPLES  # the small columns follow the signals
+        size, promised = os.fstat(self._file.fileno()).st_size, start + n * (8 * c + 7) + table_len
+        if size != promised + 4:
+            raise CorruptCache(f"epoch cache has {size} bytes where its header promises "
+                               f"{promised + 4} (truncated or trailing bytes)")
+        self._file.seek(start)
+        data = memoryview(self._read_exact(bytearray(size - start))).toreadonly()
+        columns, pos = {}, 0
+        self._file.seek(len(head))
+        for name, dtype in _CACHE_ARRAYS[1:]:
+            shape = (n, c, 2) if name == "norm" else (n,)
+            columns[name] = np.frombuffer(data, dtype, int(np.prod(shape)), pos).reshape(shape)
+            pos += columns[name].nbytes
+        try:
+            names = []
+            for _ in range(c + s):
+                length = int.from_bytes(data[pos: pos + 2], "little")
+                names.append(str(data[pos + 2: pos + 2 + length], "utf-8"))
+                pos += 2 + length
+            if pos != promised - start:
+                raise ValueError("name table length disagrees with its names")
+            # EpochSet's checks of the columns, over zero-strided signals that cost no memory
+            EpochSet(names[:c], names[c:], signals=np.broadcast_to(
+                np.float32(0), (n, c, EPOCH_SAMPLES)), **columns)
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise CorruptCache(f"malformed epoch cache: {exc}") from exc
+        self.channels, self.subjects = tuple(names[:c]), tuple(names[c:])
+        self.norm, self.epoch_index = columns["norm"], columns["epoch_index"]
+        self.subject, self.stage = columns["subject"], columns["stage"]
+        self._crc, self._pos = zlib.crc32(head[len(CACHE_MAGIC):]), 0
+        self._rest, self._stored = data[:-4], int.from_bytes(data[-4:], "little")
+
+    def __len__(self) -> int:
+        return len(self.stage)
+
+    def __enter__(self) -> EpochCacheReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def buffer(self, rows: int) -> np.ndarray:
+        """An uninitialized array of ``rows`` signal rows for ``read`` to fill."""
+        return np.empty((rows, len(self.channels), EPOCH_SAMPLES), dtype="<f4")
+
+    def read(self, start: int, count: int, out: np.ndarray) -> np.ndarray:
+        """Signal rows start .. start + count - 1 in out[:count] (a ``buffer``),
+        which is returned; the rows from the last read up to ``start`` are read
+        through ``out`` first, for the CRC only. No read asks for more than len(out) rows."""
+        if not self._pos <= start <= start + count <= len(self) or count > len(out):
+            raise ValueError(f"cannot read rows {start}..{start + count - 1} into {len(out)} "
+                             f"rows at row {self._pos} of {len(self)}")
+        self._read_to(start, out)
+        self._read_to(start + count, out[:count])
+        return out[:count]
+
+    def verify(self, scratch: np.ndarray) -> None:
+        """Read the rows left through ``scratch`` (a ``buffer``) and check the CRC."""
+        self._read_to(len(self), scratch)
+        if zlib.crc32(self._rest, self._crc) != self._stored:
+            raise CorruptCache("epoch cache checksum mismatch")
+
+    def epochs(self, rows, signals: np.ndarray) -> EpochSet:
+        """The cache rows ``rows`` (an index array or a slice) with their ``signals``."""
+        return EpochSet(self.channels, self.subjects, self.subject[rows], self.epoch_index[rows],
+                        self.stage[rows], self.norm[rows], signals)
+
+    def _read_to(self, stop: int, scratch: np.ndarray) -> None:
+        """Read the rows up to ``stop`` into ``scratch``, len(scratch) at a time."""
+        while self._pos < stop:
+            if not len(scratch):
+                raise ValueError("rows are left to read but the buffer holds none")
+            piece = scratch[: stop - self._pos]
+            self._crc = zlib.crc32(self._read_exact(piece.reshape(-1).view(np.uint8)), self._crc)
+            self._pos += len(piece)
+
+    def _read_exact(self, out: bytearray | np.ndarray) -> bytearray | np.ndarray:
+        """``out``, a writable byte buffer, filled from the file."""
+        view, done = memoryview(out), 0
+        while done < len(view):
+            got = self._file.readinto(view[done:])
+            if not got:
+                raise CorruptCache("epoch cache ended early: truncated while being read")
+            done += got
+        return out
+
+
 def read_epoch_cache(path: Path | str) -> EpochSet:
-    """Read a cache written by write_epoch_cache. The set's arrays are
-    read-only views of the file's bytes; anything that is not an intact
-    PSGEPO02 cache raises CorruptCache."""
-    data = Path(path).read_bytes()
-    if data[:8] != CACHE_MAGIC:
-        hint = "; re-run preprocess to rebuild it" if data[:8] == b"PSGEPO01" else ""
-        raise CorruptCache(f"bad epoch cache magic {data[:8]!r}{hint}")
-    offset = len(CACHE_MAGIC) + _CACHE_COUNTS.size
-    if len(data) < offset:
-        raise CorruptCache("truncated epoch cache header")
-    n, c, s, table_len = _CACHE_COUNTS.unpack_from(data, len(CACHE_MAGIC))
-    if c == 0:
-        raise CorruptCache("epoch cache has no channels")
-    layout = []
-    for name, dtype in _CACHE_ARRAYS:
-        shape = {"signals": (n, c, EPOCH_SAMPLES), "norm": (n, c, 2)}.get(name, (n,))
-        layout.append((name, dtype, shape, offset))
-        offset += np.dtype(dtype).itemsize * int(np.prod(shape))
-    if len(data) != offset + table_len + 4:
-        raise CorruptCache(f"epoch cache has {len(data)} bytes where its header promises "
-                           f"{offset + table_len + 4} (truncated or trailing bytes)")
-    if zlib.crc32(memoryview(data)[len(CACHE_MAGIC):-4]) != int.from_bytes(data[-4:], "little"):
-        raise CorruptCache("epoch cache checksum mismatch")
-    try:
-        names, pos = [], offset
-        for _ in range(c + s):
-            size = int.from_bytes(data[pos: pos + 2], "little")
-            names.append(data[pos + 2: pos + 2 + size].decode("utf-8"))
-            pos += 2 + size
-        if pos != offset + table_len:
-            raise ValueError("name table length disagrees with its names")
-        return EpochSet(names[:c], names[c:], **{
-            name: np.frombuffer(data, dtype, int(np.prod(shape)), start).reshape(shape)
-            for name, dtype, shape, start in layout})
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise CorruptCache(f"malformed epoch cache: {exc}") from exc
+    """Read a whole cache written by write_epoch_cache through an
+    EpochCacheReader; its small columns are read-only."""
+    with EpochCacheReader(path) as reader:
+        signals = reader.read(0, len(reader), reader.buffer(len(reader)))
+        reader.verify(signals)
+        return reader.epochs(slice(None), signals)

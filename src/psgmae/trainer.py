@@ -294,10 +294,17 @@ def load_dataset(data_dir: Path | str) -> tuple[DatasetManifest, EpochSet]:
     return load_manifest(data_dir / MANIFEST_FILENAME), read_epoch_cache(data_dir / CACHE_FILENAME)
 
 
+def split_rows(manifest: DatasetManifest, epochs) -> dict[str, np.ndarray]:
+    """The ascending train, val and test rows of an EpochSet or EpochCacheReader,
+    by their subject's split."""
+    split = np.array([manifest.splits.get(s) for s in epochs.subjects], dtype=object)
+    return {name: np.flatnonzero(split[epochs.subject] == name)
+            for name in ("train", "val", "test")}
+
+
 def split_records(manifest: DatasetManifest, epochs: EpochSet) -> dict[str, EpochSet]:
     """The train, val and test epochs, by their subject's split."""
-    split = np.array([manifest.splits.get(s) for s in epochs.subjects], dtype=object)
-    return {name: epochs[split[epochs.subject] == name] for name in ("train", "val", "test")}
+    return {name: epochs[rows] for name, rows in split_rows(manifest, epochs).items()}
 
 
 def _format_metrics(epoch: int, train_loss: float, val_loss: float,

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import io
 import os
 import struct
 import subprocess
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 
 import psgmae
-from psgmae import cli, evalreport, mae, numcore as nc, trainer
+from psgmae import cli, evalreport, mae, numcore as nc, pipeline, trainer
 from psgmae.cli import main
 from psgmae.pipeline import denormalize
 
-from conftest import edit_meta
+from conftest import edit_meta, philox, reseal
 
 
 TRAIN_CONFIG = """\
@@ -268,7 +269,9 @@ class TestTrainEval:
             "--out", str(workspace / "eval_physical"), "--split", "test", "--physical",
         )
         assert code == 0
-        _, _, params, epochs = cli._load_eval_inputs(checkpoint, str(workspace / "data"), "test")
+        saved = trainer.load_checkpoint(Path(checkpoint).read_bytes())
+        params = trainer.params_from_blobs(saved.train_config().mae, saved.best_params)
+        epochs = trainer.split_records(*trainer.load_dataset(workspace / "data"))["test"]
         recons = mae.predict(params, epochs.signals[:, 0])
         records = list(epochs)
         printed = {line.split("]")[0][len("pooled["):]: line
@@ -393,6 +396,186 @@ class TestTrainEval:
         )
         assert code == 2
         assert "99999" in err
+
+
+def reading_open(reads, end=None):
+    """An ``open`` for pipeline whose files read at most half of what each
+    readinto asks, and nothing past byte ``end``, as a file cut short while it
+    is read; each readinto's (bytes asked, bytes read) go to ``reads``."""
+    class File(io.FileIO):
+        def readinto(self, buffer):
+            view = memoryview(buffer).cast("B")
+            room = len(view) if end is None else max(0, min(len(view), end - self.tell()))
+            got = super().readinto(view[: max(1, room // 2)]) if room else 0
+            reads.append((len(view), got))
+            return got
+    return lambda path, mode, buffering: File(path, mode)
+
+
+class TestStreamedEval:
+    """eval and reconstruct read the cache chunk by chunk: damage anywhere
+    exits 2 before any output file is opened."""
+
+    @staticmethod
+    def layout(cache):
+        """Byte offsets of the cache's parts: (rows, row bytes, small columns
+        start, name table start)."""
+        n, c, _, table_len = struct.unpack_from("<IHHI", cache, 8)
+        row = 4 * c * 3000
+        return n, row, 20 + n * row, len(cache) - 4 - table_len
+
+    DAMAGE = {
+        "first_signal_row": lambda cache, n, row, columns, table: cache.__setitem__(
+            21, cache[21] ^ 0x04),
+        "middle_signal_row": lambda cache, n, row, columns, table: cache.__setitem__(
+            20 + n // 2 * row + 7, cache[20 + n // 2 * row + 7] ^ 0x10),
+        "last_signal_row": lambda cache, n, row, columns, table: cache.__setitem__(
+            columns - 2, cache[columns - 2] ^ 0x01),
+        "norm": lambda cache, n, row, columns, table: cache.__setitem__(
+            columns + 5, cache[columns + 5] ^ 0x02),
+        "epoch_index": lambda cache, n, row, columns, table: cache.__setitem__(
+            table - 7 * n, cache[table - 7 * n] ^ 0x01),
+        "subject": lambda cache, n, row, columns, table: cache.__setitem__(
+            table - 3 * n, cache[table - 3 * n] ^ 0x01),
+        "stage": lambda cache, n, row, columns, table: cache.__setitem__(
+            table - 1, cache[table - 1] ^ 0x01),
+        "name_table": lambda cache, n, row, columns, table: cache.__setitem__(
+            table + 3, cache[table + 3] ^ 0x20),
+        "crc": lambda cache, n, row, columns, table: cache.__setitem__(-1, cache[-1] ^ 0x80),
+        "truncated": lambda cache, n, row, columns, table: cache.__delitem__(
+            slice(columns - row // 2, columns)),
+        "trailing_byte": lambda cache, n, row, columns, table: cache.append(0),
+    }
+
+    def eval_outputs(self, capsys, workspace, tmp_path, data, *extra):
+        """Run eval into a new directory and into one holding an earlier table;
+        return each run's exit code and stderr and whether the earlier table
+        is untouched and the new directory holds none."""
+        earlier = tmp_path / "earlier"
+        earlier.mkdir(exist_ok=True)
+        (earlier / "mse_table.csv").write_bytes(b"earlier table\n")
+        runs = [run(capsys, "eval", "--checkpoint", str(workspace / "run" / "checkpoint.psgmae"),
+                    "--data", str(data), "--out", str(out), *extra)
+                for out in (tmp_path / "new", earlier)]
+        kept = ((earlier / "mse_table.csv").read_bytes() == b"earlier table\n"
+                and not (tmp_path / "new" / "mse_table.csv").exists())
+        return [(code, err) for code, _, err in runs], kept
+
+    @pytest.mark.parametrize("split", ["test", "all"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_cache_exits_2_and_writes_no_table(self, capsys, workspace, tmp_path,
+                                                       damage, split):
+        def edit(cache):
+            self.DAMAGE[damage](cache, *self.layout(cache))
+        data = TestTrainEval.damaged_data(workspace, tmp_path, edit)
+        runs, kept = self.eval_outputs(capsys, workspace, tmp_path, data, "--split", split)
+        for code, err in runs:
+            assert code == 2
+            assert err.startswith("error:") and "Traceback" not in err
+        assert kept
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    def test_read_cut_short_exits_2(self, capsys, workspace, tmp_path, monkeypatch, command):
+        cache = workspace / "data" / trainer.CACHE_FILENAME
+        n, row, columns, _ = self.layout(cache.read_bytes())
+        monkeypatch.setattr(pipeline, "open", reading_open([], end=columns - row), raising=False)
+        if command == "eval":
+            runs, kept = self.eval_outputs(capsys, workspace, tmp_path, workspace / "data")
+            assert kept
+        else:
+            code, _, err = run(capsys, "reconstruct", "--checkpoint",
+                               str(workspace / "run" / "checkpoint.psgmae"),
+                               "--data", str(workspace / "data"), "--epoch-index", "0",
+                               "--out", str(tmp_path / "epoch.csv"))
+            runs = [(code, err)]
+            assert not (tmp_path / "epoch.csv").exists()
+        for code, err in runs:
+            assert code == 2
+            assert "ended early" in err
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    def test_reads_bounded_by_a_chunk_and_cover_the_file(self, capsys, workspace, tmp_path,
+                                                         monkeypatch, fresh_pool, cores,
+                                                         command):
+        """Over 150 epochs, no read asks for more than a lane's chunk of rows
+        (reconstruct's: PREDICT_CHUNK rows), and the reads cover every byte
+        after the header once."""
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        n, rng, data = 150, philox(150), tmp_path / "data"
+        data.mkdir()
+        pipeline.save_manifest(data / trainer.MANIFEST_FILENAME,
+                               pipeline.DatasetManifest([], splits={"S0": "test"}))
+        pipeline.write_epoch_cache(data / trainer.CACHE_FILENAME, pipeline.EpochSet(
+            ("EEG Fpz-Cz", "EOG horizontal", "EMG submental", "EEG Pz-Oz"), ("S0",),
+            subject=np.zeros(n), epoch_index=np.arange(n), stage=rng.integers(0, 5, n),
+            norm=np.stack([rng.normal(0, 20, (n, 4)), rng.uniform(0.5, 9, (n, 4))], axis=-1),
+            signals=rng.normal(0, 1, (n, 4, 3000))))
+        cache = (data / trainer.CACHE_FILENAME).read_bytes()
+        _, row, columns, _ = self.layout(cache)
+        reads = []
+        monkeypatch.setattr(pipeline, "open", reading_open(reads), raising=False)
+        args = ["--checkpoint", str(workspace / "run" / "checkpoint.psgmae"), "--data", str(data)]
+        if command == "eval":
+            code, _, _ = run(capsys, "eval", *args, "--out", str(tmp_path / "out"))
+            workers = min(cores, mae.PREDICT_CHUNK)
+            chunk = max(1, min(mae.PREDICT_CHUNK // workers, -(-n // workers)))
+        else:
+            code, _, _ = run(capsys, "reconstruct", *args, "--epoch-index", str(n - 1),
+                             "--out", str(tmp_path / "epoch.csv"))
+            chunk = mae.PREDICT_CHUNK
+        assert code == 0
+        assert 1 < chunk < n
+        assert max(asked for asked, _ in reads) <= max(chunk * row, len(cache) - columns)
+        assert sum(got for _, got in reads) == len(cache) - 20
+
+    def test_streamed_outputs_equal_in_memory_ones(self, capsys, workspace, tmp_path):
+        checkpoint = str(workspace / "run" / "checkpoint.psgmae")
+        saved = trainer.load_checkpoint(Path(checkpoint).read_bytes())
+        params = trainer.params_from_blobs(saved.train_config().mae, saved.best_params)
+        manifest, epochs = trainer.load_dataset(workspace / "data")
+        for split, subset in {"all": epochs, **trainer.split_records(manifest, epochs)}.items():
+            code, _, _ = run(capsys, "eval", "--checkpoint", checkpoint,
+                             "--data", str(workspace / "data"), "--split", split,
+                             "--out", str(tmp_path / split))
+            assert code == 0
+            table = evalreport.model_table(params, subset)[0]
+            assert (tmp_path / split / "mse_table.csv").read_bytes() == evalreport.render_table(
+                table, "csv")
+        code, _, _ = run(capsys, "reconstruct", "--checkpoint", checkpoint,
+                         "--data", str(workspace / "data"), "--epoch-index", "5",
+                         "--out", str(tmp_path / "epoch.csv"))
+        assert code == 0
+        evalreport.export_reconstruction(epochs[5], dict(zip(
+            params.config.target_channels, mae.predict(params, epochs.signals[5:6, 0])[0])),
+            tmp_path / "reference.csv")
+        assert (tmp_path / "epoch.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda cache: cache.replace(b"EEG Fpz-Cz", b"EEG Fpz-Cx"), "input channel"),
+        (lambda cache: cache.replace(b"EEG Pz-Oz", b"EEG Pz-Ox"), "target channels"),
+    ], ids=["input_channel", "target_channel"])
+    def test_channels_unlike_the_checkpoint_exit_2(self, capsys, workspace, tmp_path, edit,
+                                                   message):
+        def rename(cache):  # a consistent cache whose channel names differ
+            cache[:] = reseal(edit(bytes(cache[:-4])))
+        data = TestTrainEval.damaged_data(workspace, tmp_path, rename)
+        runs, kept = self.eval_outputs(capsys, workspace, tmp_path, data, "--split", "all")
+        for code, err in runs:
+            assert code == 2
+            assert message in err
+        assert kept
+
+    def test_empty_split_exits_2(self, capsys, workspace, tmp_path):
+        data = TestTrainEval.damaged_data(workspace, tmp_path, lambda cache: None)
+        manifest = pipeline.load_manifest(data / trainer.MANIFEST_FILENAME)
+        manifest.splits = dict.fromkeys(manifest.splits, "train")
+        pipeline.save_manifest(data / trainer.MANIFEST_FILENAME, manifest)
+        runs, kept = self.eval_outputs(capsys, workspace, tmp_path, data, "--split", "val")
+        for code, err in runs:
+            assert code == 2
+            assert "no epochs in split 'val'" in err
+        assert kept
 
 
 class TestTrainProgress:

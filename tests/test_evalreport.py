@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from psgmae import evalreport, mae, pipeline
+from psgmae import evalreport, mae, numcore as nc, pipeline, trainer
 from psgmae.evalreport import (
     LengthMismatch,
     MseCell,
@@ -16,9 +16,8 @@ from psgmae.evalreport import (
     mse,
     render_table,
     table_from_csv,
-    zero_reconstructions,
 )
-from psgmae.pipeline import SleepStage
+from psgmae.pipeline import EpochCacheReader, EpochSet, SleepStage
 
 from conftest import philox, synth_records
 
@@ -207,11 +206,12 @@ class TestAggregate:
         model = [(record, {t: recons[t][i] for t in recons}) for i, record in enumerate(records)]
         self.assert_equals_reference(evalreport.stage_table(epochs, recons, physical),
                                      model, physical)
+        zeros = [(r, {t: np.zeros_like(x) for t, x in r.targets.items()}) for r in records]
         self.assert_equals_reference(evalreport.stage_table(epochs, physical_units=physical),
-                                     [(r, zero_reconstructions(r)) for r in records], physical)
+                                     zeros, physical)
         if physical:  # the baseline adapter takes the units too
             self.assert_equals_reference(baseline_table(records, physical_units=True),
-                                         [(r, zero_reconstructions(r)) for r in records], True)
+                                         zeros, True)
 
     @pytest.mark.parametrize("physical", [False, True])
     def test_aggregate_scores_pairs_in_their_own_precision(self, physical):
@@ -250,6 +250,64 @@ class TestAggregate:
             p_cell = physical.cell("EEG Fpz-Cz", target, SleepStage.N3)
             assert p_cell.mean_mse == pytest.approx(
                 n_cell.mean_mse * std * std, rel=1e-5)
+
+
+class TestCacheTables:
+    """cache_tables streams a cache's rows through predict's lanes and gives
+    model_table's and baseline_table's bytes over the same rows."""
+
+    SPLITS = ("train", "test", "val", "test", "train", "val")  # subjects S0..S5
+
+    @classmethod
+    def write(cls, path, n):
+        """n epochs of six subjects, each subject's rows together, so a split's
+        rows come in runs with other splits' rows between them."""
+        rng = philox(n)
+        subjects = tuple(f"S{i}" for i in range(len(cls.SPLITS)))
+        pipeline.write_epoch_cache(path, EpochSet(
+            ("in", "b", "a"), subjects, subject=np.sort(rng.integers(0, len(subjects), n)),
+            epoch_index=np.arange(n), stage=rng.integers(0, len(pipeline.STAGES), n),
+            norm=np.stack([rng.normal(0, 20, (n, 3)), rng.uniform(0.5, 9, (n, 3))], axis=-1),
+            signals=rng.normal(0, 1, (n, 3, 3000))))
+        return pipeline.DatasetManifest([], splits=dict(zip(subjects, cls.SPLITS)))
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    @pytest.mark.parametrize("off_by", [-1, 1])
+    def test_bytes_equal_in_memory_tables(self, tmp_path, monkeypatch, fresh_pool, cores,
+                                          off_by):
+        """On every split, in both units, with three whole chunks of the
+        lanes' size plus or minus one epoch; a split's rows alone are predicted."""
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        n = 3 * (mae.PREDICT_CHUNK // cores) + off_by
+        path = tmp_path / "epochs.psgepo"
+        manifest = self.write(path, n)
+        # the model's heads in another order than the cache's targets
+        params = mae.init_params(mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
+                                               target_channels=("a", "b")), seed=3)
+        predicted, encode = [], mae.encode
+        monkeypatch.setattr(mae, "encode", lambda tokens, plan, params: (
+            predicted.append(len(tokens)), encode(tokens, plan, params))[1])
+        epochs = pipeline.read_epoch_cache(path)
+        splits = {"all": np.arange(n), **trainer.split_rows(manifest, epochs)}
+        assert all(0 < len(rows) < n for name, rows in splits.items() if name != "all")
+        for split, rows in splits.items():
+            for physical in (False, True):
+                predicted.clear()
+                with EpochCacheReader(path) as reader:
+                    model, baseline = evalreport.cache_tables(params, reader, rows, physical)
+                assert sum(predicted) == len(rows)
+                want = evalreport.model_table(params, epochs[rows], physical)[0]
+                assert render_table(model, "csv") == render_table(want, "csv")
+                want = baseline_table(epochs[rows], physical)
+                assert render_table(baseline, "csv") == render_table(want, "csv")
+
+    def test_targets_unlike_the_model_rejected(self, tmp_path):
+        path = tmp_path / "epochs.psgepo"
+        self.write(path, 5)
+        params = mae.init_params(mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
+                                               target_channels=("a", "c")), seed=3)
+        with EpochCacheReader(path) as reader, pytest.raises(pipeline.MissingChannel):
+            evalreport.cache_tables(params, reader, np.arange(5))
 
 
 def canonical_table():
@@ -320,7 +378,7 @@ class TestExport:
     def test_export_layout_and_denormalization(self, tmp_path):
         records = synth_records(seed=12, minutes=1.0)
         record = records[0]
-        recons = zero_reconstructions(record)
+        recons = {t: np.zeros_like(x) for t, x in record.targets.items()}
         path = tmp_path / "recon.csv"
         export_reconstruction(record, recons, path)
 

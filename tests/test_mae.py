@@ -173,7 +173,7 @@ class TestDecode:
         records = synth_records(seed=0, minutes=1.0)
         config = MaeConfig(target_channels=records[0].target_channels)
         params = init_params(config, seed=0)
-        recon = mae.reconstruct_epoch(params, records[0])
+        recon = dict(zip(config.target_channels, mae.predict(params, records.signals[:1, 0])[0]))
         assert set(recon) == set(records[0].target_channels)
         assert records[0].input_channel not in recon
         assert all(len(v) == 3000 for v in recon.values())
@@ -612,6 +612,31 @@ class TestParallelPredict:
             assert threading.current_thread() not in threads
         else:
             assert threads == ({threading.current_thread()} if n else set())
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    def test_sink_takes_each_chunk_on_the_lane_that_sliced_it(self, one_at_a_time, monkeypatch,
+                                                             fresh_pool, cores):
+        """Slices are taken in chunk order; each chunk's reconstructions reach
+        the sink once, on the slicing lane, bit-equal to the returned array's."""
+        params, inputs, reference = one_at_a_time
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        lanes, sunk = {}, {}
+
+        class Source:
+            def __len__(self):
+                return len(inputs)
+
+            def __getitem__(self, span):
+                lanes[span.start] = threading.current_thread()
+                return inputs[span]
+
+        def sink(lo, recon):
+            assert lanes[lo] is threading.current_thread() and lo not in sunk
+            sunk[lo] = recon.copy()
+
+        assert mae.predict(params, Source(), sink) is None
+        assert list(lanes) == sorted(lanes) and list(sunk) != []
+        assert np.concatenate([sunk[lo] for lo in sorted(sunk)]).tobytes() == reference.tobytes()
 
 
 def test_init_ignores_ln_in_channel_names():

@@ -39,6 +39,14 @@ class TestForward:
         out = nc.linear(a, b, t64([0.5, -1.0]))
         assert np.array_equal(out.data, [[4.5, 4.0], [10.5, 10.0]])
 
+    def test_reductions_over_all_axes_are_zero_dimensional(self):
+        from psgmae import mae
+        x = t64(philox(1).normal(0, 1, (2, 3, 4)), requires_grad=True)
+        with Tape() as tape:
+            losses = [nc.sum(x), nc.mean(x), mae.cosine_loss(x, t64(np.ones((2, 3, 4))))]
+        assert [loss.shape for loss in losses] == [(), (), ()]
+        assert tape.backward(losses[1])[x].shape == x.shape
+
     def test_matmul_shape_error_mentions_shapes(self):
         with pytest.raises(ShapeMismatch) as err:
             nc.linear(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
