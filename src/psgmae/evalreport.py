@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import threading
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,16 +144,12 @@ def stage_table(epochs: EpochSet, recons: dict[str, np.ndarray] | None = None,
                      errors)
 
 
-class _CacheLanes:
-    """predict's inputs and sink over the cache rows ``rows``: a slice reads its
-    rows into a buffer of the lane taking it, and the sink scores that lane's
-    reconstructions, model head ``heads[j]`` for the cache's target j, into
-    per-epoch model and baseline errors (N, targets)."""
+class _Lanes:
+    """predict's inputs and sink for ``stream_scores``: a slice of an EpochSet copies
+    its signal rows, one of an EpochCacheReader reads them into its lane's buffer."""
 
-    def __init__(self, reader: EpochCacheReader, rows: np.ndarray, heads: list[int],
-                 physical_units: bool):
-        self.reader, self.rows, self.heads, self.physical_units = reader, rows, heads, physical_units
-        self.model, self.baseline = np.empty((2, len(rows), len(heads)))
+    def __init__(self, source, rows: np.ndarray, targets: list[int], score: Callable):
+        self.source, self.rows, self.targets, self.score = source, rows, targets, score
         self._lane = threading.local()
 
     def __len__(self) -> int:
@@ -161,36 +157,54 @@ class _CacheLanes:
 
     def __getitem__(self, span: slice) -> np.ndarray:
         wanted, buffer = self.rows[span], getattr(self._lane, "buffer", None)
+        if isinstance(self.source, EpochSet):
+            self._lane.chunk = self.source.signals[wanted]
+            return self._lane.chunk[:, 0]
         if buffer is None or len(buffer) < len(wanted):
-            buffer = self._lane.buffer = self.reader.buffer(len(wanted))
+            buffer = self._lane.buffer = self.source.buffer(len(wanted))
         kept = 0
         for run in np.split(wanted, np.flatnonzero(np.diff(wanted) != 1) + 1):
-            kept += len(self.reader.read(run[0], len(run), buffer[kept:]))
-        return buffer[:kept, 0]
+            kept += len(self.source.read(run[0], len(run), buffer[kept:]))
+        self._lane.chunk = buffer[:kept]
+        return self._lane.chunk[:, 0]
 
     def __call__(self, lo: int, recon: np.ndarray) -> None:
-        span, orig = slice(lo, lo + len(recon)), self._lane.buffer[:len(recon), 1:]
-        norm = self.reader.norm[self.rows[span], 1:] if self.physical_units else None
-        self.model[span] = epoch_errors(recon[:, self.heads], orig, norm)
-        self.baseline[span] = epoch_errors(None, orig, norm)
+        self.score(slice(lo, lo + len(recon)), recon, self._lane.chunk[:len(recon), self.targets])
+
+
+def stream_scores(params: MaeParams, source: EpochSet | EpochCacheReader, rows: np.ndarray,
+                  targets: list[int], score: Callable[[slice, np.ndarray, np.ndarray], None]):
+    """Full-visibility reconstructions of the rows ``rows`` (ascending) of an EpochSet
+    or an EpochCacheReader, each chunk handed to score(span, recon, orig) on the lane
+    that made it: ``recon`` (chunk, heads, epoch_len), ``orig`` those epochs' channels
+    ``targets`` (one per head), ``span`` their positions in ``rows``."""
+    lanes = _Lanes(source, rows, targets, score)
+    mae.predict(params, lanes, lanes)
 
 
 def cache_tables(params: MaeParams, reader: EpochCacheReader, rows: np.ndarray,
                  physical_units: bool = False) -> tuple[MseTable, MseTable]:
-    """``model_table``'s table and ``baseline_table`` of the cache rows ``rows``
-    (ascending), streamed through predict's lanes: each lane reads a chunk's
-    rows into a buffer it reuses and scores them there, so only per-epoch
-    errors are kept. Other rows are read for the CRC only, and the reader is
-    verified before the tables return."""
+    """``evaluate_records``' table and ``baseline_table`` of the cache rows ``rows``
+    (ascending) through ``stream_scores``, keeping only per-epoch errors. Other
+    rows are read for the CRC only, and the reader is verified before the
+    tables return."""
     channels, order = reader.channels, params.config.target_channels
     if sorted(channels[1:]) != sorted(order):
         raise MissingChannel(f"cache target channels {list(channels[1:])} are not the "
                              f"model's {list(order)}")
-    lanes = _CacheLanes(reader, rows, [order.index(t) for t in channels[1:]], physical_units)
-    mae.predict(params, lanes, lanes)
+    model, baseline = np.empty((2, len(rows), len(order)))
+    targets = [channels.index(t) for t in order]
+
+    def score(span: slice, recon: np.ndarray, orig: np.ndarray) -> None:
+        norm = reader.norm[rows[span]][:, targets] if physical_units else None
+        model[span] = epoch_errors(recon, orig, norm)
+        baseline[span] = epoch_errors(None, orig, norm)
+
+    stream_scores(params, reader, rows, targets, score)
     reader.verify(reader.buffer(min(len(reader), mae.PREDICT_CHUNK)))  # untouched unless needed
-    return tuple(_add_rows(MseTable(), channels[0], channels[1:], reader.stage[rows], errors)
-                 for errors in (lanes.model, lanes.baseline))
+    heads = [order.index(t) for t in channels[1:]]  # the cache's target order
+    return tuple(_add_rows(MseTable(), channels[0], channels[1:], reader.stage[rows],
+                           errors[:, heads]) for errors in (model, baseline))
 
 
 def aggregate_by_stage(pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]],
@@ -283,25 +297,17 @@ def _render_text(table: MseTable) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def model_table(params: MaeParams, epochs: EpochSet,
-                physical_units: bool = False) -> tuple[MseTable, np.ndarray]:
-    """Per-stage MSE of the model's full-visibility reconstructions of an
-    EpochSet, and those reconstructions (N, num_targets, epoch_len)."""
-    recons = mae.predict(params, epochs.signals[:, 0])
-    by_target = dict(zip(params.config.target_channels, np.moveaxis(recons, 1, 0)))
-    return stage_table(epochs, by_target, physical_units), recons
-
-
 def evaluate_records(
     params: MaeParams,
     records: EpochSet | list[EpochRecord],
     physical_units: bool = False,
 ) -> tuple[MseTable, list[tuple[EpochRecord, dict[str, np.ndarray]]]]:
-    """``model_table`` plus one (epoch record, reconstructions keyed by target
-    channel) pair per epoch."""
+    """Per-stage MSE of the model's full-visibility reconstructions of the records,
+    predicted in memory, and one (epoch record, reconstructions by target) pair per epoch."""
     epochs = as_epoch_set(records)
-    table, recons = model_table(params, epochs, physical_units)
+    recons = mae.predict(params, epochs.signals[:, 0])
     channels = params.config.target_channels
+    table = stage_table(epochs, dict(zip(channels, np.moveaxis(recons, 1, 0))), physical_units)
     return table, [(record, dict(zip(channels, recon))) for record, recon in zip(epochs, recons)]
 
 

@@ -245,21 +245,25 @@ def decode(latents: Tensor, plan, params: MaeParams) -> Tensor:
     return nc.split_heads(nc.linear(ordered, w, b), len(channels))
 
 
-def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean over patch pairs (last axis; all leading axes are pooled) of
-    1 - cos(pred, target), as one tape record with its analytic backward.
-
-    cos uses eps-clamped norms, so an all-zero patch scores cos 0 (loss 1)
-    instead of NaN. Result is a scalar in [0, 2]. Dot products and norms are
-    einsum row dots, so no patch's value depends on how many share the call.
-    """
-    if pred.shape != target.shape or pred.data.ndim < 1:
-        raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
-    rows = [t.data.reshape(-1, pred.shape[-1]) for t in (pred, target)]
+def row_cosines(a: np.ndarray, b: np.ndarray):
+    """(cos, rows, norms, clamped inverse norms) of the row pairs of a and b
+    (..., d), flattened to (rows, d). Norms are eps-clamped, so an all-zero row
+    scores cos 0, and einsum row dots make no row's value depend on the others."""
+    rows = [x.reshape(-1, a.shape[-1]) for x in (a, b)]
     norms = [np.sqrt(np.einsum("ij,ij->i", x, x)) for x in rows]
     inverse = [1.0 / np.maximum(norm, COSINE_EPS) for norm in norms]
     cos = np.einsum("ij,ij->i", *rows)
     cos *= inverse[0] * inverse[1]
+    return cos, rows, norms, inverse
+
+
+def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean over patch pairs (last axis; all leading axes are pooled) of
+    1 - cos(pred, target) from ``row_cosines``, as one tape record with its
+    analytic backward. Result is a scalar in [0, 2]; an all-zero patch scores 1."""
+    if pred.shape != target.shape or pred.data.ndim < 1:
+        raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
+    cos, rows, norms, inverse = row_cosines(pred.data, target.data)
 
     def backward(g):
         # d cos / d x = other / (|x| |other|) - cos * x / |x|^2, the second term

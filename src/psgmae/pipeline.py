@@ -104,7 +104,7 @@ def map_stage_label(label: str) -> SleepStage | None:
 
 def _resampling(samples: np.ndarray, from_hz: float, to_hz: float):
     """(float64 samples, their times or None when the rates match, output
-    length) of a resample_linear call, after its argument checks."""
+    length) of a linear-interpolation resample, after its argument checks."""
     if from_hz <= 0 or to_hz <= 0:
         raise ValueError("sample rates must be positive")
     samples = np.asarray(samples, dtype=np.float64)
@@ -114,21 +114,6 @@ def _resampling(samples: np.ndarray, from_hz: float, to_hz: float):
         return samples, None, len(samples)
     return (samples, np.arange(len(samples), dtype=np.float64) / from_hz,
             int(round(len(samples) * to_hz / from_hz)))
-
-
-def resample_linear(samples: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
-    """Linear-interpolation resample; queries past the end hold the last value."""
-    samples, t_in, out_len = _resampling(samples, from_hz, to_hz)
-    if t_in is None:
-        return samples.copy()
-    return np.interp(np.arange(out_len, dtype=np.float64) / to_hz, t_in, samples)
-
-
-def normalize_epoch(samples: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Z-score one epoch; std is floored at SIGMA_FLOOR so the map inverts."""
-    samples = np.asarray(samples, dtype=np.float64)
-    mean, std = float(samples.mean()), max(float(samples.std()), SIGMA_FLOOR)
-    return (samples - mean) / std, mean, std
 
 
 def denormalize(normalized: np.ndarray, mean: float, std: float) -> np.ndarray:
@@ -158,19 +143,6 @@ class ArtifactThresholds:
 
 
 DEFAULT_THRESHOLDS = ArtifactThresholds()
-
-
-def reject_artifact(
-    samples: np.ndarray,
-    kind: str = "eeg",
-    thresholds: ArtifactThresholds = DEFAULT_THRESHOLDS,
-) -> bool:
-    """True when the epoch should be dropped (amplitude artifact or flatline)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    peak_to_peak = float(samples.max() - samples.min())
-    if peak_to_peak > thresholds.limit_for(kind):
-        return True
-    return float(samples.std()) < thresholds.flatline_std
 
 
 @dataclass

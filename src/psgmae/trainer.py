@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mae, numcore as nc
+from . import evalreport, mae, numcore as nc
 from .mae import MaeConfig, MaeParams
 from .pipeline import (DatasetManifest, EpochSet, as_epoch_set, load_manifest,
                        read_epoch_cache)
@@ -48,8 +48,9 @@ CACHE_FILENAME = "epochs.psgepo"
 # version of the training arithmetic, kept in each checkpoint: a run resumed
 # from another version's checkpoint does not give the bytes an uninterrupted run
 # of that version would. 1 (or no key): before the fused attention and
-# cosine-loss kernels
-NUMERICS = 2
+# cosine-loss kernels; 2: before calibration and validation kept per-epoch
+# float64 sums (the scales' last bits moved, and a one-target val_mse's)
+NUMERICS = 3
 
 # example shards per mini-batch: their bounds depend only on the batch size,
 # never on the core count, so the gradient's summation order is fixed
@@ -314,21 +315,23 @@ def _format_metrics(epoch: int, train_loss: float, val_loss: float,
     return "\t".join(parts)
 
 
-def _reconstruct(params: MaeParams, epochs: EpochSet):
-    """Full-visibility reconstructions and targets, each (N, targets, epoch_len)."""
-    targets = epochs.target_indices(params.config.target_channels)
-    return mae.predict(params, epochs.signals[:, 0]), epochs.signals[:, targets]
-
-
 def evaluate_split(params: MaeParams, epochs: EpochSet) -> tuple[float, dict[str, float]]:
-    """Full-visibility cosine loss and per-target MSE over an epoch set."""
-    config = params.config
-    recon, target = _reconstruct(params, epochs)
-    loss = mae.cosine_loss(nc.Tensor(mae.patchify(recon, config)),
-                           nc.Tensor(mae.patchify(target, config), dtype=params.dtype))
-    diff = recon.astype(np.float64) - target
-    sq_err = np.mean(diff * diff, axis=(0, 2))
-    return loss.item(), dict(zip(config.target_channels, map(float, sq_err)))
+    """Full-visibility cosine loss and per-target MSE over an epoch set through
+    ``evalreport.stream_scores``, keeping per-patch cosines and per-epoch float64
+    squared-error sums, added in row order so that no value depends on the core count."""
+    config, targets = params.config, epochs.target_indices(params.config.target_channels)
+    cos = np.empty((len(epochs), len(targets) * config.seq_len), params.dtype)
+    sq_err = np.empty((len(epochs), len(targets)))
+
+    def score(span: slice, recon: np.ndarray, orig: np.ndarray) -> None:
+        patches = [mae.patchify(x.astype(recon.dtype, copy=False), config) for x in (recon, orig)]
+        cos[span] = mae.row_cosines(*patches)[0].reshape(len(recon), -1)
+        diff = np.subtract(recon, orig, dtype=np.float64)
+        sq_err[span] = np.sum(np.square(diff, out=diff), axis=-1)
+
+    evalreport.stream_scores(params, epochs, np.arange(len(epochs)), targets, score)
+    sq_err = sum(sq_err, np.zeros(len(targets))) / (len(epochs) * config.epoch_len)
+    return float(np.mean(1.0 - cos)), dict(zip(config.target_channels, sq_err.tolist()))
 
 
 def calibrate_head_scale(params: MaeParams, epochs: EpochSet) -> dict[str, float]:
@@ -337,17 +340,23 @@ def calibrate_head_scale(params: MaeParams, epochs: EpochSet) -> dict[str, float
     The cosine objective is invariant to the output scale of a head, so the
     trained scale is arbitrary; this fits the single scalar c minimizing
     ||c * recon - target||^2 over the given epochs (use the train split)
-    and folds it into the head weights. Deterministic, no random state.
-    """
-    recon, target = _reconstruct(params, epochs)
+    and folds it into the head weights. Each epoch's float64 dot products,
+    streamed as in ``evaluate_split``, are summed in row order. No random state."""
+    targets = epochs.target_indices(params.config.target_channels)
+    products = np.empty((len(epochs), len(targets), 2))
+
+    def score(span: slice, recon: np.ndarray, orig: np.ndarray) -> None:
+        pred = recon.astype(np.float64)
+        products[span, :, 0] = np.einsum("ijk,ijk->ij", pred, pred)
+        products[span, :, 1] = np.einsum("ijk,ijk->ij", pred, orig.astype(np.float64))
+
+    evalreport.stream_scores(params, epochs, np.arange(len(epochs)), targets, score)
+    totals = sum(products, np.zeros((len(targets), 2))).tolist()  # in row order
     scales = {}
-    for i, ch in enumerate(params.config.target_channels):
-        pred = recon[:, i].astype(np.float64)
-        den = float(np.vdot(pred, pred))
-        scale = float(np.vdot(pred, target[:, i])) / den if den > 1e-12 else 1.0
-        scales[ch] = scale
-        params.tensors[f"head.{ch}.w"].data *= np.float32(scale)
-        params.tensors[f"head.{ch}.b"].data *= np.float32(scale)
+    for ch, (den, num) in zip(params.config.target_channels, totals):
+        scales[ch] = num / den if den > 1e-12 else 1.0
+        params.tensors[f"head.{ch}.w"].data *= np.float32(scales[ch])
+        params.tensors[f"head.{ch}.b"].data *= np.float32(scales[ch])
     return scales
 
 

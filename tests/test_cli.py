@@ -539,7 +539,7 @@ class TestStreamedEval:
                              "--data", str(workspace / "data"), "--split", split,
                              "--out", str(tmp_path / split))
             assert code == 0
-            table = evalreport.model_table(params, subset)[0]
+            table = evalreport.evaluate_records(params, subset)[0]
             assert (tmp_path / split / "mse_table.csv").read_bytes() == evalreport.render_table(
                 table, "csv")
         code, _, _ = run(capsys, "reconstruct", "--checkpoint", checkpoint,

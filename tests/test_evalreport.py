@@ -254,7 +254,7 @@ class TestAggregate:
 
 class TestCacheTables:
     """cache_tables streams a cache's rows through predict's lanes and gives
-    model_table's and baseline_table's bytes over the same rows."""
+    evaluate_records' and baseline_table's bytes over the same rows."""
 
     SPLITS = ("train", "test", "val", "test", "train", "val")  # subjects S0..S5
 
@@ -296,7 +296,7 @@ class TestCacheTables:
                 with EpochCacheReader(path) as reader:
                     model, baseline = evalreport.cache_tables(params, reader, rows, physical)
                 assert sum(predicted) == len(rows)
-                want = evalreport.model_table(params, epochs[rows], physical)[0]
+                want = evalreport.evaluate_records(params, epochs[rows], physical)[0]
                 assert render_table(model, "csv") == render_table(want, "csv")
                 want = baseline_table(epochs[rows], physical)
                 assert render_table(baseline, "csv") == render_table(want, "csv")

@@ -611,6 +611,25 @@ class TestAttentionKernel:
             for single, batched in zip(alone[1], batch[1]):
                 assert single.tobytes() == batched[i:i + 1].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 15, 30])
+    def test_running_max_bytes_equal_max_down_columns(self, monkeypatch, dtype, n):
+        """The softmax's running maximum over key rows gives the output and
+        partials of p.max(axis=-2) byte for byte, ties included."""
+        rng = philox([n, 44])
+        q, k, v, g = (rng.normal(0, 4, (32, n, 16)).astype(dtype) for _ in range(4))
+        k[:, n // 2] = k[:, 0]  # tied maxima
+        q[0] = 0.0  # all-zero weights, so every key ties at 0
+        running = one_record(nc.attention, [Tensor(a, requires_grad=True) for a in (q, k, v)],
+                             g, 4)
+        monkeypatch.setattr(nc, "_key_max", lambda p: p.max(axis=-2, keepdims=True))
+        down = one_record(nc.attention, [Tensor(a, requires_grad=True) for a in (q, k, v)], g, 4)
+        assert running[0].data.tobytes() == down[0].data.tobytes()
+        for ours, theirs in zip(running[1], down[1]):
+            assert ours.tobytes() == theirs.tobytes()
+        with pytest.raises(ValueError):  # no keys at all, as p.max raises
+            nc._key_max(np.empty((2, 0, n), dtype))
+
     def test_matches_fd(self):
         rng = philox(43)
         params = {name: Tensor(rng.normal(0, 1, (2, 5, 6)), requires_grad=True, dtype=np.float64)

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from psgmae import evalreport, mae, numcore as nc, pipeline, synthgen
 from psgmae.edf_io import Annotation, EdfRecording, SignalSpec
 from psgmae.pipeline import (
+    DEFAULT_THRESHOLDS,
+    SIGMA_FLOOR,
     ArtifactThresholds,
     CorruptCache,
     DatasetManifest,
@@ -24,16 +26,45 @@ from psgmae.pipeline import (
     SubjectEntry,
     TooFewSubjects,
     map_stage_label,
-    normalize_epoch,
     read_epoch_cache,
-    reject_artifact,
-    resample_linear,
     segment_epochs,
     split_subjects,
     write_epoch_cache,
+    _resampling,
 )
 
 from conftest import philox, synth_records
+
+
+# the per-epoch reference that segment_epochs' block passes must reproduce
+
+
+def resample_linear(samples: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
+    """Linear-interpolation resample; queries past the end hold the last value."""
+    samples, t_in, out_len = _resampling(samples, from_hz, to_hz)
+    if t_in is None:
+        return samples.copy()
+    return np.interp(np.arange(out_len, dtype=np.float64) / to_hz, t_in, samples)
+
+
+def normalize_epoch(samples: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Z-score one epoch; std is floored at SIGMA_FLOOR so the map inverts."""
+    samples = np.asarray(samples, dtype=np.float64)
+    mean, std = float(samples.mean()), max(float(samples.std()), SIGMA_FLOOR)
+    return (samples - mean) / std, mean, std
+
+
+def reject_artifact(
+    samples: np.ndarray,
+    kind: str = "eeg",
+    thresholds: ArtifactThresholds = DEFAULT_THRESHOLDS,
+) -> bool:
+    """True when the epoch should be dropped (amplitude artifact or flatline)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    peak_to_peak = float(samples.max() - samples.min())
+    if peak_to_peak > thresholds.limit_for(kind):
+        return True
+    return float(samples.std()) < thresholds.flatline_std
 
 
 class TestStageLabels:

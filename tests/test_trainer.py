@@ -3,12 +3,13 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from psgmae import mae, numcore as nc, synthgen, trainer
-from psgmae.pipeline import MissingChannel
+from psgmae.pipeline import EpochSet, MissingChannel
 from psgmae.trainer import (
     BadMagic,
     Checkpoint,
@@ -346,8 +347,8 @@ class TestCheckpoint:
         """Checkpoints carry the numerics version they were trained with; one
         written before the key existed loads as version 1, otherwise intact."""
         loaded = load_checkpoint(saved)
-        assert loaded.numerics == trainer.NUMERICS == 2
-        assert b'"numerics": 2' in saved
+        assert loaded.numerics == trainer.NUMERICS == 3
+        assert b'"numerics": 3' in saved
         older = load_checkpoint(edit_meta(
             saved, lambda meta: {k: v for k, v in meta.items() if k != "numerics"}))
         assert older.numerics == 1
@@ -467,6 +468,84 @@ class TestCalibration:
         _, calibrated_mse = trainer.evaluate_split(calibrated, dataset["val"])
         _, raw_mse = trainer.evaluate_split(raw, dataset["val"])
         assert sum(calibrated_mse.values()) <= sum(raw_mse.values())
+
+
+def whole_split_scores(params, epochs):
+    """evaluate_split's loss and MSE and calibrate_head_scale's scales as they
+    were computed from whole-split (N, targets, epoch_len) arrays."""
+    config = params.config
+    recon = mae.predict(params, epochs.signals[:, 0])
+    target = epochs.signals[:, epochs.target_indices(config.target_channels)]
+    loss = mae.cosine_loss(nc.Tensor(mae.patchify(recon, config)),
+                           nc.Tensor(mae.patchify(target, config), dtype=params.dtype))
+    diff = recon.astype(np.float64) - target
+    sq_err = np.mean(diff * diff, axis=(0, 2))
+    scales = {}
+    for i, ch in enumerate(config.target_channels):
+        pred = recon[:, i].astype(np.float64)
+        scales[ch] = float(np.vdot(pred, target[:, i])) / float(np.vdot(pred, pred))
+    return loss.item(), dict(zip(config.target_channels, map(float, sq_err))), scales
+
+
+def scoring_set(n, channels=("in", "b", "c", "a")):
+    """n random epochs whose targets come in another order than the model's
+    ("a", "b"), with a target the model does not reconstruct."""
+    rng = philox([n, len(channels)])
+    return EpochSet(channels, ("S0",), subject=np.zeros(n), epoch_index=np.arange(n),
+                    stage=rng.integers(0, 5, n), norm=np.ones((n, len(channels), 2)),
+                    signals=rng.normal(0, 1, (n, len(channels), 3000)))
+
+
+def scoring_params(targets=("a", "b")):
+    return mae.init_params(mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
+                                         target_channels=targets), seed=3)
+
+
+class TestStreamedScoring:
+    """evaluate_split and calibrate_head_scale score chunk by chunk through
+    evalreport.stream_scores, keeping only per-epoch arrays."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_bit_equal_to_whole_split_arrays(self, monkeypatch, fresh_pool, cores, n):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        epochs, params = scoring_set(n), scoring_params()
+        loss, mse, scales = whole_split_scores(params, epochs)
+        assert trainer.evaluate_split(params, epochs) == (loss, mse)
+        got = trainer.calibrate_head_scale(params, epochs)
+        assert got.keys() == scales.keys()
+        for ch, scale in scales.items():
+            assert got[ch] == pytest.approx(scale, rel=1e-12, abs=0)
+            assert np.array_equal(params.tensors[f"head.{ch}.w"].data, scoring_params().tensors[
+                f"head.{ch}.w"].data * np.float32(got[ch]))
+
+    def test_one_target_mse_within_rounding(self):
+        """With one target the whole-split mean summed all N * epoch_len
+        squares as one pairwise run, which per-epoch sums cannot repeat: the
+        MSE agrees to float64 rounding, and the loss is still bit-equal."""
+        epochs, params = scoring_set(130), scoring_params(("a",))
+        loss, mse, _ = whole_split_scores(params, epochs)
+        got_loss, got_mse = trainer.evaluate_split(params, epochs)
+        assert got_loss == loss
+        assert got_mse == pytest.approx(mse, rel=1e-12, abs=0)
+
+    def test_missing_target_rejected(self):
+        with pytest.raises(MissingChannel):
+            trainer.evaluate_split(scoring_params(("a", "d")), scoring_set(3))
+
+    @pytest.mark.parametrize("score", ["evaluate_split", "calibrate_head_scale"])
+    def test_memory_below_one_whole_split_array(self, score):
+        """Over 1024 epochs the traced peak stays below one (N, targets,
+        epoch_len) float32 array: reconstructions are never held whole."""
+        epochs, params = scoring_set(1024, ("in", "a", "b", "c")), scoring_params(("a", "b", "c"))
+        whole = len(epochs) * 3 * 3000 * 4
+        tracemalloc.start()
+        try:
+            getattr(trainer, score)(params, epochs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole, f"{score} peaked at {peak} bytes, whole split {whole}"
 
 
 class TestParamsFromBlobs:
