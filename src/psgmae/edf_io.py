@@ -91,13 +91,19 @@ class SignalSpec:
 
     def digital_to_physical(self, digital: np.ndarray) -> np.ndarray:
         scale = (self.physical_max - self.physical_min) / (self.digital_max - self.digital_min)
-        return (digital.astype(np.float64) - self.digital_min) * scale + self.physical_min
+        physical = digital.astype(np.float64)
+        physical -= self.digital_min
+        physical *= scale
+        physical += self.physical_min
+        return physical
 
     def physical_to_digital(self, physical: np.ndarray) -> np.ndarray:
         scale = (self.digital_max - self.digital_min) / (self.physical_max - self.physical_min)
-        digital = np.rint((np.asarray(physical, dtype=np.float64) - self.physical_min) * scale
-                          + self.digital_min)
-        return np.clip(digital, self.digital_min, self.digital_max).astype(np.int16)
+        digital = np.asarray(physical, dtype=np.float64) - self.physical_min
+        digital *= scale
+        digital += self.digital_min
+        np.rint(digital, out=digital)
+        return np.clip(digital, self.digital_min, self.digital_max, out=digital).astype(np.int16)
 
 
 @dataclass
@@ -232,19 +238,17 @@ def parse_edf(data: bytes) -> EdfRecording:
         base = 256 + offset * num_signals
         return data[base + i * width: base + (i + 1) * width]
 
-    specs = []
-    for i in range(num_signals):
-        specs.append(SignalSpec(
-            label=_ascii(block(0, 16, i)).strip(),
-            transducer=_ascii(block(16, 80, i)).strip(),
-            physical_dimension=_ascii(block(96, 8, i)).strip(),
-            physical_min=_parse_float(block(104, 8, i), f"signal {i} physical_min"),
-            physical_max=_parse_float(block(112, 8, i), f"signal {i} physical_max"),
-            digital_min=_parse_int(block(120, 8, i), f"signal {i} digital_min"),
-            digital_max=_parse_int(block(128, 8, i), f"signal {i} digital_max"),
-            prefilter=_ascii(block(136, 80, i)).strip(),
-            samples_per_record=_parse_int(block(216, 8, i), f"signal {i} samples_per_record"),
-        ))
+    specs = [SignalSpec(
+        label=_ascii(block(0, 16, i)).strip(),
+        transducer=_ascii(block(16, 80, i)).strip(),
+        physical_dimension=_ascii(block(96, 8, i)).strip(),
+        physical_min=_parse_float(block(104, 8, i), f"signal {i} physical_min"),
+        physical_max=_parse_float(block(112, 8, i), f"signal {i} physical_max"),
+        digital_min=_parse_int(block(120, 8, i), f"signal {i} digital_min"),
+        digital_max=_parse_int(block(128, 8, i), f"signal {i} digital_max"),
+        prefilter=_ascii(block(136, 80, i)).strip(),
+        samples_per_record=_parse_int(block(216, 8, i), f"signal {i} samples_per_record"),
+    ) for i in range(num_signals)]
 
     for spec in specs:
         spec.validate()
@@ -278,19 +282,13 @@ def parse_edf(data: bytes) -> EdfRecording:
                 annotations.extend(parse_tal(row.tobytes()))
         else:
             signals_out.append(spec)
-            samples_out.append(spec.digital_to_physical(block.reshape(-1)))
+            # the strided record columns convert straight into one C-order array
+            samples_out.append(spec.digital_to_physical(block).reshape(-1))
 
-    return EdfRecording(
-        version=version,
-        patient_id=patient_id,
-        recording_id=recording_id,
-        start_datetime=start,
-        record_duration_s=record_duration,
-        num_records=num_records,
-        signals=signals_out,
-        samples=samples_out,
-        annotations=annotations,
-    )
+    return EdfRecording(version=version, patient_id=patient_id, recording_id=recording_id,
+                        start_datetime=start, record_duration_s=record_duration,
+                        num_records=num_records, signals=signals_out, samples=samples_out,
+                        annotations=annotations)
 
 
 def write_edf(recording: EdfRecording) -> bytes:
@@ -328,14 +326,8 @@ def write_edf(recording: EdfRecording) -> bytes:
     specs = list(recording.signals)
     if ann_records:
         spr_ann = (max(len(r) for r in ann_records) + 1) // 2
-        specs = specs + [SignalSpec(
-            label=ANNOTATION_LABEL,
-            physical_min=-1.0,
-            physical_max=1.0,
-            digital_min=-32768,
-            digital_max=32767,
-            samples_per_record=spr_ann,
-        )]
+        # SignalSpec's default calibration, -1..1 over the full 16-bit range
+        specs = specs + [SignalSpec(label=ANNOTATION_LABEL, samples_per_record=spr_ann)]
 
     num_signals = len(specs)
     if num_signals < 1:
@@ -381,7 +373,7 @@ def write_edf(recording: EdfRecording) -> bytes:
     if ann_records:
         raw = b"".join(r.ljust(specs[-1].samples_per_record * 2, b"\x00") for r in ann_records)
         words.append(np.frombuffer(raw, dtype="<i2").reshape(num_records, -1))
-    return header + signal_header + np.hstack(words).astype("<i2").tobytes()
+    return header + signal_header + np.hstack(words).astype("<i2", copy=False).tobytes()
 
 
 def parse_tal(data: bytes) -> list[Annotation]:
@@ -458,10 +450,7 @@ def _annotation_records(
     """
     buckets: list[list[Annotation]] = [[] for _ in range(num_records)]
     for ann in sorted(annotations, key=lambda a: a.onset_s):
-        if record_duration_s > 0:
-            rec = int(math.floor(ann.onset_s / record_duration_s))
-        else:
-            rec = 0
+        rec = int(math.floor(ann.onset_s / record_duration_s)) if record_duration_s > 0 else 0
         rec = min(max(rec, 0), num_records - 1)
         buckets[rec].append(ann)
 

@@ -56,6 +56,9 @@ class MaeConfig:
             raise ValueError("embed_dim must be even for the sinusoidal table")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
+        if round(self.mask_ratio * self.seq_len) >= self.seq_len:  # make_mask's count
+            raise ValueError(f"mask_ratio {self.mask_ratio} masks all seq_len {self.seq_len} "
+                             "tokens; at least one must stay visible")
         if self.loss_scope not in ("all", "masked"):
             raise ValueError(f"loss_scope must be 'all' or 'masked', got {self.loss_scope}")
         if not self.target_channels:

@@ -103,8 +103,8 @@ def map_stage_label(label: str) -> SleepStage | None:
 
 
 def _resampling(samples: np.ndarray, from_hz: float, to_hz: float):
-    """(float64 samples, their times or None when the rates match, output
-    length) of a linear-interpolation resample, after its argument checks."""
+    """(float64 samples, from_hz or None when the rates match, output length)
+    of a linear-interpolation resample, after its argument checks."""
     if from_hz <= 0 or to_hz <= 0:
         raise ValueError("sample rates must be positive")
     samples = np.asarray(samples, dtype=np.float64)
@@ -112,8 +112,7 @@ def _resampling(samples: np.ndarray, from_hz: float, to_hz: float):
         raise EmptyInput("cannot resample an empty array")
     if from_hz == to_hz:
         return samples, None, len(samples)
-    return (samples, np.arange(len(samples), dtype=np.float64) / from_hz,
-            int(round(len(samples) * to_hz / from_hz)))
+    return samples, from_hz, int(round(len(samples) * to_hz / from_hz))
 
 
 def denormalize(normalized: np.ndarray, mean: float, std: float) -> np.ndarray:
@@ -313,13 +312,19 @@ def _stage_codes(annotations: list[Annotation], n_epochs: int) -> np.ndarray:
 def _epochs_of(channel, span: slice) -> np.ndarray:
     """The epochs in ``span`` of one _resampling(..., TARGET_RATE_HZ) channel as
     a float64 (epochs, EPOCH_SAMPLES) array: a view when already at that rate,
-    else np.interp at these epochs' times only, pointwise resample_linear's."""
-    samples, t_in, _ = channel
+    else np.interp at these epochs' times over the samples around them only,
+    pointwise resample_linear's."""
+    samples, from_hz, _ = channel
     lo, hi = span.start * EPOCH_SAMPLES, span.stop * EPOCH_SAMPLES
-    if t_in is None:
+    if from_hz is None:
         return samples[lo:hi].reshape(-1, EPOCH_SAMPLES)
+    # a two-sample margin keeps the input pair around each time (or the channel's end) inside
+    first = max(int(lo * from_hz / TARGET_RATE_HZ) - 2, 0)
+    stop = min(int(hi * from_hz / TARGET_RATE_HZ) + 3, len(samples))
     t_out = np.arange(lo, hi, dtype=np.float64) / TARGET_RATE_HZ
-    return np.interp(t_out, t_in, samples).reshape(-1, EPOCH_SAMPLES)
+    t_in = np.arange(first, stop, dtype=np.float64)
+    t_in /= from_hz  # in place: at twice the output rate this is the largest temporary
+    return np.interp(t_out, t_in, samples[first:stop]).reshape(-1, EPOCH_SAMPLES)
 
 
 def segment_epochs(
@@ -337,9 +342,9 @@ def segment_epochs(
     periods are trimmed to at most ``wake_trim_epochs`` epochs (30 min by
     default) before the first and after the last non-Wake epoch. The result
     is what resample_linear, reject_artifact and normalize_epoch give epoch
-    by epoch, computed in blocks of SEGMENT_BLOCK epochs on one thread per
-    core: a first pass takes each epoch's mean, std and peak-to-peak, a
-    second normalizes the kept epochs into their own rows.
+    by epoch, computed in one pass over blocks of SEGMENT_BLOCK epochs, one
+    thread per core: a block reads each channel once, measures and normalizes
+    its labelled epochs into their rows; artifact rows are then dropped in place.
     """
     if input_channel in target_channels:
         raise ValueError("input channel cannot be one of its own targets")
@@ -365,28 +370,34 @@ def segment_epochs(
     blocks = [slice(b, min(b + SEGMENT_BLOCK, n_epochs)) for b in range(0, n_epochs, SEGMENT_BLOCK)
               if keep[b: b + SEGMENT_BLOCK].any()]
     limits = [thresholds.limit_for(channel_kind(name)) for name in names]
-    mean, std = np.empty((n_epochs, len(names))), np.empty((n_epochs, len(names)))
-
-    def measure(span: slice) -> None:
-        for c, (channel, limit) in enumerate(zip(channels, limits)):
-            x = _epochs_of(channel, span)
-            mean[span, c], std[span, c] = x.mean(axis=1), x.std(axis=1)
-            keep[span] &= ~((x.max(axis=1) - x.min(axis=1) > limit)
-                            | (std[span, c] < thresholds.flatline_std))
-
-    def normalize(span: slice) -> None:
-        take, rows = keep[span], slice(row[span.start], row[span.stop])
-        for c, channel in enumerate(channels):
-            m, s = mean[span, c][take], np.maximum(std[span, c][take], SIGMA_FLOOR)
-            signals[rows, c] = (_epochs_of(channel, span)[take] - m[:, None]) / s[:, None]
-            norm[rows, c, 0], norm[rows, c, 1] = m, s
-
-    numcore._parallel_map(measure, blocks)
-    row = np.concatenate(([0], np.cumsum(keep)))  # epoch e's output row is row[e]
+    row = np.concatenate(([0], np.cumsum(keep)))  # labelled epoch e's row is row[e]
     signals = np.empty((row[-1], len(names), EPOCH_SAMPLES), dtype=np.float32)
     norm = np.empty((row[-1], len(names), 2), dtype=np.float32)
-    numcore._parallel_map(normalize, blocks)
-    kept = np.flatnonzero(keep)
+    clean = np.ones(row[-1], dtype=bool)  # per row: no channel has an artifact
+
+    def block(span: slice) -> None:
+        take = slice(None) if keep[span].all() else keep[span]  # a view when all are labelled
+        rows = slice(row[span.start], row[span.stop])
+        for c, (channel, limit) in enumerate(zip(channels, limits)):
+            x = _epochs_of(channel, span)[take]
+            # np.std's own steps, so the mean, the difference and std are its bytes
+            mean = x.mean(axis=1)
+            d = x - mean[:, None]
+            std = np.sqrt(np.square(d).sum(axis=1) / EPOCH_SAMPLES)
+            clean[rows] &= ~((x.max(axis=1) - x.min(axis=1) > limit)
+                             | (std < thresholds.flatline_std))
+            std = np.maximum(std, SIGMA_FLOOR)
+            np.divide(d, std[:, None], out=signals[rows, c], casting="same_kind")
+            norm[rows, c, 0], norm[rows, c, 1] = mean, std
+            del x, d  # before the next channel's read
+
+    numcore._parallel_map(block, blocks)
+    # drop the artifact rows by moving each clean row down, in order, in place
+    for new, old in enumerate(np.flatnonzero(clean)):
+        if new != old:
+            signals[new], norm[new] = signals[old], norm[old]
+    kept = np.flatnonzero(keep)[clean]
+    signals, norm = signals[:len(kept)], norm[:len(kept)]
     subject = subject_id if subject_id is not None else recording.patient_id
     return EpochSet(names, (subject,), np.zeros(len(kept)), kept, codes[kept], norm, signals)
 

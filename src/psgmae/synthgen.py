@@ -98,15 +98,13 @@ def reference_signal(spec: SynthSpec) -> np.ndarray:
 
 def target_signals(x: np.ndarray, duration_s: int) -> dict[str, np.ndarray]:
     """Fixed channel recipe: every target is a deterministic transform of x."""
+    # the times and the full-rate EMG are temporaries, gone before the next channel is made
     t = np.arange(len(x), dtype=np.float64) / SAMPLE_RATE_HZ
     eog = _lag(_moving_average(x, 25), 2) + 50.0 * np.sin(2.0 * np.pi * 0.2 * t)
-    emg_full = np.abs(np.diff(x, prepend=x[:1])) * 10.0
+    del t
+    emg = np.abs(np.diff(x, prepend=x[:1]))[::2] * 10.0  # stored at 50 Hz to exercise resampling
     eeg2 = 0.7 * _lag(x, 5) + 0.3 * _moving_average(x, 5)
-    return {
-        EOG_CHANNEL: eog,
-        EMG_CHANNEL: emg_full[::2],  # stored at 50 Hz to exercise resampling
-        EEG2_CHANNEL: eeg2,
-    }
+    return {EOG_CHANNEL: eog, EMG_CHANNEL: emg, EEG2_CHANNEL: eeg2}
 
 
 def generate(spec: SynthSpec) -> tuple[EdfRecording, list[Annotation]]:

@@ -372,6 +372,22 @@ class TestTrainEval:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_config_masking_every_token_exits_2_before_reading_the_cache(
+            self, capsys, workspace, tmp_path, monkeypatch):
+        def no_dataset(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(trainer, "load_dataset", no_dataset)
+        monkeypatch.setattr(pipeline, "EpochCacheReader", no_dataset)
+        (tmp_path / "config.ini").write_text(TRAIN_CONFIG.replace("mask_ratio = 0.5",
+                                                                  "mask_ratio = 0.99"))
+        code, _, err = run(capsys, "train", "--config", str(tmp_path / "config.ini"),
+                           "--data", str(workspace / "data"), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert err == "error: mask_ratio 0.99 masks all seq_len 30 tokens; " \
+                      "at least one must stay visible\n"
+        assert not (tmp_path / "run").exists()
+
     def test_reconstruct_exports_csv(self, capsys, workspace):
         out_path = workspace / "recon" / "epoch0.csv"
         code, out, _ = run(

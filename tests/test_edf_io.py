@@ -249,6 +249,68 @@ class TestRoundTrip:
             [s.label for s in recording.signals]
 
 
+def plain_digital_to_physical(spec, digital):
+    """The calibration line as one expression, a new array per operation."""
+    scale = (spec.physical_max - spec.physical_min) / (spec.digital_max - spec.digital_min)
+    return (digital.astype(np.float64) - spec.digital_min) * scale + spec.physical_min
+
+
+def plain_physical_to_digital(spec, physical):
+    scale = (spec.digital_max - spec.digital_min) / (spec.physical_max - spec.physical_min)
+    digital = np.rint((np.asarray(physical, dtype=np.float64) - spec.physical_min) * scale
+                      + spec.digital_min)
+    return np.clip(digital, spec.digital_min, spec.digital_max).astype(np.int16)
+
+
+class TestInPlaceConversion:
+    """Both maps convert one array in place; each value must be the bytes of
+    the plain expressions."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_equal_to_the_plain_expressions(self, seed):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        calibrations = [(-32768, 32767, -200.0, 200.0), (-2048, 2047, 250.0, -250.0),
+                        (-1, 1, 0.001, -1e4), (0, 4095, -37.25, 1e5)]
+        for _ in range(30):
+            dmin = int(rng.integers(-32768, 32766))
+            pmin, pmax = rng.uniform(-1e4, 1e4, 2) * 10.0 ** rng.integers(-3, 2)
+            calibrations.append((dmin, int(rng.integers(dmin + 1, 32768)), pmin, pmax))
+        assert any(dmin < 0 for dmin, *_ in calibrations)
+        assert any(pmin > pmax for *_, pmin, pmax in calibrations)
+        for dmin, dmax, pmin, pmax in calibrations:
+            spec = SignalSpec("x", physical_min=pmin, physical_max=pmax,
+                              digital_min=dmin, digital_max=dmax)
+            # the strided columns of data records, as parse_edf passes them
+            words = rng.integers(-32768, 32768, (40, 9)).astype("<i2")
+            got = spec.digital_to_physical(words[:, 2:7])
+            assert got.flags.c_contiguous
+            want = plain_digital_to_physical(spec, words[:, 2:7].reshape(-1))
+            assert got.reshape(-1).tobytes() == want.tobytes()
+            # values reaching past both ends of the range clip
+            low, high = sorted((pmin, pmax))
+            physical = rng.uniform(low - (high - low), high + (high - low), 400)
+            before = want.copy()
+            for values in (physical, physical.astype(np.float32), want):
+                got = spec.physical_to_digital(values)
+                assert got.dtype == np.int16
+                assert got.tobytes() == plain_physical_to_digital(spec, values).tobytes()
+            assert want.tobytes() == before.tobytes()  # a float64 input is not converted in place
+
+    def test_write_edf_bytes_are_those_of_the_plain_expressions(self):
+        recording, _ = synthgen.generate(synthgen.SynthSpec(seed=6, duration_s=600))
+        header = 256 * (1 + len(recording.signals))
+        raw = write_edf(recording)
+        records = np.hstack([plain_physical_to_digital(s, a).reshape(recording.num_records, -1)
+                             for s, a in zip(recording.signals, recording.samples)])
+        assert raw[header:] == records.astype("<i2").tobytes()
+        assert any(s.digital_min < 0 for s in recording.signals)
+        parsed = parse_edf(raw)
+        columns = np.cumsum([0] + [s.samples_per_record for s in recording.signals])
+        for s, got, lo, hi in zip(recording.signals, parsed.samples, columns, columns[1:]):
+            want = plain_digital_to_physical(s, records[:, lo:hi].reshape(-1))
+            assert got.tobytes() == want.tobytes()
+
+
 # TAL grammar suite: (raw bytes, expected annotations); shared with the
 # acceptance tests.
 TAL_CASES = [

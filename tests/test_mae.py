@@ -101,6 +101,21 @@ class TestMask:
         with pytest.raises(ValueError):
             MaskPlan(visible_indices=(0, 1), masked_indices=(1, 2))
 
+    # round(1.5) is 2: Python rounds halves to even, as make_mask does
+    @pytest.mark.parametrize("seq_len, ratio", [(30, 0.99), (1, 0.6), (2, 0.75), (4, 0.9)])
+    def test_config_masking_every_token_rejected(self, seq_len, ratio):
+        with pytest.raises(ValueError, match=rf"mask_ratio {ratio} masks all seq_len {seq_len} "):
+            tiny_params(seq_len=seq_len, mask_ratio=ratio)
+
+    @pytest.mark.parametrize("seq_len, ratio", [(30, 0.98), (1, 0.4), (2, 0.5), (4, 0.85)])
+    def test_config_leaving_one_token_visible_trains(self, seq_len, ratio):
+        config, params = tiny_params(seq_len=seq_len, mask_ratio=ratio)
+        plan = make_mask(seq_len, ratio, philox(3))
+        assert len(plan.visible_indices) == 1
+        inputs, targets = make_batch(config, philox(4), 2)
+        loss, _ = planned_loss(inputs, targets, params, philox(5))
+        assert np.isfinite(loss.item())
+
 
 class TestPositionalTable:
     def test_formula(self):

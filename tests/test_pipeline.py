@@ -2,6 +2,7 @@ import struct
 import sys
 import tempfile
 import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -41,10 +42,11 @@ from conftest import philox, synth_records
 
 def resample_linear(samples: np.ndarray, from_hz: float, to_hz: float) -> np.ndarray:
     """Linear-interpolation resample; queries past the end hold the last value."""
-    samples, t_in, out_len = _resampling(samples, from_hz, to_hz)
-    if t_in is None:
+    samples, rate, out_len = _resampling(samples, from_hz, to_hz)
+    if rate is None:
         return samples.copy()
-    return np.interp(np.arange(out_len, dtype=np.float64) / to_hz, t_in, samples)
+    return np.interp(np.arange(out_len, dtype=np.float64) / to_hz,
+                     np.arange(len(samples), dtype=np.float64) / from_hz, samples)
 
 
 def normalize_epoch(samples: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -110,6 +112,18 @@ class TestResample:
     def test_bad_rates(self):
         with pytest.raises(ValueError):
             resample_linear(np.array([1.0]), 0.0, 2.0)
+
+    # Sleep-EDF's 1 Hz and 10 Hz channels, common PSG rates, a rate with no
+    # exact period, and a channel ending 7 samples into its last epoch
+    @pytest.mark.parametrize("rate, extra", [(1.0, 0), (10.0, 0), (128.0, 0), (256.0, 7),
+                                             (500.0, 0), (100.0 / 3.0, 0), (50.0, 7)])
+    def test_block_reads_are_the_whole_channel_resample(self, rate, extra):
+        samples = philox(int(rate)).normal(0.0, 20.0, int(150 * 30 * rate) + extra)
+        channel = _resampling(samples, rate, 100.0)
+        whole = resample_linear(samples, rate, 100.0)
+        for lo, hi in ((0, 64), (64, 128), (128, channel[2] // 3000), (3, 4)):
+            got = pipeline._epochs_of(channel, slice(lo, hi))
+            assert got.tobytes() == whole[lo * 3000: hi * 3000].tobytes()
 
 
 class TestNormalize:
@@ -434,18 +448,14 @@ class TestBlockSegmentation:
             assert np.array_equal(got.norm, serial.norm)
 
     @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("stage", ["measure", "normalize"])
-    def test_error_in_a_later_block_propagates(self, monkeypatch, cores, stage):
+    def test_error_in_a_later_block_propagates(self, monkeypatch, cores):
         class Raised(Exception):
             pass
 
-        real, calls = pipeline._epochs_of, []
+        real = pipeline._epochs_of
 
         def epochs_of(channel, span):
-            calls.append(span.start)
-            # the first pass reads each channel of a block once, the second once more
-            if span.start == 2 * pipeline.SEGMENT_BLOCK and (
-                    stage == "measure" or calls.count(span.start) > len(names)):
+            if span.start == 2 * pipeline.SEGMENT_BLOCK:
                 raise Raised
             return real(channel, span)
 
@@ -455,6 +465,67 @@ class TestBlockSegmentation:
         monkeypatch.setattr(pipeline, "_epochs_of", epochs_of)
         with pytest.raises(Raised):
             segment_epochs(recording, annotations, names[0], names[1:])
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_each_block_reads_each_channel_once(self, monkeypatch, cores):
+        real, calls = pipeline._epochs_of, []
+
+        def epochs_of(channel, span):
+            calls.append((id(channel[0]), span.start, span.stop))
+            return real(channel, span)
+
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        monkeypatch.setattr(pipeline, "_epochs_of", epochs_of)
+        recording, annotations, names = artifact_night()
+        segment_epochs(recording, annotations, names[0], names[1:], wake_trim_epochs=20)
+        # blocks 0-3 hold labelled epochs; block 4 (epochs 256-289) is all trimmed wake
+        assert sorted(calls) == sorted((id(samples), lo, lo + 64) for samples in recording.samples
+                                       for lo in (0, 64, 128, 192))
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    def test_artifacts_in_many_blocks_with_wake_trimmed(self, monkeypatch, fresh_pool, cores):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        recording, annotations, names = artifact_night()
+        got = assert_segments_like_reference(recording, annotations, names, wake_trim_epochs=20)
+        assert got.epoch_index.tolist() == [e for e in range(60, 250) if e not in ARTIFACTS]
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    def test_memory_is_the_labelled_rows_and_a_block_per_core(
+            self, monkeypatch, fresh_pool, cores):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        recording, annotations, names = artifact_night()
+        segment_epochs(recording, annotations, names[0], names[1:])  # the pool exists
+        tracemalloc.start()
+        try:
+            got = segment_epochs(recording, annotations, names[0], names[1:], wake_trim_epochs=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        labelled_rows = 190 * len(names) * pipeline.EPOCH_SAMPLES * 4
+        # a block's temporaries are at most four float64 arrays of one channel of one
+        # block at 100 Hz: the 200 Hz channel's input times count two, its output
+        # times and interpolated samples one each; after np.interp, the samples, their
+        # difference from the mean and its square, one more for a partly kept block
+        block_array = pipeline.SEGMENT_BLOCK * pipeline.EPOCH_SAMPLES * 8
+        # (and 128 KiB for the per-epoch columns and each block's per-epoch statistics)
+        assert peak <= labelled_rows + min(cores, 4) * 4 * block_array + 2**17
+        assert len(got) == 190 - len(ARTIFACTS)
+
+
+# epochs with a 900 uV spike on the input or a -800 uV one on the 200 Hz target:
+# the first and last epoch of blocks 1 and 2, and others in blocks 0 and 3
+ARTIFACTS = (63, 64, 127, 128, 191, 200, 245)
+
+
+def artifact_night():
+    """290 epochs, 5 blocks: 80 wake, 150 N2, 60 wake; with a 20-epoch wake
+    trim epochs 60-249 are labelled, and ARTIFACTS are rejected among them."""
+    labels = ["Sleep stage W"] * 80 + ["Sleep stage 2"] * 150 + ["Sleep stage W"] * 60
+    recording, annotations, names = mixed_rate_recording(
+        len(labels), 11, labels=labels, spikes=(64, 127, 128, 191, 200))
+    for e in (63, 245):
+        recording.samples[1][e * 6000 + 4000] = -800.0  # an even sample: on the 100 Hz grid
+    return recording, annotations, names
 
 
 def manifest_of(n):

@@ -98,6 +98,13 @@ class TestWaveforms:
             eeg2[i] = 0.7 * x[max(i - 5, 0)] + 0.3 * ma5[i]
         assert np.abs(eeg2 - targets[synthgen.EEG2_CHANNEL]).max() < 1e-9
 
+    def test_emg_holds_only_its_50_hz_samples(self):
+        x = synthgen.reference_signal(SynthSpec(seed=9, duration_s=60, noise_std=5.0))
+        emg = synthgen.target_signals(x, 60)[synthgen.EMG_CHANNEL]
+        # its own array, not a strided view that keeps the 100 Hz samples alive
+        assert emg.base is None and emg.flags.c_contiguous
+        assert emg.tobytes() == (np.abs(np.diff(x, prepend=x[:1])) * 10.0)[::2].tobytes()
+
     def test_drift_phase_repeats_every_epoch(self):
         # 0.2 Hz drift completes exactly 6 cycles per 30 s epoch
         t = np.arange(6000) / 100.0
