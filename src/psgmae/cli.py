@@ -90,8 +90,7 @@ def cmd_preprocess(args) -> int:
     if not targets:
         raise ValueError("--targets must name at least one channel")
     fractions = tuple(float(x) for x in args.split.split(","))
-    if len(fractions) != 3:
-        raise ValueError("--split needs three comma-separated fractions")
+    pipeline.check_split(fractions)  # before any file is read or written
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,14 +243,14 @@ def cmd_gradcheck(args) -> int:
         rng.normal(0.0, 1.0, (config.seq_len, config.patch_size))
         for _ in config.target_channels
     ])
-    plan = mae.make_mask(config.seq_len, config.mask_ratio, rng)
+    visible = mae.token_indices(~mae.mask_plans(config, 1, rng))[0]
     params = mae.init_params(config, seed=1, dtype=dtype)
 
     def loss_fn(tensors):
         view = mae.MaeParams(config=config, pos_encoding=params.pos_encoding,
                              tensors=tensors)
-        latents = mae.encode(tokens, plan, view)
-        recon = mae.decode(latents, plan, view)
+        latents = mae.encode(tokens, visible, view)
+        recon = mae.decode(latents, visible, view)
         return mae.cosine_loss(recon, nc.Tensor(targets, dtype=view.dtype))
 
     error = nc.grad_check(loss_fn, params.tensors, fd_step=args.fd_step)

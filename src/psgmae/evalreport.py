@@ -128,22 +128,6 @@ def _add_rows(table: MseTable, input_channel: str, targets, stage: np.ndarray,
     return table
 
 
-def stage_table(epochs: EpochSet, recons: dict[str, np.ndarray] | None = None,
-                physical_units: bool = False) -> MseTable:
-    """Mean MSE per (input, target, stage) of ``recons`` (target -> (N, epoch_len),
-    normalized) against an EpochSet, or of the all-zeros baseline if None; in
-    squared physical units, through each epoch's (mean, std), if ``physical_units``."""
-    errors = np.empty((len(epochs), len(epochs.target_channels)))
-    for j, target in enumerate(epochs.target_channels if len(epochs) else (), start=1):
-        orig, pred = epochs.signals[:, j], None if recons is None else recons[target]
-        if pred is not None and np.shape(pred) != orig.shape:
-            raise LengthMismatch(f"{target!r}: pred shape {np.shape(pred)} "
-                                 f"!= orig shape {orig.shape}")
-        errors[:, j - 1] = epoch_errors(pred, orig, epochs.norm[:, j] if physical_units else None)
-    return _add_rows(MseTable(), epochs.input_channel, epochs.target_channels, epochs.stage,
-                     errors)
-
-
 class _Lanes:
     """predict's inputs and sink for ``stream_scores``: a slice of an EpochSet copies
     its signal rows, one of an EpochCacheReader reads them into its lane's buffer."""
@@ -210,7 +194,7 @@ def cache_tables(params: MaeParams, reader: EpochCacheReader, rows: np.ndarray,
 def aggregate_by_stage(pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]],
                        physical_units: bool = False) -> MseTable:
     """Group per-epoch MSE by (input, target, stage) and average each group,
-    as ``stage_table`` does, over (epoch record, reconstructions keyed by
+    as ``evaluate_records`` does, over (epoch record, reconstructions keyed by
     target channel) pairs, both in normalized units."""
     groups: dict[tuple[str, str], list[tuple[EpochRecord, np.ndarray]]] = {}
     for record, recons in pairs:
@@ -303,11 +287,22 @@ def evaluate_records(
     physical_units: bool = False,
 ) -> tuple[MseTable, list[tuple[EpochRecord, dict[str, np.ndarray]]]]:
     """Per-stage MSE of the model's full-visibility reconstructions of the records,
-    predicted in memory, and one (epoch record, reconstructions by target) pair per epoch."""
+    scored through ``stream_scores``, and one (epoch record, recons by target) pair per epoch."""
     epochs = as_epoch_set(records)
-    recons = mae.predict(params, epochs.signals[:, 0])
     channels = params.config.target_channels
-    table = stage_table(epochs, dict(zip(channels, np.moveaxis(recons, 1, 0))), physical_units)
+    targets = epochs.target_indices(channels)
+    recons = np.empty((len(epochs), len(targets), params.config.epoch_len), params.dtype)
+    errors = np.empty((len(epochs), len(targets)))
+
+    def score(span: slice, recon: np.ndarray, orig: np.ndarray) -> None:
+        recons[span] = recon
+        errors[span] = epoch_errors(recon, orig, epochs.norm[span][:, targets]
+                                    if physical_units else None)
+
+    stream_scores(params, epochs, np.arange(len(epochs)), targets, score)
+    heads = [channels.index(t) for t in epochs.target_channels]  # the set's target order
+    table = _add_rows(MseTable(), epochs.input_channel, epochs.target_channels, epochs.stage,
+                      errors[:, heads])
     return table, [(record, dict(zip(channels, recon))) for record, recon in zip(epochs, recons)]
 
 
@@ -316,7 +311,10 @@ def baseline_table(records: EpochSet | list[EpochRecord],
     """Per-stage MSE of the predict-mean (all-zeros) baseline."""
     if not len(records):
         return MseTable()
-    return stage_table(as_epoch_set(records), physical_units=physical_units)
+    epochs = as_epoch_set(records)
+    norm = epochs.norm[:, 1:] if physical_units else None
+    return _add_rows(MseTable(), epochs.input_channel, epochs.target_channels, epochs.stage,
+                     epoch_errors(None, epochs.signals[:, 1:], norm))
 
 
 def export_reconstruction(

@@ -56,7 +56,7 @@ class MaeConfig:
             raise ValueError("embed_dim must be even for the sinusoidal table")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
-        if round(self.mask_ratio * self.seq_len) >= self.seq_len:  # make_mask's count
+        if round(self.mask_ratio * self.seq_len) >= self.seq_len:  # mask_plans' count
             raise ValueError(f"mask_ratio {self.mask_ratio} masks all seq_len {self.seq_len} "
                              "tokens; at least one must stay visible")
         if self.loss_scope not in ("all", "masked"):
@@ -67,35 +67,6 @@ class MaeConfig:
     @property
     def epoch_len(self) -> int:
         return self.patch_size * self.seq_len
-
-
-@dataclass
-class MaskPlan:
-    """Disjoint visible/masked token index sets covering 0..seq_len-1."""
-
-    visible_indices: tuple[int, ...]
-    masked_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        vis, msk = set(self.visible_indices), set(self.masked_indices)
-        if vis & msk:
-            raise ValueError("visible and masked indices overlap")
-        n = len(vis) + len(msk)
-        if vis | msk != set(range(n)):
-            raise ValueError("mask plan does not cover 0..seq_len-1")
-        self.visible_indices = tuple(sorted(self.visible_indices))
-        self.masked_indices = tuple(sorted(self.masked_indices))
-
-
-def make_mask(seq_len: int, mask_ratio: float, rng: np.random.Generator) -> MaskPlan:
-    """Uniform random token subset of size round(mask_ratio * seq_len)."""
-    n_masked = int(round(mask_ratio * seq_len))
-    perm = rng.permutation(seq_len).tolist()  # MaskPlan sorts both sets
-    return MaskPlan(visible_indices=tuple(perm[n_masked:]), masked_indices=tuple(perm[:n_masked]))
-
-
-def full_visibility(seq_len: int) -> MaskPlan:
-    return MaskPlan(visible_indices=tuple(range(seq_len)), masked_indices=())
 
 
 def sinusoidal_table(seq_len: int, embed_dim: int) -> np.ndarray:
@@ -183,12 +154,6 @@ def unpatchify(tokens: np.ndarray) -> np.ndarray:
     return tokens.reshape(*tokens.shape[:-2], -1)
 
 
-def _visible(plan) -> np.ndarray:
-    """Visible token indices of a MaskPlan, or a batch's (B, n_visible) array."""
-    indices = plan.visible_indices if isinstance(plan, MaskPlan) else plan
-    return np.asarray(indices, dtype=np.intp)
-
-
 def _attention(h: Tensor, params: MaeParams, prefix: str) -> Tensor:
     t = params.tensors
     q, k, v = (nc.linear(h, t[f"{prefix}.attn.w{name}"], t.get(f"{prefix}.attn.b{name}"))
@@ -211,11 +176,11 @@ def _transformer_block(x: Tensor, params: MaeParams, prefix: str) -> Tensor:
     return nc.add(x, _mlp(normed, params, prefix))
 
 
-def encode(tokens: np.ndarray, plan, params: MaeParams) -> Tensor:
+def encode(tokens: np.ndarray, visible, params: MaeParams) -> Tensor:
     """Embed tokens (..., seq_len, patch_size) with the positional encoding
-    at their original positions, keep only the visible rows, and run them
-    through the encoder blocks. ``plan`` is a MaskPlan, or per-example
-    visible indices (B, n_visible) for a batch of tokens."""
+    at their original positions, keep only the ``visible`` token indices,
+    (B, n_visible) per example or (n_visible,) for all, and run them through
+    the encoder blocks."""
     config = params.config
     if np.shape(tokens)[-2:] != (config.seq_len, config.patch_size):
         raise ShapeMismatch(f"tokens shape {np.shape(tokens)} != "
@@ -224,19 +189,19 @@ def encode(tokens: np.ndarray, plan, params: MaeParams) -> Tensor:
     x = Tensor(tokens, dtype=params.dtype)
     embedded = nc.linear(x, t["patch_embed.w"], t["patch_embed.b"])
     embedded = nc.add(embedded, Tensor(params.pos_encoding, dtype=params.dtype))
-    visible = nc.gather_rows(embedded, _visible(plan))
+    latents = nc.gather_rows(embedded, visible)
     for i in range(config.encoder_layers):
-        visible = _transformer_block(visible, params, f"enc.{i}")
-    return visible
+        latents = _transformer_block(latents, params, f"enc.{i}")
+    return latents
 
 
-def decode(latents: Tensor, plan, params: MaeParams) -> Tensor:
-    """Scatter latents into a mask-token sequence at their original
-    positions, decode, and apply one reconstruction head per target channel;
-    returns (..., num_targets, seq_len, patch_size)."""
+def decode(latents: Tensor, visible, params: MaeParams) -> Tensor:
+    """Scatter latents into a mask-token sequence at their ``visible`` token
+    indices, as ``encode`` takes them, decode, and apply one reconstruction
+    head per target channel; returns (..., num_targets, seq_len, patch_size)."""
     config = params.config
     t = params.tensors
-    ordered = nc.scatter_rows(latents, _visible(plan), config.seq_len, t["mask_token"])
+    ordered = nc.scatter_rows(latents, visible, config.seq_len, t["mask_token"])
     ordered = nc.add(ordered, Tensor(params.pos_encoding, dtype=params.dtype))
     for i in range(config.decoder_layers):
         ordered = _transformer_block(ordered, params, f"dec.{i}")
@@ -288,36 +253,49 @@ def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
     return nc._make(np.mean(1.0 - cos), (pred, target), backward)
 
 
-def mask_plans(config: MaeConfig, count: int, rng: np.random.Generator) -> list[MaskPlan]:
-    """``count`` mask plans drawn from ``rng``, one per example in batch order."""
-    return [make_mask(config.seq_len, config.mask_ratio, rng) for _ in range(count)]
+def mask_plans(config: MaeConfig, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, seq_len) bool masks, True at the first round(mask_ratio * seq_len)
+    tokens of one ``rng.permutation(seq_len)`` per example, in batch order."""
+    n_masked = int(round(config.mask_ratio * config.seq_len))
+    masks = np.zeros((count, config.seq_len), dtype=bool)
+    for row in masks:
+        row[rng.permutation(config.seq_len)[:n_masked]] = True
+    return masks
+
+
+def token_indices(masks: np.ndarray) -> np.ndarray:
+    """Ascending token indices (B, k) of the True entries of masks (B, seq_len), k per row."""
+    return np.nonzero(masks)[1].reshape(len(masks), int(masks[:1].sum()))
 
 
 def forward_loss(
     inputs: np.ndarray,
     targets: np.ndarray,
     params: MaeParams,
-    plans: list[MaskPlan],
+    masks: np.ndarray,
 ) -> tuple[Tensor, np.ndarray]:
     """Masked forward pass over a batch as one graph: ``inputs`` (B, epoch_len)
     against ``targets`` (B, num_targets, epoch_len), targets in the config's
-    order, with one mask plan per example (from ``mask_plans``). Returns the
+    order, with bool ``masks`` (B, seq_len) from ``mask_plans``. Returns the
     mean cosine loss and the reconstructions (B, num_targets, epoch_len).
 
-    The plans all mask the same number of tokens, so each example weighs
-    equally in the mean. With loss_scope == "masked" the loss covers only
-    masked token positions (all positions when the plans mask nothing).
+    Every row masks the same number of tokens, so each example weighs equally
+    in the mean. With loss_scope == "masked" the loss covers only masked token
+    positions (all positions when the masks mask nothing).
     """
     config = params.config
-    if len(plans) != len(inputs):
-        raise ShapeMismatch(f"{len(plans)} mask plans for {len(inputs)} examples")
-    visible = np.array([plan.visible_indices for plan in plans], dtype=np.intp)
+    masks = np.asarray(masks)
+    if masks.dtype != bool or masks.shape != (len(inputs), config.seq_len) \
+            or (masks.sum(axis=1) != masks[:1].sum()).any():
+        raise ShapeMismatch(f"masks {masks.dtype} {masks.shape} for {len(inputs)} examples of "
+                            f"{config.seq_len} tokens: need bool rows masking one count")
+    visible = token_indices(~masks)
     recon = decode(encode(patchify(inputs, config), visible, params), visible, params)
     target = patchify(targets, config)
     pred = recon
-    if config.loss_scope == "masked" and plans[0].masked_indices:
+    if config.loss_scope == "masked" and masks.any():
         # (B, 1, n_masked): the same tokens for every target
-        masked = np.array([plan.masked_indices for plan in plans], dtype=np.intp)[:, None]
+        masked = token_indices(masks)[:, None]
         pred = nc.gather_rows(recon, masked)
         target = np.take_along_axis(target, masked[..., None], axis=-2)
     return cosine_loss(pred, Tensor(target, dtype=params.dtype)), unpatchify(recon.data)
@@ -337,7 +315,7 @@ def predict(params: MaeParams, inputs, sink=None) -> np.ndarray | None:
     reconstructions go to sink(lo, recon) on the lane that took the slice
     inputs[lo: lo + len(recon)], before it takes another, and predict returns None."""
     config = params.config
-    plan = full_visibility(config.seq_len)
+    every = np.arange(config.seq_len)  # full visibility
     out = np.empty((len(inputs), len(config.target_channels), config.epoch_len),
                    dtype=params.dtype) if sink is None else None
     workers = min(nc.cores(), PREDICT_CHUNK)
@@ -351,7 +329,7 @@ def predict(params: MaeParams, inputs, sink=None) -> np.ndarray | None:
                 if lo is None:
                     return
                 batch = inputs[lo: lo + chunk]
-            recon = decode(encode(patchify(np.stack(batch), config), plan, params), plan, params)
+            recon = decode(encode(patchify(np.stack(batch), config), every, params), every, params)
             if sink is None:
                 out[lo: lo + len(batch)] = unpatchify(recon.data)
             else:

@@ -425,6 +425,12 @@ def stage_histogram(epochs: EpochSet) -> dict[str, int]:
     return {stage.display: int(count) for stage, count in zip(STAGES, counts)}
 
 
+def check_split(fractions: tuple[float, ...]) -> None:
+    if len(fractions) != 3 or not all(0.0 <= f <= 1.0 for f in fractions) \
+            or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"split fractions must be 3 values in [0, 1] summing to 1: {fractions}")
+
+
 def split_subjects(
     manifest: DatasetManifest,
     seed: int,
@@ -437,8 +443,7 @@ def split_subjects(
     largest fractional remainders (ties broken in train, val, test order).
     Identical seeds produce identical assignments.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must sum to 1, got {fractions}")
+    check_split(fractions)
     ids = sorted(manifest.subject_ids())
     if len(ids) < 3:
         raise TooFewSubjects(f"need at least 3 subjects, got {len(ids)}")

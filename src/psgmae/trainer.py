@@ -3,7 +3,7 @@ metrics logging, and binary checkpoints.
 
 Randomness is split into three Philox streams spawned from the config seed:
 stream 0 initializes parameters, stream 1 shuffles examples each epoch,
-stream 2 draws mask plans. Stream states are checkpointed, so a resumed run
+stream 2 draws the masks. Stream states are checkpointed, so a resumed run
 reproduces an uninterrupted one step for step.
 
 Checkpoint layout (little-endian), magic ``PSGMAE02``:
@@ -92,10 +92,9 @@ class TrainConfig:
     calibrate_scale: bool = True
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.input_channel:
             raise ValueError("input_channel is required")
         if self.input_channel in self.mae.target_channels:
@@ -367,7 +366,7 @@ def _shard_bounds(n: int) -> list[int]:
 
 
 def batch_gradients(params: MaeParams, inputs: np.ndarray, targets: np.ndarray,
-                    plans: list[mae.MaskPlan]) -> tuple[float, dict[str, np.ndarray]]:
+                    masks: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """The batch's masked cosine loss and its gradient by parameter name (none
     for a parameter the loss does not reach). Each example shard runs its
     forward and backward on its own tape, on the numcore pool (a non-finite
@@ -378,7 +377,7 @@ def batch_gradients(params: MaeParams, inputs: np.ndarray, targets: np.ndarray,
 
     def shard(part: slice) -> tuple[float, dict]:
         with nc.Tape() as tape:
-            loss, _ = mae.forward_loss(inputs[part], targets[part], params, plans[part])
+            loss, _ = mae.forward_loss(inputs[part], targets[part], params, masks[part])
         return loss.item(), tape.backward(loss) if np.isfinite(loss.data).all() else {}
 
     shards = nc._parallel_map(shard, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
@@ -459,8 +458,8 @@ def train(
         order = shuffle_rng.permutation(len(train_set))
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
-            batch = train_set[order[lo: lo + config.batch_size]]
-            value, grads = batch_gradients(params, batch.signals[:, 0], batch.signals[:, targets],
+            batch = train_set.signals[order[lo: lo + config.batch_size]]
+            value, grads = batch_gradients(params, batch[:, 0], batch[:, targets],
                                            mae.mask_plans(config.mae, len(batch), mask_rng))
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}, "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import psgmae
-from psgmae import cli, evalreport, mae, numcore as nc, pipeline, trainer
+from psgmae import cli, edf_io, evalreport, mae, numcore as nc, pipeline, trainer
 from psgmae.cli import main
 from psgmae.pipeline import denormalize
 
@@ -153,6 +153,26 @@ class TestPreprocess:
         )
         assert code == 2
         assert "target" in err
+
+    @pytest.mark.parametrize("split", ["0.5,0.6,-0.1", "nan,0.5,0.5", "0.5,0.5,inf",
+                                       "1.5,-0.25,-0.25", "0.5,0.5"])
+    def test_bad_split_exits_2_before_reading_or_writing(self, capsys, workspace, tmp_path,
+                                                         monkeypatch, split):
+        def no_read(*args):
+            raise AssertionError("a recording was read")
+
+        monkeypatch.setattr(edf_io, "parse_edf", no_read)
+        args = ["preprocess", "--input-channel", "EEG Fpz-Cz", "--targets", "EOG horizontal",
+                "--split", split, "--out", str(tmp_path / "data")]
+        for i in range(4):
+            args += ["--psg", str(workspace / "raw" / f"S{i:03d}-PSG.edf"),
+                     "--hypnogram", str(workspace / "raw" / f"S{i:03d}-Hypnogram.edf")]
+        code, out, err = run(capsys, *args)
+        fractions = tuple(float(x) for x in split.split(","))
+        assert (code, out) == (2, "")
+        assert err == f"error: split fractions must be 3 values in [0, 1] summing to 1: " \
+                      f"{fractions}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, capsys, workspace, tmp_path):
         outputs = []
@@ -386,6 +406,20 @@ class TestTrainEval:
         assert code == 2
         assert err == "error: mask_ratio 0.99 masks all seq_len 30 tokens; " \
                       "at least one must stay visible\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_patience_below_one_exits_2_before_reading_the_cache(
+            self, capsys, workspace, tmp_path, monkeypatch):
+        def no_dataset(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(trainer, "load_dataset", no_dataset)
+        monkeypatch.setattr(pipeline, "EpochCacheReader", no_dataset)
+        (tmp_path / "config.ini").write_text(TRAIN_CONFIG.replace("patience = 10",
+                                                                  "patience = 0"))
+        code, _, err = run(capsys, "train", "--config", str(tmp_path / "config.ini"),
+                           "--data", str(workspace / "data"), "--out", str(tmp_path / "run"))
+        assert (code, err) == (2, "error: patience must be >= 1, got 0\n")
         assert not (tmp_path / "run").exists()
 
     def test_reconstruct_exports_csv(self, capsys, workspace):

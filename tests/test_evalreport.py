@@ -193,25 +193,32 @@ class TestAggregate:
                          for name in record.norm_params})
 
     @pytest.mark.parametrize("physical", [False, True])
-    def test_stage_table_equals_per_record_reference(self, physical):
-        """Across several scoring chunks, each cell equals the per-record
-        ``mse`` summed in epoch order, for the model and for the baseline."""
+    def test_tables_equal_per_record_reference(self, physical):
+        """Across several scoring chunks, each cell of evaluate_records' table
+        equals the per-record ``mse`` of its pairs' reconstructions, which are
+        predict's, summed in epoch order, with the model's heads in reverse
+        order of the records' targets; baseline_table's cells equal it for
+        all-zeros reconstructions."""
         rng = philox(6)
         records = [self.own_norms(rng, make_record(rng, list(SleepStage)[int(rng.integers(0, 5))],
                                                    epoch_index=i))
                    for i in range(2 * evalreport.SCORE_CHUNK + 7)]
         epochs = pipeline.as_epoch_set(records)
-        recons = {t: rng.normal(0, 1, (len(epochs), 3000)).astype(np.float32)
-                  for t in epochs.target_channels}
-        model = [(record, {t: recons[t][i] for t in recons}) for i, record in enumerate(records)]
-        self.assert_equals_reference(evalreport.stage_table(epochs, recons, physical),
-                                     model, physical)
+        params = mae.init_params(mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
+                                               target_channels=epochs.target_channels[::-1]),
+                                 seed=4)
+        table, pairs = evalreport.evaluate_records(params, records, physical)
+        recons = mae.predict(params, epochs.signals[:, 0])
+        assert [record.epoch_index for record, _ in pairs] == list(range(len(records)))
+        for (_, by_target), recon in zip(pairs, recons, strict=True):
+            assert list(by_target) == list(params.config.target_channels)
+            assert np.array(list(by_target.values())).tobytes() == recon.tobytes()
+        self.assert_equals_reference(table, pairs, physical)
         zeros = [(r, {t: np.zeros_like(x) for t, x in r.targets.items()}) for r in records]
-        self.assert_equals_reference(evalreport.stage_table(epochs, physical_units=physical),
+        self.assert_equals_reference(baseline_table(epochs, physical_units=physical),
                                      zeros, physical)
-        if physical:  # the baseline adapter takes the units too
-            self.assert_equals_reference(baseline_table(records, physical_units=True),
-                                         zeros, True)
+        self.assert_equals_reference(baseline_table(records, physical_units=physical),
+                                     zeros, physical)
 
     @pytest.mark.parametrize("physical", [False, True])
     def test_aggregate_scores_pairs_in_their_own_precision(self, physical):
@@ -231,12 +238,6 @@ class TestAggregate:
             pairs.append((record, {t: rng.normal(0, 1, 3000) for t in record.targets}))
         table = aggregate_by_stage(pairs, physical_units=physical)
         self.assert_equals_reference(table, pairs, physical)
-
-    def test_stage_table_rejects_wrong_length(self):
-        epochs = pipeline.as_epoch_set([make_record(philox(7), SleepStage.N1)])
-        recons = {t: np.zeros((1, 2999)) for t in epochs.target_channels}
-        with pytest.raises(LengthMismatch):
-            evalreport.stage_table(epochs, recons)
 
     def test_physical_units_flag_rescales_by_variance(self):
         rng = philox(5)
@@ -285,8 +286,8 @@ class TestCacheTables:
         params = mae.init_params(mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
                                                target_channels=("a", "b")), seed=3)
         predicted, encode = [], mae.encode
-        monkeypatch.setattr(mae, "encode", lambda tokens, plan, params: (
-            predicted.append(len(tokens)), encode(tokens, plan, params))[1])
+        monkeypatch.setattr(mae, "encode", lambda tokens, visible, params: (
+            predicted.append(len(tokens)), encode(tokens, visible, params))[1])
         epochs = pipeline.read_epoch_cache(path)
         splits = {"all": np.arange(n), **trainer.split_rows(manifest, epochs)}
         assert all(0 < len(rows) < n for name, rows in splits.items() if name != "all")

@@ -4,23 +4,22 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from psgmae import mae, numcore as nc
+from psgmae import mae, numcore as nc, trainer
 from psgmae.mae import (
     MaeConfig,
-    MaskPlan,
     WrongLength,
     cosine_loss,
     decode,
     encode,
     forward_loss,
-    full_visibility,
     init_params,
-    make_mask,
+    mask_plans,
     patchify,
     sinusoidal_table,
+    token_indices,
     unpatchify,
 )
 from psgmae.numcore import Tensor
@@ -34,8 +33,28 @@ def tiny_params(seed=0, dtype=np.float64, **overrides):
 
 
 def planned_loss(inputs, targets, params, rng):
-    """forward_loss with one mask plan per example drawn from ``rng``."""
-    return forward_loss(inputs, targets, params, mae.mask_plans(params.config, len(inputs), rng))
+    """forward_loss with one mask per example drawn from ``rng``."""
+    return forward_loss(inputs, targets, params, mask_plans(params.config, len(inputs), rng))
+
+
+def reference_mask(seq_len, mask_ratio, rng):
+    """The earlier one-example draw that ``mask_plans`` batches: ascending
+    (visible, masked) token tuples from one ``rng.permutation(seq_len)``,
+    its first round(mask_ratio * seq_len) entries masked."""
+    n_masked = int(round(mask_ratio * seq_len))
+    perm = rng.permutation(seq_len).tolist()
+    return tuple(sorted(perm[n_masked:])), tuple(sorted(perm[:n_masked]))
+
+
+def mask_config(seq_len, mask_ratio):
+    return MaeConfig(patch_size=1, seq_len=seq_len, embed_dim=2, num_heads=1,
+                     mask_ratio=mask_ratio, target_channels=("t",))
+
+
+def one_mask(config, rng):
+    """(visible, masked) token indices of one mask drawn from ``rng``."""
+    masks = mask_plans(config, 1, rng)
+    return token_indices(~masks)[0], token_indices(masks)[0]
 
 
 def make_batch(config, rng, n=1):
@@ -74,34 +93,60 @@ class TestPatchify:
 
 class TestMask:
     def test_zero_ratio(self):
-        plan = make_mask(30, 0.0, philox(0))
-        assert plan.masked_indices == ()
-        assert plan.visible_indices == tuple(range(30))
+        masks = mask_plans(mask_config(30, 0.0), 2, philox(0))
+        assert masks.shape == (2, 30) and masks.dtype == bool and not masks.any()
+        assert token_indices(~masks).tolist() == [list(range(30))] * 2
+        assert token_indices(masks).shape == (2, 0)
 
     def test_half_of_thirty(self):
-        plan = make_mask(30, 0.5, philox(1))
-        assert len(plan.masked_indices) == 15
-        assert len(plan.visible_indices) == 15
+        masks = mask_plans(mask_config(30, 0.5), 3, philox(1))
+        assert masks.sum(axis=1).tolist() == [15, 15, 15]
+        assert token_indices(masks).shape == token_indices(~masks).shape == (3, 15)
 
     def test_equal_seeds_equal_plans(self):
-        assert make_mask(30, 0.5, philox(7)) == make_mask(30, 0.5, philox(7))
+        config = mask_config(30, 0.5)
+        assert np.array_equal(mask_plans(config, 4, philox(7)), mask_plans(config, 4, philox(7)))
 
     @given(st.integers(1, 40), st.floats(0.0, 0.9),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_plan_invariants(self, seq_len, ratio, seed):
-        plan = make_mask(seq_len, ratio, philox(seed))
-        visible = set(plan.visible_indices)
-        masked = set(plan.masked_indices)
-        assert visible | masked == set(range(seq_len))
-        assert not visible & masked
-        assert len(masked) == round(ratio * seq_len)
+        assume(round(ratio * seq_len) < seq_len)
+        masks = mask_plans(mask_config(seq_len, ratio), 3, philox(seed))
+        assert masks.shape == (3, seq_len) and masks.dtype == bool
+        assert (masks.sum(axis=1) == round(ratio * seq_len)).all()
+        for visible, masked in zip(token_indices(~masks), token_indices(masks)):
+            assert sorted([*visible, *masked]) == list(range(seq_len))
+            assert list(visible) == sorted(visible) and list(masked) == sorted(masked)
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            MaskPlan(visible_indices=(0, 1), masked_indices=(1, 2))
+    @given(st.integers(1, 40), st.floats(0.0, 0.95), st.integers(0, 2**32 - 1),
+           st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_same_sets_and_generator_state_as_the_reference(self, seq_len, ratio, seed, count):
+        """One batch of masks holds, row by row, the visible and masked sets
+        that ``count`` one-example reference draws give, and leaves the
+        generator where they leave it."""
+        assume(round(ratio * seq_len) < seq_len)
+        batched, single = philox(seed), philox(seed)
+        masks = mask_plans(mask_config(seq_len, ratio), count, batched)
+        reference = [reference_mask(seq_len, ratio, single) for _ in range(count)]
+        assert token_indices(~masks).tolist() == [list(v) for v, _ in reference]
+        assert token_indices(masks).tolist() == [list(m) for _, m in reference]
+        assert trainer._philox_state(batched) == trainer._philox_state(single)
 
-    # round(1.5) is 2: Python rounds halves to even, as make_mask does
+    # counts that round half to even: 2.5 -> 2, 3.5 -> 4, 1.5 -> 2, 0.5 -> 0
+    @pytest.mark.parametrize("seq_len, ratio, n_masked",
+                             [(5, 0.5, 2), (7, 0.5, 4), (6, 0.25, 2), (10, 0.25, 2),
+                              (1, 0.5, 0), (3, 0.5, 2)])
+    def test_half_counts_round_to_even(self, seq_len, ratio, n_masked):
+        batched, single = philox(seq_len), philox(seq_len)
+        masks = mask_plans(mask_config(seq_len, ratio), 4, batched)
+        assert masks.sum(axis=1).tolist() == [n_masked] * 4
+        for row in masks:
+            assert tuple(np.flatnonzero(row)) == reference_mask(seq_len, ratio, single)[1]
+        assert trainer._philox_state(batched) == trainer._philox_state(single)
+
+    # round(1.5) is 2: Python rounds halves to even, as mask_plans does
     @pytest.mark.parametrize("seq_len, ratio", [(30, 0.99), (1, 0.6), (2, 0.75), (4, 0.9)])
     def test_config_masking_every_token_rejected(self, seq_len, ratio):
         with pytest.raises(ValueError, match=rf"mask_ratio {ratio} masks all seq_len {seq_len} "):
@@ -110,8 +155,7 @@ class TestMask:
     @pytest.mark.parametrize("seq_len, ratio", [(30, 0.98), (1, 0.4), (2, 0.5), (4, 0.85)])
     def test_config_leaving_one_token_visible_trains(self, seq_len, ratio):
         config, params = tiny_params(seq_len=seq_len, mask_ratio=ratio)
-        plan = make_mask(seq_len, ratio, philox(3))
-        assert len(plan.visible_indices) == 1
+        assert (~mask_plans(config, 1, philox(3))).sum() == 1
         inputs, targets = make_batch(config, philox(4), 2)
         loss, _ = planned_loss(inputs, targets, params, philox(5))
         assert np.isfinite(loss.item())
@@ -131,18 +175,18 @@ class TestEncode:
     def test_full_visibility_shape(self):
         config, params = tiny_params()
         tokens = philox(0).normal(0, 1, (4, 10))
-        latents = encode(tokens, full_visibility(4), params)
+        latents = encode(tokens, np.arange(4), params)
         assert latents.shape == (4, 8)
 
     def test_masked_tokens_never_read(self):
         config, params = tiny_params()
         rng = philox(1)
         tokens = rng.normal(0, 1, (4, 10))
-        plan = make_mask(4, 0.5, rng)
-        reference = encode(tokens, plan, params).data
+        visible, masked = one_mask(config, rng)
+        reference = encode(tokens, visible, params).data
         scrambled = tokens.copy()
-        scrambled[list(plan.masked_indices)] = rng.normal(100, 50, (2, 10))
-        assert np.array_equal(encode(scrambled, plan, params).data, reference)
+        scrambled[masked] = rng.normal(100, 50, (2, 10))
+        assert np.array_equal(encode(scrambled, visible, params).data, reference)
 
     def test_zero_weights_residual_identity(self):
         config, params = tiny_params()
@@ -150,8 +194,7 @@ class TestEncode:
             if ".attn." in name or ".mlp." in name:
                 tensor.data[:] = 0.0
         tokens = philox(2).normal(0, 1, (4, 10))
-        plan = full_visibility(4)
-        latents = encode(tokens, plan, params)
+        latents = encode(tokens, np.arange(4), params)
         embedded = (tokens @ params.tensors["patch_embed.w"].data
                     + params.tensors["patch_embed.b"].data
                     + params.pos_encoding)
@@ -161,8 +204,8 @@ class TestEncode:
         config, params = tiny_params()
         rng = philox(3)
         tokens = rng.normal(0, 1, (4, 10))
-        plan = full_visibility(4)
-        base = encode(tokens, plan, params).data
+        every = np.arange(4)
+        base = encode(tokens, every, params).data
 
         perm = np.array([2, 0, 3, 1])
         permuted = mae.MaeParams(
@@ -170,7 +213,7 @@ class TestEncode:
             pos_encoding=params.pos_encoding[perm],
             tensors=params.tensors,
         )
-        shuffled = encode(tokens[perm], plan, permuted).data
+        shuffled = encode(tokens[perm], every, permuted).data
         assert np.allclose(shuffled, base[perm], atol=1e-12)
 
 
@@ -180,8 +223,8 @@ class TestDecode:
         params = init_params(config, seed=0, dtype=np.float32)
         rng = philox(4)
         tokens = rng.normal(0, 1, (30, 100))
-        plan = make_mask(30, 0.5, rng)
-        recon = decode(encode(tokens, plan, params), plan, params)
+        visible, _ = one_mask(config, rng)
+        recon = decode(encode(tokens, visible, params), visible, params)
         assert recon.shape == (3, 30, 100)
 
     def test_three_targets_exclude_input(self):
@@ -200,16 +243,16 @@ class TestDecode:
                 tensor.data[:] = 0.0
         rng = philox(5)
         tokens = rng.normal(0, 1, (4, 10))
-        plan = make_mask(4, 0.5, rng)
-        recon = decode(encode(tokens, plan, params), plan, params)
+        visible, _ = one_mask(config, rng)
+        recon = decode(encode(tokens, visible, params), visible, params)
         assert np.all(recon.data == 0.0)
 
     def test_latent_count_checked(self):
         config, params = tiny_params()
-        plan = make_mask(4, 0.5, philox(6))
+        visible, _ = one_mask(config, philox(6))
         bad_latents = Tensor(np.zeros((3, 8)), dtype=np.float64)
         with pytest.raises(nc.ShapeMismatch):
-            decode(bad_latents, plan, params)
+            decode(bad_latents, visible, params)
 
 
 def ref_cosine_loss(pred, target, g, eps=1e-8):
@@ -347,11 +390,10 @@ class TestForwardLoss:
         masked_loss, _ = planned_loss(inputs, targets, params, philox(5))
         all_loss, _ = planned_loss(inputs, targets, all_params, philox(5))
 
-        # manual recomputation of the masked-scope value
-        plan = make_mask(config.seq_len, config.mask_ratio, philox(5))
-        latents = encode(patchify(inputs[0], config), plan, params)
-        recon = decode(latents, plan, params).data
-        rows = list(plan.masked_indices)
+        # manual recomputation of the masked-scope value, on the reference draw
+        visible, rows = reference_mask(config.seq_len, config.mask_ratio, philox(5))
+        latents = encode(patchify(inputs[0], config), visible, params)
+        recon = decode(latents, visible, params).data
         per_token = []
         for i in range(len(config.target_channels)):
             target = patchify(targets[0, i], config)
@@ -372,8 +414,9 @@ class TestForwardLoss:
         with nc.Tape() as tape:
             loss, recons = planned_loss(inputs, targets, params, philox(16))
         out, (pred, target), backward = tape._records[-1]
-        masked = np.array([plan.masked_indices for plan in
-                           mae.mask_plans(config, 3, philox(16))])[:, None, :, None]
+        stream = philox(16)
+        masked = np.array([reference_mask(config.seq_len, config.mask_ratio, stream)[1]
+                           for _ in range(3)])[:, None, :, None]
         assert out is loss and pred.requires_grad and not target.requires_grad
         for tensor, full in ((pred, recons), (target, targets)):
             expected = np.take_along_axis(patchify(full, config), masked, axis=-2)
@@ -387,18 +430,42 @@ class TestForwardLoss:
         assert np.abs(partial - expected_partial).max() <= 1e-5 * np.abs(expected_partial).max()
 
 
+    @pytest.mark.parametrize("bad", ["rows", "width", "dtype", "counts", "flat"])
+    def test_masks_unlike_the_batch_rejected(self, bad):
+        config, params = tiny_params()
+        inputs, targets = make_batch(config, philox(17), 3)
+        masks = mask_plans(config, 3, philox(18))
+        uneven = masks.copy()
+        uneven[0] = [True, True, True, False]  # three masked tokens, the others two
+        masks = {"rows": masks[:2], "width": np.concatenate([masks, masks[:, :1]], axis=1),
+                 "dtype": masks.astype(np.int64), "counts": uneven,
+                 "flat": masks.reshape(-1)}[bad]
+        with pytest.raises(nc.ShapeMismatch, match="masks"):
+            forward_loss(inputs, targets, params, masks)
+
+    def test_masked_scope_without_masked_tokens_scores_every_token(self):
+        config, params = tiny_params(loss_scope="masked", mask_ratio=0.0)
+        _, all_params = tiny_params(loss_scope="all", mask_ratio=0.0)
+        inputs, targets = make_batch(config, philox(19), 2)
+        masks = mask_plans(config, 2, philox(20))
+        assert not masks.any()
+        masked, _ = forward_loss(inputs, targets, params, masks)
+        every, _ = forward_loss(inputs, targets, all_params, masks)
+        assert masked.item() == every.item()
+
+
 class TestGradients:
     def test_tiny_config_matches_finite_differences(self):
         config, params = tiny_params(seed=1)
         rng = philox(13)
         tokens = rng.normal(0, 1, (4, 10))
         targets = np.stack([rng.normal(0, 1, (4, 10)) for _ in range(2)])
-        plan = make_mask(4, 0.5, rng)
+        visible, _ = one_mask(config, rng)
 
         def fn(tensors):
             view = mae.MaeParams(config=config, pos_encoding=params.pos_encoding,
                                  tensors=tensors)
-            recon = decode(encode(tokens, plan, view), plan, view)
+            recon = decode(encode(tokens, visible, view), visible, view)
             return cosine_loss(recon, Tensor(targets, dtype=view.dtype))
 
         assert nc.grad_check(fn, params.tensors, fd_step=5e-5) < 1e-5
@@ -407,13 +474,13 @@ class TestGradients:
         config = MaeConfig(**{**TINY_CONFIG_KWARGS, "encoder_layers": 2})
         rng = philox(3)
         tokens = rng.normal(0, 1, (4, 10))
-        plan = make_mask(4, 0.5, rng)
+        visible, _ = one_mask(config, rng)
 
         def make_fn(pos):
             def fn(tensors):
                 view = mae.MaeParams(config=config, pos_encoding=pos,
                                      tensors=tensors)
-                out = encode(tokens, plan, view)
+                out = encode(tokens, visible, view)
                 return nc.sum(nc.mul(out, out))
             return fn
 
@@ -559,15 +626,15 @@ class TestParallelPredict:
         lock, in_flight, peak = threading.Lock(), [0], [0]
         encode, decode = mae.encode, mae.decode
 
-        def counting_encode(tokens, plan, params):
+        def counting_encode(tokens, visible, params):
             with lock:
                 in_flight[0] += len(tokens)
                 peak[0] = max(peak[0], in_flight[0])
             time.sleep(0.05)  # lets the other workers start their chunks
-            return encode(tokens, plan, params)
+            return encode(tokens, visible, params)
 
-        def counting_decode(latents, plan, params):
-            recon = decode(latents, plan, params)
+        def counting_decode(latents, visible, params):
+            recon = decode(latents, visible, params)
             with lock:
                 in_flight[0] -= recon.shape[0]
             return recon
@@ -608,13 +675,13 @@ class TestParallelPredict:
         lanes_started = threading.Barrier(max(1, lanes), timeout=60)
         encode = mae.encode
 
-        def counting_encode(tokens, plan, params):
+        def counting_encode(tokens, visible, params):
             chunks.append(len(tokens))
             thread = threading.current_thread()
             if thread not in threads:
                 threads.add(thread)
                 lanes_started.wait()
-            return encode(tokens, plan, params)
+            return encode(tokens, visible, params)
 
         monkeypatch.setattr(mae, "encode", counting_encode)
         out = mae.predict(params, inputs[:n])

@@ -1,3 +1,4 @@
+import re
 import struct
 import sys
 import tempfile
@@ -565,6 +566,32 @@ class TestSplits:
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
             split_subjects(manifest_of(5), seed=0, fractions=(0.5, 0.1, 0.2))
+
+    @given(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0), st.integers(0, 2),
+           st.sampled_from([None, float("nan"), float("inf"), -float("inf")]))
+    @settings(max_examples=80, deadline=None)
+    def test_fraction_outside_unit_interval_rejected(self, a, b, at, odd):
+        """Fractions that sum to 1 but leave [0, 1], or are not finite, are
+        refused by name, never turned into subject counts."""
+        fractions = [a, b, 1.0 - a - b]
+        if odd is not None:
+            fractions[at] = odd
+        fractions = tuple(fractions)
+        if odd is None and all(0.0 <= f <= 1.0 for f in fractions):
+            return  # a valid split: see test_valid_fractions_give_every_subject_a_split
+        with pytest.raises(ValueError, match=r"^split fractions must be 3 values in \[0, 1\] "
+                                             r"summing to 1: " + re.escape(str(fractions))):
+            split_subjects(manifest_of(10), seed=0, fractions=fractions)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(3, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_valid_fractions_give_every_subject_a_split(self, a, b, n):
+        fractions = (a, (1.0 - a) * b, max(0.0, 1.0 - a - (1.0 - a) * b))
+        split = split_subjects(manifest_of(n), seed=1, fractions=fractions)
+        counts = [list(split.splits.values()).count(name) for name in ("train", "val", "test")]
+        assert sum(counts) == n
+        for count, fraction in zip(counts, fractions):
+            assert np.floor(n * fraction) <= count <= np.floor(n * fraction) + 1
 
 
 class TestCacheAndManifest:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import sys
 import threading
@@ -81,6 +82,18 @@ class TestConfigSerialization:
     def test_self_target_rejected(self):
         with pytest.raises(ValueError):
             small_config(input_channel=synthgen.EOG_CHANNEL)
+
+    @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected(self, name, value):
+        """A run with patience 0 would train on but leave a checkpoint that
+        cannot be resumed, as one that already stopped early."""
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            small_config(**{name: value})
+        text = re.sub(rf"^{name} = .*$", f"{name} = {value}", config_to_ini(small_config()),
+                      flags=re.M)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            config_from_ini(text)
 
     @pytest.mark.parametrize("text", [
         "lr = 1\n",
@@ -192,8 +205,8 @@ class TestDataParallel:
         through ``make(result)`` (which may raise)."""
         real = mae.forward_loss
 
-        def forward_loss(inputs, targets, params, plans):
-            result = real(inputs, targets, params, plans)
+        def forward_loss(inputs, targets, params, masks):
+            result = real(inputs, targets, params, masks)
             return make(result) if len(inputs) == size else result
 
         return forward_loss
@@ -245,12 +258,12 @@ class TestDataParallel:
         rng = philox(8)
         inputs = rng.normal(0, 1, (5, config.epoch_len))  # shards of 2 and 3
         targets = rng.normal(0, 1, (5, len(config.target_channels), config.epoch_len))
-        plans = mae.mask_plans(config, len(inputs), rng)
+        masks = mae.mask_plans(config, len(inputs), rng)
         with nc.Tape() as tape:
-            loss, _ = mae.forward_loss(inputs, targets, params, plans)
+            loss, _ = mae.forward_loss(inputs, targets, params, masks)
         whole = tape.backward(loss)
 
-        sharded_loss, grads = trainer.batch_gradients(params, inputs, targets, plans)
+        sharded_loss, grads = trainer.batch_gradients(params, inputs, targets, masks)
         assert trainer._shard_bounds(len(inputs)) == [0, 2, 5]
         assert sharded_loss == pytest.approx(loss.item(), rel=1e-12, abs=0)
         assert grads.keys() == params.tensors.keys()
