@@ -71,16 +71,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _segment_night(psg_path: Path, hyp_path: Path, input_channel: str,
-                   targets: list[str]) -> tuple[pipeline.EpochSet, str]:
-    """One night's epochs and subject id; the parsed recording dies on return."""
-    recording = edf_io.parse_edf(psg_path.read_bytes())
-    hypnogram = edf_io.parse_edf(hyp_path.read_bytes())
-    subject = recording.patient_id or psg_path.stem
-    return pipeline.segment_epochs(recording, hypnogram.annotations, input_channel, targets,
-                                   subject_id=subject), subject
-
-
 def cmd_preprocess(args) -> int:
     psg_paths = [Path(p) for p in args.psg]
     hyp_paths = [Path(p) for p in args.hypnogram]
@@ -94,20 +84,26 @@ def cmd_preprocess(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    parts: list[pipeline.EpochSet] = []
     entries: list[pipeline.SubjectEntry] = []
-    for psg_path, hyp_path in zip(psg_paths, hyp_paths):
-        epochs, subject = _segment_night(psg_path, hyp_path, args.input_channel, targets)
+
+    def night(psg_path: Path, hyp_path: Path) -> pipeline.EpochSet:
+        """One night's epochs, its manifest entry added; the parsed recordings die on return."""
+        recording = edf_io.parse_edf(psg_path.read_bytes())
+        hypnogram = edf_io.parse_edf(hyp_path.read_bytes())
+        subject = recording.patient_id or psg_path.stem
+        epochs = pipeline.segment_epochs(recording, hypnogram.annotations, args.input_channel,
+                                         targets, subject_id=subject)
         for entry in entries:
             if entry.subject_id == subject:
                 raise ValueError(f"{entry.psg_path} and {psg_path} are both subject "
                                  f"{subject!r}; two nights of one subject need distinct ids")
-        parts.append(epochs)
         entries.append(pipeline.SubjectEntry(subject, str(psg_path), str(hyp_path),
                                              pipeline.stage_histogram(epochs)))
         _info(f"{subject}: {len(epochs)} epochs")
+        return epochs
 
+    # the writer holds one night at a time; a failed night leaves an earlier cache and manifest
+    pipeline.write_epoch_cache(out_dir / trainer.CACHE_FILENAME, map(night, psg_paths, hyp_paths))
     manifest = pipeline.DatasetManifest(subjects=entries, seed=args.seed)
     if len(entries) >= 3:
         manifest = pipeline.split_subjects(manifest, args.seed, fractions)
@@ -116,9 +112,9 @@ def cmd_preprocess(args) -> int:
         manifest.splits = {e.subject_id: "train" for e in entries}
 
     pipeline.save_manifest(out_dir / trainer.MANIFEST_FILENAME, manifest)
-    pipeline.write_epoch_cache(out_dir / trainer.CACHE_FILENAME, parts)
 
-    print(f"{sum(map(len, parts))} epochs from {len(entries)} subjects")
+    print(f"{sum(sum(e.stage_counts.values()) for e in entries)} epochs from "
+          f"{len(entries)} subjects")
     for stage in pipeline.STAGES:
         print(f"  {stage.display}: {sum(e.stage_counts[stage.display] for e in entries)}")
     split_sizes = Counter(manifest.splits[entry.subject_id] for entry in entries)
@@ -133,7 +129,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     config = trainer.config_from_ini(Path(args.config).read_text())
-    splits = trainer.split_records(*trainer.load_dataset(args.data))
+    manifest = pipeline.load_manifest(Path(args.data) / trainer.MANIFEST_FILENAME)
+    with pipeline.EpochCacheReader(Path(args.data) / trainer.CACHE_FILENAME) as cache:
+        rows = trainer.split_rows(manifest, cache)  # no test row is read
+        splits = {name: cache.epochs(rows[name]) for name in ("train", "val")}
     resume = None
     if args.resume:
         resume = trainer.load_checkpoint(Path(args.resume).read_bytes())
@@ -182,7 +181,7 @@ def cmd_eval(args) -> int:
         if cache.channels[0] != config.input_channel:
             raise ValueError(f"cache input channel {cache.channels[0]!r} is not the "
                              f"checkpoint's {config.input_channel!r}")
-        # the cache is verified before any output file is opened
+        # every row scored is checked before any output file is opened
         table, baseline = evalreport.cache_tables(params, cache, rows, args.physical)
 
     out_dir = Path(args.out)
@@ -208,12 +207,8 @@ def cmd_reconstruct(args) -> int:
                 f"--epoch-index {args.epoch_index} out of range (cache has "
                 f"{len(cache)} epochs)"
             )
-        # every row is read for the CRC; only the one asked for is kept
-        scratch = cache.buffer(min(len(cache), mae.PREDICT_CHUNK))
-        signals = cache.read(args.epoch_index, 1, scratch).copy()
-        cache.verify(scratch)
-        record = cache.epochs([args.epoch_index], signals)[0]
-    recons = dict(zip(config.mae.target_channels, mae.predict(params, signals[:, 0])[0]))
+        record = cache.epochs([args.epoch_index])[0]  # the one row read
+    recons = dict(zip(config.mae.target_channels, mae.predict(params, [record.input_samples])[0]))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     evalreport.export_reconstruction(record, recons, out_path)

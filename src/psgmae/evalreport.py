@@ -146,10 +146,7 @@ class _Lanes:
             return self._lane.chunk[:, 0]
         if buffer is None or len(buffer) < len(wanted):
             buffer = self._lane.buffer = self.source.buffer(len(wanted))
-        kept = 0
-        for run in np.split(wanted, np.flatnonzero(np.diff(wanted) != 1) + 1):
-            kept += len(self.source.read(run[0], len(run), buffer[kept:]))
-        self._lane.chunk = buffer[:kept]
+        self._lane.chunk = self.source.read(wanted, buffer)
         return self._lane.chunk[:, 0]
 
     def __call__(self, lo: int, recon: np.ndarray) -> None:
@@ -169,9 +166,8 @@ def stream_scores(params: MaeParams, source: EpochSet | EpochCacheReader, rows: 
 def cache_tables(params: MaeParams, reader: EpochCacheReader, rows: np.ndarray,
                  physical_units: bool = False) -> tuple[MseTable, MseTable]:
     """``evaluate_records``' table and ``baseline_table`` of the cache rows ``rows``
-    (ascending) through ``stream_scores``, keeping only per-epoch errors. Other
-    rows are read for the CRC only, and the reader is verified before the
-    tables return."""
+    (ascending) through ``stream_scores``, keeping only per-epoch errors. Only
+    those rows are read, and each is checked before the tables return."""
     channels, order = reader.channels, params.config.target_channels
     if sorted(channels[1:]) != sorted(order):
         raise MissingChannel(f"cache target channels {list(channels[1:])} are not the "
@@ -185,7 +181,6 @@ def cache_tables(params: MaeParams, reader: EpochCacheReader, rows: np.ndarray,
         baseline[span] = epoch_errors(None, orig, norm)
 
     stream_scores(params, reader, rows, targets, score)
-    reader.verify(reader.buffer(min(len(reader), mae.PREDICT_CHUNK)))  # untouched unless needed
     heads = [order.index(t) for t in channels[1:]]  # the cache's target order
     return tuple(_add_rows(MseTable(), channels[0], channels[1:], reader.stage[rows],
                            errors[:, heads]) for errors in (model, baseline))

@@ -3,20 +3,24 @@ artifact rejection, epoch segmentation, subject splits, and the on-disk
 epoch cache.
 
 A dataset is one ``EpochSet`` of arrays. The epoch cache stores those
-arrays as they are (all little-endian), magic ``PSGEPO02`` followed by:
+arrays as they are (all little-endian), magic ``PSGEPO03`` followed by:
 
-    u32  epoch count N
+    N x C x 3000 f32   normalized samples, one signal row per epoch
+    u32  epoch count N (the footer starts here)
     u16  channel count C (channel 0 is the input channel)
     u16  subject count S
     u32  name table byte length T
-    N x C x 3000 f32   normalized samples
     N x C x 2    f32   normalization (mean, std), physical units
     N u32  epoch index within its recording
+    N u32  CRC32 of each signal row
     N u16  subject, an index into the subject ids
     N u8   stage code (0=Wake 1=N1 2=N2 3=N3 4=REM)
     T      name table: C channel names, then S subject ids, each as
-           u16 UTF-8 byte length + the bytes
-    u32  CRC32 of every byte after the magic and before the CRC
+           u16 UTF-8 byte length + the bytes (the footer ends here)
+    u32  CRC32 of the footer
+    u64  footer byte length
+
+A reader checks the footer and each row it reads; damage to a row it does not read goes unreported.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +45,9 @@ SIGMA_FLOOR = 1e-6
 # epochs per unit of segment_epochs' work: fixed, so no byte depends on the core count
 SEGMENT_BLOCK = 64
 
-CACHE_MAGIC = b"PSGEPO02"
+CACHE_MAGIC = b"PSGEPO03"
 _CACHE_COUNTS = struct.Struct("<IHHI")  # N, C, S, T of the module docstring
+_CACHE_TRAILER = struct.Struct("<IQ")  # the footer's CRC32 and byte length
 
 
 class PipelineError(Exception):
@@ -480,94 +485,105 @@ def load_manifest(path: Path | str) -> DatasetManifest:
     )
 
 
-# cache arrays in file order; after the 20-byte header each f32 and u32
-# array starts 4-byte aligned
-_CACHE_ARRAYS = (("signals", "<f4"), ("norm", "<f4"), ("epoch_index", "<u4"),
-                 ("subject", "<u2"), ("stage", "u1"))
+# the footer's arrays in file order; after the 12-byte counts each starts 4-byte aligned
+_FOOTER_ARRAYS = (("norm", "<f4"), ("epoch_index", "<u4"), ("crc", "<u4"), ("subject", "<u2"),
+                  ("stage", "u1"))
 
 
-def write_epoch_cache(path: Path | str, epochs: EpochSet | list[EpochSet]) -> None:
-    """Write the binary cache (see module docstring) of one set, or of sets
-    over the same channels joined as EpochSet.concat joins them, array by
-    array and part by part, without assembling the file or the join."""
-    parts = [epochs] if isinstance(epochs, EpochSet) else list(epochs)
-    channels, subjects, subject = _joined_subjects(parts)
-    table = b"".join(struct.pack("<H", len(raw)) + raw for raw in
-                     (name.encode("utf-8") for name in channels + subjects))
-    counts = _CACHE_COUNTS.pack(sum(map(len, parts)), len(channels), len(subjects), len(table))
-    crc = zlib.crc32(counts)
-    with open(path, "wb") as handle:
-        handle.write(CACHE_MAGIC + counts)
-        for name, dtype in _CACHE_ARRAYS:
-            for part, column in zip(parts, subject):
-                chunk = np.ascontiguousarray(column if name == "subject" else getattr(part, name),
-                                             dtype=dtype)
-                handle.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-        handle.write(table + struct.pack("<I", zlib.crc32(table, crc)))
+def write_epoch_cache(path: Path | str, parts) -> None:
+    """Write the binary cache (see module docstring) of one set, or of an iterable of
+    sets over the same channels joined as EpochSet.concat joins them, each part's
+    rows as it arrives, keeping only its small columns. A temporary file replaces ``path``
+    once it is whole, so any failure, a part's included, leaves ``path`` as it was."""
+    temp, crcs = Path(f"{path}.tmp"), []
+
+    def write_rows(part: EpochSet) -> EpochSet:
+        """``part`` over zero-strided signals, once its rows are written and CRC'd."""
+        signals = np.ascontiguousarray(part.signals, dtype="<f4")
+        handle.write(signals)
+        crcs.extend(zlib.crc32(row) for row in signals)
+        return replace(part, signals=np.broadcast_to(np.float32(0), signals.shape))
+
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(CACHE_MAGIC)
+            # map, unlike a for loop, drops each part before it asks for the next
+            kept = list(map(write_rows, [parts] if isinstance(parts, EpochSet) else parts))
+            channels, subjects, subject = _joined_subjects(kept)
+            table = b"".join(struct.pack("<H", len(raw)) + raw for raw in
+                             (name.encode("utf-8") for name in channels + subjects))
+            columns = {"crc": [crcs], "subject": subject} | {
+                name: [getattr(p, name) for p in kept] for name in ("norm", "epoch_index", "stage")}
+            footer = b"".join([
+                _CACHE_COUNTS.pack(len(crcs), len(channels), len(subjects), len(table)),
+                *(np.concatenate(columns[name]).astype(dtype).tobytes()
+                  for name, dtype in _FOOTER_ARRAYS), table])
+            handle.write(footer + _CACHE_TRAILER.pack(zlib.crc32(footer), len(footer)))
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 class EpochCacheReader:
-    """A cache written by write_epoch_cache, read in file order.
-
-    Opening checks the magic, the header and the file size, then reads the
-    small columns and the name table and checks them as EpochSet does: the
-    read-only ``norm``, ``epoch_index``, ``subject`` and ``stage`` arrays and
-    the ``channels`` and ``subjects``. ``read`` hands out signal rows in file
-    order, chaining the CRC32 over them, and ``verify`` reads the rest and
-    checks it: anything but an intact PSGEPO02 cache raises CorruptCache by
-    then. Calls from several threads must not overlap.
-    """
+    """A cache written by write_epoch_cache. Opening checks the magic, the
+    trailer, the footer's CRC and the file size, then the read-only ``norm``,
+    ``epoch_index``, ``subject`` and ``stage`` columns and the ``channels`` and
+    ``subjects`` as EpochSet does. ``read`` and ``epochs`` read only the signal
+    rows asked for, by positioned reads that keep no state, and check each
+    against its CRC: damage to anything read raises CorruptCache."""
 
     def __init__(self, path: Path | str):
         self._file = open(path, "rb", buffering=0)
         try:
-            self._read_columns()
+            self._read_footer()
         except BaseException:
             self._file.close()
             raise
 
-    def _read_columns(self) -> None:
-        head = self._file.read(len(CACHE_MAGIC) + _CACHE_COUNTS.size)
-        if head[:8] != CACHE_MAGIC:
-            hint = "; re-run preprocess to rebuild it" if head[:8] == b"PSGEPO01" else ""
-            raise CorruptCache(f"bad epoch cache magic {head[:8]!r}{hint}")
-        if len(head) < len(CACHE_MAGIC) + _CACHE_COUNTS.size:
-            raise CorruptCache("truncated epoch cache header")
-        n, c, s, table_len = _CACHE_COUNTS.unpack_from(head, len(CACHE_MAGIC))
+    def _read_footer(self) -> None:
+        size = os.fstat(self._file.fileno()).st_size
+        magic = bytes(self._pread(bytearray(min(size, len(CACHE_MAGIC))), 0))
+        if magic != CACHE_MAGIC:
+            hint = "; re-run preprocess to rebuild it" if magic[:6] == b"PSGEPO" else ""
+            raise CorruptCache(f"bad epoch cache magic {magic!r}{hint}")
+        crc, length = _CACHE_TRAILER.unpack(self._pread(bytearray(_CACHE_TRAILER.size),
+                                                        max(size - _CACHE_TRAILER.size, 0)))
+        start = size - _CACHE_TRAILER.size - length  # of the footer
+        if start < len(CACHE_MAGIC) or length < _CACHE_COUNTS.size:
+            raise CorruptCache("bad epoch cache trailer (truncated or damaged)")
+        footer = memoryview(self._pread(bytearray(length), start)).toreadonly()
+        if zlib.crc32(footer) != crc:
+            raise CorruptCache("epoch cache footer checksum mismatch (damaged or truncated)")
+        n, c, s, _ = _CACHE_COUNTS.unpack_from(footer)
         if c == 0:
             raise CorruptCache("epoch cache has no channels")
-        start = len(head) + 4 * n * c * EPOCH_SAMPLES  # the small columns follow the signals
-        size, promised = os.fstat(self._file.fileno()).st_size, start + n * (8 * c + 7) + table_len
-        if size != promised + 4:
-            raise CorruptCache(f"epoch cache has {size} bytes where its header promises "
-                               f"{promised + 4} (truncated or trailing bytes)")
-        self._file.seek(start)
-        data = memoryview(self._read_exact(bytearray(size - start))).toreadonly()
-        columns, pos = {}, 0
-        self._file.seek(len(head))
-        for name, dtype in _CACHE_ARRAYS[1:]:
-            shape = (n, c, 2) if name == "norm" else (n,)
-            columns[name] = np.frombuffer(data, dtype, int(np.prod(shape)), pos).reshape(shape)
-            pos += columns[name].nbytes
-        try:
+        columns, pos = {}, _CACHE_COUNTS.size
+        try:  # a footer too short or too long for its counts raises ValueError in here
+            for name, dtype in _FOOTER_ARRAYS:
+                shape = (n, c, 2) if name == "norm" else (n,)
+                columns[name] = np.frombuffer(footer, dtype, np.prod(shape), pos).reshape(shape)
+                pos += columns[name].nbytes
+            self._crcs = columns.pop("crc").tolist()
             names = []
             for _ in range(c + s):
-                length = int.from_bytes(data[pos: pos + 2], "little")
-                names.append(str(data[pos + 2: pos + 2 + length], "utf-8"))
-                pos += 2 + length
-            if pos != promised - start:
+                width = int.from_bytes(footer[pos: pos + 2], "little")
+                names.append(str(footer[pos + 2: pos + 2 + width], "utf-8"))
+                pos += 2 + width
+            if pos != length:
                 raise ValueError("name table length disagrees with its names")
             # EpochSet's checks of the columns, over zero-strided signals that cost no memory
             EpochSet(names[:c], names[c:], signals=np.broadcast_to(
                 np.float32(0), (n, c, EPOCH_SAMPLES)), **columns)
         except ValueError as exc:  # UnicodeDecodeError included
             raise CorruptCache(f"malformed epoch cache: {exc}") from exc
+        self._row = 4 * c * EPOCH_SAMPLES  # bytes per signal row
+        promised = len(CACHE_MAGIC) + n * self._row + length + _CACHE_TRAILER.size
+        if size != promised:
+            raise CorruptCache(f"epoch cache has {size} bytes where its footer promises "
+                               f"{promised} (truncated or trailing bytes)")
         self.channels, self.subjects = tuple(names[:c]), tuple(names[c:])
-        self.norm, self.epoch_index = columns["norm"], columns["epoch_index"]
-        self.subject, self.stage = columns["subject"], columns["stage"]
-        self._crc, self._pos = zlib.crc32(head[len(CACHE_MAGIC):]), 0
-        self._rest, self._stored = data[:-4], int.from_bytes(data[-4:], "little")
+        self.norm, self.epoch_index, self.subject, self.stage = columns.values()
 
     def __len__(self) -> int:
         return len(self.stage)
@@ -582,42 +598,31 @@ class EpochCacheReader:
         """An uninitialized array of ``rows`` signal rows for ``read`` to fill."""
         return np.empty((rows, len(self.channels), EPOCH_SAMPLES), dtype="<f4")
 
-    def read(self, start: int, count: int, out: np.ndarray) -> np.ndarray:
-        """Signal rows start .. start + count - 1 in out[:count] (a ``buffer``),
-        which is returned; the rows from the last read up to ``start`` are read
-        through ``out`` first, for the CRC only. No read asks for more than len(out) rows."""
-        if not self._pos <= start <= start + count <= len(self) or count > len(out):
-            raise ValueError(f"cannot read rows {start}..{start + count - 1} into {len(out)} "
-                             f"rows at row {self._pos} of {len(self)}")
-        self._read_to(start, out)
-        self._read_to(start + count, out[:count])
-        return out[:count]
+    def read(self, rows, out: np.ndarray) -> np.ndarray:
+        """The signal rows ``rows`` (row indices, ascending in use) in out[:len(rows)]
+        (a ``buffer``), which is returned: one positioned read per run of
+        consecutive rows, then each row checked against its CRC."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) > len(out) or len(rows) and not 0 <= rows.min() <= rows.max() < len(self):
+            raise ValueError(f"rows out of the cache's {len(self)} or more than out's {len(out)}")
+        cuts = [*np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist(), len(rows)]  # run starts
+        for lo, hi in zip(cuts, cuts[1:]):
+            self._pread(out[lo:hi], len(CACHE_MAGIC) + int(rows[lo]) * self._row)
+        for row, signals in zip(rows.tolist(), out):
+            if zlib.crc32(signals) != self._crcs[row]:
+                raise CorruptCache(f"epoch cache row {row} fails its checksum")
+        return out[:len(rows)]
 
-    def verify(self, scratch: np.ndarray) -> None:
-        """Read the rows left through ``scratch`` (a ``buffer``) and check the CRC."""
-        self._read_to(len(self), scratch)
-        if zlib.crc32(self._rest, self._crc) != self._stored:
-            raise CorruptCache("epoch cache checksum mismatch")
-
-    def epochs(self, rows, signals: np.ndarray) -> EpochSet:
-        """The cache rows ``rows`` (an index array or a slice) with their ``signals``."""
+    def epochs(self, rows) -> EpochSet:
+        """The cache rows ``rows`` (ascending row indices), their signals read."""
         return EpochSet(self.channels, self.subjects, self.subject[rows], self.epoch_index[rows],
-                        self.stage[rows], self.norm[rows], signals)
+                        self.stage[rows], self.norm[rows], self.read(rows, self.buffer(len(rows))))
 
-    def _read_to(self, stop: int, scratch: np.ndarray) -> None:
-        """Read the rows up to ``stop`` into ``scratch``, len(scratch) at a time."""
-        while self._pos < stop:
-            if not len(scratch):
-                raise ValueError("rows are left to read but the buffer holds none")
-            piece = scratch[: stop - self._pos]
-            self._crc = zlib.crc32(self._read_exact(piece.reshape(-1).view(np.uint8)), self._crc)
-            self._pos += len(piece)
-
-    def _read_exact(self, out: bytearray | np.ndarray) -> bytearray | np.ndarray:
-        """``out``, a writable byte buffer, filled from the file."""
-        view, done = memoryview(out), 0
+    def _pread(self, out: bytearray | np.ndarray, offset: int) -> bytearray | np.ndarray:
+        """``out``, a writable contiguous buffer, filled from the file's byte ``offset`` on."""
+        view, done = memoryview(out).cast("B"), 0
         while done < len(view):
-            got = self._file.readinto(view[done:])
+            got = os.preadv(self._file.fileno(), [view[done:]], offset + done)
             if not got:
                 raise CorruptCache("epoch cache ended early: truncated while being read")
             done += got
@@ -625,9 +630,6 @@ class EpochCacheReader:
 
 
 def read_epoch_cache(path: Path | str) -> EpochSet:
-    """Read a whole cache written by write_epoch_cache through an
-    EpochCacheReader; its small columns are read-only."""
+    """Read a whole cache written by write_epoch_cache through an EpochCacheReader."""
     with EpochCacheReader(path) as reader:
-        signals = reader.read(0, len(reader), reader.buffer(len(reader)))
-        reader.verify(signals)
-        return reader.epochs(slice(None), signals)
+        return reader.epochs(np.arange(len(reader)))

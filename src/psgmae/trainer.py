@@ -77,6 +77,10 @@ class ShapeMismatchOnLoad(TrainerError):
     pass
 
 
+class ManifestMismatch(TrainerError):
+    """A manifest whose splits name other subjects than its epoch cache holds."""
+
+
 @dataclass
 class TrainConfig:
     mae: MaeConfig
@@ -295,9 +299,13 @@ def load_dataset(data_dir: Path | str) -> tuple[DatasetManifest, EpochSet]:
 
 
 def split_rows(manifest: DatasetManifest, epochs) -> dict[str, np.ndarray]:
-    """The ascending train, val and test rows of an EpochSet or EpochCacheReader,
-    by their subject's split."""
-    split = np.array([manifest.splits.get(s) for s in epochs.subjects], dtype=object)
+    """The ascending train, val and test rows of an EpochSet or EpochCacheReader, by their
+    subject's split; ManifestMismatch unless the manifest's splits name exactly its subjects."""
+    cached, listed = set(epochs.subjects), set(manifest.splits)
+    if cached != listed:
+        raise ManifestMismatch(f"subjects only in the epoch cache {sorted(cached - listed)}, "
+                               f"only in the manifest {sorted(listed - cached)}; re-run preprocess")
+    split = np.array([manifest.splits[s] for s in epochs.subjects], dtype=object)
     return {name: np.flatnonzero(split[epochs.subject] == name)
             for name in ("train", "val", "test")}
 

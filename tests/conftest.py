@@ -95,6 +95,26 @@ def reseal(blob: bytes) -> bytes:
     return blob + struct.pack("<I", zlib.crc32(blob[8:]))
 
 
+def cache_parts(blob: bytes) -> tuple[bytes, bytes]:
+    """An epoch cache split by its trailer into (magic and signal rows, footer)."""
+    start = len(blob) - 12 - struct.unpack_from("<Q", blob, len(blob) - 8)[0]
+    return blob[:start], blob[start:-12]
+
+
+def seal_cache(head: bytes, footer: bytes) -> bytes:
+    """An epoch cache of ``head`` (magic and signal rows) and ``footer``, with
+    a trailer that gives the footer's CRC and length."""
+    return head + footer + struct.pack("<IQ", zlib.crc32(footer), len(footer))
+
+
+def footer_offsets(footer: bytes) -> dict[str, int]:
+    """Where each part of an epoch cache's footer starts, from the footer's start."""
+    n, c, _, _ = struct.unpack_from("<IHHI", footer)
+    sizes = {"counts": 12, "norm": 8 * n * c, "epoch_index": 4 * n, "crc": 4 * n,
+             "subject": 2 * n, "stage": n, "table": 0}
+    return dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))
+
+
 def edit_meta(blob: bytes, edit) -> bytes:
     """``blob`` with its meta JSON replaced by ``edit(meta)`` (JSON bytes when
     ``edit`` returns bytes) and a fresh CRC."""

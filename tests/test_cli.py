@@ -1,7 +1,7 @@
 import ctypes
 import dataclasses
-import io
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -15,7 +15,7 @@ from psgmae import cli, edf_io, evalreport, mae, numcore as nc, pipeline, traine
 from psgmae.cli import main
 from psgmae.pipeline import denormalize
 
-from conftest import edit_meta, philox, reseal
+from conftest import cache_parts, edit_meta, footer_offsets, philox, seal_cache
 
 
 TRAIN_CONFIG = """\
@@ -72,6 +72,20 @@ def workspace(tmp_path_factory):
     assert main(["train", "--config", str(config_path),
                  "--data", str(data), "--out", str(run_dir)]) == 0
     return root
+
+
+def workspace_rows(workspace) -> dict[str, np.ndarray]:
+    """The workspace dataset's train, val and test rows."""
+    manifest = pipeline.load_manifest(workspace / "data" / trainer.MANIFEST_FILENAME)
+    with pipeline.EpochCacheReader(workspace / "data" / trainer.CACHE_FILENAME) as cache:
+        return trainer.split_rows(manifest, cache)
+
+
+def flip_rows(cache: bytearray, rows) -> None:
+    """Flip one bit of each of the cache's signal rows ``rows``."""
+    row = 4 * 3000 * struct.unpack_from("<H", cache_parts(bytes(cache))[1], 4)[0]
+    for r in rows:
+        cache[8 + r * row + 7] ^= 0x10
 
 
 class TestInspect:
@@ -226,6 +240,20 @@ class TestPreprocess:
         assert not (tmp_path / "out" / trainer.MANIFEST_FILENAME).exists()
         assert not (tmp_path / "out" / trainer.CACHE_FILENAME).exists()
 
+    def test_failed_night_leaves_the_earlier_outputs(self, capsys, workspace, tmp_path):
+        """A run that fails on its fourth night (a repeated subject id) leaves
+        the previous run's cache and manifest as they were, and no other file."""
+        raw, out = workspace / "raw", tmp_path / "out"
+        nights = [arg for i in (0, 1, 2) for arg in (
+            "--psg", str(raw / f"S00{i}-PSG.edf"), "--hypnogram", str(raw / f"S00{i}-Hypnogram.edf"))]
+        args = ["--input-channel", "EEG Fpz-Cz", "--targets", "EOG horizontal", "--out", str(out)]
+        assert run(capsys, "preprocess", *nights, *args)[0] == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == [trainer.CACHE_FILENAME, trainer.MANIFEST_FILENAME]
+        code, stdout, err = run(capsys, "preprocess", *nights, *nights[:4], *args)
+        assert (code, stdout) == (2, "") and "'S000'" in err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("subjects, split, warnings", [
         (4, "train=3, val=0, test=1", ["warning: empty val split; `psgmae train` needs at "
                                        "least one train and one val subject"]),
@@ -348,7 +376,8 @@ class TestTrainEval:
 
     def test_train_on_channelless_cache_exits_2(self, capsys, workspace, tmp_path):
         def no_channels(cache):
-            cache[12:14] = struct.pack("<H", 0)  # the channel count
+            head, footer = cache_parts(bytes(cache))  # the footer's channel count, resealed
+            cache[:] = seal_cache(head, footer[:4] + struct.pack("<H", 0) + footer[6:])
         data = self.damaged_data(workspace, tmp_path, no_channels)
         code, _, err = run(
             capsys, "train", "--config", str(workspace / "config.ini"),
@@ -359,9 +388,11 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_flipped_cache_bit_exits_2(self, capsys, workspace, tmp_path, command):
-        def flip(cache):
-            cache[len(cache) // 2] ^= 0x10  # one bit of one sample
-        data = self.damaged_data(workspace, tmp_path, flip)
+        # one bit of one sample, in the middle row of those the command reads
+        rows = workspace_rows(workspace)
+        rows = np.concatenate([rows["train"], rows["val"]]) if command == "train" else rows["test"]
+        data = self.damaged_data(workspace, tmp_path,
+                                 lambda cache: flip_rows(cache, [rows[len(rows) // 2]]))
         if command == "train":
             args = ["--config", str(workspace / "config.ini")]
         else:
@@ -448,53 +479,77 @@ class TestTrainEval:
         assert "99999" in err
 
 
-def reading_open(reads, end=None):
-    """An ``open`` for pipeline whose files read at most half of what each
-    readinto asks, and nothing past byte ``end``, as a file cut short while it
-    is read; each readinto's (bytes asked, bytes read) go to ``reads``."""
-    class File(io.FileIO):
-        def readinto(self, buffer):
-            view = memoryview(buffer).cast("B")
-            room = len(view) if end is None else max(0, min(len(view), end - self.tell()))
-            got = super().readinto(view[: max(1, room // 2)]) if room else 0
-            reads.append((len(view), got))
-            return got
-    return lambda path, mode, buffering: File(path, mode)
+def reading_preadv(reads, gone=(0, 0)):
+    """An ``os.preadv`` whose reads get at most half of what each asks, and
+    nothing at or past byte gone[0] of the range ``gone``, as a file cut
+    there while it is read; each read's (offset, bytes asked, bytes got) go
+    to ``reads``."""
+    preadv = os.preadv
+
+    def spy(fd, buffers, offset):
+        (view,) = buffers
+        asked, (lo, hi) = len(view), gone
+        room = asked if offset + asked <= lo or offset >= hi else max(0, lo - offset)
+        got = preadv(fd, [view[: max(1, room // 2)]], offset) if room else 0
+        reads.append((offset, asked, got))
+        return got
+    return spy
+
+
+def covered(reads) -> list[list[int]]:
+    """The merged [start, stop) byte ranges that ``reads`` got."""
+    merged = []
+    for lo, hi in sorted((offset, offset + got) for offset, _, got in reads if got):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return merged
+
+
+def cache_reads(cache: bytes, rows) -> list[list[int]]:
+    """``covered`` of the magic, the signal rows ``rows`` and the footer and
+    trailer of an epoch cache."""
+    head = cache_parts(cache)[0]
+    row = 4 * 3000 * struct.unpack_from("<H", cache, len(head) + 4)[0]
+    return covered([(0, 8, 8), *((8 + r * row, row, row) for r in rows),
+                    (len(head), 0, len(cache) - len(head))])
 
 
 class TestStreamedEval:
-    """eval and reconstruct read the cache chunk by chunk: damage anywhere
-    exits 2 before any output file is opened."""
+    """eval and reconstruct read the cache chunk by chunk: damage to what
+    they read exits 2 before any output file is opened."""
 
     @staticmethod
-    def layout(cache):
-        """Byte offsets of the cache's parts: (rows, row bytes, small columns
-        start, name table start)."""
-        n, c, _, table_len = struct.unpack_from("<IHHI", cache, 8)
-        row = 4 * c * 3000
-        return n, row, 20 + n * row, len(cache) - 4 - table_len
+    def layout(cache, rows):
+        """(the byte offset of the split rows' first, middle and last row, row
+        bytes, and byte offsets of the footer's parts) of an epoch cache."""
+        head, footer = cache_parts(bytes(cache))
+        row = 4 * 3000 * struct.unpack_from("<H", footer, 4)[0]
+        starts = [8 + rows[k] * row for k in (0, len(rows) // 2, -1)]
+        return starts, row, {name: len(head) + at for name, at in footer_offsets(footer).items()}
 
     DAMAGE = {
-        "first_signal_row": lambda cache, n, row, columns, table: cache.__setitem__(
-            21, cache[21] ^ 0x04),
-        "middle_signal_row": lambda cache, n, row, columns, table: cache.__setitem__(
-            20 + n // 2 * row + 7, cache[20 + n // 2 * row + 7] ^ 0x10),
-        "last_signal_row": lambda cache, n, row, columns, table: cache.__setitem__(
-            columns - 2, cache[columns - 2] ^ 0x01),
-        "norm": lambda cache, n, row, columns, table: cache.__setitem__(
-            columns + 5, cache[columns + 5] ^ 0x02),
-        "epoch_index": lambda cache, n, row, columns, table: cache.__setitem__(
-            table - 7 * n, cache[table - 7 * n] ^ 0x01),
-        "subject": lambda cache, n, row, columns, table: cache.__setitem__(
-            table - 3 * n, cache[table - 3 * n] ^ 0x01),
-        "stage": lambda cache, n, row, columns, table: cache.__setitem__(
-            table - 1, cache[table - 1] ^ 0x01),
-        "name_table": lambda cache, n, row, columns, table: cache.__setitem__(
-            table + 3, cache[table + 3] ^ 0x20),
-        "crc": lambda cache, n, row, columns, table: cache.__setitem__(-1, cache[-1] ^ 0x80),
-        "truncated": lambda cache, n, row, columns, table: cache.__delitem__(
-            slice(columns - row // 2, columns)),
-        "trailing_byte": lambda cache, n, row, columns, table: cache.append(0),
+        "first_signal_row": lambda cache, starts, row, at: cache.__setitem__(
+            starts[0] + 13, cache[starts[0] + 13] ^ 0x04),
+        "middle_signal_row": lambda cache, starts, row, at: cache.__setitem__(
+            starts[1] + 7, cache[starts[1] + 7] ^ 0x10),
+        "last_signal_row": lambda cache, starts, row, at: cache.__setitem__(
+            starts[2] + row - 2, cache[starts[2] + row - 2] ^ 0x01),
+        "norm": lambda cache, starts, row, at: cache.__setitem__(
+            at["norm"] + 5, cache[at["norm"] + 5] ^ 0x02),
+        "epoch_index": lambda cache, starts, row, at: cache.__setitem__(
+            at["epoch_index"], cache[at["epoch_index"]] ^ 0x01),
+        "subject": lambda cache, starts, row, at: cache.__setitem__(
+            at["subject"], cache[at["subject"]] ^ 0x01),
+        "stage": lambda cache, starts, row, at: cache.__setitem__(
+            at["table"] - 1, cache[at["table"] - 1] ^ 0x01),
+        "name_table": lambda cache, starts, row, at: cache.__setitem__(
+            at["table"] + 3, cache[at["table"] + 3] ^ 0x20),
+        "crc": lambda cache, starts, row, at: cache.__setitem__(-12, cache[-12] ^ 0x80),
+        "truncated": lambda cache, starts, row, at: cache.__delitem__(
+            slice(at["counts"] - row // 2, at["counts"])),
+        "trailing_byte": lambda cache, starts, row, at: cache.append(0),
     }
 
     def eval_outputs(self, capsys, workspace, tmp_path, data, *extra):
@@ -515,8 +570,13 @@ class TestStreamedEval:
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_damaged_cache_exits_2_and_writes_no_table(self, capsys, workspace, tmp_path,
                                                        damage, split):
+        """Damage to the footer, the trailer, the file's size, or a row of the
+        split (its first, middle or last)."""
+        rows = workspace_rows(workspace)
+        rows = np.arange(sum(map(len, rows.values()))) if split == "all" else rows[split]
+
         def edit(cache):
-            self.DAMAGE[damage](cache, *self.layout(cache))
+            self.DAMAGE[damage](cache, *self.layout(cache, rows))
         data = TestTrainEval.damaged_data(workspace, tmp_path, edit)
         runs, kept = self.eval_outputs(capsys, workspace, tmp_path, data, "--split", split)
         for code, err in runs:
@@ -526,9 +586,9 @@ class TestStreamedEval:
 
     @pytest.mark.parametrize("command", ["eval", "reconstruct"])
     def test_read_cut_short_exits_2(self, capsys, workspace, tmp_path, monkeypatch, command):
-        cache = workspace / "data" / trainer.CACHE_FILENAME
-        n, row, columns, _ = self.layout(cache.read_bytes())
-        monkeypatch.setattr(pipeline, "open", reading_open([], end=columns - row), raising=False)
+        cache = (workspace / "data" / trainer.CACHE_FILENAME).read_bytes()
+        gone = (8, len(cache_parts(cache)[0]))  # every signal row
+        monkeypatch.setattr(pipeline.os, "preadv", reading_preadv([], gone))
         if command == "eval":
             runs, kept = self.eval_outputs(capsys, workspace, tmp_path, workspace / "data")
             assert kept
@@ -548,36 +608,39 @@ class TestStreamedEval:
     def test_reads_bounded_by_a_chunk_and_cover_the_file(self, capsys, workspace, tmp_path,
                                                          monkeypatch, fresh_pool, cores,
                                                          command):
-        """Over 150 epochs, no read asks for more than a lane's chunk of rows
-        (reconstruct's: PREDICT_CHUNK rows), and the reads cover every byte
-        after the header once."""
+        """Over 150 epochs of three subjects in runs of 10, no read asks for
+        more than a lane's chunk of rows, and the reads cover exactly the
+        magic, the rows asked (the test split's, or reconstruct's one row) and
+        the footer and trailer, each byte once."""
         monkeypatch.setattr(nc, "cores", lambda: cores)
         n, rng, data = 150, philox(150), tmp_path / "data"
         data.mkdir()
-        pipeline.save_manifest(data / trainer.MANIFEST_FILENAME,
-                               pipeline.DatasetManifest([], splits={"S0": "test"}))
+        subject = np.arange(n) // 10 % 3
+        pipeline.save_manifest(data / trainer.MANIFEST_FILENAME, pipeline.DatasetManifest(
+            [], splits={"S0": "test", "S1": "train", "S2": "val"}))
         pipeline.write_epoch_cache(data / trainer.CACHE_FILENAME, pipeline.EpochSet(
-            ("EEG Fpz-Cz", "EOG horizontal", "EMG submental", "EEG Pz-Oz"), ("S0",),
-            subject=np.zeros(n), epoch_index=np.arange(n), stage=rng.integers(0, 5, n),
+            ("EEG Fpz-Cz", "EOG horizontal", "EMG submental", "EEG Pz-Oz"), ("S0", "S1", "S2"),
+            subject=subject, epoch_index=np.arange(n), stage=rng.integers(0, 5, n),
             norm=np.stack([rng.normal(0, 20, (n, 4)), rng.uniform(0.5, 9, (n, 4))], axis=-1),
             signals=rng.normal(0, 1, (n, 4, 3000))))
         cache = (data / trainer.CACHE_FILENAME).read_bytes()
-        _, row, columns, _ = self.layout(cache)
+        row, footer = 4 * 4 * 3000, len(cache) - len(cache_parts(cache)[0])
         reads = []
-        monkeypatch.setattr(pipeline, "open", reading_open(reads), raising=False)
+        monkeypatch.setattr(pipeline.os, "preadv", reading_preadv(reads))
         args = ["--checkpoint", str(workspace / "run" / "checkpoint.psgmae"), "--data", str(data)]
         if command == "eval":
             code, _, _ = run(capsys, "eval", *args, "--out", str(tmp_path / "out"))
             workers = min(cores, mae.PREDICT_CHUNK)
-            chunk = max(1, min(mae.PREDICT_CHUNK // workers, -(-n // workers)))
+            chunk = max(1, min(mae.PREDICT_CHUNK // workers, -(-n // 3 // workers)))
+            rows = np.flatnonzero(subject == 0)
         else:
             code, _, _ = run(capsys, "reconstruct", *args, "--epoch-index", str(n - 1),
                              "--out", str(tmp_path / "epoch.csv"))
-            chunk = mae.PREDICT_CHUNK
+            chunk, rows = 1, [n - 1]
         assert code == 0
-        assert 1 < chunk < n
-        assert max(asked for asked, _ in reads) <= max(chunk * row, len(cache) - columns)
-        assert sum(got for _, got in reads) == len(cache) - 20
+        assert max(asked for _, asked, _ in reads) <= max(chunk * row, footer)
+        assert covered(reads) == cache_reads(cache, rows)
+        assert sum(got for _, _, got in reads) == 8 + len(rows) * row + footer
 
     def test_streamed_outputs_equal_in_memory_ones(self, capsys, workspace, tmp_path):
         checkpoint = str(workspace / "run" / "checkpoint.psgmae")
@@ -608,7 +671,8 @@ class TestStreamedEval:
     def test_channels_unlike_the_checkpoint_exit_2(self, capsys, workspace, tmp_path, edit,
                                                    message):
         def rename(cache):  # a consistent cache whose channel names differ
-            cache[:] = reseal(edit(bytes(cache[:-4])))
+            head, footer = cache_parts(bytes(cache))
+            cache[:] = seal_cache(head, edit(footer))
         data = TestTrainEval.damaged_data(workspace, tmp_path, rename)
         runs, kept = self.eval_outputs(capsys, workspace, tmp_path, data, "--split", "all")
         for code, err in runs:
@@ -626,6 +690,90 @@ class TestStreamedEval:
             assert code == 2
             assert "no epochs in split 'val'" in err
         assert kept
+
+
+class TestSplitRows:
+    """train and eval read and check only the rows they use: damage to
+    another split's rows leaves their outputs byte-identical, damage to one of
+    their own exits 2 before any output is written."""
+
+    def eval_outputs(self, capsys, workspace, data, out, split):
+        """eval --split's stdout and the files it writes, from the dataset in ``data``."""
+        code, stdout, _ = run(capsys, "eval", "--checkpoint",
+                              str(workspace / "run" / "checkpoint.psgmae"), "--data", str(data),
+                              "--split", split, "--out", str(out))
+        assert code == 0
+        return stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_damage_outside_the_split_changes_no_byte(self, capsys, workspace, tmp_path, split):
+        """eval --split with every other split's rows damaged, and for the test
+        split, train with the test rows damaged."""
+        rows = workspace_rows(workspace)
+        others = np.concatenate([r for name, r in rows.items() if name != split])
+        data = TestTrainEval.damaged_data(workspace, tmp_path,
+                                          lambda cache: flip_rows(cache, others))
+        damaged = self.eval_outputs(capsys, workspace, data, tmp_path / "damaged", split)
+        intact = self.eval_outputs(capsys, workspace, workspace / "data", tmp_path / "intact",
+                                   split)
+        assert damaged == intact and len(damaged[1]) == 2
+        if split == "test":
+            (tmp_path / "test").mkdir()
+            data = TestTrainEval.damaged_data(workspace, tmp_path / "test",
+                                              lambda cache: flip_rows(cache, rows["test"]))
+            assert run(capsys, "train", "--config", str(workspace / "config.ini"),
+                       "--data", str(data), "--out", str(tmp_path / "run"))[0] == 0
+            for name in ("checkpoint.psgmae", "metrics.log"):
+                assert (tmp_path / "run" / name).read_bytes() == \
+                    (workspace / "run" / name).read_bytes()
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_damage_inside_the_split_exits_2(self, capsys, workspace, tmp_path, split):
+        row = int(workspace_rows(workspace)[split][-1])
+        data = TestTrainEval.damaged_data(workspace, tmp_path, lambda cache: flip_rows(cache, [row]))
+        commands = [["eval", "--checkpoint", str(workspace / "run" / "checkpoint.psgmae"),
+                     "--split", split]]
+        if split != "test":
+            commands.append(["train", "--config", str(workspace / "config.ini")])
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--data", str(data), "--out", str(tmp_path / "out"))
+            assert (code, out) == (2, "")
+            assert err == f"error: epoch cache row {row} fails its checksum\n"
+            assert not (tmp_path / "out").exists()
+
+    def test_train_reads_no_test_row(self, capsys, workspace, tmp_path, monkeypatch):
+        """train reads the magic, the train and val rows and the footer, each
+        byte once, and writes the workspace run's bytes."""
+        rows = workspace_rows(workspace)
+        cache = (workspace / "data" / trainer.CACHE_FILENAME).read_bytes()
+        reads = []
+        monkeypatch.setattr(pipeline.os, "preadv", reading_preadv(reads))
+        code, _, _ = run(capsys, "train", "--config", str(workspace / "config.ini"),
+                         "--data", str(workspace / "data"), "--out", str(tmp_path / "run"))
+        assert code == 0
+        used = np.concatenate([rows["train"], rows["val"]])
+        assert covered(reads) == cache_reads(cache, used)
+        assert sum(got for _, _, got in reads) == len(cache) - len(rows["test"]) * 4 * 4 * 3000
+        for name in ("checkpoint.psgmae", "metrics.log"):
+            assert (tmp_path / "run" / name).read_bytes() == (workspace / "run" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_manifest_unlike_the_cache_exits_2(self, capsys, workspace, tmp_path, command):
+        """A manifest that lost a subject the cache holds and names one it does not."""
+        data = TestTrainEval.damaged_data(workspace, tmp_path, lambda cache: None)
+        manifest = pipeline.load_manifest(data / trainer.MANIFEST_FILENAME)
+        manifest.splits["S099"] = manifest.splits.pop("S003")
+        pipeline.save_manifest(data / trainer.MANIFEST_FILENAME, manifest)
+        if command == "train":
+            args = ["--config", str(workspace / "config.ini")]
+        else:
+            args = ["--checkpoint", str(workspace / "run" / "checkpoint.psgmae"), "--split", "test"]
+        code, out, err = run(capsys, command, *args, "--data", str(data),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == ("error: subjects only in the epoch cache ['S003'], only in the manifest "
+                       "['S099']; re-run preprocess\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainProgress:
@@ -826,3 +974,15 @@ def test_blas_thread_variable_warns_once_on_stderr(capsys, workspace, tmp_path, 
                  for path in sorted(out_dir.rglob("*")) if path.is_file()}
         runs.append((out.replace(str(out_dir), "OUT"), files))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None,
+                    reason="taskset is missing: tests/e2e.sh runs each command pinned to one core")
+def test_e2e_script_passes(tmp_path):
+    """tests/e2e.sh, CI's fresh-process checks that every output is byte-identical
+    on one core and on every core and across resume, passes."""
+    path = f"{Path(sys.executable).parent}{os.pathsep}{os.environ.get('PATH', '')}"
+    result = subprocess.run(["sh", str(Path(__file__).with_name("e2e.sh")), str(tmp_path)],
+                            env={**os.environ, "PATH": path}, capture_output=True, text=True,
+                            timeout=900)
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]

@@ -1,10 +1,9 @@
 import re
-import struct
 import sys
 import tempfile
 import threading
 import tracemalloc
-import zlib
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,7 @@ from psgmae.pipeline import (
     _resampling,
 )
 
-from conftest import philox, synth_records
+from conftest import cache_parts, footer_offsets, philox, seal_cache, synth_records
 
 
 # the per-epoch reference that segment_epochs' block passes must reproduce
@@ -629,70 +628,82 @@ class TestCacheAndManifest:
 
     def test_old_cache_format_asks_for_preprocess(self, tmp_path):
         path = tmp_path / "old"
-        path.write_bytes(b"PSGEPO01" + b"\x00" * 40)
-        with pytest.raises(CorruptCache, match="re-run preprocess"):
-            read_epoch_cache(path)
+        for magic in (b"PSGEPO01", b"PSGEPO02"):
+            path.write_bytes(magic + b"\x00" * 40)
+            with pytest.raises(CorruptCache, match="re-run preprocess"):
+                read_epoch_cache(path)
 
     @pytest.mark.parametrize("damage", ["zero_channels", "subject_cut", "name_cut"])
     def test_cache_bad_record_header(self, tmp_path, damage):
+        """A footer whose counts disagree with it under a valid footer CRC, and
+        a file cut inside its name table."""
         epochs = synth_records(seed=11, minutes=1.0)
         path = tmp_path / "epochs.psgepo"
         write_epoch_cache(path, epochs)
-        data = bytearray(path.read_bytes())
-        # the name table sits between the stage codes and the 4-byte CRC
-        table_start = len(data) - 4 - struct.unpack_from("<I", data, 16)[0]
-        first_name_end = table_start + 2 + len(epochs.channels[0].encode())
+        head, footer = cache_parts(path.read_bytes())
+        at = footer_offsets(footer)
         if damage == "zero_channels":
-            data[12:14] = b"\x00\x00"
+            blob = seal_cache(head, footer[:4] + b"\x00\x00" + footer[6:])
         elif damage == "subject_cut":
-            data = data[:-5]
+            blob = seal_cache(head, footer[:at["subject"] + 1])
         else:
-            data = data[:first_name_end - 3]
-        path.write_bytes(bytes(data))
-        with pytest.raises(CorruptCache, match="no channels" if damage == "zero_channels"
-                           else "truncated"):
+            blob = (head + footer)[:len(head) + at["table"] + 3]
+        path.write_bytes(blob)
+        message = {"zero_channels": "no channels", "subject_cut": "malformed"}
+        with pytest.raises(CorruptCache, match=message.get(damage, "truncated")):
             read_epoch_cache(path)
 
     @pytest.mark.parametrize("damage,message", [
         ("stage", "stage code"), ("subject", "subject index"), ("name_utf8", "utf-8"),
-        ("trailing", "trailing"), ("crc", "checksum"),
+        ("trailing", "trailing"), ("crc", "checksum"), ("rows", "truncated"),
+        ("footer_byte", "name table"), ("channels", "malformed"),
     ])
     def test_cache_damage_behind_a_valid_checksum(self, tmp_path, damage, message):
-        """Content a checksum cannot vouch for is still checked."""
+        """Content the footer's CRC cannot vouch for, the footer resealed after
+        each edit, is still checked."""
         epochs = synth_records(seed=11, minutes=1.0)
         path = tmp_path / "epochs.psgepo"
         write_epoch_cache(path, epochs)
-        data = bytearray(path.read_bytes())
-        n = len(epochs)
-        stage_end = len(data) - 4 - struct.unpack_from("<I", data, 16)[0]
+        head, footer = cache_parts(path.read_bytes())
+        footer, n, at = bytearray(footer), len(epochs), footer_offsets(footer)
         if damage == "stage":
-            data[stage_end - n] = len(pipeline.STAGES)
+            footer[at["table"] - 1] = len(pipeline.STAGES)
         elif damage == "subject":
-            data[stage_end - 3 * n: stage_end - n] = b"\x05\x00" * n
+            footer[at["subject"]: at["stage"]] = b"\x05\x00" * n
         elif damage == "name_utf8":
-            data[stage_end + 2] = 0xFF
+            footer[at["table"] + 2] = 0xFF
         elif damage == "trailing":
-            data += b"\x00"
-        if damage != "crc":
-            data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[8:-4])))
-        else:
-            data[-1] ^= 0x01
-        path.write_bytes(bytes(data))
+            head += b"\x00"
+        elif damage == "rows":  # one row fewer than the footer counts
+            head = head[:-4 * 3000 * len(epochs.channels)]
+        elif damage == "footer_byte":
+            footer += b"\x00"
+        elif damage == "channels":  # one channel more than the columns hold
+            footer[4] += 1
+        blob = seal_cache(head, bytes(footer))
+        if damage == "crc":
+            blob = blob[:-12] + bytes([blob[-12] ^ 0x01]) + blob[-11:]
+        path.write_bytes(blob)
         with pytest.raises(CorruptCache, match=message):
             read_epoch_cache(path)
 
     def test_cache_fuzz_truncation_and_flips(self, tmp_path):
+        """Truncation anywhere, random bit flips, and every byte of the magic,
+        the first rows, the footer and the trailer flipped: reading the whole
+        cache rejects each."""
         epochs = synth_records(seed=12, minutes=1.0)
         path = tmp_path / "epochs.psgepo"
         write_epoch_cache(path, epochs)
         data = path.read_bytes()
+        footer_start = len(cache_parts(data)[0])
         damaged = [data[:cut] for cut in range(0, len(data), max(len(data) // 37, 1))]
+        damaged += [data[:cut] for cut in range(footer_start, len(data))]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(12)))
         for pos, bit in zip(rng.integers(0, len(data), 150), rng.integers(0, 8, 150)):
             flipped = bytearray(data)
             flipped[pos] ^= 1 << int(bit)
             damaged.append(bytes(flipped))
-        for pos in range(64):  # every bit of the header, one byte at a time
+        for pos in [*range(64), *range(footer_start, len(data))]:
             flipped = bytearray(data)
             flipped[pos] ^= 0xFF
             damaged.append(bytes(flipped))
@@ -700,6 +711,63 @@ class TestCacheAndManifest:
             path.write_bytes(blob)
             with pytest.raises(CorruptCache):
                 read_epoch_cache(path)
+
+    def test_reader_reads_and_checks_only_the_rows_asked(self, tmp_path):
+        """A damaged row fails the reads that ask for it, alone or in a run,
+        and no other read; the footer's columns do not depend on it."""
+        epochs = EpochSet.concat([synth_records(seed=13, minutes=2.5, subject_id="A"),
+                                  synth_records(seed=14, minutes=2.5, subject_id="B")])
+        path = tmp_path / "epochs.psgepo"
+        write_epoch_cache(path, epochs)
+        head, footer = cache_parts(path.read_bytes())
+        row, bad = 4 * 3000 * len(epochs.channels), 6
+        head = bytearray(head)
+        head[8 + bad * row + 123] ^= 0x08
+        path.write_bytes(seal_cache(bytes(head), footer))
+        with pipeline.EpochCacheReader(path) as reader:
+            assert len(reader) == len(epochs) and reader.subjects == ("A", "B")
+            for rows in ([0, 1, 2], [5, 7, 9], [len(epochs) - 1], [], [9, 3]):
+                got = reader.read(rows, reader.buffer(4))
+                assert got.tobytes() == epochs.signals[rows].tobytes()
+            for rows in ([bad], [4, 5, bad, 7], [2, bad]):
+                with pytest.raises(CorruptCache, match=f"row {bad} fails its checksum"):
+                    reader.read(rows, reader.buffer(len(rows)))
+            with pytest.raises(ValueError):
+                reader.read([len(epochs)], reader.buffer(1))
+            with pytest.raises(ValueError):
+                reader.read([0, 1], reader.buffer(1))
+        with pytest.raises(CorruptCache):
+            read_epoch_cache(path)
+
+    def test_failed_part_leaves_the_earlier_cache(self, tmp_path):
+        """A part that fails while the cache is written leaves the earlier file
+        as it was and no temporary file."""
+        path = tmp_path / "epochs.psgepo"
+        write_epoch_cache(path, synth_records(seed=15, minutes=1.0))
+        before = path.read_bytes()
+
+        def parts():
+            yield synth_records(seed=16, minutes=1.0, subject_id="A")
+            raise ValueError("night 2 failed")
+
+        with pytest.raises(ValueError, match="night 2 failed"):
+            write_epoch_cache(path, parts())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.psgepo"]
+
+    def test_parts_are_held_one_at_a_time(self, tmp_path):
+        """The writer drops each part, its signals included, before it asks for
+        the next one, so a stream of nights is held one night at a time."""
+        signals = []
+
+        def part(seed):
+            assert all(ref() is None for ref in signals), "an earlier part is still held"
+            epochs = synth_records(seed=seed, minutes=1.0, subject_id=f"S{seed}")
+            signals.append(weakref.ref(epochs.signals))
+            return epochs
+
+        write_epoch_cache(tmp_path / "epochs.psgepo", map(part, range(3)))
+        assert read_epoch_cache(tmp_path / "epochs.psgepo").subjects == ("S0", "S1", "S2")
 
     def test_manifest_round_trip(self, tmp_path):
         manifest = split_subjects(manifest_of(5), seed=3,
