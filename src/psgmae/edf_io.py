@@ -6,23 +6,30 @@ little-endian two's-complement samples. EDF+ adds an "EDF Annotations"
 signal whose byte content is a sequence of TALs (time-stamped annotation
 lists) delimited by 0x14/0x15 separators and 0x00 terminators.
 
-All sample data is converted to physical units at parse time via the
-linear mapping defined by the per-signal calibration fields.
+Parsed samples stay the file's int16 words until read, then the linear
+mapping of the per-signal calibration fields converts only the records read.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ANNOTATION_LABEL = "EDF Annotations"
 
-_SEP_DURATION = 0x15
-_SEP_FIELD = 0x14
-_TERMINATOR = 0x00
+# the per-signal header block, stored field-major: (SignalSpec field, ASCII width,
+# type) in file order, then 32 reserved bytes per signal
+_SIGNAL_FIELDS = (("label", 16, str), ("transducer", 80, str), ("physical_dimension", 8, str),
+                  ("physical_min", 8, float), ("physical_max", 8, float), ("digital_min", 8, int),
+                  ("digital_max", 8, int), ("prefilter", 80, str), ("samples_per_record", 8, int))
+
+_SEP_DURATION = b"\x15"
+_SEP_FIELD = b"\x14"
+_TERMINATOR = b"\x00"
 
 
 class EdfError(Exception):
@@ -106,6 +113,39 @@ class SignalSpec:
         return np.clip(digital, self.digital_min, self.digital_max, out=digital).astype(np.int16)
 
 
+@dataclass(frozen=True, eq=False)
+class DigitalSignal:
+    """A signal's strided int16 (records, samples_per_record) view over the file
+    and its calibration. ``len()`` counts samples; a slice [lo:hi] converts only
+    the records holding samples lo:hi by digital_to_physical, to float64."""
+
+    spec: SignalSpec
+    records: np.ndarray
+
+    def __len__(self) -> int:
+        return self.records.size
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        lo, hi, _ = span.indices(len(self))
+        width = self.spec.samples_per_record
+        first = lo // width
+        physical = self.spec.digital_to_physical(self.records[first: -(-hi // width)])
+        return physical.reshape(-1)[lo - first * width: hi - first * width]
+
+
+class PhysicalSamples(Sequence):
+    """parse_edf's ``samples``: item i is ``digital[i]`` converted anew at each access."""
+
+    def __init__(self, digital: list[DigitalSignal]):
+        self.digital = digital
+
+    def __len__(self) -> int:
+        return len(self.digital)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        return self.digital[index][:]
+
+
 @dataclass
 class Annotation:
     """One annotation: onset/duration in seconds from recording start."""
@@ -119,8 +159,9 @@ class Annotation:
 class EdfRecording:
     """Parsed EDF/EDF+ file with samples in physical units.
 
-    ``samples[i]`` is the flat float array for ``signals[i]``; annotation
-    channels are parsed into ``annotations`` and never appear in either list.
+    ``samples[i]`` is the flat float array for ``signals[i]`` (from parse_edf,
+    via PhysicalSamples); annotation channels are parsed into ``annotations``
+    and never appear in either sequence.
     """
 
     version: str = "0"
@@ -130,7 +171,7 @@ class EdfRecording:
     record_duration_s: float = 1.0
     num_records: int = 0
     signals: list[SignalSpec] = field(default_factory=list)
-    samples: list[np.ndarray] = field(default_factory=list)
+    samples: Sequence[np.ndarray] = field(default_factory=list)
     annotations: list[Annotation] = field(default_factory=list)
 
     def sample_rate(self, index: int) -> float:
@@ -153,20 +194,14 @@ def _ascii(raw: bytes) -> str:
         raise MalformedHeader(f"non-ASCII header bytes: {raw[:16]!r}") from exc
 
 
-def _parse_int(raw: bytes, what: str) -> int:
+def _parse_field(raw: bytes, what: str, kind=int):
+    """An ASCII header field as ``kind``: int, float, or str for its stripped text."""
     text = _ascii(raw).strip()
     try:
-        return int(text)
+        return kind(text)
     except ValueError as exc:
-        raise MalformedHeader(f"{what}: expected integer, got {text!r}") from exc
-
-
-def _parse_float(raw: bytes, what: str) -> float:
-    text = _ascii(raw).strip()
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise MalformedHeader(f"{what}: expected number, got {text!r}") from exc
+        raise MalformedHeader(f"{what}: expected {'integer' if kind is int else 'number'}, "
+                              f"got {text!r}") from exc
 
 
 def _parse_start(date_raw: bytes, time_raw: bytes) -> datetime.datetime:
@@ -201,7 +236,7 @@ def _fmt_number(value: float, width: int, what: str) -> bytes:
 
 
 def parse_edf(data: bytes) -> EdfRecording:
-    """Parse an EDF/EDF+ byte stream into physical-unit sample arrays.
+    """Parse an EDF/EDF+ byte stream, its samples kept as PhysicalSamples.
 
     Raises TruncatedFile when the buffer is shorter than the header
     promises, MalformedHeader on unparseable or inconsistent header
@@ -216,11 +251,11 @@ def parse_edf(data: bytes) -> EdfRecording:
     patient_id = _ascii(data[8:88]).strip()
     recording_id = _ascii(data[88:168]).strip()
     start = _parse_start(data[168:176], data[176:184])
-    header_bytes = _parse_int(data[184:192], "header byte count")
+    header_bytes = _parse_field(data[184:192], "header byte count")
     reserved = _ascii(data[192:236]).strip()
-    num_records = _parse_int(data[236:244], "record count")
-    record_duration = _parse_float(data[244:252], "record duration")
-    num_signals = _parse_int(data[252:256], "signal count")
+    num_records = _parse_field(data[236:244], "record count")
+    record_duration = _parse_field(data[244:252], "record duration", float)
+    num_signals = _parse_field(data[252:256], "signal count")
 
     if reserved.startswith("EDF+D"):
         raise UnsupportedEdf("discontinuous (EDF+D) recordings are not supported")
@@ -234,21 +269,14 @@ def parse_edf(data: bytes) -> EdfRecording:
     if len(data) < expected_header:
         raise TruncatedFile(f"header promises {expected_header} bytes, got {len(data)}")
 
-    def block(offset: int, width: int, i: int) -> bytes:
-        base = 256 + offset * num_signals
-        return data[base + i * width: base + (i + 1) * width]
-
-    specs = [SignalSpec(
-        label=_ascii(block(0, 16, i)).strip(),
-        transducer=_ascii(block(16, 80, i)).strip(),
-        physical_dimension=_ascii(block(96, 8, i)).strip(),
-        physical_min=_parse_float(block(104, 8, i), f"signal {i} physical_min"),
-        physical_max=_parse_float(block(112, 8, i), f"signal {i} physical_max"),
-        digital_min=_parse_int(block(120, 8, i), f"signal {i} digital_min"),
-        digital_max=_parse_int(block(128, 8, i), f"signal {i} digital_max"),
-        prefilter=_ascii(block(136, 80, i)).strip(),
-        samples_per_record=_parse_int(block(216, 8, i), f"signal {i} samples_per_record"),
-    ) for i in range(num_signals)]
+    specs = []
+    for i in range(num_signals):
+        fields, base = {}, 256  # base: where the field's column starts
+        for name, width, kind in _SIGNAL_FIELDS:
+            raw = data[base + i * width: base + (i + 1) * width]
+            fields[name] = _parse_field(raw, f"signal {i} {name}", kind)
+            base += width * num_signals
+        specs.append(SignalSpec(**fields))
 
     for spec in specs:
         spec.validate()
@@ -271,8 +299,7 @@ def parse_edf(data: bytes) -> EdfRecording:
     words = np.frombuffer(data, dtype="<i2", offset=expected_header).reshape(
         num_records, record_bytes // 2)
     offsets = np.cumsum([0] + [s.samples_per_record for s in specs])
-    signals_out: list[SignalSpec] = []
-    samples_out: list[np.ndarray] = []
+    digital: list[DigitalSignal] = []
     annotations: list[Annotation] = []
 
     for spec, lo, hi in zip(specs, offsets[:-1], offsets[1:]):
@@ -281,14 +308,12 @@ def parse_edf(data: bytes) -> EdfRecording:
             for row in block:
                 annotations.extend(parse_tal(row.tobytes()))
         else:
-            signals_out.append(spec)
-            # the strided record columns convert straight into one C-order array
-            samples_out.append(spec.digital_to_physical(block).reshape(-1))
+            digital.append(DigitalSignal(spec, block))
 
     return EdfRecording(version=version, patient_id=patient_id, recording_id=recording_id,
                         start_datetime=start, record_duration_s=record_duration,
-                        num_records=num_records, signals=signals_out, samples=samples_out,
-                        annotations=annotations)
+                        num_records=num_records, signals=[d.spec for d in digital],
+                        samples=PhysicalSamples(digital), annotations=annotations)
 
 
 def write_edf(recording: EdfRecording) -> bytes:
@@ -351,21 +376,9 @@ def write_edf(recording: EdfRecording) -> bytes:
         _fmt_number(num_signals, 4, "signal count"),
     ])
 
-    def column(fmt, width, what):
-        return b"".join(fmt(s, width, what) for s in specs)
-
-    signal_header = b"".join([
-        column(lambda s, w, _: _pad(s.label, w, "label"), 16, None),
-        column(lambda s, w, _: _pad(s.transducer, w, "transducer"), 80, None),
-        column(lambda s, w, _: _pad(s.physical_dimension, w, "dimension"), 8, None),
-        column(lambda s, w, _: _fmt_number(s.physical_min, w, "physical_min"), 8, None),
-        column(lambda s, w, _: _fmt_number(s.physical_max, w, "physical_max"), 8, None),
-        column(lambda s, w, _: _fmt_number(s.digital_min, w, "digital_min"), 8, None),
-        column(lambda s, w, _: _fmt_number(s.digital_max, w, "digital_max"), 8, None),
-        column(lambda s, w, _: _pad(s.prefilter, w, "prefilter"), 80, None),
-        column(lambda s, w, _: _fmt_number(s.samples_per_record, w, "samples_per_record"), 8, None),
-        column(lambda s, w, _: _pad("", w, "reserved"), 32, None),
-    ])
+    signal_header = b"".join((_pad if kind is str else _fmt_number)(getattr(s, name), width, name)
+                             for name, width, kind in _SIGNAL_FIELDS for s in specs)
+    signal_header += b" " * (32 * num_signals)
 
     # one row of 16-bit words per data record, as parse_edf reads them back
     words = [spec.physical_to_digital(arr).reshape(num_records, spec.samples_per_record)
@@ -384,26 +397,18 @@ def parse_tal(data: bytes) -> list[Annotation]:
     label) yield nothing. Zero bytes between TALs are padding.
     """
     annotations: list[Annotation] = []
-    pos = 0
-    n = len(data)
-    while pos < n:
-        if data[pos] == _TERMINATOR:
-            pos += 1
+    *tals, unterminated = data.split(_TERMINATOR)
+    for chunk in tals:
+        if not chunk:  # padding
             continue
-        end = data.find(b"\x00", pos)
-        if end < 0:
-            raise MalformedTal("TAL missing its 0x00 terminator")
-        chunk = data[pos:end]
-        pos = end + 1
-
-        parts = chunk.split(bytes([_SEP_FIELD]))
+        parts = chunk.split(_SEP_FIELD)
         if len(parts) < 2 or parts[-1] != b"":
             raise MalformedTal(f"TAL not terminated by 0x14 before 0x00: {chunk!r}")
         head, labels = parts[0], parts[1:-1]
 
         if not head[:1] in (b"+", b"-"):
             raise MalformedTal(f"TAL onset must start with '+' or '-': {head!r}")
-        onset_raw, _, duration_raw = head.partition(bytes([_SEP_DURATION]))
+        onset_raw, _, duration_raw = head.partition(_SEP_DURATION)
         try:
             onset = float(onset_raw)
             duration = float(duration_raw) if duration_raw else 0.0
@@ -414,6 +419,8 @@ def parse_tal(data: bytes) -> list[Annotation]:
             text = label.decode("utf-8", errors="replace")
             if text:
                 annotations.append(Annotation(onset, duration, text))
+    if unterminated:
+        raise MalformedTal("TAL missing its 0x00 terminator")
     return annotations
 
 
@@ -423,12 +430,12 @@ def serialize_tal(annotations: list[Annotation]) -> bytes:
     for ann in annotations:
         out += _tal_number(ann.onset_s, signed=True)
         if ann.duration_s:
-            out.append(_SEP_DURATION)
+            out += _SEP_DURATION
             out += _tal_number(ann.duration_s, signed=False)
-        out.append(_SEP_FIELD)
+        out += _SEP_FIELD
         out += ann.label.encode("utf-8")
-        out.append(_SEP_FIELD)
-        out.append(_TERMINATOR)
+        out += _SEP_FIELD
+        out += _TERMINATOR
     return bytes(out)
 
 
@@ -457,7 +464,7 @@ def _annotation_records(
     records = []
     for rec in range(num_records):
         onset = rec * record_duration_s
-        block = _tal_number(onset, signed=True) + bytes([_SEP_FIELD, _SEP_FIELD, _TERMINATOR])
+        block = _tal_number(onset, signed=True) + _SEP_FIELD + _SEP_FIELD + _TERMINATOR
         block += serialize_tal(buckets[rec])
         records.append(block)
     return records

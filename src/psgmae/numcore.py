@@ -212,18 +212,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeMismatch(f"mul cannot broadcast {a.shape} * {b.shape}") from exc
-
-    def backward(g):
-        return (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape))
-
-    return _make(out, (a, b), backward)
-
-
 def _heads(arr: np.ndarray, heads: int) -> np.ndarray:
     """(..., n, heads * d) -> (..., heads, n, d), as a view of arr."""
     *lead, n, width = arr.shape

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import struct
 import zlib
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore
-from .edf_io import Annotation, EdfRecording
+from .edf_io import Annotation, EdfRecording, PhysicalSamples
 
 EPOCH_S = 30
 TARGET_RATE_HZ = 100.0
@@ -107,13 +108,12 @@ def map_stage_label(label: str) -> SleepStage | None:
     return _LABELS.get(label)
 
 
-def _resampling(samples: np.ndarray, from_hz: float, to_hz: float):
-    """(float64 samples, from_hz or None when the rates match, output length)
-    of a linear-interpolation resample, after its argument checks."""
+def _resampling(samples, from_hz: float, to_hz: float):
+    """(samples, an array or a DigitalSignal, from_hz or None when the rates
+    match, output length) of a linear resample, after its argument checks."""
     if from_hz <= 0 or to_hz <= 0:
         raise ValueError("sample rates must be positive")
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
+    if len(samples) == 0:
         raise EmptyInput("cannot resample an empty array")
     if from_hz == to_hz:
         return samples, None, len(samples)
@@ -307,22 +307,22 @@ def _stage_codes(annotations: list[Annotation], n_epochs: int) -> np.ndarray:
     codes = np.full(n_epochs, -1, dtype=np.int8)
     for ann in sorted(annotations, key=lambda a: a.onset_s):
         if ann.duration_s > 0:
-            first = int(np.ceil(ann.onset_s / EPOCH_S - 1e-9))
-            last = int(np.floor((ann.onset_s + ann.duration_s) / EPOCH_S + 1e-9))
-            stage = map_stage_label(ann.label)
-            codes[max(first, 0): max(min(last, n_epochs), 0)] = -1 if stage is None else stage.code
+            first = math.ceil(ann.onset_s / EPOCH_S - 1e-9)
+            last = math.floor((ann.onset_s + ann.duration_s) / EPOCH_S + 1e-9)
+            stage = _LABELS.get(ann.label)  # map_stage_label's, without its call
+            codes[max(first, 0): max(min(last, n_epochs), 0)] = -1 if stage is None else stage.value
     return codes
 
 
 def _epochs_of(channel, span: slice) -> np.ndarray:
     """The epochs in ``span`` of one _resampling(..., TARGET_RATE_HZ) channel as
-    a float64 (epochs, EPOCH_SAMPLES) array: a view when already at that rate,
-    else np.interp at these epochs' times over the samples around them only,
-    pointwise resample_linear's."""
+    a float64 (epochs, EPOCH_SAMPLES) array: their own samples when already at
+    that rate, else np.interp at their times over the samples around them, as
+    over the whole channel. Only those samples are read (and converted)."""
     samples, from_hz, _ = channel
     lo, hi = span.start * EPOCH_SAMPLES, span.stop * EPOCH_SAMPLES
     if from_hz is None:
-        return samples[lo:hi].reshape(-1, EPOCH_SAMPLES)
+        return np.asarray(samples[lo:hi], dtype=np.float64).reshape(-1, EPOCH_SAMPLES)
     # a two-sample margin keeps the input pair around each time (or the channel's end) inside
     first = max(int(lo * from_hz / TARGET_RATE_HZ) - 2, 0)
     stop = min(int(hi * from_hz / TARGET_RATE_HZ) + 3, len(samples))
@@ -345,12 +345,12 @@ def segment_epochs(
 
     All involved channels are resampled to 100 Hz before slicing. Wake
     periods are trimmed to at most ``wake_trim_epochs`` epochs (30 min by
-    default) before the first and after the last non-Wake epoch. The result
-    is what resample_linear, reject_artifact and normalize_epoch give epoch
-    by epoch, computed in one pass over blocks of SEGMENT_BLOCK epochs, one
-    thread per core: a block reads each channel once, measures and normalizes
-    its labelled epochs into their rows; artifact rows are then dropped in place.
-    """
+    default) before the first and after the last non-Wake epoch. Epochs over a
+    channel's peak-to-peak limit or under ``thresholds.flatline_std`` are dropped,
+    the rest z-scored (std floored at SIGMA_FLOOR), in one pass over the blocks of
+    SEGMENT_BLOCK epochs that hold labelled ones, one thread per core: a block reads
+    (so converts) each channel's span once and fills its rows; artifact rows then
+    drop in place."""
     if input_channel in target_channels:
         raise ValueError("input channel cannot be one of its own targets")
     names = [input_channel] + list(target_channels)
@@ -360,7 +360,9 @@ def segment_epochs(
             raise MissingChannel(f"channel {name!r} not in recording "
                                  f"(available: {sorted(labels)})")
 
-    channels = [_resampling(recording.samples[i], recording.sample_rate(i), TARGET_RATE_HZ)
+    samples = recording.samples  # parse_edf's stay int16 until a block converts its span
+    samples = samples.digital if isinstance(samples, PhysicalSamples) else samples
+    channels = [_resampling(samples[i], recording.sample_rate(i), TARGET_RATE_HZ)
                 for i in map(recording.signal_index, names)]
     n_available = min(length for _, _, length in channels) // EPOCH_SAMPLES
     n_epochs = min(int(recording.duration_s() // EPOCH_S), n_available)

@@ -235,7 +235,7 @@ class TestRoundTrip:
         hypnogram = synthgen.hypnogram_recording(spec, annotations)
         parsed = parse_edf(write_edf(hypnogram))
         assert parsed.signals == []
-        assert parsed.samples == []
+        assert list(parsed.samples) == []
         assert parsed.annotations == annotations
 
     def test_signals_plus_annotations_round_trip(self):
@@ -339,6 +339,33 @@ TAL_CASES = [
      [Annotation(7200.0, 0.001, "Movement time")]),
 ]
 
+def parse_tal_by_scan(data: bytes) -> list[Annotation]:
+    """parse_tal's reference: a byte-by-byte scan from one TAL to the next."""
+    annotations, pos = [], 0
+    while pos < len(data):
+        if data[pos] == 0:  # padding
+            pos += 1
+            continue
+        end = data.find(b"\x00", pos)
+        if end < 0:
+            raise MalformedTal("TAL missing its 0x00 terminator")
+        chunk, pos = data[pos:end], end + 1
+        parts = chunk.split(b"\x14")
+        if len(parts) < 2 or parts[-1] != b"":
+            raise MalformedTal(f"TAL not terminated by 0x14 before 0x00: {chunk!r}")
+        head = parts[0]
+        if not head[:1] in (b"+", b"-"):
+            raise MalformedTal(f"TAL onset must start with '+' or '-': {head!r}")
+        onset_raw, _, duration_raw = head.partition(b"\x15")
+        try:
+            onset, duration = float(onset_raw), float(duration_raw) if duration_raw else 0.0
+        except ValueError as exc:
+            raise MalformedTal(f"non-numeric TAL onset/duration: {head!r}") from exc
+        annotations += [Annotation(onset, duration, label.decode("utf-8", errors="replace"))
+                        for label in parts[1:-1] if label]
+    return annotations
+
+
 TAL_MALFORMED = [
     b"+30\x1530\x14Sleep stage W\x14",  # missing 0x00 terminator
     b"+abc\x14label\x14\x00",           # non-numeric onset
@@ -357,6 +384,20 @@ class TestTal:
     def test_malformed(self, raw):
         with pytest.raises(MalformedTal):
             parse_tal(raw)
+
+    @given(st.lists(st.sampled_from([b"\x00", b"\x00\x00", b"\x14", b"\x15", b"+", b"-",
+                                     b"30", b".5", b"e", b"W", b"\xff"]), max_size=24))
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_a_per_byte_scan(self, pieces):
+        raw = b"".join(pieces)
+        try:
+            want = parse_tal_by_scan(raw)
+        except MalformedTal as exc:
+            with pytest.raises(MalformedTal) as err:
+                parse_tal(raw)
+            assert str(err.value) == str(exc)
+        else:
+            assert parse_tal(raw) == want
 
     def test_hypnogram_onsets_monotonic(self):
         spec = synthgen.SynthSpec(seed=5, duration_s=300)

@@ -52,6 +52,10 @@ class TestForward:
             nc.linear(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
         assert "(2, 3)" in str(err.value)
 
+    def test_add_broadcast_error_mentions_shapes(self):
+        with pytest.raises(ShapeMismatch, match=r"\(2, 3\) \+ \(2,\)"):
+            nc.add(t64(np.ones((2, 3))), t64(np.ones(2)))
+
     def test_softmax_uniform(self):
         """Equal keys give every key the same attention weight, so each
         query's output is the mean of the values."""
@@ -101,10 +105,11 @@ class TestForward:
 
 class TestBackward:
     def test_sum_of_squares_gradient(self):
-        x = t64([1.0, -2.0, 3.0, 0.5], requires_grad=True)
+        x = t64([[1.0, -2.0], [3.0, 0.5]], requires_grad=True)
         with Tape() as tape:
-            loss = nc.sum(nc.mul(x, x))
-        assert np.array_equal(tape.backward(loss)[x], 2.0 * x.data)
+            loss = nc.sum(nc.linear(x, x))  # the matrix square x @ x
+        ones = np.ones((2, 2))
+        assert np.array_equal(tape.backward(loss)[x], ones @ x.data.T + x.data.T @ ones)
 
     def test_mean_gradient(self):
         x = t64(np.arange(5.0), requires_grad=True)
@@ -122,15 +127,15 @@ class TestBackward:
         assert np.array_equal(grads[b], np.full(3, 2.0))
 
     def test_gradient_accumulates_across_uses(self):
-        x = t64([2.0], requires_grad=True)
+        x = t64([[2.0]], requires_grad=True)
         with Tape() as tape:
-            loss = nc.sum(nc.add(nc.mul(x, x), x))  # x^2 + x
-        assert np.array_equal(tape.backward(loss)[x], [5.0])
+            loss = nc.sum(nc.add(nc.linear(x, x), x))  # x^2 + x
+        assert np.array_equal(tape.backward(loss)[x], [[5.0]])
 
     def test_loss_not_scalar(self):
-        x = t64([1.0, 2.0], requires_grad=True)
+        x = t64([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         with Tape() as tape:
-            y = nc.mul(x, x)
+            y = nc.linear(x, x)
         with pytest.raises(LossNotScalar):
             tape.backward(y)
 
@@ -143,8 +148,8 @@ class TestBackward:
             tape.backward(x)
 
     def test_no_recording_without_tape(self):
-        x = t64([1.0, 2.0], requires_grad=True)
-        out = nc.mul(x, x)
+        x = t64([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        out = nc.linear(x, x)
         assert out.requires_grad is False
 
     def test_backward_returns_each_leaf_gradient_once(self):
@@ -157,7 +162,7 @@ class TestBackward:
         def tape_and_loss(linear_bias, add_bias):
             with Tape() as tape:
                 h = nc.gelu(nc.linear(x, w, linear_bias))
-                loss = nc.mean(nc.mul(h, nc.add(h, add_bias)))
+                loss = nc.mean(nc.gelu(nc.add(h, add_bias)))
             return tape, loss
 
         tape, loss = tape_and_loss(b, b)  # b reaches the loss twice
@@ -188,7 +193,7 @@ class TestBackward:
             mixed = nc.attention(picked, nc.gelu(picked), picked, 2)
             spread = nc.scatter_rows(mixed, [4, 0, 2, 6, 1], 7, p["fill"])
             normed = nc.layer_norm(spread, ones, zeros)
-            return nc.mean(nc.mul(nc.split_heads(normed, 2), nc.split_heads(spread, 2)))
+            return nc.mean(nc.gelu(nc.add(nc.split_heads(normed, 2), nc.split_heads(spread, 2))))
 
         assert grad_check(fn, params, fd_step=1e-5) < 1e-6
 
@@ -352,20 +357,20 @@ def test_deadlocked_pool_thread_ends_the_session_with_a_failing_status(tmp_path)
 
 class TestGradCheck:
     def test_constant_function(self):
-        params = {"x": t64([1.0, 2.0], requires_grad=True)}
+        params = {"x": t64([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)}
 
         def fn(p):
-            return nc.sum(nc.mul(nc.mul(p["x"], p["x"]), t64(0.0)))
+            return nc.sum(nc.linear(nc.linear(p["x"], p["x"]), t64(np.zeros((2, 2)))))
 
         assert grad_check(fn, params, fd_step=1e-4) < 1e-9
 
     def test_sum_of_squares(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2)))
-        params = {"x": Tensor(rng.normal(0, 1, 17), requires_grad=True,
+        params = {"x": Tensor(rng.normal(0, 1, (4, 4)), requires_grad=True,
                               dtype=np.float64)}
 
         def fn(p):
-            return nc.sum(nc.mul(p["x"], p["x"]))
+            return nc.sum(nc.linear(p["x"], p["x"]))  # the matrix square
 
         assert grad_check(fn, params, fd_step=1e-4) < 1e-6
 
@@ -373,7 +378,7 @@ class TestGradCheck:
         params = {"x": t64([1.0], requires_grad=True)}
 
         def fn(p):
-            return nc.sum(nc.mul(p["x"], t64(np.nan)))
+            return nc.sum(nc.add(p["x"], t64(np.nan)))
 
         with pytest.raises(NonFiniteValue):
             grad_check(fn, params)
@@ -542,14 +547,15 @@ class TestKernelBytes:
         (x, gain, bias), _ = kernel_inputs("layer_norm", dtype, 1.0, shape=(4, 6, 12))
         rng = philox(5)
         w = rng.normal(0, 1, (12, 12)).astype(dtype)  # square: every branch keeps x's shape
-        b, weights = rng.normal(0, 1, 12).astype(dtype), rng.normal(0, 1, x.shape).astype(dtype)
+        b, weights = rng.normal(0, 1, 12).astype(dtype), rng.normal(0, 1, (12, 1)).astype(dtype)
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             total = nc.add(nc.add(nc.gelu(xt), nc.layer_norm(xt, Tensor(gain), Tensor(bias))),
                            nc.linear(xt, Tensor(w), Tensor(b)))
-            loss = nc.sum(nc.mul(total, Tensor(weights)))
+            loss = nc.sum(nc.linear(total, Tensor(weights)))
         grads = tape.backward(loss)
-        g = np.ones_like(weights) * weights  # d loss / d total, as mul's backward makes it
+        # d loss / d total: each row is the weight column, exactly, as 1 x w
+        g = np.ascontiguousarray(np.broadcast_to(weights[:, 0], x.shape))
         # partials reach x in reverse record order: linear, layer_norm, gelu
         expected = np.zeros_like(x)
         for partial in (ref_linear(x, w, b, g)[1][0], ref_layer_norm(x, gain, bias, g)[1][0],
@@ -634,9 +640,9 @@ class TestAttentionKernel:
         rng = philox(43)
         params = {name: Tensor(rng.normal(0, 1, (2, 5, 6)), requires_grad=True, dtype=np.float64)
                   for name in "qkv"}
-        weights = t64(rng.normal(0, 1, (2, 5, 6)))
+        weights = t64(rng.normal(0, 1, (6, 4)))
 
         def fn(p):
-            return nc.sum(nc.mul(nc.attention(p["q"], p["k"], p["v"], 3), weights))
+            return nc.sum(nc.linear(nc.gelu(nc.attention(p["q"], p["k"], p["v"], 3)), weights))
 
         assert grad_check(fn, params, fd_step=1e-5) < 1e-6

@@ -4,6 +4,7 @@ import tempfile
 import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psgmae import evalreport, mae, numcore as nc, pipeline, synthgen
-from psgmae.edf_io import Annotation, EdfRecording, SignalSpec
+from psgmae.edf_io import Annotation, EdfRecording, SignalSpec, parse_edf, write_edf
 from psgmae.pipeline import (
     DEFAULT_THRESHOLDS,
     SIGMA_FLOOR,
@@ -84,6 +85,46 @@ class TestStageLabels:
     ])
     def test_mapping(self, label, expected):
         assert map_stage_label(label) is expected
+
+
+def stage_codes_reference(annotations, n_epochs):
+    """Per epoch: the stage code of the last annotation, in onset order, with
+    a positive duration covering the whole epoch (to within 1e-9 epochs);
+    -1 for an unusable label or none."""
+    codes = []
+    for e in range(n_epochs):
+        code = -1
+        for a in sorted(annotations, key=lambda a: a.onset_s):
+            if a.duration_s > 0 and np.ceil(a.onset_s / 30 - 1e-9) <= e < np.floor(
+                    (a.onset_s + a.duration_s) / 30 + 1e-9):
+                stage = map_stage_label(a.label)
+                code = -1 if stage is None else stage.code
+        codes.append(code)
+    return codes
+
+
+class TestStageCodes:
+    @given(st.lists(st.builds(
+        Annotation,
+        st.one_of(st.integers(-3, 40).map(lambda e: 30.0 * e), st.floats(-100.0, 1300.0)),
+        st.sampled_from([0.0, -30.0, 30.0, 60.0, 45.5, 30.0 - 1e-12, 90.0, 1e4]),
+        st.sampled_from([*pipeline._LABELS, "Sleep stage ?", "Movement time"])), max_size=12),
+           st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_per_epoch_reference(self, annotations, n_epochs):
+        got = pipeline._stage_codes(annotations, n_epochs)
+        assert got.dtype == np.int8
+        assert got.tolist() == stage_codes_reference(annotations, n_epochs)
+
+    def test_overlaps_and_out_of_order_onsets(self):
+        annotations = [Annotation(90.0, 60.0, "Sleep stage R"),  # the latest onset wins
+                       Annotation(0.0, 300.0, "Sleep stage 2"),
+                       Annotation(60.0, 60.0, "Sleep stage ?"),
+                       Annotation(240.0, 0.0, "Sleep stage W"),   # no duration: ignored
+                       Annotation(-30.0, 45.0, "Sleep stage 3")]  # covers only epoch -1
+        codes = pipeline._stage_codes(annotations, 12)
+        assert codes.tolist() == [2, 2, -1, 4, 4, 2, 2, 2, 2, 2, -1, -1]
+        assert codes.tolist() == stage_codes_reference(annotations, 12)
 
 
 class TestResample:
@@ -296,11 +337,13 @@ STAGE_LABELS = ["Sleep stage W", "Sleep stage 1", "Sleep stage 2", "Sleep stage 
                 "Sleep stage 4", "Sleep stage R", "Sleep stage ?", "Movement time"]
 
 
-def mixed_rate_recording(n_epochs, seed, labels=None, short_s=0, spikes=(), flat=False):
+def mixed_rate_recording(n_epochs, seed, labels=None, short_s=0, spikes=(), flat=False,
+                         record_s=1):
     """Noise channels at 100, 200 and 50 Hz (plus an all-zero one when flat),
-    scored with ``labels`` (random labels, some unusable, when None). The
-    200 Hz channel ends ``short_s`` seconds early; each epoch in ``spikes``
-    gets a 900 uV sample on the input channel."""
+    in ``record_s``-second records, scored with ``labels`` (random labels,
+    some unusable, when None). The 200 Hz channel ends ``short_s`` seconds
+    early; each epoch in ``spikes`` gets a 900 uV sample on the input channel.
+    Without ``short_s`` write_edf takes it, quantized to 2000/65535 uV steps."""
     rng = philox(seed)
     seconds = 30 * n_epochs
     rates = {**RATES, "EEG flat": 100} if flat else RATES
@@ -311,8 +354,9 @@ def mixed_rate_recording(n_epochs, seed, labels=None, short_s=0, spikes=(), flat
     for e in spikes:
         samples["EEG in"][e * 3000 + 1234] = 900.0
     recording = EdfRecording(
-        patient_id="P", record_duration_s=1.0, num_records=seconds,
-        signals=[SignalSpec(name, samples_per_record=rate) for name, rate in rates.items()],
+        patient_id="P", record_duration_s=record_s, num_records=seconds // record_s,
+        signals=[SignalSpec(name, physical_min=-1000.0, physical_max=1000.0,
+                            samples_per_record=rate * record_s) for name, rate in rates.items()],
         samples=list(samples.values()))
     if labels is None:
         labels = [STAGE_LABELS[i] for i in rng.integers(0, len(STAGE_LABELS), n_epochs)]
@@ -408,6 +452,61 @@ class TestBlockSegmentation:
         assert np.array_equal(frozen.norm, writable.norm)
         for arr, old in zip(recording.samples, before):
             assert np.array_equal(arr, old)
+        # parse_edf's channels are int16 views over the immutable file bytes
+        parsed = parse_edf(write_edf(recording))
+        assert not any(d.records.flags.writeable for d in parsed.samples.digital)
+        from_bytes = segment_epochs(parsed, annotations, names[0], names[1:])
+        converted = segment_epochs(replace(parsed, samples=list(parsed.samples)),
+                                   annotations, names[0], names[1:])
+        assert from_bytes.signals.tobytes() == converted.signals.tobytes()
+        assert from_bytes.norm.tobytes() == converted.norm.tobytes()
+
+    # 50-s records: a 64-epoch block (1920 s) starts and ends inside a record
+    @pytest.mark.parametrize("record_s", [1, 30, 50])
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    def test_parsed_night_bit_equal_to_its_converted_arrays(self, monkeypatch, record_s, cores):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        recording, annotations, names = mixed_rate_recording(
+            150, 8, spikes=(0, 63, 64, 100, 149), record_s=record_s)
+        data = bytearray(write_edf(recording))  # writable, so a write to it would show
+        original = bytes(data)
+        parsed = parse_edf(data)
+        assert parsed.num_records == 4500 // record_s
+        got = segment_epochs(parsed, annotations, names[0], names[1:])
+        want = assert_segments_like_reference(
+            replace(parsed, samples=list(parsed.samples)), annotations, names)
+        assert len(got) > 0
+        assert got.epoch_index.tolist() == want.epoch_index.tolist()
+        assert got.stage.tolist() == want.stage.tolist()
+        assert got.signals.tobytes() == want.signals.tobytes()
+        assert got.norm.tobytes() == want.norm.tobytes()
+        assert bytes(data) == original
+
+    def test_trimmed_wake_blocks_are_never_converted(self, monkeypatch):
+        converted = {}
+        real = SignalSpec.digital_to_physical
+
+        def digital_to_physical(spec, digital):
+            converted[spec.label] = converted.get(spec.label, 0) + len(digital)
+            return real(spec, digital)
+
+        recording, annotations, names = artifact_night(record_s=30)
+        parsed = parse_edf(write_edf(recording))
+        monkeypatch.setattr(SignalSpec, "digital_to_physical", digital_to_physical)
+        segment_epochs(parsed, annotations, names[0], names[1:], wake_trim_epochs=20)
+        # blocks 0-3 hold labelled epochs: records (30 s, one epoch each) 0-255 at
+        # 100 Hz; the other rates' two-sample margins reach one record further on
+        # each side of a block, but for block 0's start. Of block 4 (records
+        # 256-289, all trimmed wake) only record 256 is read, as block 3's margin.
+        assert converted == {"EEG in": 256, "EOG fast": 256 + 7, "EMG slow": 256 + 7}
+
+    def test_empty_channel_raises(self):
+        recording, annotations, names = mixed_rate_recording(2, 9)
+        recording = replace(recording, num_records=0,
+                            samples=[arr[:0] for arr in recording.samples])
+        for form in (recording, parse_edf(write_edf(recording))):
+            with pytest.raises(EmptyInput):
+                segment_epochs(form, annotations, names[0], names[1:])
 
     @pytest.mark.parametrize("n_epochs, cores, pooled", [
         (150, 1, False), (150, 2, True), (150, 7, True), (64, 7, False), (10, 2, False)])
@@ -477,10 +576,14 @@ class TestBlockSegmentation:
         monkeypatch.setattr(nc, "cores", lambda: cores)
         monkeypatch.setattr(pipeline, "_epochs_of", epochs_of)
         recording, annotations, names = artifact_night()
-        segment_epochs(recording, annotations, names[0], names[1:], wake_trim_epochs=20)
-        # blocks 0-3 hold labelled epochs; block 4 (epochs 256-289) is all trimmed wake
-        assert sorted(calls) == sorted((id(samples), lo, lo + 64) for samples in recording.samples
-                                       for lo in (0, 64, 128, 192))
+        parsed = parse_edf(write_edf(recording))
+        # a channel is the array in memory, or parse_edf's DigitalSignal of it
+        for form, channels in ((recording, recording.samples), (parsed, parsed.samples.digital)):
+            calls.clear()
+            segment_epochs(form, annotations, names[0], names[1:], wake_trim_epochs=20)
+            # blocks 0-3 hold labelled epochs; block 4 (epochs 256-289) is all trimmed wake
+            assert sorted(calls) == sorted((id(channel), lo, lo + 64) for channel in channels
+                                           for lo in (0, 64, 128, 192))
 
     @pytest.mark.parametrize("cores", [1, 2, 7])
     def test_artifacts_in_many_blocks_with_wake_trimmed(self, monkeypatch, fresh_pool, cores):
@@ -511,18 +614,37 @@ class TestBlockSegmentation:
         assert peak <= labelled_rows + min(cores, 4) * 4 * block_array + 2**17
         assert len(got) == 190 - len(ARTIFACTS)
 
+    def test_parsing_and_segmenting_never_hold_a_whole_channel(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(nc, "cores", lambda: 1)
+        recording, annotations, names = artifact_night(record_s=30)
+        data = write_edf(recording)
+        tracemalloc.start()
+        try:
+            got = segment_epochs(parse_edf(data), annotations, names[0], names[1:],
+                                 wake_trim_epochs=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        labelled_rows = 190 * len(names) * pipeline.EPOCH_SAMPLES * 4
+        block_array = pipeline.SEGMENT_BLOCK * pipeline.EPOCH_SAMPLES * 8
+        # at most six block arrays at once, in the 200 Hz channel's np.interp: its
+        # converted span and input times count two each, output times and samples
+        # one each. The three channels converted whole would be 15.9 block arrays.
+        assert peak <= labelled_rows + 7 * block_array
+        assert len(got) == 190 - len(ARTIFACTS)
+
 
 # epochs with a 900 uV spike on the input or a -800 uV one on the 200 Hz target:
 # the first and last epoch of blocks 1 and 2, and others in blocks 0 and 3
 ARTIFACTS = (63, 64, 127, 128, 191, 200, 245)
 
 
-def artifact_night():
+def artifact_night(record_s=1):
     """290 epochs, 5 blocks: 80 wake, 150 N2, 60 wake; with a 20-epoch wake
     trim epochs 60-249 are labelled, and ARTIFACTS are rejected among them."""
     labels = ["Sleep stage W"] * 80 + ["Sleep stage 2"] * 150 + ["Sleep stage W"] * 60
     recording, annotations, names = mixed_rate_recording(
-        len(labels), 11, labels=labels, spikes=(64, 127, 128, 191, 200))
+        len(labels), 11, labels=labels, spikes=(64, 127, 128, 191, 200), record_s=record_s)
     for e in (63, 245):
         recording.samples[1][e * 6000 + 4000] = -800.0  # an even sample: on the 100 Hz grid
     return recording, annotations, names

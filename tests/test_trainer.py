@@ -306,7 +306,7 @@ class TestDataParallel:
         steps = []
         monkeypatch.setattr(nc, "cores", lambda: 2)
         monkeypatch.setattr(mae, "forward_loss", self.shard_sized(
-            4, lambda result: (nc.mul(result[0], nc.Tensor(math.nan)), result[1])))
+            4, lambda result: (nc.add(result[0], nc.Tensor(math.nan)), result[1])))
         monkeypatch.setattr(nc, "adam_step", lambda *args: steps.append(args))
         seven = {"train": dataset["train"][:7], "val": dataset["val"]}
         with pytest.raises(NonFiniteLoss, match="epoch 1, batch starting at 0"):
