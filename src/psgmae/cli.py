@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-# one BLAS thread: mae.predict already runs one worker per core, and a BLAS
+# one BLAS thread: inference already runs one lane per core, and a BLAS
 # pool per worker oversubscribes the cores; a value the user set is kept
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
@@ -47,8 +47,8 @@ def cmd_inspect(args) -> int:
           f"({recording.duration_s():g} s total)")
     print(f"signals: {len(recording.signals)}")
     for i, spec in enumerate(recording.signals):
-        rate = recording.sample_rate(i)
-        print(f"  {spec.label}: {rate:g} Hz, {len(recording.samples[i])} samples"
+        rate, count = recording.sample_rate(i), recording.num_records * spec.samples_per_record
+        print(f"  {spec.label}: {rate:g} Hz, {count} samples"
               f"{', ' + spec.physical_dimension if spec.physical_dimension else ''}")
     print(f"annotations: {len(recording.annotations)}")
     return 0
@@ -208,7 +208,8 @@ def cmd_reconstruct(args) -> int:
                 f"{len(cache)} epochs)"
             )
         record = cache.epochs([args.epoch_index])[0]  # the one row read
-    recons = dict(zip(config.mae.target_channels, mae.predict(params, [record.input_samples])[0]))
+    recons = dict(zip(config.mae.target_channels,
+                      mae.reconstruct(params, record.input_samples[None])[0]))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     evalreport.export_reconstruction(record, recons, out_path)

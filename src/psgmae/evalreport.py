@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mae
+from . import mae, numcore as nc
 from .mae import MaeParams
 from .pipeline import (EpochCacheReader, EpochRecord, EpochSet, MissingChannel, SleepStage, STAGES,
                        as_epoch_set, denormalize)
@@ -26,8 +25,9 @@ STAGE_COLUMNS = tuple(stage.display for stage in STAGES)
 
 _STAGE_BY_NAME = {stage.display: stage for stage in STAGES}
 
-# epochs scored per step: bounds the float64 temporaries
-SCORE_CHUNK = 64
+# epochs in flight in stream_scores, in one lane or split among its lanes, and
+# epochs per epoch_errors step: bounds activation memory and float64 temporaries
+CHUNK = 64
 
 
 class LengthMismatch(Exception):
@@ -102,8 +102,8 @@ def epoch_errors(pred: np.ndarray | None, orig: np.ndarray,
     epoch_len), each first de-normalized through ``norm``'s (N, ..., 2)
     (mean, std) unless it is None; ``pred`` None is the all-zeros baseline."""
     errors = np.empty(np.shape(orig)[:-1])
-    for lo in range(0, len(orig), SCORE_CHUNK):
-        rows = slice(lo, lo + SCORE_CHUNK)
+    for lo in range(0, len(orig), CHUNK):
+        rows = slice(lo, lo + CHUNK)
         chunk_pred, chunk_orig = 0.0 if pred is None else pred[rows], orig[rows]
         if norm is not None:
             mean, std = np.moveaxis(np.asarray(norm[rows], dtype=np.float64), -1, 0)[..., None]
@@ -128,39 +128,28 @@ def _add_rows(table: MseTable, input_channel: str, targets, stage: np.ndarray,
     return table
 
 
-class _Lanes:
-    """predict's inputs and sink for ``stream_scores``: a slice of an EpochSet copies
-    its signal rows, one of an EpochCacheReader reads them into its lane's buffer."""
-
-    def __init__(self, source, rows: np.ndarray, targets: list[int], score: Callable):
-        self.source, self.rows, self.targets, self.score = source, rows, targets, score
-        self._lane = threading.local()
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, span: slice) -> np.ndarray:
-        wanted, buffer = self.rows[span], getattr(self._lane, "buffer", None)
-        if isinstance(self.source, EpochSet):
-            self._lane.chunk = self.source.signals[wanted]
-            return self._lane.chunk[:, 0]
-        if buffer is None or len(buffer) < len(wanted):
-            buffer = self._lane.buffer = self.source.buffer(len(wanted))
-        self._lane.chunk = self.source.read(wanted, buffer)
-        return self._lane.chunk[:, 0]
-
-    def __call__(self, lo: int, recon: np.ndarray) -> None:
-        self.score(slice(lo, lo + len(recon)), recon, self._lane.chunk[:len(recon), self.targets])
-
-
 def stream_scores(params: MaeParams, source: EpochSet | EpochCacheReader, rows: np.ndarray,
                   targets: list[int], score: Callable[[slice, np.ndarray, np.ndarray], None]):
     """Full-visibility reconstructions of the rows ``rows`` (ascending) of an EpochSet
     or an EpochCacheReader, each chunk handed to score(span, recon, orig) on the lane
-    that made it: ``recon`` (chunk, heads, epoch_len), ``orig`` those epochs' channels
-    ``targets`` (one per head), ``span`` their positions in ``rows``."""
-    lanes = _Lanes(source, rows, targets, score)
-    mae.predict(params, lanes, lanes)
+    that read it: ``recon`` (chunk, heads, epoch_len), ``orig`` those epochs' channels
+    ``targets`` (one per head), ``span`` their positions in ``rows``.
+
+    Chunks of min(ceil(N / W), CHUNK // W) rows, at least one, are dealt round-robin
+    to W = min(cores, CHUNK) lanes on the numcore pool, each reading its chunks into
+    one buffer of its own, so at most CHUNK epochs are in flight. One chunk or one
+    core runs on this thread."""
+    workers = min(nc.cores(), CHUNK)
+    size = max(1, min(CHUNK // workers, -(-len(rows) // workers)))
+    spans = [slice(lo, min(lo + size, len(rows))) for lo in range(0, len(rows), size)]
+
+    def lane(first: int) -> None:  # chunks first, first + workers, ...
+        buffer = source.buffer(size)
+        for span in spans[first::workers]:
+            chunk = source.read(rows[span], buffer)
+            score(span, mae.reconstruct(params, chunk[:, 0]), chunk[:, targets])
+
+    nc._parallel_map(lane, range(min(workers, len(spans))))
 
 
 def cache_tables(params: MaeParams, reader: EpochCacheReader, rows: np.ndarray,

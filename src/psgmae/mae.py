@@ -9,7 +9,6 @@ similarity per patch pair.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +17,6 @@ from . import numcore as nc
 from .numcore import ShapeMismatch, Tensor
 
 COSINE_EPS = 1e-8
-
-# epochs in flight in predict, in one pass or split among its workers: bounds
-# activation memory, so inference over a whole night needs no more than one chunk
-PREDICT_CHUNK = 64
 
 
 class WrongLength(Exception):
@@ -301,39 +296,10 @@ def forward_loss(
     return cosine_loss(pred, Tensor(target, dtype=params.dtype)), unpatchify(recon.data)
 
 
-def predict(params: MaeParams, inputs, sink=None) -> np.ndarray | None:
-    """Full-visibility reconstructions (N, num_targets, epoch_len) of N input
-    epochs: an (N, epoch_len) array, a sequence of epoch arrays, or any object
-    with a length whose slices are those.
-
-    The epochs run in chunks of min(ceil(N / W), PREDICT_CHUNK // W) epochs,
-    at least one, on W = min(cores, PREDICT_CHUNK) lanes of the numcore pool,
-    each taking the next chunk's slice of ``inputs`` under one lock, so slices
-    are taken in chunk order, until none is left; at most PREDICT_CHUNK epochs
-    are in flight, so activation memory does not grow with the core count.
-    One chunk or one core runs on this thread. With ``sink``, each chunk's
-    reconstructions go to sink(lo, recon) on the lane that took the slice
-    inputs[lo: lo + len(recon)], before it takes another, and predict returns None."""
-    config = params.config
-    every = np.arange(config.seq_len)  # full visibility
-    out = np.empty((len(inputs), len(config.target_channels), config.epoch_len),
-                   dtype=params.dtype) if sink is None else None
-    workers = min(nc.cores(), PREDICT_CHUNK)
-    chunk = max(1, min(PREDICT_CHUNK // workers, -(-len(inputs) // workers)))
-    starts, lock = iter(range(0, len(inputs), chunk)), threading.Lock()
-
-    def lane(_) -> None:  # runs chunks, each pulled from ``starts``, until none is left
-        while True:
-            with lock:
-                lo = next(starts, None)
-                if lo is None:
-                    return
-                batch = inputs[lo: lo + chunk]
-            recon = decode(encode(patchify(np.stack(batch), config), every, params), every, params)
-            if sink is None:
-                out[lo: lo + len(batch)] = unpatchify(recon.data)
-            else:
-                sink(lo, unpatchify(recon.data))
-
-    nc._parallel_map(lane, range(min(workers, -(-len(inputs) // chunk))))
-    return out
+def reconstruct(params: MaeParams, inputs: np.ndarray) -> np.ndarray:
+    """Full-visibility reconstructions (B, num_targets, epoch_len) of a batch of
+    input epochs (B, epoch_len), as one graph. A row's bytes do not depend on the
+    other rows' values, but BLAS may round them otherwise at another B."""
+    every = np.arange(params.config.seq_len)
+    tokens = patchify(inputs, params.config)
+    return unpatchify(decode(encode(tokens, every, params), every, params).data)

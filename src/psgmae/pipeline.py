@@ -260,6 +260,14 @@ class EpochSet:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
+    def buffer(self, rows: int) -> np.ndarray:
+        """An uninitialized array of ``rows`` signal rows for ``read`` to fill."""
+        return np.empty((rows, len(self.channels), EPOCH_SAMPLES), dtype=np.float32)
+
+    def read(self, rows, out: np.ndarray) -> np.ndarray:
+        """Copies the signal rows ``rows`` into out[:len(rows)] (a ``buffer``) and returns that."""
+        return np.take(self.signals, rows, axis=0, out=out[:len(rows)])
+
     @classmethod
     def concat(cls, parts: list[EpochSet]) -> EpochSet:
         """Join sets over the same channels, in order, merging subject ids."""

@@ -438,7 +438,7 @@ def train(
         shuffle_rng = np.random.Generator(np.random.Philox(shuffle_seq))
         mask_rng = np.random.Generator(np.random.Philox(mask_seq))
         start_epoch = 1
-        best_val = np.inf
+        best_val, calibrated = np.inf, False
         patience_left = config.patience
         best_blobs = _snapshot(params)
     else:
@@ -450,7 +450,7 @@ def train(
         shuffle_rng = _restore_philox(resume.rng_shuffle)
         mask_rng = _restore_philox(resume.rng_mask)
         start_epoch = resume.epoch + 1
-        best_val = resume.best_val_loss
+        best_val, calibrated = resume.best_val_loss, resume.calibrated
         patience_left = resume.patience_left
         best_blobs = {name: arr.copy() for name, arr in resume.best_params.items()}
     adam = nc.AdamState.for_params(params.tensors, lr=config.lr, beta1=config.beta1,
@@ -482,7 +482,7 @@ def train(
             on_epoch(metrics_lines[-1])
 
         if val_loss < best_val:
-            best_val = val_loss
+            best_val, calibrated = val_loss, False
             best_blobs = _snapshot(params)
             patience_left = config.patience
         else:
@@ -492,8 +492,8 @@ def train(
 
     best_params = params_from_blobs(config.mae, best_blobs)
     calibration: dict[str, float] = {}
-    if config.calibrate_scale:
-        calibration = calibrate_head_scale(best_params, train_set)
+    if config.calibrate_scale and not calibrated:  # a resume's best may be calibrated already
+        calibration, calibrated = calibrate_head_scale(best_params, train_set), True
 
     checkpoint = Checkpoint(
         config_text=config_to_ini(config),
@@ -507,6 +507,6 @@ def train(
         patience_left=patience_left,
         rng_shuffle=_philox_state(shuffle_rng),
         rng_mask=_philox_state(mask_rng),
-        calibrated=config.calibrate_scale,
+        calibrated=calibrated,
     )
     return TrainResult(checkpoint=checkpoint, metrics_lines=metrics_lines, calibration=calibration)

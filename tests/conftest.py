@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from psgmae import mae, numcore, pipeline, synthgen, trainer
+from psgmae import evalreport, mae, numcore, pipeline, synthgen, trainer
 
 
 TINY_CONFIG_KWARGS = dict(
@@ -124,6 +124,16 @@ def edit_meta(blob: bytes, edit) -> bytes:
     raw = raw if isinstance(raw, bytes) else json.dumps(raw).encode()
     return reseal(blob[:8] + struct.pack("<II", config_len, len(raw)) + blob[16:start]
                   + raw + blob[start + meta_len: -4])
+
+
+def chunked_reconstruct(params, inputs):
+    """mae.reconstruct of inputs (N >= 1, epoch_len) in the chunks stream_scores
+    makes at the current core count. OpenBLAS can give a row other bytes in a
+    product with another row count, so a reference chunks as the code it checks."""
+    workers = min(numcore.cores(), evalreport.CHUNK)
+    size = max(1, min(evalreport.CHUNK // workers, -(-len(inputs) // workers)))
+    return np.concatenate([mae.reconstruct(params, inputs[lo: lo + size])
+                           for lo in range(0, len(inputs), size)])
 
 
 def synth_records(seed=0, minutes=5.0, noise_std=5.0, subject_id="S000"):

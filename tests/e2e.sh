@@ -34,7 +34,8 @@ for cores in one every; do
     > preprocess.txt)
   $pin python -m psgmae.cli train --config "$config" --data "$out/data" --out "$out/run"
   # one epoch, then resumed to two in the same --out: the same bytes as the
-  # uninterrupted run, calibration included (it runs again on resume)
+  # uninterrupted run, calibration included (a resume calibrates only best
+  # parameters that are not calibrated yet)
   sed 's/^max_epochs = 2$/max_epochs = 1/' "$config" > "$out/config-1.ini"
   $pin python -m psgmae.cli train --config "$out/config-1.ini" --data "$out/data" \
     --out "$out/resumed"

@@ -99,6 +99,22 @@ class TestInspect:
             assert label in out
         assert "100 Hz" in out and "50 Hz" in out
 
+    def test_sample_counts_convert_no_signal(self, capsys, monkeypatch, workspace):
+        """Each signal's count comes from the header (records x samples per
+        record): the same lines as the converted signals' lengths, and not one
+        digital_to_physical call."""
+        path = workspace / "raw" / "S000-PSG.edf"
+        recording = edf_io.parse_edf(path.read_bytes())
+        lines = [f"  {spec.label}: {recording.sample_rate(i):g} Hz, "
+                 f"{len(recording.samples[i])} samples, {spec.physical_dimension}"
+                 for i, spec in enumerate(recording.signals)]
+        calls, convert = [], edf_io.SignalSpec.digital_to_physical
+        monkeypatch.setattr(edf_io.SignalSpec, "digital_to_physical",
+                            lambda spec, digital: calls.append(spec) or convert(spec, digital))
+        code, out, _ = run(capsys, "inspect", "--edf", str(path))
+        assert code == 0 and calls == []
+        assert out.splitlines()[4:4 + len(lines)] == lines
+
     def test_annotation_count(self, capsys, workspace):
         code, out, _ = run(capsys, "inspect", "--edf",
                            str(workspace / "raw" / "S000-Hypnogram.edf"))
@@ -320,7 +336,7 @@ class TestTrainEval:
         saved = trainer.load_checkpoint(Path(checkpoint).read_bytes())
         params = trainer.params_from_blobs(saved.train_config().mae, saved.best_params)
         epochs = trainer.split_records(*trainer.load_dataset(workspace / "data"))["test"]
-        recons = mae.predict(params, epochs.signals[:, 0])
+        recons = mae.reconstruct(params, epochs.signals[:, 0])
         records = list(epochs)
         printed = {line.split("]")[0][len("pooled["):]: line
                    for line in out.splitlines() if line.startswith("pooled[")}
@@ -630,8 +646,8 @@ class TestStreamedEval:
         args = ["--checkpoint", str(workspace / "run" / "checkpoint.psgmae"), "--data", str(data)]
         if command == "eval":
             code, _, _ = run(capsys, "eval", *args, "--out", str(tmp_path / "out"))
-            workers = min(cores, mae.PREDICT_CHUNK)
-            chunk = max(1, min(mae.PREDICT_CHUNK // workers, -(-n // 3 // workers)))
+            workers = min(cores, evalreport.CHUNK)
+            chunk = max(1, min(evalreport.CHUNK // workers, -(-n // 3 // workers)))
             rows = np.flatnonzero(subject == 0)
         else:
             code, _, _ = run(capsys, "reconstruct", *args, "--epoch-index", str(n - 1),
@@ -660,7 +676,7 @@ class TestStreamedEval:
                          "--out", str(tmp_path / "epoch.csv"))
         assert code == 0
         evalreport.export_reconstruction(epochs[5], dict(zip(
-            params.config.target_channels, mae.predict(params, epochs.signals[5:6, 0])[0])),
+            params.config.target_channels, mae.reconstruct(params, epochs.signals[5:6, 0])[0])),
             tmp_path / "reference.csv")
         assert (tmp_path / "epoch.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

@@ -19,7 +19,7 @@ from psgmae.evalreport import (
 )
 from psgmae.pipeline import EpochCacheReader, EpochSet, SleepStage
 
-from conftest import philox, synth_records
+from conftest import chunked_reconstruct, philox, synth_records
 
 CANONICAL_LAYOUT = [
     ("EEG (FPz-Cz)", "EOG"),
@@ -196,19 +196,19 @@ class TestAggregate:
     def test_tables_equal_per_record_reference(self, physical):
         """Across several scoring chunks, each cell of evaluate_records' table
         equals the per-record ``mse`` of its pairs' reconstructions, which are
-        predict's, summed in epoch order, with the model's heads in reverse
-        order of the records' targets; baseline_table's cells equal it for
-        all-zeros reconstructions."""
+        ``chunked_reconstruct``'s, summed in epoch order, with the model's heads
+        in reverse order of the records' targets; baseline_table's cells equal
+        it for all-zeros reconstructions."""
         rng = philox(6)
         records = [self.own_norms(rng, make_record(rng, list(SleepStage)[int(rng.integers(0, 5))],
                                                    epoch_index=i))
-                   for i in range(2 * evalreport.SCORE_CHUNK + 7)]
+                   for i in range(2 * evalreport.CHUNK + 7)]
         epochs = pipeline.as_epoch_set(records)
         params = mae.init_params(mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
                                                target_channels=epochs.target_channels[::-1]),
                                  seed=4)
         table, pairs = evalreport.evaluate_records(params, records, physical)
-        recons = mae.predict(params, epochs.signals[:, 0])
+        recons = chunked_reconstruct(params, epochs.signals[:, 0])
         assert [record.epoch_index for record, _ in pairs] == list(range(len(records)))
         for (_, by_target), recon in zip(pairs, recons, strict=True):
             assert list(by_target) == list(params.config.target_channels)
@@ -227,7 +227,7 @@ class TestAggregate:
         per-record reference without rounding through float32."""
         rng = philox(8)
         pairs = []
-        for i in range(evalreport.SCORE_CHUNK + 9):
+        for i in range(evalreport.CHUNK + 9):
             record = self.own_norms(rng, make_record(rng, list(SleepStage)[i % 5], epoch_index=i),
                                     dtype=np.float64)
             if i % 3 == 0:  # a second channel list, sharing "EEG Pz-Oz"
@@ -254,7 +254,7 @@ class TestAggregate:
 
 
 class TestCacheTables:
-    """cache_tables streams a cache's rows through predict's lanes and gives
+    """cache_tables streams a cache's rows on stream_scores' lanes and gives
     evaluate_records' and baseline_table's bytes over the same rows."""
 
     SPLITS = ("train", "test", "val", "test", "train", "val")  # subjects S0..S5
@@ -279,7 +279,7 @@ class TestCacheTables:
         """On every split, in both units, with three whole chunks of the
         lanes' size plus or minus one epoch; a split's rows alone are predicted."""
         monkeypatch.setattr(nc, "cores", lambda: cores)
-        n = 3 * (mae.PREDICT_CHUNK // cores) + off_by
+        n = 3 * (evalreport.CHUNK // cores) + off_by
         path = tmp_path / "epochs.psgepo"
         manifest = self.write(path, n)
         # the model's heads in another order than the cache's targets

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from psgmae import mae, numcore as nc, trainer
+from psgmae import evalreport, mae, numcore as nc, pipeline, trainer
 from psgmae.mae import (
     MaeConfig,
     WrongLength,
@@ -231,7 +231,8 @@ class TestDecode:
         records = synth_records(seed=0, minutes=1.0)
         config = MaeConfig(target_channels=records[0].target_channels)
         params = init_params(config, seed=0)
-        recon = dict(zip(config.target_channels, mae.predict(params, records.signals[:1, 0])[0]))
+        recon = dict(zip(config.target_channels,
+                         mae.reconstruct(params, records.signals[:1, 0])[0]))
         assert set(recon) == set(records[0].target_channels)
         assert records[0].input_channel not in recon
         assert all(len(v) == 3000 for v in recon.values())
@@ -533,12 +534,12 @@ class TestBatching:
         config = MaeConfig(**self.CONFIG)
         params = init_params(config, seed=5, dtype=np.float32)
         rng = philox(22)
-        inputs = rng.normal(0, 1, (mae.PREDICT_CHUNK + 3, config.epoch_len))
+        inputs = rng.normal(0, 1, (evalreport.CHUNK + 3, config.epoch_len))
         inputs = inputs.astype(np.float32)
-        batched = mae.predict(params, inputs)
+        batched = mae.reconstruct(params, inputs)
         assert batched.shape == (len(inputs), 2, config.epoch_len)
         for row, x in zip(batched, inputs):
-            assert np.abs(row - mae.predict(params, [x])[0]).max() < 1e-5
+            assert np.abs(row - mae.reconstruct(params, x[None])[0]).max() < 1e-5
 
     @pytest.mark.parametrize("scope", ["all", "masked"])
     def test_float32_stays_float32(self, scope):
@@ -553,14 +554,35 @@ class TestBatching:
         assert recons.dtype == np.float32
         for name, tensor in params.tensors.items():
             assert grads[tensor].dtype == np.float32, name
-        assert mae.predict(params, inputs).dtype == np.float32
+        assert mae.reconstruct(params, inputs).dtype == np.float32
 
 
 class TestParallelPredict:
-    """predict's worker pool, forced to more workers than this machine has
-    cores so that it runs wherever the tests do."""
+    """stream_scores' lanes over an EpochSet, forced to more lanes than this
+    machine has cores so that they run wherever the tests do."""
 
-    CONFIG = TestBatching.CONFIG
+    CONFIG = {**TestBatching.CONFIG, "patch_size": 250}  # 12 tokens of a 3000-sample epoch
+
+    @staticmethod
+    def epochs(n, seed):
+        """n random epochs of an input channel and the targets t0 and t1."""
+        return pipeline.EpochSet(
+            ("in", "t0", "t1"), ("S0",), subject=np.zeros(n), epoch_index=np.arange(n),
+            stage=np.zeros(n), norm=np.ones((n, 3, 2)),
+            signals=philox(seed).normal(0, 1, (n, 3, 3000)))
+
+    @staticmethod
+    def stream(params, epochs, rows):
+        """stream_scores' reconstructions of ``rows`` and its score calls as
+        (span, thread, orig) in call order."""
+        out, calls = np.empty((len(rows), 2, 3000), params.dtype), []
+
+        def score(span, recon, orig):
+            out[span] = recon
+            calls.append((span, threading.current_thread(), orig.copy()))
+
+        evalreport.stream_scores(params, epochs, rows, [1, 2], score)
+        return out, calls
 
     @pytest.fixture
     def workers(self, monkeypatch):
@@ -572,57 +594,60 @@ class TestParallelPredict:
     def setup(workers, n_chunks):
         config = MaeConfig(**TestParallelPredict.CONFIG)
         params = init_params(config, seed=7, dtype=np.float32)
-        chunk = max(1, mae.PREDICT_CHUNK // workers)
-        n = chunk * max(n_chunks, -(-2 * mae.PREDICT_CHUNK // chunk))  # whole chunks, threaded
-        inputs = philox(30).normal(0, 1, (n, config.epoch_len)).astype(np.float32)
-        return params, chunk, inputs
+        chunk = max(1, evalreport.CHUNK // workers)
+        n = chunk * max(n_chunks, -(-2 * evalreport.CHUNK // chunk))  # whole chunks, threaded
+        return params, chunk, TestParallelPredict.epochs(n, seed=30)
 
     def test_stress_bit_equal_to_serial_chunks(self, workers):
-        params, chunk, inputs = self.setup(workers, 4 * workers + 1)
-        inputs = inputs[:len(inputs) - 3]  # a short last chunk
-        # reference: the same chunks one predict call at a time
-        reference = np.concatenate([mae.predict(params, inputs[lo: lo + chunk])
-                                    for lo in range(0, len(inputs), chunk)])
-        assert len(inputs) > 2 * chunk * workers
+        params, chunk, epochs = self.setup(workers, 4 * workers + 1)
+        epochs = epochs[:len(epochs) - 3]  # a short last chunk
+        # reference: the same chunks one reconstruct call at a time
+        reference = np.concatenate([mae.reconstruct(params, epochs.signals[lo: lo + chunk, 0])
+                                    for lo in range(0, len(epochs), chunk)])
+        assert len(epochs) > 2 * chunk * workers
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runner = threading.Thread(target=lambda: results.append(mae.predict(params, inputs)),
-                                      daemon=True)
+            runner = threading.Thread(target=lambda: results.append(
+                self.stream(params, epochs, np.arange(len(epochs)))), daemon=True)
             runner.start()
             runner.join(timeout=300)
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert len(results) == 1
-        assert results[0].dtype == reference.dtype
-        assert results[0].tobytes() == reference.tobytes()
+        out, _ = results[0]
+        assert out.dtype == reference.dtype
+        assert out.tobytes() == reference.tobytes()
 
     def test_main_thread_tape_records_nothing_from_workers(self, workers):
-        params, _, inputs = self.setup(workers, 1)
+        params, _, epochs = self.setup(workers, 1)
         with nc.Tape() as tape:
-            mae.predict(params, inputs[:2 * mae.PREDICT_CHUNK])
+            self.stream(params, epochs, np.arange(2 * evalreport.CHUNK))
         assert tape._records == []
         with nc.Tape() as tape:  # one chunk runs on this thread
-            mae.predict(params, inputs[:1])
+            self.stream(params, epochs, np.arange(1))
         assert tape._records
 
-    def test_wrong_length_in_late_chunk_raises(self, workers):
-        params, chunk, inputs = self.setup(workers, 1)
-        # every chunk but the last is well formed; the last holds one short epoch
-        epochs = [*inputs, inputs[0][:-1]]
-        assert len(epochs) % chunk == 1
+    def test_wrong_length_in_late_chunk_raises(self, workers, monkeypatch):
+        """A source whose last chunk reads short epochs: reconstruct raises on
+        that chunk's lane, and stream_scores re-raises it."""
+        params, chunk, epochs = self.setup(workers, 1)
+        read, last = epochs.read, (len(epochs) - 1) // chunk * chunk
+
+        def reading(wanted, out):
+            rows = read(wanted, out)
+            return rows[..., :-1] if wanted[0] == last else rows
+
+        monkeypatch.setattr(epochs, "read", reading)
         with pytest.raises(WrongLength):
-            mae.predict(params, epochs)
-        # a small input on the pool: the short epoch cannot stack with its chunk
-        with pytest.raises(ValueError):
-            mae.predict(params, [*inputs[:83], inputs[83][:-1]])
+            self.stream(params, epochs, np.arange(len(epochs)))
 
     def test_in_flight_bounded_on_more_cores_than_chunk(self, monkeypatch, fresh_pool):
-        """On more cores than PREDICT_CHUNK, at most PREDICT_CHUNK epochs are
-        between the start of encode and the end of decode at any moment."""
-        monkeypatch.setattr(nc, "cores", lambda: 3 * mae.PREDICT_CHUNK)
+        """On more cores than CHUNK, at most CHUNK epochs are between the start
+        of encode and the end of decode at any moment."""
+        monkeypatch.setattr(nc, "cores", lambda: 3 * evalreport.CHUNK)
         lock, in_flight, peak = threading.Lock(), [0], [0]
         encode, decode = mae.encode, mae.decode
 
@@ -630,7 +655,7 @@ class TestParallelPredict:
             with lock:
                 in_flight[0] += len(tokens)
                 peak[0] = max(peak[0], in_flight[0])
-            time.sleep(0.05)  # lets the other workers start their chunks
+            time.sleep(0.05)  # lets the other lanes start their chunks
             return encode(tokens, visible, params)
 
         def counting_decode(latents, visible, params):
@@ -641,37 +666,38 @@ class TestParallelPredict:
 
         monkeypatch.setattr(mae, "encode", counting_encode)
         monkeypatch.setattr(mae, "decode", counting_decode)
-        config = MaeConfig(**TINY_CONFIG_KWARGS)
+        config = MaeConfig(**{**TINY_CONFIG_KWARGS, "patch_size": 750})
         params = init_params(config, seed=7, dtype=np.float32)
-        inputs = philox(31).normal(0, 1, (4 * mae.PREDICT_CHUNK, config.epoch_len))
-        assert mae.predict(params, inputs.astype(np.float32)).shape == (len(inputs), 2, 40)
+        n = 4 * evalreport.CHUNK
+        out, calls = self.stream(params, self.epochs(n, seed=31), np.arange(n))
+        assert out.shape == (n, 2, 3000) and len(calls) == n
         assert in_flight[0] == 0
-        assert 1 < peak[0] <= mae.PREDICT_CHUNK
+        assert 1 < peak[0] <= evalreport.CHUNK
 
     @pytest.fixture(scope="class")
     def one_at_a_time(self):
-        """130 epochs and their reconstructions, one predict call per epoch."""
+        """130 epochs and their reconstructions, one reconstruct call per epoch."""
         config = MaeConfig(**TestParallelPredict.CONFIG)
         params = init_params(config, seed=8, dtype=np.float32)
-        inputs = philox(32).normal(0, 1, (130, config.epoch_len)).astype(np.float32)
-        singles = [mae.predict(params, inputs[i:i + 1]) for i in range(len(inputs))]
-        return params, inputs, np.concatenate(singles)
+        epochs = self.epochs(130, seed=32)
+        singles = [mae.reconstruct(params, epochs.signals[i:i + 1, 0]) for i in range(130)]
+        return params, epochs, np.concatenate(singles)
 
     @pytest.mark.parametrize("cores", [1, 2, 7])
     @pytest.mark.parametrize("n", [0, 1, 7, 12, 84, 127, 128, 130])
     def test_any_size_bit_equal_to_one_epoch_at_a_time(self, one_at_a_time, monkeypatch,
                                                        fresh_pool, cores, n):
         """Small inputs use the pool too, when they make two chunks on two
-        cores; chunks hold 1 to PREDICT_CHUNK // workers epochs, and each of
-        the min(workers, chunks) lanes runs on its own pool thread."""
-        params, inputs, reference = one_at_a_time
+        cores; chunks hold 1 to CHUNK // workers epochs, and each of the
+        min(workers, chunks) lanes runs on its own pool thread."""
+        params, epochs, reference = one_at_a_time
         monkeypatch.setattr(nc, "cores", lambda: cores)  # fresh_pool: `cores` pool threads
-        workers = min(cores, mae.PREDICT_CHUNK)
-        chunk = max(1, min(mae.PREDICT_CHUNK // workers, -(-n // workers)))
+        workers = min(cores, evalreport.CHUNK)
+        chunk = max(1, min(evalreport.CHUNK // workers, -(-n // workers)))
         lanes = min(workers, -(-n // chunk))
         chunks, threads = [], set()
         # each lane's first chunk waits for every lane to start, so that
-        # `lanes` threads must run encode, whichever lane pulls which chunk
+        # `lanes` threads must run encode
         lanes_started = threading.Barrier(max(1, lanes), timeout=60)
         encode = mae.encode
 
@@ -684,11 +710,11 @@ class TestParallelPredict:
             return encode(tokens, visible, params)
 
         monkeypatch.setattr(mae, "encode", counting_encode)
-        out = mae.predict(params, inputs[:n])
+        out, _ = self.stream(params, epochs, np.arange(n))
         assert out.shape == reference[:n].shape and out.dtype == np.float32
         assert out.tobytes() == reference[:n].tobytes()
         assert sum(chunks) == n
-        assert all(1 <= size <= mae.PREDICT_CHUNK // workers for size in chunks)
+        assert all(1 <= size <= evalreport.CHUNK // workers for size in chunks)
         if cores >= 2 and n >= 2:
             assert len(threads) == lanes == min(workers, len(chunks)) >= 2
             assert threading.current_thread() not in threads
@@ -698,27 +724,27 @@ class TestParallelPredict:
     @pytest.mark.parametrize("cores", [1, 2, 7])
     def test_sink_takes_each_chunk_on_the_lane_that_sliced_it(self, one_at_a_time, monkeypatch,
                                                              fresh_pool, cores):
-        """Slices are taken in chunk order; each chunk's reconstructions reach
-        the sink once, on the slicing lane, bit-equal to the returned array's."""
-        params, inputs, reference = one_at_a_time
+        """score, the sink, takes each span of ``rows`` once, on the lane that
+        read its rows, with those rows' targets and reconstructions bit-equal
+        to one reconstruct call per epoch."""
+        params, epochs, reference = one_at_a_time
         monkeypatch.setattr(nc, "cores", lambda: cores)
-        lanes, sunk = {}, {}
+        rows = np.flatnonzero(np.arange(len(epochs)) % 3 != 1)  # runs with gaps between
+        readers, read = {}, epochs.read
 
-        class Source:
-            def __len__(self):
-                return len(inputs)
+        def reading(wanted, out):
+            readers[int(wanted[0])] = threading.current_thread()
+            return read(wanted, out)
 
-            def __getitem__(self, span):
-                lanes[span.start] = threading.current_thread()
-                return inputs[span]
-
-        def sink(lo, recon):
-            assert lanes[lo] is threading.current_thread() and lo not in sunk
-            sunk[lo] = recon.copy()
-
-        assert mae.predict(params, Source(), sink) is None
-        assert list(lanes) == sorted(lanes) and list(sunk) != []
-        assert np.concatenate([sunk[lo] for lo in sorted(sunk)]).tobytes() == reference.tobytes()
+        monkeypatch.setattr(epochs, "read", reading)
+        out, calls = self.stream(params, epochs, rows)
+        spans = sorted((span.start, span.stop) for span, _, _ in calls)
+        assert [lo for lo, _ in spans] == [0, *(hi for _, hi in spans[:-1])]
+        assert spans[-1][1] == len(rows) and len(readers) == len(calls)
+        for span, thread, orig in calls:
+            assert readers[int(rows[span.start])] is thread
+            assert orig.tobytes() == epochs.signals[rows[span]][:, 1:].tobytes()
+        assert out.tobytes() == reference[rows].tobytes()
 
 
 def test_init_ignores_ln_in_channel_names():

@@ -26,7 +26,8 @@ from psgmae.trainer import (
     train,
 )
 
-from conftest import edit_meta, philox, reseal, synth_dataset, synth_records
+from conftest import (chunked_reconstruct, edit_meta, philox, reseal, synth_dataset,
+                      synth_records)
 
 
 def small_config(**overrides):
@@ -452,6 +453,22 @@ class TestCheckpoint:
         assert tail.metrics_lines == full.metrics_lines[3:]
         assert save_checkpoint(tail.checkpoint) == save_checkpoint(full.checkpoint)
 
+    def test_resume_after_an_early_best_matches_uninterrupted(self):
+        """Validation is best at epoch 6 of 8, so a run resumed at 6 keeps the
+        best parameters the first run calibrated and calibrates them no more:
+        its checkpoint is the uninterrupted run's, byte for byte."""
+        _, _, splits = synth_dataset(n_subjects=4, minutes=3.0, seed=1,
+                                     fractions=(0.5, 0.25, 0.25))
+        full = train(small_config(max_epochs=8, lr=1.0, seed=7), splits)
+        losses = [parse_metrics(line)["val_loss"] for line in full.metrics_lines]
+        assert len(losses) == 8 and losses.index(min(losses)) == 5
+        head = train(small_config(max_epochs=6, lr=1.0, seed=7), splits)
+        assert head.checkpoint.calibrated and head.calibration
+        tail = train(small_config(max_epochs=8, lr=1.0, seed=7), splits,
+                     resume=load_checkpoint(save_checkpoint(head.checkpoint)))
+        assert save_checkpoint(tail.checkpoint) == save_checkpoint(full.checkpoint)
+        assert tail.calibration == {} and tail.checkpoint.calibrated
+
     def test_resume_past_end_rejected(self, dataset):
         result = train(small_config(max_epochs=2), dataset)
         with pytest.raises(TrainerError):
@@ -487,7 +504,7 @@ def whole_split_scores(params, epochs):
     """evaluate_split's loss and MSE and calibrate_head_scale's scales as they
     were computed from whole-split (N, targets, epoch_len) arrays."""
     config = params.config
-    recon = mae.predict(params, epochs.signals[:, 0])
+    recon = chunked_reconstruct(params, epochs.signals[:, 0])
     target = epochs.signals[:, epochs.target_indices(config.target_channels)]
     loss = mae.cosine_loss(nc.Tensor(mae.patchify(recon, config)),
                            nc.Tensor(mae.patchify(target, config), dtype=params.dtype))
