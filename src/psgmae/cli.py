@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-# one BLAS thread: inference already runs one lane per core, and a BLAS
+# one BLAS thread: inference already runs one chunk per core, and a BLAS
 # pool per worker oversubscribes the cores; a value the user set is kept
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
@@ -141,10 +141,10 @@ def cmd_train(args) -> int:
                   f"trains with {trainer.NUMERICS}: the resumed run will not match an "
                   "uninterrupted run from before the change")
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the inputs' checks, before any epoch
     result = trainer.train(config, splits, resume=resume, on_epoch=_info)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.psgmae"
     metrics_path = out_dir / "metrics.log"
     checkpoint_path.write_bytes(trainer.save_checkpoint(result.checkpoint))

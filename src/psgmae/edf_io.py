@@ -53,7 +53,7 @@ class InconsistentLengths(EdfError):
 
 
 class MalformedTal(EdfError):
-    """TAL missing its terminator or carrying a non-numeric onset."""
+    """TAL missing its terminator or carrying a non-numeric or non-finite onset or duration."""
 
 
 class UnsupportedEdf(EdfError):
@@ -344,6 +344,8 @@ def write_edf(recording: EdfRecording) -> bytes:
     if recording.annotations:
         if num_records < 1:
             raise InconsistentLengths("annotations require at least one data record")
+        if not np.isfinite([(a.onset_s, a.duration_s) for a in recording.annotations]).all():
+            raise MalformedTal("annotation onsets and durations must be finite")
         ann_records = _annotation_records(
             recording.annotations, num_records, recording.record_duration_s
         )
@@ -414,6 +416,8 @@ def parse_tal(data: bytes) -> list[Annotation]:
             duration = float(duration_raw) if duration_raw else 0.0
         except ValueError as exc:
             raise MalformedTal(f"non-numeric TAL onset/duration: {head!r}") from exc
+        if not (math.isfinite(onset) and math.isfinite(duration)):
+            raise MalformedTal(f"non-finite TAL onset/duration: {head!r}")
 
         for label in labels:
             text = label.decode("utf-8", errors="replace")

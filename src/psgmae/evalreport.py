@@ -25,9 +25,9 @@ STAGE_COLUMNS = tuple(stage.display for stage in STAGES)
 
 _STAGE_BY_NAME = {stage.display: stage for stage in STAGES}
 
-# epochs in flight in stream_scores, in one lane or split among its lanes, and
-# epochs per epoch_errors step: bounds activation memory and float64 temporaries
-CHUNK = 64
+# epochs in one stream_scores chunk, per core in flight, and per epoch_errors
+# step: bounds activation memory and float64 temporaries
+CHUNK = 32
 
 
 class LengthMismatch(Exception):
@@ -131,25 +131,21 @@ def _add_rows(table: MseTable, input_channel: str, targets, stage: np.ndarray,
 def stream_scores(params: MaeParams, source: EpochSet | EpochCacheReader, rows: np.ndarray,
                   targets: list[int], score: Callable[[slice, np.ndarray, np.ndarray], None]):
     """Full-visibility reconstructions of the rows ``rows`` (ascending) of an EpochSet
-    or an EpochCacheReader, each chunk handed to score(span, recon, orig) on the lane
+    or an EpochCacheReader, each chunk handed to score(span, recon, orig) on the thread
     that read it: ``recon`` (chunk, heads, epoch_len), ``orig`` those epochs' channels
     ``targets`` (one per head), ``span`` their positions in ``rows``.
 
-    Chunks of min(ceil(N / W), CHUNK // W) rows, at least one, are dealt round-robin
-    to W = min(cores, CHUNK) lanes on the numcore pool, each reading its chunks into
-    one buffer of its own, so at most CHUNK epochs are in flight. One chunk or one
-    core runs on this thread."""
-    workers = min(nc.cores(), CHUNK)
-    size = max(1, min(CHUNK // workers, -(-len(rows) // workers)))
-    spans = [slice(lo, min(lo + size, len(rows))) for lo in range(0, len(rows), size)]
+    Chunks of min(CHUNK, ceil(N / 2)) rows, at least one, cut from N alone so that
+    no byte depends on the core count, run on the numcore pool: at most CHUNK epochs
+    per core are in flight. One chunk or one core runs on this thread."""
+    size = max(1, min(CHUNK, -(-len(rows) // 2)))
 
-    def lane(first: int) -> None:  # chunks first, first + workers, ...
-        buffer = source.buffer(size)
-        for span in spans[first::workers]:
-            chunk = source.read(rows[span], buffer)
-            score(span, mae.reconstruct(params, chunk[:, 0]), chunk[:, targets])
+    def chunk(lo: int) -> None:
+        span = slice(lo, min(lo + size, len(rows)))
+        signals = source.read(rows[span])
+        score(span, mae.reconstruct(params, signals[:, 0]), signals[:, targets])
 
-    nc._parallel_map(lane, range(min(workers, len(spans))))
+    nc._parallel_map(chunk, range(0, len(rows), size))
 
 
 def cache_tables(params: MaeParams, reader: EpochCacheReader, rows: np.ndarray,

@@ -152,12 +152,8 @@ class Tape:
         return leaves
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK.tapes[-1] if _TAPE_STACK.tapes else None
-
-
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    tape = _active_tape()
+    tape = _TAPE_STACK.tapes[-1] if _TAPE_STACK.tapes else None
     tracked = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=tracked)
     if tracked:

@@ -75,6 +75,10 @@ class CorruptCache(PipelineError):
     """An epoch cache that is truncated, damaged or not a cache at all."""
 
 
+class MalformedManifest(PipelineError):
+    """A manifest whose JSON is not the shape save_manifest writes."""
+
+
 class SleepStage(enum.Enum):
     WAKE = 0
     N1 = 1
@@ -260,13 +264,9 @@ class EpochSet:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def buffer(self, rows: int) -> np.ndarray:
-        """An uninitialized array of ``rows`` signal rows for ``read`` to fill."""
-        return np.empty((rows, len(self.channels), EPOCH_SAMPLES), dtype=np.float32)
-
-    def read(self, rows, out: np.ndarray) -> np.ndarray:
-        """Copies the signal rows ``rows`` into out[:len(rows)] (a ``buffer``) and returns that."""
-        return np.take(self.signals, rows, axis=0, out=out[:len(rows)])
+    def read(self, rows) -> np.ndarray:
+        """The signal rows ``rows`` (row indices) in a new array."""
+        return self.signals[rows]
 
     @classmethod
     def concat(cls, parts: list[EpochSet]) -> EpochSet:
@@ -488,11 +488,14 @@ def save_manifest(path: Path | str, manifest: DatasetManifest) -> None:
 
 def load_manifest(path: Path | str) -> DatasetManifest:
     payload = json.loads(Path(path).read_text())
-    return DatasetManifest(
-        subjects=[SubjectEntry(**entry) for entry in payload["subjects"]],
-        splits=dict(payload["splits"]),
-        seed=int(payload["seed"]),
-    )
+    try:
+        return DatasetManifest(
+            subjects=[SubjectEntry(**entry) for entry in payload["subjects"]],
+            splits=dict(payload["splits"]),
+            seed=int(payload["seed"]),
+        )
+    except (TypeError, KeyError, ValueError) as exc:  # JSON of another shape
+        raise MalformedManifest(f"malformed manifest {path}: {exc}") from exc
 
 
 # the footer's arrays in file order; after the 12-byte counts each starts 4-byte aligned
@@ -604,29 +607,26 @@ class EpochCacheReader:
     def __exit__(self, *exc) -> None:
         self._file.close()
 
-    def buffer(self, rows: int) -> np.ndarray:
-        """An uninitialized array of ``rows`` signal rows for ``read`` to fill."""
-        return np.empty((rows, len(self.channels), EPOCH_SAMPLES), dtype="<f4")
-
-    def read(self, rows, out: np.ndarray) -> np.ndarray:
-        """The signal rows ``rows`` (row indices, ascending in use) in out[:len(rows)]
-        (a ``buffer``), which is returned: one positioned read per run of
-        consecutive rows, then each row checked against its CRC."""
+    def read(self, rows) -> np.ndarray:
+        """The signal rows ``rows`` (row indices, ascending in use) in a new array:
+        one positioned read per run of consecutive rows, then each row checked
+        against its CRC."""
         rows = np.asarray(rows, dtype=np.int64)
-        if len(rows) > len(out) or len(rows) and not 0 <= rows.min() <= rows.max() < len(self):
-            raise ValueError(f"rows out of the cache's {len(self)} or more than out's {len(out)}")
+        if len(rows) and not 0 <= rows.min() <= rows.max() < len(self):
+            raise ValueError(f"rows out of the cache's {len(self)}")
+        out = np.empty((len(rows), len(self.channels), EPOCH_SAMPLES), dtype="<f4")
         cuts = [*np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist(), len(rows)]  # run starts
         for lo, hi in zip(cuts, cuts[1:]):
             self._pread(out[lo:hi], len(CACHE_MAGIC) + int(rows[lo]) * self._row)
         for row, signals in zip(rows.tolist(), out):
             if zlib.crc32(signals) != self._crcs[row]:
                 raise CorruptCache(f"epoch cache row {row} fails its checksum")
-        return out[:len(rows)]
+        return out
 
     def epochs(self, rows) -> EpochSet:
         """The cache rows ``rows`` (ascending row indices), their signals read."""
         return EpochSet(self.channels, self.subjects, self.subject[rows], self.epoch_index[rows],
-                        self.stage[rows], self.norm[rows], self.read(rows, self.buffer(len(rows))))
+                        self.stage[rows], self.norm[rows], self.read(rows))
 
     def _pread(self, out: bytearray | np.ndarray, offset: int) -> bytearray | np.ndarray:
         """``out``, a writable contiguous buffer, filled from the file's byte ``offset`` on."""

@@ -49,8 +49,10 @@ CACHE_FILENAME = "epochs.psgepo"
 # from another version's checkpoint does not give the bytes an uninterrupted run
 # of that version would. 1 (or no key): before the fused attention and
 # cosine-loss kernels; 2: before calibration and validation kept per-epoch
-# float64 sums (the scales' last bits moved, and a one-target val_mse's)
-NUMERICS = 3
+# float64 sums (the scales' last bits moved, and a one-target val_mse's); 3:
+# before inference chunks were cut from the epoch count alone (validation and
+# calibration bytes moved on all but 2 cores)
+NUMERICS = 4
 
 # example shards per mini-batch: their bounds depend only on the batch size,
 # never on the core count, so the gradient's summation order is fixed

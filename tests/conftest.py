@@ -126,12 +126,16 @@ def edit_meta(blob: bytes, edit) -> bytes:
                   + raw + blob[start + meta_len: -4])
 
 
+def chunk_size(n):
+    """Rows per stream_scores chunk for n epochs: min(CHUNK, ceil(n / 2)), at least one."""
+    return max(1, min(evalreport.CHUNK, -(-n // 2)))
+
+
 def chunked_reconstruct(params, inputs):
     """mae.reconstruct of inputs (N >= 1, epoch_len) in the chunks stream_scores
-    makes at the current core count. OpenBLAS can give a row other bytes in a
-    product with another row count, so a reference chunks as the code it checks."""
-    workers = min(numcore.cores(), evalreport.CHUNK)
-    size = max(1, min(evalreport.CHUNK // workers, -(-len(inputs) // workers)))
+    makes. OpenBLAS can give a row other bytes in a product with another row
+    count, so a reference chunks as the code it checks."""
+    size = chunk_size(len(inputs))
     return np.concatenate([mae.reconstruct(params, inputs[lo: lo + size])
                            for lo in range(0, len(inputs), size)])
 

@@ -15,7 +15,7 @@ from psgmae import cli, edf_io, evalreport, mae, numcore as nc, pipeline, traine
 from psgmae.cli import main
 from psgmae.pipeline import denormalize
 
-from conftest import cache_parts, edit_meta, footer_offsets, philox, seal_cache
+from conftest import cache_parts, chunk_size, edit_meta, footer_offsets, philox, seal_cache
 
 
 TRAIN_CONFIG = """\
@@ -255,6 +255,27 @@ class TestPreprocess:
         assert "S000-PSG.edf" in err and str(copy) in err and "'S000'" in err
         assert not (tmp_path / "out" / trainer.MANIFEST_FILENAME).exists()
         assert not (tmp_path / "out" / trainer.CACHE_FILENAME).exists()
+
+    @pytest.mark.parametrize("token,value", [(b"\x15999\x14", b"\x15inf\x14"),
+                                             (b"\x15999\x14", b"\x15nan\x14"),
+                                             (b"+999\x14", b"+inf\x14")],
+                             ids=["inf-duration", "nan-duration", "inf-onset"])
+    def test_non_finite_hypnogram_time_exits_2(self, capsys, workspace, tmp_path, token, value):
+        """A hypnogram TAL whose onset or duration reads inf or nan: an error,
+        neither an uncaught OverflowError nor an annotation dropped unseen."""
+        raw = workspace / "raw"
+        hypnogram = edf_io.parse_edf((raw / "S000-Hypnogram.edf").read_bytes())
+        hypnogram.annotations += [edf_io.Annotation(0.0, 999.0, "Sleep stage W"),
+                                  edf_io.Annotation(999.0, 0.0, "Sleep stage W")]
+        data = edf_io.write_edf(hypnogram)
+        assert data.count(token) == 1
+        bad = tmp_path / "bad-Hypnogram.edf"
+        bad.write_bytes(data.replace(token, value))
+        code, out, err = run(capsys, "preprocess", "--psg", str(raw / "S000-PSG.edf"),
+                             "--hypnogram", str(bad), "--input-channel", "EEG Fpz-Cz",
+                             "--targets", "EOG horizontal", "--out", str(tmp_path / "data"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: non-finite TAL onset/duration")
 
     def test_failed_night_leaves_the_earlier_outputs(self, capsys, workspace, tmp_path):
         """A run that fails on its fourth night (a repeated subject id) leaves
@@ -625,7 +646,7 @@ class TestStreamedEval:
                                                          monkeypatch, fresh_pool, cores,
                                                          command):
         """Over 150 epochs of three subjects in runs of 10, no read asks for
-        more than a lane's chunk of rows, and the reads cover exactly the
+        more than a chunk of rows, and the reads cover exactly the
         magic, the rows asked (the test split's, or reconstruct's one row) and
         the footer and trailer, each byte once."""
         monkeypatch.setattr(nc, "cores", lambda: cores)
@@ -646,9 +667,7 @@ class TestStreamedEval:
         args = ["--checkpoint", str(workspace / "run" / "checkpoint.psgmae"), "--data", str(data)]
         if command == "eval":
             code, _, _ = run(capsys, "eval", *args, "--out", str(tmp_path / "out"))
-            workers = min(cores, evalreport.CHUNK)
-            chunk = max(1, min(evalreport.CHUNK // workers, -(-n // 3 // workers)))
-            rows = np.flatnonzero(subject == 0)
+            chunk, rows = chunk_size(n // 3), np.flatnonzero(subject == 0)
         else:
             code, _, _ = run(capsys, "reconstruct", *args, "--epoch-index", str(n - 1),
                              "--out", str(tmp_path / "epoch.csv"))
@@ -791,6 +810,25 @@ class TestSplitRows:
                        "['S099']; re-run preprocess\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("manifest", [
+        '{"seed": 0, "subjects": [{"foo": 1}], "splits": {}}', "[1, 2]",
+        '{"seed": 0, "subjects": [], "splits": [1]}',
+    ], ids=["entry-fields", "list", "splits-list"])
+    def test_manifest_of_another_shape_exits_2(self, capsys, workspace, tmp_path, command,
+                                               manifest):
+        data = TestTrainEval.damaged_data(workspace, tmp_path, lambda cache: None)
+        (data / trainer.MANIFEST_FILENAME).write_text(manifest)
+        if command == "train":
+            args = ["--config", str(workspace / "config.ini")]
+        else:
+            args = ["--checkpoint", str(workspace / "run" / "checkpoint.psgmae"), "--split", "test"]
+        code, out, err = run(capsys, command, *args, "--data", str(data),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed manifest {data / trainer.MANIFEST_FILENAME}: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainProgress:
     def test_resume_appends_to_metrics_log(self, capsys, workspace, tmp_path):
@@ -842,6 +880,13 @@ class TestTrainProgress:
         assert [len(warnings) for _, warnings in runs["older"]] == [0, 0, 1]
         assert "numerics version 1" in runs["older"][2][1][0]
         assert "will not match an uninterrupted run" in runs["older"][2][1][0]
+
+    def test_out_naming_a_file_exits_2_before_training(self, capsys, workspace, tmp_path):
+        (tmp_path / "out").write_text("not a directory")
+        code, _, err = run(capsys, "train", "--config", str(workspace / "config.ini"),
+                           "--data", str(workspace / "data"), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "File exists" in err and "epoch=" not in err
 
     def test_epoch_lines_reach_stderr_while_training(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "run"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +199,14 @@ class TestWrite:
         with pytest.raises(DegenerateCalibration):
             write_edf(recording)
 
+    @pytest.mark.parametrize("onset,duration", [(float("inf"), 0.0), (float("nan"), 30.0),
+                                                (0.0, float("inf")), (30.0, float("nan"))])
+    def test_non_finite_annotation_time_refused(self, onset, duration):
+        recording = self.recording([1.0])
+        recording.annotations = [Annotation(0.0, 30.0, "a"), Annotation(onset, duration, "b")]
+        with pytest.raises(MalformedTal, match="must be finite"):
+            write_edf(recording)
+
     def test_quantization_within_half_step(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
         for _ in range(20):
@@ -361,6 +371,8 @@ def parse_tal_by_scan(data: bytes) -> list[Annotation]:
             onset, duration = float(onset_raw), float(duration_raw) if duration_raw else 0.0
         except ValueError as exc:
             raise MalformedTal(f"non-numeric TAL onset/duration: {head!r}") from exc
+        if not (math.isfinite(onset) and math.isfinite(duration)):
+            raise MalformedTal(f"non-finite TAL onset/duration: {head!r}")
         annotations += [Annotation(onset, duration, label.decode("utf-8", errors="replace"))
                         for label in parts[1:-1] if label]
     return annotations
@@ -372,6 +384,10 @@ TAL_MALFORMED = [
     b"30\x14label\x14\x00",             # onset missing sign
     b"+30\x00",                          # no 0x14 before terminator
     b"+1\x152x\x14label\x14\x00",       # non-numeric duration
+    b"+inf\x14label\x14\x00",            # non-finite onset
+    b"+1e999\x14label\x14\x00",          # onset overflowing to inf
+    b"+0\x15inf\x14label\x14\x00",       # non-finite duration
+    b"+0\x15nan\x14label\x14\x00",       # duration not a number
 ]
 
 
@@ -386,7 +402,8 @@ class TestTal:
             parse_tal(raw)
 
     @given(st.lists(st.sampled_from([b"\x00", b"\x00\x00", b"\x14", b"\x15", b"+", b"-",
-                                     b"30", b".5", b"e", b"W", b"\xff"]), max_size=24))
+                                     b"30", b".5", b"e", b"W", b"\xff", b"inf", b"nan"]),
+                    max_size=24))
     @settings(max_examples=400, deadline=None)
     def test_same_as_a_per_byte_scan(self, pieces):
         raw = b"".join(pieces)

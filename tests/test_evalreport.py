@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -253,8 +254,37 @@ class TestAggregate:
                 n_cell.mean_mse * std * std, rel=1e-5)
 
 
+def test_stream_scores_bytes_do_not_depend_on_the_core_count(monkeypatch, fresh_pool):
+    """stream_scores of the first N of 130 random epochs, for every N in 1..130,
+    gives the same bytes at 2, 3, 4 and 7 cores as at one. The default model
+    with two targets has a 200-wide head product, whose rows OpenBLAS can
+    round otherwise at another row count."""
+    params = mae.init_params(mae.MaeConfig(target_channels=("t0", "t1")), seed=9)
+    n = 130
+    epochs = EpochSet(("in", "t0", "t1"), ("S0",), subject=np.zeros(n), epoch_index=np.arange(n),
+                      stage=np.zeros(n), norm=np.ones((n, 3, 2)),
+                      signals=philox(33).normal(0, 1, (n, 3, 3000)))
+    digests, differ = {}, []
+    for cores in (1, 2, 3, 4, 7):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        if nc._POOL is not None:  # a pool of `cores` threads
+            nc._POOL.shutdown()
+            monkeypatch.setattr(nc, "_POOL", None)
+        for size in range(1, n + 1):
+            out = np.empty((size, 2, 3000), np.float32)
+
+            def score(span, recon, orig):
+                out[span] = recon
+
+            evalreport.stream_scores(params, epochs, np.arange(size), [1, 2], score)
+            digest = hashlib.sha256(out).digest()
+            if digests.setdefault(size, digest) != digest:
+                differ.append((size, cores))
+    assert differ == []
+
+
 class TestCacheTables:
-    """cache_tables streams a cache's rows on stream_scores' lanes and gives
+    """cache_tables streams a cache's rows through stream_scores and gives
     evaluate_records' and baseline_table's bytes over the same rows."""
 
     SPLITS = ("train", "test", "val", "test", "train", "val")  # subjects S0..S5
@@ -276,8 +306,8 @@ class TestCacheTables:
     @pytest.mark.parametrize("off_by", [-1, 1])
     def test_bytes_equal_in_memory_tables(self, tmp_path, monkeypatch, fresh_pool, cores,
                                           off_by):
-        """On every split, in both units, with three whole chunks of the
-        lanes' size plus or minus one epoch; a split's rows alone are predicted."""
+        """On every split, in both units, with 3 * (CHUNK // cores) epochs plus
+        or minus one; a split's rows alone are predicted."""
         monkeypatch.setattr(nc, "cores", lambda: cores)
         n = 3 * (evalreport.CHUNK // cores) + off_by
         path = tmp_path / "epochs.psgepo"

@@ -24,7 +24,8 @@ from psgmae.mae import (
 )
 from psgmae.numcore import Tensor
 
-from conftest import TINY_CONFIG_KWARGS, assert_close, one_record, philox, synth_records
+from conftest import (TINY_CONFIG_KWARGS, assert_close, chunk_size, one_record, philox,
+                      synth_records)
 
 
 def tiny_params(seed=0, dtype=np.float64, **overrides):
@@ -558,8 +559,8 @@ class TestBatching:
 
 
 class TestParallelPredict:
-    """stream_scores' lanes over an EpochSet, forced to more lanes than this
-    machine has cores so that they run wherever the tests do."""
+    """stream_scores' chunks over an EpochSet, on a pool forced to more threads
+    than this machine has cores so that they run wherever the tests do."""
 
     CONFIG = {**TestBatching.CONFIG, "patch_size": 250}  # 12 tokens of a 3000-sample epoch
 
@@ -591,16 +592,16 @@ class TestParallelPredict:
         return workers
 
     @staticmethod
-    def setup(workers, n_chunks):
+    def setup(n_chunks):
         config = MaeConfig(**TestParallelPredict.CONFIG)
         params = init_params(config, seed=7, dtype=np.float32)
-        chunk = max(1, evalreport.CHUNK // workers)
-        n = chunk * max(n_chunks, -(-2 * evalreport.CHUNK // chunk))  # whole chunks, threaded
-        return params, chunk, TestParallelPredict.epochs(n, seed=30)
+        n = evalreport.CHUNK * max(n_chunks, 2)  # whole chunks of CHUNK, threaded
+        return params, chunk_size(n), TestParallelPredict.epochs(n, seed=30)
 
     def test_stress_bit_equal_to_serial_chunks(self, workers):
-        params, chunk, epochs = self.setup(workers, 4 * workers + 1)
+        params, chunk, epochs = self.setup(4 * workers + 1)
         epochs = epochs[:len(epochs) - 3]  # a short last chunk
+        assert chunk == chunk_size(len(epochs)) == evalreport.CHUNK
         # reference: the same chunks one reconstruct call at a time
         reference = np.concatenate([mae.reconstruct(params, epochs.signals[lo: lo + chunk, 0])
                                     for lo in range(0, len(epochs), chunk)])
@@ -622,7 +623,7 @@ class TestParallelPredict:
         assert out.tobytes() == reference.tobytes()
 
     def test_main_thread_tape_records_nothing_from_workers(self, workers):
-        params, _, epochs = self.setup(workers, 1)
+        params, _, epochs = self.setup(1)
         with nc.Tape() as tape:
             self.stream(params, epochs, np.arange(2 * evalreport.CHUNK))
         assert tape._records == []
@@ -632,12 +633,12 @@ class TestParallelPredict:
 
     def test_wrong_length_in_late_chunk_raises(self, workers, monkeypatch):
         """A source whose last chunk reads short epochs: reconstruct raises on
-        that chunk's lane, and stream_scores re-raises it."""
-        params, chunk, epochs = self.setup(workers, 1)
+        that chunk's thread, and stream_scores re-raises it."""
+        params, chunk, epochs = self.setup(1)
         read, last = epochs.read, (len(epochs) - 1) // chunk * chunk
 
-        def reading(wanted, out):
-            rows = read(wanted, out)
+        def reading(wanted):
+            rows = read(wanted)
             return rows[..., :-1] if wanted[0] == last else rows
 
         monkeypatch.setattr(epochs, "read", reading)
@@ -645,23 +646,27 @@ class TestParallelPredict:
             self.stream(params, epochs, np.arange(len(epochs)))
 
     def test_in_flight_bounded_on_more_cores_than_chunk(self, monkeypatch, fresh_pool):
-        """On more cores than CHUNK, at most CHUNK epochs are between the start
-        of encode and the end of decode at any moment."""
-        monkeypatch.setattr(nc, "cores", lambda: 3 * evalreport.CHUNK)
-        lock, in_flight, peak = threading.Lock(), [0], [0]
+        """On more cores than CHUNK, at most CHUNK epochs per core are between
+        the start of encode and the end of decode at any moment, and chunks run
+        at once on several cores."""
+        cores = 3 * evalreport.CHUNK
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        lock, in_flight, peak, total = threading.Lock(), {}, {}, [0]
         encode, decode = mae.encode, mae.decode
 
         def counting_encode(tokens, visible, params):
+            thread = threading.current_thread()
             with lock:
-                in_flight[0] += len(tokens)
-                peak[0] = max(peak[0], in_flight[0])
-            time.sleep(0.05)  # lets the other lanes start their chunks
+                in_flight[thread] = in_flight.get(thread, 0) + len(tokens)
+                peak[thread] = max(peak.get(thread, 0), in_flight[thread])
+                total[0] = max(total[0], sum(in_flight.values()))
+            time.sleep(0.05)  # lets the other threads start their chunks
             return encode(tokens, visible, params)
 
         def counting_decode(latents, visible, params):
             recon = decode(latents, visible, params)
             with lock:
-                in_flight[0] -= recon.shape[0]
+                in_flight[threading.current_thread()] -= recon.shape[0]
             return recon
 
         monkeypatch.setattr(mae, "encode", counting_encode)
@@ -670,9 +675,10 @@ class TestParallelPredict:
         params = init_params(config, seed=7, dtype=np.float32)
         n = 4 * evalreport.CHUNK
         out, calls = self.stream(params, self.epochs(n, seed=31), np.arange(n))
-        assert out.shape == (n, 2, 3000) and len(calls) == n
-        assert in_flight[0] == 0
-        assert 1 < peak[0] <= evalreport.CHUNK
+        assert out.shape == (n, 2, 3000) and sum(span.stop - span.start for span, *_ in calls) == n
+        assert not any(in_flight.values())
+        assert max(peak.values()) <= evalreport.CHUNK
+        assert evalreport.CHUNK < total[0] <= cores * evalreport.CHUNK
 
     @pytest.fixture(scope="class")
     def one_at_a_time(self):
@@ -687,16 +693,16 @@ class TestParallelPredict:
     @pytest.mark.parametrize("n", [0, 1, 7, 12, 84, 127, 128, 130])
     def test_any_size_bit_equal_to_one_epoch_at_a_time(self, one_at_a_time, monkeypatch,
                                                        fresh_pool, cores, n):
-        """Small inputs use the pool too, when they make two chunks on two
-        cores; chunks hold 1 to CHUNK // workers epochs, and each of the
-        min(workers, chunks) lanes runs on its own pool thread."""
+        """Two epochs or more make two chunks or more, so small inputs use the
+        pool too on two cores; chunks hold chunk_size(n) epochs, the last one
+        fewer, whatever the core count, and min(cores, chunks) pool threads
+        run them."""
         params, epochs, reference = one_at_a_time
         monkeypatch.setattr(nc, "cores", lambda: cores)  # fresh_pool: `cores` pool threads
-        workers = min(cores, evalreport.CHUNK)
-        chunk = max(1, min(evalreport.CHUNK // workers, -(-n // workers)))
-        lanes = min(workers, -(-n // chunk))
+        chunk = chunk_size(n)
+        lanes = min(cores, -(-n // chunk))
         chunks, threads = [], set()
-        # each lane's first chunk waits for every lane to start, so that
+        # each thread's first chunk waits for `lanes` threads to start, so that
         # `lanes` threads must run encode
         lanes_started = threading.Barrier(max(1, lanes), timeout=60)
         encode = mae.encode
@@ -713,10 +719,10 @@ class TestParallelPredict:
         out, _ = self.stream(params, epochs, np.arange(n))
         assert out.shape == reference[:n].shape and out.dtype == np.float32
         assert out.tobytes() == reference[:n].tobytes()
-        assert sum(chunks) == n
-        assert all(1 <= size <= evalreport.CHUNK // workers for size in chunks)
+        assert sorted(chunks, reverse=True) == [min(chunk, n - lo) for lo in range(0, n, chunk)]
+        assert chunk <= evalreport.CHUNK
         if cores >= 2 and n >= 2:
-            assert len(threads) == lanes == min(workers, len(chunks)) >= 2
+            assert len(threads) == lanes == min(cores, len(chunks)) >= 2
             assert threading.current_thread() not in threads
         else:
             assert threads == ({threading.current_thread()} if n else set())
@@ -724,7 +730,7 @@ class TestParallelPredict:
     @pytest.mark.parametrize("cores", [1, 2, 7])
     def test_sink_takes_each_chunk_on_the_lane_that_sliced_it(self, one_at_a_time, monkeypatch,
                                                              fresh_pool, cores):
-        """score, the sink, takes each span of ``rows`` once, on the lane that
+        """score, the sink, takes each span of ``rows`` once, on the thread that
         read its rows, with those rows' targets and reconstructions bit-equal
         to one reconstruct call per epoch."""
         params, epochs, reference = one_at_a_time
@@ -732,9 +738,9 @@ class TestParallelPredict:
         rows = np.flatnonzero(np.arange(len(epochs)) % 3 != 1)  # runs with gaps between
         readers, read = {}, epochs.read
 
-        def reading(wanted, out):
+        def reading(wanted):
             readers[int(wanted[0])] = threading.current_thread()
-            return read(wanted, out)
+            return read(wanted)
 
         monkeypatch.setattr(epochs, "read", reading)
         out, calls = self.stream(params, epochs, rows)

@@ -849,15 +849,15 @@ class TestCacheAndManifest:
         with pipeline.EpochCacheReader(path) as reader:
             assert len(reader) == len(epochs) and reader.subjects == ("A", "B")
             for rows in ([0, 1, 2], [5, 7, 9], [len(epochs) - 1], [], [9, 3]):
-                got = reader.read(rows, reader.buffer(4))
+                got = reader.read(rows)
+                assert got.shape == (len(rows), *epochs.signals.shape[1:])
                 assert got.tobytes() == epochs.signals[rows].tobytes()
             for rows in ([bad], [4, 5, bad, 7], [2, bad]):
                 with pytest.raises(CorruptCache, match=f"row {bad} fails its checksum"):
-                    reader.read(rows, reader.buffer(len(rows)))
-            with pytest.raises(ValueError):
-                reader.read([len(epochs)], reader.buffer(1))
-            with pytest.raises(ValueError):
-                reader.read([0, 1], reader.buffer(1))
+                    reader.read(rows)
+            for rows in ([len(epochs)], [-1, 0]):
+                with pytest.raises(ValueError):
+                    reader.read(rows)
         with pytest.raises(CorruptCache):
             read_epoch_cache(path)
 

@@ -361,8 +361,8 @@ class TestCheckpoint:
         """Checkpoints carry the numerics version they were trained with; one
         written before the key existed loads as version 1, otherwise intact."""
         loaded = load_checkpoint(saved)
-        assert loaded.numerics == trainer.NUMERICS == 3
-        assert b'"numerics": 3' in saved
+        assert loaded.numerics == trainer.NUMERICS == 4
+        assert b'"numerics": 4' in saved
         older = load_checkpoint(edit_meta(
             saved, lambda meta: {k: v for k, v in meta.items() if k != "numerics"}))
         assert older.numerics == 1
