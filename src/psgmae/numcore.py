@@ -397,31 +397,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def _spread(g: np.ndarray, a: Tensor, axis: int | None, keepdims: bool) -> np.ndarray:
-    """Broadcast the gradient of a reduction over ``axis`` back to a's shape."""
-    expanded = g if axis is None or keepdims else np.expand_dims(g, axis)
-    return np.broadcast_to(expanded, a.shape)
-
-
-def sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        return (_spread(g, a, axis, keepdims).astype(a.data.dtype, copy=True),)
-
-    return _make(out, (a,), backward)
-
-
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        return ((_spread(g, a, axis, keepdims) / count).astype(a.data.dtype, copy=False),)
-
-    return _make(out, (a,), backward)
-
-
 @dataclass
 class AdamState:
     """Adam moments and hyperparameters for a named parameter set."""

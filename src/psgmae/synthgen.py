@@ -96,7 +96,7 @@ def reference_signal(spec: SynthSpec) -> np.ndarray:
     return x
 
 
-def target_signals(x: np.ndarray, duration_s: int) -> dict[str, np.ndarray]:
+def target_signals(x: np.ndarray) -> dict[str, np.ndarray]:
     """Fixed channel recipe: every target is a deterministic transform of x."""
     # the times and the full-rate EMG are temporaries, gone before the next channel is made
     t = np.arange(len(x), dtype=np.float64) / SAMPLE_RATE_HZ
@@ -110,7 +110,7 @@ def target_signals(x: np.ndarray, duration_s: int) -> dict[str, np.ndarray]:
 def generate(spec: SynthSpec) -> tuple[EdfRecording, list[Annotation]]:
     """Build the synthetic PSG recording and its hypnogram annotations."""
     x = reference_signal(spec)
-    targets = target_signals(x, spec.duration_s)
+    targets = target_signals(x)
 
     def signal(label: str, rate: int) -> SignalSpec:
         return SignalSpec(

@@ -81,6 +81,17 @@ def assert_close(actual, expected, dtype):
     assert np.abs(actual - expected).max() <= FUSED_TOLERANCE[dtype] * scale
 
 
+def ones_sum(x, scale=1.0):
+    """scale times the sum of a 1-d or 2-d tensor's entries, as numcore.linear
+    products with constant weights: over the last axis, then over the rows.
+    A scalar of shape (1,) or (1, 1), ready for Tape.backward."""
+    def weights(*shape, value=1.0):
+        return numcore.Tensor(np.full(shape, value), dtype=x.dtype)
+
+    total = numcore.linear(x, weights(x.shape[-1], 1, value=scale))
+    return total if x.data.ndim == 1 else numcore.linear(weights(1, x.shape[0]), total)
+
+
 def one_record(kernel, tensors, g, *args):
     """The kernel's output and partials from its single tape record."""
     with numcore.Tape() as tape:

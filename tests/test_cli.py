@@ -829,6 +829,28 @@ class TestSplitRows:
         assert err.startswith(f"error: malformed manifest {data / trainer.MANIFEST_FILENAME}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval-all", "reconstruct"])
+    def test_commands_that_need_no_split_read_no_manifest(self, capsys, workspace, tmp_path,
+                                                          command):
+        """eval --split all and reconstruct give the same stdout and bytes
+        with a damaged manifest as with the intact one."""
+        data = TestTrainEval.damaged_data(workspace, tmp_path, lambda cache: None)
+        (data / trainer.MANIFEST_FILENAME).write_text("[1, 2]")
+        checkpoint = ["--checkpoint", str(workspace / "run" / "checkpoint.psgmae")]
+        outputs = []
+        for source, out in ((data, tmp_path / "damaged"),
+                            (workspace / "data", tmp_path / "intact")):
+            if command == "eval-all":
+                argv = ["eval", *checkpoint, "--split", "all", "--out", str(out)]
+            else:
+                argv = ["reconstruct", *checkpoint, "--epoch-index", "5",
+                        "--out", str(out / "epoch.csv")]
+            code, stdout, _ = run(capsys, *argv, "--data", str(source))
+            assert code == 0
+            outputs.append((stdout.replace(str(out), "OUT"),
+                            {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+        assert outputs[0] == outputs[1] and outputs[0][1]
+
 
 class TestTrainProgress:
     def test_resume_appends_to_metrics_log(self, capsys, workspace, tmp_path):
@@ -887,6 +909,22 @@ class TestTrainProgress:
                            "--data", str(workspace / "data"), "--out", str(tmp_path / "out"))
         assert code == 2
         assert "File exists" in err and "epoch=" not in err
+
+    @pytest.mark.parametrize("failure", ["input-channel", "resume-past-max-epochs"])
+    def test_train_failing_its_checks_leaves_no_out(self, capsys, workspace, tmp_path, failure):
+        config, extra = workspace / "config.ini", []
+        if failure == "input-channel":
+            config = tmp_path / "config.ini"
+            config.write_text(TRAIN_CONFIG.replace("= EEG Fpz-Cz", "= EEG Pz-Oz2"))
+        else:
+            extra = ["--resume", str(workspace / "run" / "checkpoint.psgmae")]
+        code, out, err = run(capsys, "train", "--config", str(config), "--data",
+                             str(workspace / "data"), "--out", str(tmp_path / "new" / "run"),
+                             *extra)
+        assert (code, out) == (2, "")
+        assert ("input channel" if failure == "input-channel" else "max_epochs") in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            (["config.ini"] if failure == "input-channel" else [])
 
     def test_epoch_lines_reach_stderr_while_training(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -959,6 +997,27 @@ class TestGradcheck:
         assert code == 0
         error = float(out.split("max relative error:")[1].split()[0])
         assert error < 1e-3
+
+    @pytest.mark.parametrize("bits", ["64", "32"])
+    def test_tiny_flag_selects_nothing(self, capsys, bits):
+        code, out, _ = run(capsys, "gradcheck", "--bits", bits)
+        assert code == 0 and out.rstrip().endswith("PASS")
+        assert run(capsys, "gradcheck", "--tiny", "--bits", bits) == (0, out, "")
+
+    def test_fd_step_is_not_an_option(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gradcheck", "--fd-step", "1e-4"])
+        assert exit_info.value.code == 2
+
+    def test_a_wrong_backward_in_the_training_loss_fails(self, capsys, monkeypatch):
+        gelu = nc.gelu
+
+        def gelu_with_identity_backward(a):  # the right values, the wrong gradient
+            return nc._make(gelu(nc.Tensor(a.data)).data, (a,), lambda g: (g,))
+
+        monkeypatch.setattr(nc, "gelu", gelu_with_identity_backward)
+        code, out, _ = run(capsys, "gradcheck")
+        assert code == 1 and out.rstrip().endswith("FAIL")
 
 
 class TestDeterminism:

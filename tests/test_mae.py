@@ -24,8 +24,8 @@ from psgmae.mae import (
 )
 from psgmae.numcore import Tensor
 
-from conftest import (TINY_CONFIG_KWARGS, assert_close, chunk_size, one_record, philox,
-                      synth_records)
+from conftest import (TINY_CONFIG_KWARGS, assert_close, chunk_size, one_record, ones_sum,
+                      philox, synth_records)
 
 
 def tiny_params(seed=0, dtype=np.float64, **overrides):
@@ -483,7 +483,7 @@ class TestGradients:
                 view = mae.MaeParams(config=config, pos_encoding=pos,
                                      tensors=tensors)
                 out = encode(tokens, visible, view)
-                return nc.sum(nc.gelu(out))
+                return ones_sum(nc.gelu(out))
             return fn
 
         params64 = init_params(config, seed=0, dtype=np.float64)

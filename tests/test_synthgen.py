@@ -67,7 +67,7 @@ class TestWaveforms:
     def test_targets_are_deterministic_transforms(self):
         spec = SynthSpec(seed=9, duration_s=60, noise_std=5.0)
         x = synthgen.reference_signal(spec)
-        targets = synthgen.target_signals(x, spec.duration_s)
+        targets = synthgen.target_signals(x)
 
         # independent recomputation with direct loops
         n = len(x)
@@ -100,7 +100,7 @@ class TestWaveforms:
 
     def test_emg_holds_only_its_50_hz_samples(self):
         x = synthgen.reference_signal(SynthSpec(seed=9, duration_s=60, noise_std=5.0))
-        emg = synthgen.target_signals(x, 60)[synthgen.EMG_CHANNEL]
+        emg = synthgen.target_signals(x)[synthgen.EMG_CHANNEL]
         # its own array, not a strided view that keeps the 100 Hz samples alive
         assert emg.base is None and emg.flags.c_contiguous
         assert emg.tobytes() == (np.abs(np.diff(x, prepend=x[:1])) * 10.0)[::2].tobytes()
