@@ -86,21 +86,21 @@ def cmd_preprocess(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries: list[pipeline.SubjectEntry] = []
 
-    def night(psg_path: Path, hyp_path: Path) -> pipeline.EpochSet:
-        """One night's epochs, its manifest entry added; the parsed recordings die on return."""
+    def night(psg_path: Path, hyp_path: Path):
+        """One night's segment_stream, its manifest entry added from the rows written."""
         recording = edf_io.parse_edf(psg_path.read_bytes())
         hypnogram = edf_io.parse_edf(hyp_path.read_bytes())
         subject = recording.patient_id or psg_path.stem
-        epochs = pipeline.segment_epochs(recording, hypnogram.annotations, args.input_channel,
-                                         targets, subject_id=subject)
         for entry in entries:
             if entry.subject_id == subject:
                 raise ValueError(f"{entry.psg_path} and {psg_path} are both subject "
                                  f"{subject!r}; two nights of one subject need distinct ids")
+        for piece in pipeline.segment_stream(recording, hypnogram.annotations,
+                                             args.input_channel, targets, subject_id=subject):
+            yield piece  # the last piece is the set of the rows written
         entries.append(pipeline.SubjectEntry(subject, str(psg_path), str(hyp_path),
-                                             pipeline.stage_histogram(epochs)))
-        _info(f"{subject}: {len(epochs)} epochs")
-        return epochs
+                                             pipeline.stage_histogram(piece)))
+        _info(f"{subject}: {len(piece)} epochs")
 
     # the writer holds one night at a time; a failed night leaves an earlier cache and manifest
     pipeline.write_epoch_cache(out_dir / trainer.CACHE_FILENAME, map(night, psg_paths, hyp_paths))
@@ -131,6 +131,17 @@ def cmd_train(args) -> int:
     config = trainer.config_from_ini(Path(args.config).read_text())
     manifest = pipeline.load_manifest(Path(args.data) / trainer.MANIFEST_FILENAME)
     with pipeline.EpochCacheReader(Path(args.data) / trainer.CACHE_FILENAME) as cache:
+        # a config the cache cannot feed fails here, before any signal row is read
+        if cache.channels[0] != config.input_channel:
+            raise ValueError(f"config input_channel {config.input_channel!r} is not the "
+                             f"cache's input channel {cache.channels[0]!r}")
+        missing = [name for name in config.mae.target_channels if name not in cache.channels[1:]]
+        if missing:
+            raise ValueError(f"config target_channels {missing} are not in the cache's "
+                             f"targets {list(cache.channels[1:])}")
+        if config.mae.epoch_len != pipeline.EPOCH_SAMPLES:
+            raise ValueError(f"config patch_size * seq_len is {config.mae.epoch_len}, but "
+                             f"cached epochs hold {pipeline.EPOCH_SAMPLES} samples")
         rows = trainer.split_rows(manifest, cache)  # no test row is read
         splits = {name: cache.epochs(rows[name]) for name in ("train", "val")}
     resume = None

@@ -6,7 +6,7 @@ float64 for gradient checks). Ops executed while a Tape is active record a
 backward rule; ``Tape.backward`` walks the records in reverse, which is a
 valid reverse-topological order because records are appended in execution
 order. It returns each requires_grad leaf's gradient, keyed by the leaf.
-``_parallel_map`` runs every parallel loop of the package on one shared pool.
+``_ordered_map`` runs every parallel loop of the package on one shared pool.
 """
 
 from __future__ import annotations
@@ -31,19 +31,29 @@ _POOL_LOCK = threading.Lock()
 _POOL = None
 
 
-def _parallel_map(fn, items) -> list:
-    """[fn(item) for item in items] on the process-wide pool of cores() threads,
-    made on first use; serial for one item, one core or a call from a pool
-    thread (which would wait on itself). All items end before an error re-raises."""
+def _ordered_map(fn, items):
+    """fn(item) per item in order, each once it and all before it end, run ahead on the pool of
+    cores() threads (made on first use); serial as asked for one item, one core or a pool
+    thread's call. Submitted items end before an error re-raises; a consumer's cancels the rest."""
     global _POOL
     if len(items) < 2 or cores() < 2 or threading.current_thread().name.startswith("numcore"):
-        return [fn(item) for item in items]
+        return (yield from map(fn, items))
     from concurrent.futures import ThreadPoolExecutor, wait  # here, so CLI start-up skips it
     with _POOL_LOCK:
         _POOL = _POOL or ThreadPoolExecutor(cores(), "numcore")
     futures = [_POOL.submit(fn, item) for item in items]
-    wait(futures)
-    return [future.result() for future in futures]
+    try:
+        yield from (future.result() for future in futures)
+    except GeneratorExit:  # the consumer stopped
+        for future in futures:
+            future.cancel()
+        raise
+    finally:
+        wait(futures)
+
+
+def _parallel_map(fn, items) -> list:
+    return list(_ordered_map(fn, items))
 
 
 class NumcoreError(Exception):

@@ -21,6 +21,8 @@ arrays as they are (all little-endian), magic ``PSGEPO03`` followed by:
     u64  footer byte length
 
 A reader checks the footer and each row it reads; damage to a row it does not read goes unreported.
+Rows are checksummed in segment_stream's block lanes, and the writer takes a night's
+blocks in order while later blocks are still being segmented; memory stays one night.
 """
 
 from __future__ import annotations
@@ -340,7 +342,7 @@ def _epochs_of(channel, span: slice) -> np.ndarray:
     return np.interp(t_out, t_in, samples[first:stop]).reshape(-1, EPOCH_SAMPLES)
 
 
-def segment_epochs(
+def segment_stream(
     recording: EdfRecording,
     annotations: list[Annotation],
     input_channel: str,
@@ -348,8 +350,9 @@ def segment_epochs(
     subject_id: str | None = None,
     thresholds: ArtifactThresholds = DEFAULT_THRESHOLDS,
     wake_trim_epochs: int = 60,
-) -> EpochSet:
-    """Cut a recording into labeled, artifact-free, normalized 30-s epochs.
+):
+    """Cut a recording into labeled, artifact-free, normalized 30-s epochs, yielded as
+    the (signals, CRC32s) of each block's kept rows, then the EpochSet of them all.
 
     All involved channels are resampled to 100 Hz before slicing. Wake
     periods are trimmed to at most ``wake_trim_epochs`` epochs (30 min by
@@ -357,8 +360,7 @@ def segment_epochs(
     channel's peak-to-peak limit or under ``thresholds.flatline_std`` are dropped,
     the rest z-scored (std floored at SIGMA_FLOOR), in one pass over the blocks of
     SEGMENT_BLOCK epochs that hold labelled ones, one thread per core: a block reads
-    (so converts) each channel's span once and fills its rows; artifact rows then
-    drop in place."""
+    (so converts) each channel's span once, then fills and checksums its rows."""
     if input_channel in target_channels:
         raise ValueError("input channel cannot be one of its own targets")
     names = [input_channel] + list(target_channels)
@@ -386,11 +388,12 @@ def segment_epochs(
               if keep[b: b + SEGMENT_BLOCK].any()]
     limits = [thresholds.limit_for(channel_kind(name)) for name in names]
     row = np.concatenate(([0], np.cumsum(keep)))  # labelled epoch e's row is row[e]
-    signals = np.empty((row[-1], len(names), EPOCH_SAMPLES), dtype=np.float32)
+    signals = np.empty((row[-1], len(names), EPOCH_SAMPLES), dtype="<f4")
     norm = np.empty((row[-1], len(names), 2), dtype=np.float32)
+    crcs = np.empty(row[-1], dtype=np.uint32)
     clean = np.ones(row[-1], dtype=bool)  # per row: no channel has an artifact
 
-    def block(span: slice) -> None:
+    def block(span: slice) -> slice:
         take = slice(None) if keep[span].all() else keep[span]  # a view when all are labelled
         rows = slice(row[span.start], row[span.stop])
         for c, (channel, limit) in enumerate(zip(channels, limits)):
@@ -405,16 +408,24 @@ def segment_epochs(
             np.divide(d, std[:, None], out=signals[rows, c], casting="same_kind")
             norm[rows, c, 0], norm[rows, c, 1] = mean, std
             del x, d  # before the next channel's read
+        crcs[rows] = list(map(zlib.crc32, signals[rows]))  # zlib lets go of the GIL
+        return rows
 
-    numcore._parallel_map(block, blocks)
-    # drop the artifact rows by moving each clean row down, in order, in place
-    for new, old in enumerate(np.flatnonzero(clean)):
-        if new != old:
-            signals[new], norm[new] = signals[old], norm[old]
+    for rows in numcore._ordered_map(block, blocks):  # kept rows move down over artifact rows
+        start, kept = np.count_nonzero(clean[:rows.start]), np.flatnonzero(clean[rows]) + rows.start
+        for new, old in enumerate(kept, start):
+            if new != old:
+                signals[new], norm[new], crcs[new] = signals[old], norm[old], crcs[old]
+        yield signals[start:start + len(kept)], crcs[start:start + len(kept)]
     kept = np.flatnonzero(keep)[clean]
     signals, norm = signals[:len(kept)], norm[:len(kept)]
     subject = subject_id if subject_id is not None else recording.patient_id
-    return EpochSet(names, (subject,), np.zeros(len(kept)), kept, codes[kept], norm, signals)
+    yield EpochSet(names, (subject,), np.zeros(len(kept)), kept, codes[kept], norm, signals)
+
+
+def segment_epochs(*args, **kwargs) -> EpochSet:
+    """The EpochSet that ends segment_stream(*args, **kwargs): the stream drained."""
+    return list(segment_stream(*args, **kwargs))[-1]
 
 
 @dataclass
@@ -504,18 +515,24 @@ _FOOTER_ARRAYS = (("norm", "<f4"), ("epoch_index", "<u4"), ("crc", "<u4"), ("sub
 
 
 def write_epoch_cache(path: Path | str, parts) -> None:
-    """Write the binary cache (see module docstring) of one set, or of an iterable of
-    sets over the same channels joined as EpochSet.concat joins them, each part's
-    rows as it arrives, keeping only its small columns. A temporary file replaces ``path``
-    once it is whole, so any failure, a part's included, leaves ``path`` as it was."""
+    """Write the binary cache (see module docstring) of one set, or of an iterable of sets
+    or segment_streams over the same channels joined as EpochSet.concat joins them, each
+    piece's rows as it arrives, keeping only its small columns. A temporary file replaces
+    ``path`` once it is whole, so any failure, a part's included, leaves ``path`` as it was."""
     temp, crcs = Path(f"{path}.tmp"), []
 
-    def write_rows(part: EpochSet) -> EpochSet:
-        """``part`` over zero-strided signals, once its rows are written and CRC'd."""
-        signals = np.ascontiguousarray(part.signals, dtype="<f4")
-        handle.write(signals)
-        crcs.extend(zlib.crc32(row) for row in signals)
-        return replace(part, signals=np.broadcast_to(np.float32(0), signals.shape))
+    def write_rows(part) -> EpochSet:
+        """The set that ends ``part``, over zero-strided signals, once its rows are written."""
+        if isinstance(part, EpochSet):  # made elsewhere, so its rows are checksummed here
+            signals = np.ascontiguousarray(part.signals, dtype="<f4")
+            part = [(signals, map(zlib.crc32, signals)), part]
+        for piece in part:  # a segment_stream's (signals, CRCs) pieces, then its set
+            if isinstance(piece, EpochSet):
+                kept = replace(piece, signals=np.broadcast_to(np.float32(0), piece.signals.shape))
+            else:
+                handle.write(piece[0])
+                crcs.extend(piece[1])
+        return kept
 
     try:
         with open(temp, "wb") as handle:

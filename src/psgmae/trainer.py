@@ -105,6 +105,12 @@ class TrainConfig:
             raise ValueError("input_channel is required")
         if self.input_channel in self.mae.target_channels:
             raise ValueError("input channel cannot be one of its own targets")
+        for name, value in (("lr", self.lr), ("epsilon", self.epsilon)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
 
 
 # INI keys read and written by name; an absent key takes the dataclass default
@@ -112,6 +118,9 @@ _MAE_INTS = ("patch_size", "seq_len", "embed_dim", "num_heads", "encoder_layers"
              "decoder_layers", "mlp_ratio")
 _OPTIMIZER_FLOATS = ("lr", "beta1", "beta2", "epsilon")
 _TRAIN_INTS = ("batch_size", "max_epochs", "seed", "patience")
+_KEYS = {"mae": {*_MAE_INTS, "mask_ratio", "loss_scope", "target_channels"},
+         "optimizer": set(_OPTIMIZER_FLOATS),
+         "train": {"input_channel", *_TRAIN_INTS, "calibrate_scale"}}
 
 
 def config_to_ini(config: TrainConfig) -> str:
@@ -134,10 +143,19 @@ def config_to_ini(config: TrainConfig) -> str:
 
 
 def config_from_ini(text: str) -> TrainConfig:
-    """Parse a config INI; malformed INI raises ValueError."""
-    parser = configparser.ConfigParser()
+    """Parse a config INI (" ;" starts a comment, as in README's); malformed INI, an
+    unknown section or key, or a value TrainConfig refuses raises ValueError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
+        if parser.defaults():
+            raise ValueError("unknown config section [DEFAULT]")
+        for section in parser.sections():
+            if section not in _KEYS:
+                raise ValueError(f"unknown config section [{section}]")
+            unknown = sorted(set(parser[section]) - _KEYS[section])
+            if unknown:
+                raise ValueError(f"unknown config key {unknown[0]!r} in [{section}]")
         m = parser["mae"]
         mae_config = MaeConfig(
             **{key: m.getint(key) for key in _MAE_INTS if key in m},

@@ -256,6 +256,44 @@ class TestPreprocess:
         assert not (tmp_path / "out" / trainer.MANIFEST_FILENAME).exists()
         assert not (tmp_path / "out" / trainer.CACHE_FILENAME).exists()
 
+    def test_repeated_subject_is_refused_before_its_night_is_segmented(
+            self, capsys, workspace, tmp_path, monkeypatch):
+        real, segmented = pipeline.segment_stream, []
+
+        def segment_stream(*args, subject_id, **kwargs):
+            segmented.append(subject_id)
+            return real(*args, subject_id=subject_id, **kwargs)
+
+        monkeypatch.setattr(pipeline, "segment_stream", segment_stream)
+        raw, args = workspace / "raw", []
+        for i in (0, 1, 0):
+            args += ["--psg", str(raw / f"S00{i}-PSG.edf"),
+                     "--hypnogram", str(raw / f"S00{i}-Hypnogram.edf")]
+        code, out, err = run(capsys, "preprocess", *args, "--input-channel", "EEG Fpz-Cz",
+                             "--targets", "EOG horizontal", "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "") and "'S000'" in err
+        assert segmented == ["S000", "S001"]
+
+    def test_stage_counts_and_epoch_lines_are_those_of_the_rows_written(
+            self, capsys, workspace, tmp_path):
+        raw, out_dir, args = workspace / "raw", tmp_path / "data", []
+        for i in range(4):
+            args += ["--psg", str(raw / f"S00{i}-PSG.edf"),
+                     "--hypnogram", str(raw / f"S00{i}-Hypnogram.edf")]
+        code, out, err = run(capsys, "preprocess", *args, "--input-channel", "EEG Fpz-Cz",
+                             "--targets", "EOG horizontal", "--split", "0.5,0.25,0.25",
+                             "--out", str(out_dir))
+        assert code == 0
+        cached = pipeline.read_epoch_cache(out_dir / trainer.CACHE_FILENAME)
+        manifest = pipeline.load_manifest(out_dir / trainer.MANIFEST_FILENAME)
+        lines = []
+        for entry in manifest.subjects:
+            rows = cached[cached.subject == cached.subjects.index(entry.subject_id)]
+            assert entry.stage_counts == pipeline.stage_histogram(rows)
+            lines.append(f"{entry.subject_id}: {len(rows)} epochs")
+        assert err.splitlines() == lines
+        assert out.startswith(f"{len(cached)} epochs from 4 subjects\n")
+
     @pytest.mark.parametrize("token,value", [(b"\x15999\x14", b"\x15inf\x14"),
                                              (b"\x15999\x14", b"\x15nan\x14"),
                                              (b"+999\x14", b"+inf\x14")],
@@ -488,6 +526,50 @@ class TestTrainEval:
         code, _, err = run(capsys, "train", "--config", str(tmp_path / "config.ini"),
                            "--data", str(workspace / "data"), "--out", str(tmp_path / "run"))
         assert (code, err) == (2, "error: patience must be >= 1, got 0\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (("= EEG Fpz-Cz", "= EEG Pz-Oz2"), "input_channel 'EEG Pz-Oz2'"),
+        (("EMG submental, EEG Pz-Oz", "EMG submental, EEG C3-A2"),
+         "target_channels ['EEG C3-A2']"),
+        (("patch_size = 100", "patch_size = 50"), "patch_size * seq_len is 1500"),
+        (("seq_len = 30", "seq_len = 31"), "patch_size * seq_len is 3100"),
+    ], ids=["input-channel", "target-channel", "patch-size", "seq-len"])
+    def test_config_unlike_the_cache_exits_2_before_reading_a_row(
+            self, capsys, workspace, tmp_path, monkeypatch, edit, field):
+        cache = (workspace / "data" / trainer.CACHE_FILENAME).read_bytes()
+        reads = []
+        monkeypatch.setattr(pipeline.os, "preadv", reading_preadv(reads))
+        (tmp_path / "config.ini").write_text(TRAIN_CONFIG.replace(*edit))
+        code, out, err = run(capsys, "train", "--config", str(tmp_path / "config.ini"),
+                             "--data", str(workspace / "data"), "--out", str(tmp_path / "run"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config {field}")
+        assert covered(reads) == cache_reads(cache, [])  # the magic and the footer only
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (("lr = 0.001", "lr = -1"), "lr must be finite and > 0, got -1.0"),
+        (("lr = 0.001", "lr = 0"), "lr must be finite and > 0, got 0.0"),
+        (("lr = 0.001", "lr = inf"), "lr must be finite and > 0, got inf"),
+        (("lr = 0.001", "lr = 0.001\nepsilon = nan"), "epsilon must be finite and > 0, got nan"),
+        (("lr = 0.001", "lr = 0.001\nbeta1 = 2"), "beta1 must be in [0, 1), got 2.0"),
+        (("lr = 0.001", "lr = 0.001\nbeta2 = 1"), "beta2 must be in [0, 1), got 1.0"),
+        (("[optimizer]", "[optimiser]"), "unknown config section [optimiser]"),
+        (("patience = 10", "patiense = 10"), "unknown config key 'patiense' in [train]"),
+        (("seed = 0", "seed = 0\nlr = 0.5"), "unknown config key 'lr' in [train]"),
+    ], ids=["lr-negative", "lr-zero", "lr-inf", "epsilon-nan", "beta1-two", "beta2-one",
+            "unknown-section", "misspelt-key", "misplaced-key"])
+    def test_config_values_refused_before_the_cache_is_opened(
+            self, capsys, workspace, tmp_path, monkeypatch, edit, message):
+        def no_dataset(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(pipeline, "EpochCacheReader", no_dataset)
+        (tmp_path / "config.ini").write_text(TRAIN_CONFIG.replace(*edit))
+        code, out, err = run(capsys, "train", "--config", str(tmp_path / "config.ini"),
+                             "--data", str(workspace / "data"), "--out", str(tmp_path / "run"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "run").exists()
 
     def test_reconstruct_exports_csv(self, capsys, workspace):

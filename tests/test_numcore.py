@@ -318,6 +318,146 @@ class TestParallelMap:
         assert nc._POOL is None
 
 
+class TestOrderedMap:
+    """numcore's ordered map: results in item order, computed ahead of the consumer."""
+
+    @pytest.fixture
+    def pool_of(self, monkeypatch, fresh_pool):
+        return lambda cores: monkeypatch.setattr(nc, "cores", lambda: cores)
+
+    def test_results_arrive_in_item_order(self, pool_of):
+        pool_of(4)
+
+        def square(i):
+            time.sleep(0.005 * (8 - i))  # later items finish first
+            return i * i
+
+        assert list(nc._ordered_map(square, range(8))) == [i * i for i in range(8)]
+
+    def test_items_run_ahead_of_the_consumer(self, pool_of):
+        pool_of(2)
+        last_ended = threading.Event()
+
+        def item(i):
+            if i == 3:
+                last_ended.set()
+            return i
+
+        results = nc._ordered_map(item, range(4))
+        assert next(results) == 0
+        assert last_ended.wait(timeout=30)  # while the consumer still holds item 0
+        assert list(results) == [1, 2, 3]
+
+    def test_each_result_arrives_while_later_items_still_run(self, pool_of):
+        pool_of(2)
+        first_taken = threading.Event()
+
+        def item(i):
+            if i == 3:  # a map that waited for every item first would time out here
+                assert first_taken.wait(timeout=30), "item 0 never reached the consumer"
+            return i
+
+        results = nc._ordered_map(item, range(4))
+        assert next(results) == 0
+        first_taken.set()
+        assert list(results) == [1, 2, 3]
+
+    @pytest.mark.parametrize("failing", [0, 2, 4])
+    def test_an_items_error_reraises_after_every_item_ends(self, pool_of, failing):
+        pool_of(2)
+        done, got = [], []
+
+        def item(i):
+            if i == failing:
+                raise KeyError(i)
+            time.sleep(0.02)
+            done.append(i)
+            return i
+
+        with pytest.raises(KeyError):
+            for result in nc._ordered_map(item, range(5)):
+                got.append(result)
+        assert got == list(range(failing))  # the results before the failed item
+        assert sorted(done) == sorted(set(range(5)) - {failing})
+
+    def test_a_consumer_error_cancels_unstarted_items_after_the_started_ones_end(
+            self, pool_of):
+        """The consumer raises holding item 0 while items 1 and 2 hold both pool
+        threads: items 3-5 never start, and 1 and 2 end before the error re-raises."""
+        pool_of(2)
+        started, ended, busy, gate = [], [], threading.Semaphore(0), threading.Event()
+
+        def item(i):
+            started.append(i)
+            if i:
+                busy.release()
+                gate.wait(timeout=30)
+            ended.append(i)
+            return i
+
+        class Stop(Exception):
+            pass
+
+        with pytest.raises(Stop):
+            for result in nc._ordered_map(item, range(6)):
+                assert result == 0
+                assert all(busy.acquire(timeout=30) for _ in range(2))
+                threading.Timer(0.2, gate.set).start()  # items 1 and 2 end 0.2 s on
+                raise Stop
+        assert gate.is_set() and sorted(ended) == [0, 1, 2]
+        assert sorted(started) == [0, 1, 2]
+        time.sleep(0.05)
+        assert sorted(started) == [0, 1, 2]  # the cancelled items stay cancelled
+        # the pool still works afterwards, on its own threads
+        threads = nc._parallel_map(lambda _: threading.current_thread(), range(4))
+        assert threading.current_thread() not in threads
+
+    def test_pool_works_after_an_items_error(self, pool_of):
+        pool_of(2)
+
+        def item(i):
+            if i == 1:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            list(nc._ordered_map(item, range(3)))
+        assert nc._parallel_map(lambda i: i * 2, range(5)) == [0, 2, 4, 6, 8]
+
+    @pytest.mark.parametrize("cores, count", [(4, 0), (4, 1), (1, 5)])
+    def test_one_item_or_one_core_runs_serially_on_the_calling_thread(self, pool_of, cores,
+                                                                      count):
+        pool_of(cores)
+        calls = []
+
+        def item(i):
+            calls.append((i, threading.current_thread()))
+            return i
+
+        here, results = threading.current_thread(), nc._ordered_map(item, range(count))
+        for i in range(count):
+            assert next(results) == i
+            assert calls == [(j, here) for j in range(i + 1)]  # none ahead of the consumer
+        assert list(results) == []
+        assert nc._POOL is None
+
+    def test_call_from_a_pool_thread_runs_serially_on_it(self, pool_of):
+        pool_of(2)
+        seen = {}
+
+        def outer(i):
+            inner = list(nc._ordered_map(lambda _: threading.current_thread(), range(3)))
+            seen[i] = (threading.current_thread(), inner)
+
+        runner = threading.Thread(target=nc._parallel_map, args=(outer, range(2)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert sorted(seen) == [0, 1]
+        for thread, inner in seen.values():
+            assert thread is not runner and inner == [thread] * 3
+
+
 def test_deadlocked_pool_thread_ends_the_session_with_a_failing_status(tmp_path):
     """A test run whose pool threads never return exits non-zero, with their
     stacks on stderr, instead of hanging when the interpreter joins them."""

@@ -4,6 +4,7 @@ import tempfile
 import threading
 import tracemalloc
 import weakref
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psgmae import evalreport, mae, numcore as nc, pipeline, synthgen
+from psgmae import cli, evalreport, mae, numcore as nc, pipeline, synthgen
 from psgmae.edf_io import Annotation, EdfRecording, SignalSpec, parse_edf, write_edf
 from psgmae.pipeline import (
     DEFAULT_THRESHOLDS,
@@ -30,6 +31,7 @@ from psgmae.pipeline import (
     map_stage_label,
     read_epoch_cache,
     segment_epochs,
+    segment_stream,
     split_subjects,
     write_epoch_cache,
     _resampling,
@@ -632,6 +634,166 @@ class TestBlockSegmentation:
         # one each. The three channels converted whole would be 15.9 block arrays.
         assert peak <= labelled_rows + 7 * block_array
         assert len(got) == 190 - len(ARTIFACTS)
+
+
+class Raised(Exception):
+    pass
+
+
+def night_files(directory, patient_ids=("P", "Q")):
+    """artifact_night as PSG and hypnogram EDF files, one pair per patient id; and
+    its channel names."""
+    recording, annotations, names = artifact_night()
+    nights = []
+    for patient in patient_ids:
+        psg, hyp = directory / f"{patient}-PSG.edf", directory / f"{patient}-Hypnogram.edf"
+        psg.write_bytes(write_edf(replace(recording, patient_id=patient)))
+        hyp.write_bytes(write_edf(EdfRecording(
+            patient_id=patient, record_duration_s=float(recording.duration_s()), num_records=1,
+            annotations=annotations)))
+        nights.append((psg, hyp))
+    return nights, names
+
+
+def taking(stream, taken):
+    """``stream`` as is, each piece added to ``taken`` as the writer takes it."""
+    for piece in stream:
+        taken.append(piece)
+        yield piece
+
+
+class TestStreamedCache:
+    """segment_stream hands the writer each block's kept rows and their CRCs, in
+    block order, as soon as the block and every earlier one are done."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    def test_preprocess_cache_is_the_cache_of_segment_epochs(
+            self, monkeypatch, fresh_pool, tmp_path, cores):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        nights, names = night_files(tmp_path)
+        argv = ["preprocess", "--input-channel", names[0], "--targets", ",".join(names[1:]),
+                "--out", str(tmp_path / "data")]
+        for psg, hyp in nights:
+            argv += ["--psg", str(psg), "--hypnogram", str(hyp)]
+        assert cli.main(argv) == 0
+        parts = [segment_epochs(parse_edf(psg.read_bytes()),
+                                parse_edf(hyp.read_bytes()).annotations, names[0], names[1:])
+                 for psg, hyp in nights]
+        write_epoch_cache(tmp_path / "reference.psgepo", parts)
+        # the default 60-epoch wake trim labels epochs 20-289; the artifacts drop
+        assert parts[0].epoch_index.tolist() == [e for e in range(20, 290) if e not in ARTIFACTS]
+        assert (tmp_path / "data" / "epochs.psgepo").read_bytes() == \
+            (tmp_path / "reference.psgepo").read_bytes()
+
+    @pytest.mark.parametrize("cores", [1, 2, 7])
+    def test_each_block_carries_the_crcs_of_the_rows_written(
+            self, monkeypatch, fresh_pool, tmp_path, cores):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        recording, annotations, names = artifact_night()
+        *pieces, epochs = segment_stream(recording, annotations, names[0], names[1:],
+                                         wake_trim_epochs=20)
+        # blocks 0-3 hold labelled epochs; each hands on a view of the set's rows
+        assert [len(signals) for signals, _ in pieces] == [3, 62, 62, 56]
+        for signals, crcs in pieces:
+            assert np.shares_memory(signals, epochs.signals)
+            assert crcs.tolist() == [zlib.crc32(row) for row in signals]
+        assert np.concatenate([signals for signals, _ in pieces]).tobytes() == \
+            epochs.signals.tobytes()
+        taken, path = [], tmp_path / "epochs.psgepo"
+        write_epoch_cache(path, [taking(segment_stream(
+            recording, annotations, names[0], names[1:], wake_trim_epochs=20), taken)])
+        blob = path.read_bytes()
+        _, footer = cache_parts(blob)
+        at, rows = footer_offsets(footer), np.frombuffer(blob, "<f4", len(epochs) * 9000, 8)
+        written = np.frombuffer(footer, "<u4", len(epochs), at["crc"])
+        assert written.tolist() == [zlib.crc32(row) for row in rows.reshape(-1, 9000)]
+        assert written.tolist() == [crc for _, crcs in taken[:-1] for crc in crcs.tolist()]
+        assert read_epoch_cache(path).signals.tobytes() == epochs.signals.tobytes()
+
+    def test_first_block_reaches_the_writer_while_a_later_one_is_segmented(
+            self, monkeypatch, fresh_pool, tmp_path):
+        """The last block waits until the writer has taken the first: a stream that
+        waited for every block first would time out here."""
+        monkeypatch.setattr(nc, "cores", lambda: 2)
+        recording, annotations, names = artifact_night()
+        real, first_taken = pipeline._epochs_of, threading.Event()
+
+        def epochs_of(channel, span):
+            if span.start == 3 * pipeline.SEGMENT_BLOCK:
+                assert first_taken.wait(timeout=30), "the first block was not taken"
+            return real(channel, span)
+
+        def signalling(stream):
+            yield next(stream)
+            first_taken.set()
+            yield from stream
+
+        monkeypatch.setattr(pipeline, "_epochs_of", epochs_of)
+        write_epoch_cache(tmp_path / "epochs.psgepo", [signalling(segment_stream(
+            recording, annotations, names[0], names[1:], wake_trim_epochs=20))])
+        assert len(read_epoch_cache(tmp_path / "epochs.psgepo")) == 190 - len(ARTIFACTS)
+
+    def test_stress_rows_move_down_while_later_blocks_fill(self, monkeypatch, fresh_pool,
+                                                           tmp_path):
+        """More lanes than cores and a short switch interval: the writer moves and
+        writes rows of finished blocks while lanes fill the later ones of one buffer."""
+        recording, annotations, names = artifact_night()
+        monkeypatch.setattr(nc, "cores", lambda: 1)
+        write_epoch_cache(tmp_path / "serial.psgepo", [segment_stream(
+            recording, annotations, names[0], names[1:], wake_trim_epochs=20)])
+        monkeypatch.setattr(nc, "cores", lambda: 11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in range(3):
+                write_epoch_cache(tmp_path / f"{run}.psgepo", [segment_stream(
+                    recording, annotations, names[0], names[1:], wake_trim_epochs=20)])
+        finally:
+            sys.setswitchinterval(interval)
+        for run in range(3):
+            assert (tmp_path / f"{run}.psgepo").read_bytes() == \
+                (tmp_path / "serial.psgepo").read_bytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_failing_lane_after_written_blocks_leaves_the_earlier_cache(
+            self, monkeypatch, fresh_pool, tmp_path, cores):
+        monkeypatch.setattr(nc, "cores", lambda: cores)
+        path = tmp_path / "epochs.psgepo"
+        write_epoch_cache(path, synth_records(seed=15, minutes=1.0))
+        before = path.read_bytes()
+        recording, annotations, names = artifact_night()
+        first = segment_epochs(recording, annotations, names[0], names[1:], subject_id="A")
+        real, taken = pipeline._epochs_of, []
+
+        def epochs_of(channel, span):
+            if span.start == 2 * pipeline.SEGMENT_BLOCK:
+                raise Raised
+            return real(channel, span)
+
+        monkeypatch.setattr(pipeline, "_epochs_of", epochs_of)
+        with pytest.raises(Raised):
+            write_epoch_cache(path, [first, taking(segment_stream(
+                recording, annotations, names[0], names[1:], subject_id="B",
+                wake_trim_epochs=20), taken)])
+        assert len(taken) == 2  # blocks 0 and 1 reached the writer
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.psgepo"]
+
+    def test_a_night_without_labels_after_a_written_night_leaves_the_earlier_cache(
+            self, tmp_path):
+        path = tmp_path / "epochs.psgepo"
+        write_epoch_cache(path, synth_records(seed=15, minutes=1.0))
+        before = path.read_bytes()
+        recording, annotations, names = artifact_night()
+        taken, unusable = [], annotations_for(["Sleep stage ?"] * 290)
+        with pytest.raises(NoLabeledEpochs):
+            write_epoch_cache(path, [
+                taking(segment_stream(recording, annotations, names[0], names[1:],
+                                      subject_id="A"), taken),
+                segment_stream(recording, unusable, names[0], names[1:], subject_id="B")])
+        assert len(taken) == 6  # the first night's five blocks and its set
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.psgepo"]
 
 
 # epochs with a 900 uV spike on the input or a -800 uV one on the 200 Hz target:

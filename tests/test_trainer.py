@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,52 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
             config_from_ini(text)
 
+    def test_round_trip_of_every_field(self):
+        config = TrainConfig(
+            mae=mae.MaeConfig(patch_size=60, seq_len=50, embed_dim=24, num_heads=3,
+                              encoder_layers=3, decoder_layers=2, mlp_ratio=2,
+                              mask_ratio=0.3, target_channels=("b", "a;c"),
+                              loss_scope="masked"),
+            input_channel="x", lr=0.1 / 3, beta1=0.0, beta2=0.5, epsilon=1e-300,
+            batch_size=7, max_epochs=9, seed=11, patience=4, calibrate_scale=False)
+        assert config_from_ini(config_to_ini(config)) == config
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## Config file\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+        assert config_from_ini(block) == TrainConfig(
+            mae=mae.MaeConfig(target_channels=("EOG horizontal", "EMG submental", "EEG Pz-Oz")),
+            input_channel="EEG Fpz-Cz")
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("lr", 0.0, "finite and > 0"), ("lr", -1e-3, "finite and > 0"),
+        ("lr", math.inf, "finite and > 0"), ("lr", math.nan, "finite and > 0"),
+        ("epsilon", 0.0, "finite and > 0"), ("epsilon", -math.inf, "finite and > 0"),
+        ("beta1", 1.0, "in [0, 1)"), ("beta1", -0.1, "in [0, 1)"),
+        ("beta2", 2.0, "in [0, 1)"), ("beta2", math.nan, "in [0, 1)"),
+    ])
+    def test_optimizer_values_out_of_range_rejected(self, name, value, rule):
+        message = f"^{name} must be {re.escape(rule)}, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            small_config(**{name: value})
+        text = re.sub(rf"^{name} = .*$", f"{name} = {value}", config_to_ini(small_config()),
+                      flags=re.M)
+        with pytest.raises(ValueError, match=message):
+            config_from_ini(text)
+
+    @pytest.mark.parametrize("edit, message", [
+        (("[optimizer]", "[optimiser]"), "unknown config section [optimiser]"),
+        (("[mae]", "[DEFAULT]\nseed = 1\n[mae]"), "unknown config section [DEFAULT]"),
+        (("patience =", "patiense ="), "unknown config key 'patiense' in [train]"),
+        (("lr =", "learning_rate ="), "unknown config key 'learning_rate' in [optimizer]"),
+        (("seq_len =", "input_channel = x\nseq_len ="),
+         "unknown config key 'input_channel' in [mae]"),
+    ])
+    def test_unknown_section_or_key_named(self, edit, message):
+        text = config_to_ini(small_config()).replace(*edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_ini(text)
+
     @pytest.mark.parametrize("text", [
         "lr = 1\n",
         "[mae]\n[mae]\n[train]\ninput_channel = x\n",
@@ -114,7 +161,8 @@ class TestTrainLoop:
             save_checkpoint(results[1].checkpoint)
 
     def test_zero_lr_leaves_params_at_init(self, dataset):
-        config = small_config(lr=0.0, calibrate_scale=False, max_epochs=2)
+        config = small_config(calibrate_scale=False, max_epochs=2)
+        config.lr = 0.0  # TrainConfig refuses it; the loop itself takes it
         result = train(config, dataset)
         init_seq = np.random.SeedSequence(config.seed).spawn(3)[0]
         reference = mae.init_params(config.mae, init_seq, dtype=np.float32)
@@ -168,7 +216,8 @@ class TestTrainLoop:
             poisoned.input_samples[:] = backup
 
     def test_early_stopping_respects_patience(self, dataset):
-        config = small_config(max_epochs=50, patience=2, lr=0.0)
+        config = small_config(max_epochs=50, patience=2)
+        config.lr = 0.0  # TrainConfig refuses it; the loop itself takes it
         result = train(config, dataset)
         # zero lr: no improvement after epoch 1, so exactly 1 + patience epochs
         assert result.checkpoint.epoch == 3
