@@ -10,6 +10,7 @@ stable across identical runs. Exit codes: 0 success, 1 check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import os
 import sys
@@ -18,7 +19,8 @@ from pathlib import Path
 
 # one BLAS thread: inference already runs one chunk per core, and a BLAS
 # pool per worker oversubscribes the cores; a value the user set is kept
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREAD_VARIABLES:
     os.environ.setdefault(_name, "1")
 
 import numpy as np  # noqa: E402  (after the BLAS pin)
@@ -31,7 +33,7 @@ def _info(message: str) -> None:
 
 
 def _warn_blas_threads() -> None:
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for name in BLAS_THREAD_VARIABLES:
         if os.environ.get(name, "1") != "1":
             _info(f"warning: {name}={os.environ[name]}: threaded BLAS sums in another "
                   "order, so outputs are not byte-identical to the default of 1")
@@ -131,17 +133,7 @@ def cmd_train(args) -> int:
     config = trainer.config_from_ini(Path(args.config).read_text())
     manifest = pipeline.load_manifest(Path(args.data) / trainer.MANIFEST_FILENAME)
     with pipeline.EpochCacheReader(Path(args.data) / trainer.CACHE_FILENAME) as cache:
-        # a config the cache cannot feed fails here, before any signal row is read
-        if cache.channels[0] != config.input_channel:
-            raise ValueError(f"config input_channel {config.input_channel!r} is not the "
-                             f"cache's input channel {cache.channels[0]!r}")
-        missing = [name for name in config.mae.target_channels if name not in cache.channels[1:]]
-        if missing:
-            raise ValueError(f"config target_channels {missing} are not in the cache's "
-                             f"targets {list(cache.channels[1:])}")
-        if config.mae.epoch_len != pipeline.EPOCH_SAMPLES:
-            raise ValueError(f"config patch_size * seq_len is {config.mae.epoch_len}, but "
-                             f"cached epochs hold {pipeline.EPOCH_SAMPLES} samples")
+        trainer.check_fits(config, cache.channels)  # before any signal row is read
         rows = trainer.split_rows(manifest, cache)  # no test row is read
         splits = {name: cache.epochs(rows[name]) for name in ("train", "val")}
     resume = None
@@ -177,17 +169,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
 def _open_eval_inputs(checkpoint_path: str, data_dir: str):
-    """The checkpoint's train config and best parameters, and an epoch-cache reader to close."""
+    """The checkpoint's train config and best parameters, and an open epoch-cache reader
+    that ``trainer.check_fits`` has passed before any signal row is read."""
     checkpoint = trainer.load_checkpoint(Path(checkpoint_path).read_bytes())
     config = checkpoint.train_config()
     params = trainer.params_from_blobs(config.mae, checkpoint.best_params)
-    return config, params, pipeline.EpochCacheReader(Path(data_dir) / trainer.CACHE_FILENAME)
+    with pipeline.EpochCacheReader(Path(data_dir) / trainer.CACHE_FILENAME) as cache:
+        trainer.check_fits(config, cache.channels)
+        yield config, params, cache
 
 
 def cmd_eval(args) -> int:
-    config, params, cache = _open_eval_inputs(args.checkpoint, args.data)
-    with cache:
+    with _open_eval_inputs(args.checkpoint, args.data) as (config, params, cache):
         if args.split == "all":  # no manifest is read
             rows = np.arange(len(cache))
         else:
@@ -195,9 +190,6 @@ def cmd_eval(args) -> int:
             rows = trainer.split_rows(manifest, cache)[args.split]
         if not len(rows):
             raise ValueError(f"no epochs in split {args.split!r}")
-        if cache.channels[0] != config.input_channel:
-            raise ValueError(f"cache input channel {cache.channels[0]!r} is not the "
-                             f"checkpoint's {config.input_channel!r}")
         # every row scored is checked before any output file is opened
         table, baseline = evalreport.cache_tables(params, cache, rows, args.physical)
 
@@ -217,8 +209,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    config, params, cache = _open_eval_inputs(args.checkpoint, args.data)
-    with cache:
+    with _open_eval_inputs(args.checkpoint, args.data) as (config, params, cache):
         if not 0 <= args.epoch_index < len(cache):
             raise ValueError(
                 f"--epoch-index {args.epoch_index} out of range (cache has "

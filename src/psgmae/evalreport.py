@@ -18,8 +18,8 @@ import numpy as np
 
 from . import mae, numcore as nc
 from .mae import MaeParams
-from .pipeline import (EpochCacheReader, EpochRecord, EpochSet, MissingChannel, SleepStage, STAGES,
-                       as_epoch_set, denormalize)
+from .pipeline import (TARGET_RATE_HZ, EpochCacheReader, EpochRecord, EpochSet, MissingChannel,
+                       SleepStage, STAGES, as_epoch_set, denormalize)
 
 STAGE_COLUMNS = tuple(stage.display for stage in STAGES)
 
@@ -314,5 +314,5 @@ def export_reconstruction(
             mean, std = record.norm_params[channel]
             original = denormalize(record.targets[channel], mean, std).tolist()
             recon = denormalize(reconstructions[channel], mean, std).tolist()
-            writer.writerows([channel, f"{i / 100.0:.2f}", repr(o), repr(r)]
+            writer.writerows([channel, f"{i / TARGET_RATE_HZ:.2f}", repr(o), repr(r)]
                              for i, (o, r) in enumerate(zip(original, recon, strict=True)))

@@ -419,16 +419,6 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @classmethod
-    def for_params(cls, params: dict[str, Tensor], lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
-
 
 def adam_step(params: dict[str, Tensor], state: AdamState, grads: dict[str, np.ndarray]) -> None:
     """One in-place Adam update from gradients by name (absent: zero), with bias correction."""

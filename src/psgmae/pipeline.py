@@ -526,12 +526,16 @@ def write_epoch_cache(path: Path | str, parts) -> None:
         if isinstance(part, EpochSet):  # made elsewhere, so its rows are checksummed here
             signals = np.ascontiguousarray(part.signals, dtype="<f4")
             part = [(signals, map(zlib.crc32, signals)), part]
-        for piece in part:  # a segment_stream's (signals, CRCs) pieces, then its set
-            if isinstance(piece, EpochSet):
-                kept = replace(piece, signals=np.broadcast_to(np.float32(0), piece.signals.shape))
-            else:
-                handle.write(piece[0])
-                crcs.extend(piece[1])
+        try:
+            for piece in part:  # a segment_stream's (signals, CRCs) pieces, then its set
+                if isinstance(piece, EpochSet):
+                    kept = replace(piece, signals=np.broadcast_to(np.float32(0), piece.signals.shape))
+                else:
+                    handle.write(piece[0])
+                    crcs.extend(piece[1])
+        finally:  # a stream is closed however its write ends, so its started blocks end
+            if hasattr(part, "close"):
+                part.close()
         return kept
 
     try:

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import evalreport, mae, numcore as nc
 from .mae import MaeConfig, MaeParams
-from .pipeline import (DatasetManifest, EpochSet, as_epoch_set, load_manifest,
-                       read_epoch_cache)
+from .pipeline import (EPOCH_SAMPLES, DatasetManifest, EpochSet, MissingChannel, as_epoch_set,
+                       load_manifest, read_epoch_cache)
 
 CHECKPOINT_MAGIC = b"PSGMAE02"
 _LENGTHS = struct.Struct("<II")  # config and meta byte lengths
@@ -313,6 +313,35 @@ def _snapshot(params: MaeParams) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in params.tensors.items()}
 
 
+def initial_checkpoint(config: TrainConfig) -> Checkpoint:
+    """Epoch 0 of a run, which ``train`` resumes as any other checkpoint: the seeded
+    parameters (also the best), zero Adam moments, fresh shuffle and mask streams."""
+    init_seq, *streams = np.random.SeedSequence(config.seed).spawn(3)
+    params = _snapshot(mae.init_params(config.mae, init_seq, dtype=np.float32))
+    zeros = {name: np.zeros_like(arr) for name, arr in params.items()}
+    rng_shuffle, rng_mask = (_philox_state(np.random.Generator(np.random.Philox(seq)))
+                             for seq in streams)
+    return Checkpoint(config_text=config_to_ini(config), epoch=0, params=params,
+                      best_params=params, adam_m=zeros, adam_v=zeros, adam_step=0,
+                      best_val_loss=math.inf, patience_left=config.patience,
+                      rng_shuffle=rng_shuffle, rng_mask=rng_mask)
+
+
+def check_fits(config: TrainConfig, channels: tuple[str, ...]) -> None:
+    """Refuse data the model of ``config`` cannot take, from its channel names alone (input
+    first): ValueError, or MissingChannel for a model target the data lacks."""
+    if channels[0] != config.input_channel:
+        raise ValueError(f"config input_channel {config.input_channel!r} is not the "
+                         f"data's input channel {channels[0]!r}")
+    missing = [name for name in config.mae.target_channels if name not in channels[1:]]
+    if missing:
+        raise MissingChannel(f"config target_channels {missing} are not among the data's "
+                             f"target channels {list(channels[1:])}")
+    if config.mae.epoch_len != EPOCH_SAMPLES:
+        raise ValueError(f"config patch_size * seq_len is {config.mae.epoch_len}, but "
+                         f"epochs hold {EPOCH_SAMPLES} samples")
+
+
 def load_dataset(data_dir: Path | str) -> tuple[DatasetManifest, EpochSet]:
     data_dir = Path(data_dir)
     return load_manifest(data_dir / MANIFEST_FILENAME), read_epoch_cache(data_dir / CACHE_FILENAME)
@@ -431,9 +460,11 @@ def train(
     resume: Checkpoint | None = None,
     on_epoch: Callable[[str], object] | None = None,
 ) -> TrainResult:
-    """Run (or resume) training; returns the checkpoint and per-epoch metrics.
+    """Train from ``resume``, or from ``initial_checkpoint(config)`` for a fresh run;
+    returns the checkpoint and per-epoch metrics.
 
-    ``splits`` maps "train" and "val" to EpochSets (or EpochRecord lists).
+    ``splits`` maps "train" and "val" to EpochSets (or EpochRecord lists), each
+    checked by ``check_fits`` first.
     Per epoch: seeded shuffle, mini-batch Adam updates on the masked cosine
     loss (see ``batch_gradients``; the shards run on up to TRAIN_SHARDS
     cores), then full-visibility validation, after which ``on_epoch`` gets
@@ -446,43 +477,25 @@ def train(
             raise EmptySplit(f"{name} split is empty")
     train_set, val_set = as_epoch_set(splits["train"]), as_epoch_set(splits["val"])
     for epochs in (train_set, val_set):
-        if epochs.input_channel != config.input_channel:
-            raise ValueError(f"dataset input channel {epochs.input_channel!r} != "
-                             f"configured {config.input_channel!r}")
+        check_fits(config, epochs.channels)
     targets = train_set.target_indices(config.mae.target_channels)
 
-    init_seq, shuffle_seq, mask_seq = np.random.SeedSequence(config.seed).spawn(3)
-
-    if resume is None:
-        params = mae.init_params(config.mae, init_seq, dtype=np.float32)
-        shuffle_rng = np.random.Generator(np.random.Philox(shuffle_seq))
-        mask_rng = np.random.Generator(np.random.Philox(mask_seq))
-        start_epoch = 1
-        best_val, calibrated = np.inf, False
-        patience_left = config.patience
-        best_blobs = _snapshot(params)
-    else:
-        if resume.epoch >= config.max_epochs:
-            raise TrainerError(f"checkpoint already at epoch {resume.epoch} >= max_epochs")
-        if resume.patience_left <= 0:
-            raise TrainerError("checkpoint already stopped early; nothing to resume")
-        params = params_from_blobs(config.mae, resume.params)
-        shuffle_rng = _restore_philox(resume.rng_shuffle)
-        mask_rng = _restore_philox(resume.rng_mask)
-        start_epoch = resume.epoch + 1
-        best_val, calibrated = resume.best_val_loss, resume.calibrated
-        patience_left = resume.patience_left
-        best_blobs = {name: arr.copy() for name, arr in resume.best_params.items()}
-    adam = nc.AdamState.for_params(params.tensors, lr=config.lr, beta1=config.beta1,
-                                   beta2=config.beta2, epsilon=config.epsilon)
-    if resume is not None:
-        adam.m = {name: resume.adam_m[name].copy() for name in params.tensors}
-        adam.v = {name: resume.adam_v[name].copy() for name in params.tensors}
-        adam.step = resume.adam_step
+    start = resume or initial_checkpoint(config)
+    if start.epoch >= config.max_epochs:
+        raise TrainerError(f"checkpoint already at epoch {start.epoch} >= max_epochs")
+    if start.patience_left <= 0:
+        raise TrainerError("checkpoint already stopped early; nothing to resume")
+    params = params_from_blobs(config.mae, start.params)
+    shuffle_rng, mask_rng = _restore_philox(start.rng_shuffle), _restore_philox(start.rng_mask)
+    best_val, calibrated = start.best_val_loss, start.calibrated
+    patience_left = start.patience_left
+    best_blobs = {name: arr.copy() for name, arr in start.best_params.items()}
+    adam = nc.AdamState(config.lr, config.beta1, config.beta2, config.epsilon, start.adam_step,
+                        m={name: start.adam_m[name].copy() for name in params.tensors},
+                        v={name: start.adam_v[name].copy() for name in params.tensors})
 
     metrics_lines: list[str] = []
-    epoch = start_epoch - 1
-    for epoch in range(start_epoch, config.max_epochs + 1):
+    for epoch in range(start.epoch + 1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_set))
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):

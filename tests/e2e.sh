@@ -1,8 +1,10 @@
 #!/bin/sh
 # The psgmae CLI end to end in fresh processes: every output byte-identical on
 # one core (taskset -c 0) and on every core the process may use, a resumed run
-# equal to the uninterrupted one, and the preprocessing of 90-min nights (three
-# 64-epoch blocks each) byte-identical on one core and on every core.
+# equal to the uninterrupted one, `reconstruct` from a cache made for another
+# input channel refused (exit 2, no CSV, no traceback), and the preprocessing of
+# 90-min nights (three 64-epoch blocks each) byte-identical on one core and on
+# every core.
 #
 # Usage: tests/e2e.sh OUTDIR
 # OUTDIR is created if needed; the script runs `python` from PATH on the
@@ -62,6 +64,23 @@ for file in data/epochs.psgepo data/manifest.json preprocess.txt run/checkpoint.
     physical.txt epoch0.csv; do
   cmp "$root/e2e-one/$file" "$root/e2e-every/$file"
 done
+
+# a cache made for another input channel: reconstruct exits 2 with a one-line
+# error, before it writes a CSV
+other="$root/other-input"
+(cd "$root/e2e-every" && python -m psgmae.cli preprocess $pairs \
+  --input-channel "EOG horizontal" --targets "EMG submental,EEG Pz-Oz" \
+  --split 0.5,0.25,0.25 --out "$other" > /dev/null)
+status=0
+python -m psgmae.cli reconstruct --checkpoint "$root/e2e-every/run/checkpoint.psgmae" \
+  --data "$other" --epoch-index 0 --out "$other/epoch0.csv" 2> "$other/stderr.txt" || status=$?
+test "$status" -eq 2
+test ! -e "$other/epoch0.csv"
+grep -q '^error: config input_channel ' "$other/stderr.txt"
+if grep -q Traceback "$other/stderr.txt"; then
+  cat "$other/stderr.txt" >&2
+  exit 1
+fi
 
 nights="$root/nights"
 python -m psgmae.cli synth --out "$nights/raw" --seed 1 --minutes 90 --subjects 2

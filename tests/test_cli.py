@@ -597,6 +597,34 @@ class TestTrainEval:
         assert code == 2
         assert "99999" in err
 
+    @pytest.mark.parametrize("input_channel, targets, message", [
+        ("EOG horizontal", "EMG submental,EEG Pz-Oz",
+         "input_channel 'EEG Fpz-Cz' is not the data's input channel 'EOG horizontal'"),
+        ("EEG Fpz-Cz", "EOG horizontal,EMG submental", "target_channels ['EEG Pz-Oz']"),
+    ], ids=["input_channel", "target_channel"])
+    def test_reconstruct_from_a_cache_made_for_another_model_exits_2(
+            self, capsys, monkeypatch, workspace, tmp_path, input_channel, targets, message):
+        """A cache preprocessed for another input channel, or without one of the
+        model's targets: reconstruct exits 2 from the cache's footer alone, as eval
+        does, and writes no CSV."""
+        data, raw = tmp_path / "data", workspace / "raw"
+        argv = ["preprocess", "--input-channel", input_channel, "--targets", targets,
+                "--out", str(data)]
+        for i in range(4):
+            argv += ["--psg", str(raw / f"S{i:03d}-PSG.edf"),
+                     "--hypnogram", str(raw / f"S{i:03d}-Hypnogram.edf")]
+        assert run(capsys, *argv)[0] == 0
+        reads = []
+        monkeypatch.setattr(pipeline.os, "preadv", reading_preadv(reads))
+        code, out, err = run(capsys, "reconstruct",
+                             "--checkpoint", str(workspace / "run" / "checkpoint.psgmae"),
+                             "--data", str(data), "--epoch-index", "0",
+                             "--out", str(tmp_path / "epoch0.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config ") and message in err and "Traceback" not in err
+        assert covered(reads) == cache_reads((data / trainer.CACHE_FILENAME).read_bytes(), [])
+        assert not (tmp_path / "epoch0.csv").exists()
+
 
 def reading_preadv(reads, gone=(0, 0)):
     """An ``os.preadv`` whose reads get at most half of what each asks, and

@@ -196,12 +196,18 @@ class TestBackward:
         assert grad_check(fn, params, fd_step=1e-5) < 1e-6
 
 
+def zero_state(params, **hyperparameters) -> AdamState:
+    """Step 0 of Adam over ``params``: zero moments shaped like each parameter."""
+    return AdamState(**hyperparameters, m={n: np.zeros_like(p.data) for n, p in params.items()},
+                     v={n: np.zeros_like(p.data) for n, p in params.items()})
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         lr, eps = 1e-3, 1e-8
         w = t64([1.0, -2.0, 0.5], requires_grad=True)
         g = np.array([0.3, -0.7, 0.001])
-        state = AdamState.for_params({"w": w}, lr=lr, epsilon=eps)
+        state = zero_state({"w": w}, lr=lr, epsilon=eps)
         adam_step({"w": w}, state, {"w": g.copy()})
         # m_hat = g, v_hat = g^2  =>  delta = -lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0, 0.5]) - lr * g / (np.abs(g) + eps)
@@ -210,7 +216,7 @@ class TestAdam:
 
     def test_zero_gradient_fixed_point(self):
         w = t64([1.0, 2.0], requires_grad=True)
-        state = AdamState.for_params({"w": w})
+        state = zero_state({"w": w})
         for _ in range(5):
             adam_step({"w": w}, state, {"w": np.zeros(2)})
         assert np.array_equal(w.data, [1.0, 2.0])
@@ -218,7 +224,7 @@ class TestAdam:
 
     def test_absent_gradient_counts_as_zero(self):
         w, v = t64([1.0, 2.0], requires_grad=True), t64([3.0], requires_grad=True)
-        state = AdamState.for_params({"w": w, "v": v})
+        state = zero_state({"w": w, "v": v})
         for _ in range(3):
             adam_step({"w": w, "v": v}, state, {"v": np.array([0.5])})
         assert np.array_equal(w.data, [1.0, 2.0])
@@ -227,7 +233,7 @@ class TestAdam:
 
     def test_moments_decay_after_zero_grads(self):
         w = t64([0.0], requires_grad=True)
-        state = AdamState.for_params({"w": w}, lr=0.0)
+        state = zero_state({"w": w}, lr=0.0)
         adam_step({"w": w}, state, {"w": np.array([1.0])})
         m_before = state.m["w"].copy()
         adam_step({"w": w}, state, {"w": np.array([0.0])})
@@ -237,14 +243,14 @@ class TestAdam:
         # oracle run: 200 steps on (w-3)^2 from 0; lr 0.1 (the default 1e-3
         # cannot cover the distance in 200 near-unit steps)
         w = t64([0.0], requires_grad=True)
-        state = AdamState.for_params({"w": w}, lr=0.1)
+        state = zero_state({"w": w}, lr=0.1)
         for _ in range(200):
             adam_step({"w": w}, state, {"w": 2.0 * (w.data - 3.0)})
         assert abs(w.data[0] - 3.0) < 0.01
 
     def test_shape_mismatch(self):
         w = t64([1.0, 2.0], requires_grad=True)
-        state = AdamState.for_params({"w": w})
+        state = zero_state({"w": w})
         with pytest.raises(ShapeMismatch):
             adam_step({"w": w}, state, {"w": np.zeros(3)})
 

@@ -2,6 +2,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import weakref
 import zlib
@@ -778,6 +779,37 @@ class TestStreamedCache:
         assert len(taken) == 2  # blocks 0 and 1 reached the writer
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["epochs.psgepo"]
+
+    def test_a_failed_write_closes_the_stream_once_its_started_blocks_end(
+            self, monkeypatch, fresh_pool, tmp_path):
+        """A stream whose second piece is not a buffer: with the raised TypeError still
+        held, the stream is closed and every block its lanes started has ended."""
+        monkeypatch.setattr(nc, "cores", lambda: 2)
+        recording, annotations, names = artifact_night()
+        real, started, ended = nc._ordered_map, [], []
+
+        def ordered_map(fn, items):
+            def block(span):
+                started.append(span.start)
+                time.sleep(0.05)  # later blocks are still running when the write fails
+                rows = fn(span)
+                ended.append(span.start)
+                return rows
+            return real(block, items)
+
+        def spoiled(stream):
+            yield next(stream)
+            yield "not a buffer", []
+
+        monkeypatch.setattr(nc, "_ordered_map", ordered_map)
+        part = spoiled(segment_stream(recording, annotations, names[0], names[1:],
+                                      wake_trim_epochs=20))
+        with pytest.raises(TypeError) as raised:
+            write_epoch_cache(tmp_path / "epochs.psgepo", [part])
+        # ``raised`` holds the error's traceback, and with it the writer's frames
+        assert raised.traceback and part.gi_frame is None
+        assert len(started) > 1 and sorted(ended) == sorted(started)
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_night_without_labels_after_a_written_night_leaves_the_earlier_cache(
             self, tmp_path):

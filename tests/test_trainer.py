@@ -502,6 +502,35 @@ class TestCheckpoint:
         assert tail.metrics_lines == full.metrics_lines[3:]
         assert save_checkpoint(tail.checkpoint) == save_checkpoint(full.checkpoint)
 
+    def test_fresh_run_is_a_resume_from_the_initial_checkpoint(self, dataset):
+        """A fresh run and runs resumed from ``initial_checkpoint``, as built and as
+        stored, give the same metrics lines and checkpoint bytes."""
+        config = small_config(max_epochs=2)
+        fresh = train(config, dataset)
+        start = trainer.initial_checkpoint(config)
+        for resume in (start, load_checkpoint(save_checkpoint(start))):
+            resumed = train(config, dataset, resume=resume)
+            assert resumed.metrics_lines == fresh.metrics_lines
+            assert save_checkpoint(resumed.checkpoint) == save_checkpoint(fresh.checkpoint)
+
+    def test_initial_checkpoint_is_epoch_0_of_the_seed(self):
+        config = small_config(seed=5, patience=4)
+        start = trainer.initial_checkpoint(config)
+        init_seq, shuffle_seq, mask_seq = np.random.SeedSequence(5).spawn(3)
+        init = mae.init_params(config.mae, init_seq, dtype=np.float32)
+        assert start.train_config() == config
+        assert (start.epoch, start.adam_step, start.best_val_loss, start.patience_left,
+                start.calibrated) == (0, 0, math.inf, 4, False)
+        assert list(start.params) == list(init.tensors)
+        for name, tensor in init.tensors.items():
+            assert start.params[name].tobytes() == tensor.data.tobytes()
+            assert start.best_params[name].tobytes() == tensor.data.tobytes()
+            assert not start.adam_m[name].any() and not start.adam_v[name].any()
+        for state, seq in ((start.rng_shuffle, shuffle_seq), (start.rng_mask, mask_seq)):
+            fresh = np.random.Generator(np.random.Philox(seq))
+            assert (trainer._restore_philox(state).integers(0, 2**62, 8)
+                    == fresh.integers(0, 2**62, 8)).all()
+
     def test_resume_after_an_early_best_matches_uninterrupted(self):
         """Validation is best at epoch 6 of 8, so a run resumed at 6 keeps the
         best parameters the first run calibrated and calibrates them no more:
