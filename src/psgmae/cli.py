@@ -57,6 +57,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if not np.isfinite(args.minutes):
+        raise ValueError(f"--minutes must be finite, got {args.minutes}")
     duration_s = int(round(args.minutes * 60))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -64,6 +64,10 @@ class FieldOverflow(EdfError):
     """A header value cannot be represented in its fixed-width ASCII field."""
 
 
+class NonFiniteSample(EdfError):
+    """A physical sample is NaN or infinite, which no 16-bit word stands for."""
+
+
 @dataclass
 class SignalSpec:
     """Per-signal header block of an EDF file."""
@@ -321,8 +325,9 @@ def write_edf(recording: EdfRecording) -> bytes:
 
     Physical values are mapped back to 16-bit digital values by inverting
     the calibration line, rounding to nearest and clipping to
-    [digital_min, digital_max]. If annotations are present an
-    "EDF Annotations" channel is appended and the file is marked EDF+C.
+    [digital_min, digital_max]; a NaN or infinite sample raises
+    NonFiniteSample. If annotations are present an "EDF Annotations"
+    channel is appended and the file is marked EDF+C.
     """
     if len(recording.signals) != len(recording.samples):
         raise InconsistentLengths(
@@ -338,6 +343,8 @@ def write_edf(recording: EdfRecording) -> bytes:
                 f"signal {spec.label!r}: {len(arr)} samples, expected "
                 f"{recording.num_records} records x {spec.samples_per_record}"
             )
+        if not np.isfinite(arr).all():
+            raise NonFiniteSample(f"signal {spec.label!r} holds a NaN or infinite sample")
 
     num_records = recording.num_records
     ann_records: list[bytes] = []

@@ -227,6 +227,7 @@ def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape or pred.data.ndim < 1:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
     cos, rows, norms, inverse = row_cosines(pred.data, target.data)
+    wanted = [t.shape if t.requires_grad else None for t in (pred, target)]  # partials' shapes
 
     def backward(g):
         # d cos / d x = other / (|x| |other|) - cos * x / |x|^2, the second term
@@ -234,15 +235,15 @@ def cosine_loss(pred: Tensor, target: Tensor) -> Tensor:
         dcos = g / -len(cos)
         across = dcos * inverse[0] * inverse[1]
         partials = []
-        for i, tensor in enumerate((pred, target)):
-            if not tensor.requires_grad:
+        for i, shape in enumerate(wanted):
+            if shape is None:
                 partials.append(None)
                 continue
             along = dcos * cos * (norms[i] >= COSINE_EPS)
             along *= inverse[i] * inverse[i]
             grad = rows[1 - i] * across[:, None]
             grad -= rows[i] * along[:, None]
-            partials.append(grad.reshape(tensor.shape))
+            partials.append(grad.reshape(shape))
         return partials
 
     return nc._make(np.mean(1.0 - cos), (pred, target), backward)

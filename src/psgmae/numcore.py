@@ -6,12 +6,14 @@ float64 for gradient checks). Ops executed while a Tape is active record a
 backward rule; ``Tape.backward`` walks the records in reverse, which is a
 valid reverse-topological order because records are appended in execution
 order. It returns each requires_grad leaf's gradient, keyed by the leaf.
+A record holds no op output and its rule only the arrays it reads.
 ``_ordered_map`` runs every parallel loop of the package on one shared pool.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -79,7 +81,7 @@ class NonFiniteValue(NumcoreError):
 class Tensor:
     """Dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -88,6 +90,7 @@ class Tensor:
         # ascontiguousarray would give a 0-d array (a scalar loss) shape (1,)
         self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
+        self.node = None  # (tape serial, record index) of the op that made it
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,14 +116,16 @@ class _TapeStack(threading.local):
 
 
 _TAPE_STACK = _TapeStack()
+_TAPE_SERIALS = itertools.count()
 
 
 class Tape:
     """Ordered record of operations; context manager activates recording."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
-        self._output_ids: set[int] = set()
+        self._serial = next(_TAPE_SERIALS)
+        # (backward, per input: its record index here, the leaf, or None if it needs no gradient)
+        self._records: list[tuple[object, tuple[int | Tensor | None, ...]]] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.tapes.append(self)
@@ -131,34 +136,36 @@ class Tape:
         assert popped is self
 
     def record(self, output: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
-        self._records.append((output, inputs, backward))
-        self._output_ids.add(id(output))
+        sources = tuple(t.node[1] if t.node and t.node[0] == self._serial
+                        else t if t.requires_grad else None for t in inputs)
+        output.node = (self._serial, len(self._records))
+        self._records.append((backward, sources))
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """d(loss)/d(leaf) of each requires_grad leaf the loss reaches, keyed by the
         leaf; nothing is written onto tensors, so tapes on many threads share leaves."""
         if loss.data.size != 1:
             raise LossNotScalar(f"loss has shape {loss.shape}, expected a scalar")
-        if id(loss) not in self._output_ids:
+        if loss.node is None or loss.node[0] != self._serial:
             raise DetachedTensor("loss was not produced by an op on this tape")
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {loss.node[1]: np.ones_like(loss.data)}
         leaves: dict[Tensor, np.ndarray] = {}
-        for output, inputs, backward_fn in reversed(self._records):
-            upstream = grads.pop(id(output), None)
+        for index in range(loss.node[1], -1, -1):
+            upstream = grads.pop(index, None)
             if upstream is None:
                 continue
-            partials = backward_fn(upstream)
-            for tensor, partial in zip(inputs, partials):
-                if partial is None or not tensor.requires_grad:
+            backward_fn, sources = self._records[index]
+            for source, partial in zip(sources, backward_fn(upstream)):
+                if partial is None or source is None:
                     continue
-                if id(tensor) in self._output_ids:
-                    held = grads.get(id(tensor))
-                    grads[id(tensor)] = partial if held is None else held + partial
+                if isinstance(source, int):
+                    held = grads.get(source)
+                    grads[source] = partial if held is None else held + partial
                 else:
-                    if tensor not in leaves:
-                        leaves[tensor] = np.zeros_like(tensor.data)
-                    leaves[tensor] += partial
+                    if source not in leaves:
+                        leaves[source] = np.zeros_like(source.data)
+                    leaves[source] += partial
         return leaves
 
 
@@ -192,14 +199,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             b is not None and b.shape != w.shape[1:]):
         raise ShapeMismatch(f"linear cannot apply {w.shape} weight to {x.shape}")
     # one 2-d product: np.matmul would call BLAS once per example
-    flat_x = x.data.reshape(-1, w.shape[0])
-    out = flat_x @ w.data
+    flat_x, weight = x.data.reshape(-1, w.shape[0]), w.data
+    x_shape, x_grad = x.shape, x.requires_grad
+    out = flat_x @ weight
     if b is not None:
         out += b.data
 
     def backward(g):
-        rows = g.reshape(-1, w.shape[1])
-        dx = (rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        rows = g.reshape(-1, weight.shape[1])
+        dx = (rows @ weight.T).reshape(x_shape) if x_grad else None
         return dx, flat_x.T @ rows, rows.sum(axis=0)
 
     return _make(out.reshape(x.shape[:-1] + w.shape[1:]),
@@ -207,13 +215,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    a_shape, b_shape = a.shape, b.shape
     try:
         out = a.data + b.data
     except ValueError as exc:
         raise ShapeMismatch(f"add cannot broadcast {a.shape} + {b.shape}") from exc
 
     def backward(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, a_shape), _reduce_to(g, b_shape)
 
     return _make(out, (a, b), backward)
 
@@ -226,8 +235,8 @@ def _heads(arr: np.ndarray, heads: int) -> np.ndarray:
 
 def split_heads(a: Tensor, heads: int) -> Tensor:
     """(..., n, heads * d) -> (..., heads, n, d)."""
-    return _make(_heads(a.data, heads), (a,),
-                 lambda g: (np.swapaxes(g, -2, -3).reshape(a.shape),))
+    shape = a.shape
+    return _make(_heads(a.data, heads), (a,), lambda g: (np.swapaxes(g, -2, -3).reshape(shape),))
 
 
 def _key_max(p: np.ndarray) -> np.ndarray:
@@ -257,6 +266,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     p /= p.sum(axis=-2, keepdims=True)
     out = np.empty_like(q.data)
     np.matmul(_swap(p), vh, out=_heads(out, heads))
+    shape, dtype = q.shape, q.dtype
 
     def backward(g):
         gh = _heads(g, heads)
@@ -264,7 +274,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         ds -= np.multiply(ds, p).sum(axis=-2, keepdims=True)
         ds *= p
         ds *= scale
-        dq, dk, dv = (np.empty_like(q.data) for _ in range(3))
+        dq, dk, dv = (np.empty(shape, dtype) for _ in range(3))
         np.matmul(_swap(ds), kh, out=_heads(dq, heads))
         np.matmul(ds, qh, out=_heads(dk, heads))
         np.matmul(p, gh, out=_heads(dv, heads))
@@ -308,10 +318,10 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     """Rows along the token axis (-2) at per-row indices (..., k) broadcast
     against a's leading axes; a repeated index accumulates its gradient."""
     rows = _token_rows(a.shape, indices)
-    width = a.shape[-1]
+    shape, dtype, width = a.shape, a.dtype, a.shape[-1]
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         np.add.at(full.reshape(-1, width), rows, g.reshape(-1, width))
         return (full,)
 
@@ -323,8 +333,8 @@ def scatter_rows(rows: Tensor, indices, length: int, fill: Tensor) -> Tensor:
     """Length-``length`` token sequences holding ``rows`` at per-row indices
     (..., k), which must not repeat within a row, and the row ``fill`` at
     every other position; inverse of gather_rows."""
-    width = rows.shape[-1]
-    shape = rows.shape[:-2] + (length, width)
+    rows_shape, width = rows.shape, rows.shape[-1]
+    shape = rows_shape[:-2] + (length, width)
     at = _token_rows(shape, indices)
     if at.size != rows.data.size // width or fill.shape != (width,):
         raise ShapeMismatch(f"cannot scatter {rows.shape} rows and fill {fill.shape} "
@@ -337,7 +347,7 @@ def scatter_rows(rows: Tensor, indices, length: int, fill: Tensor) -> Tensor:
         rest = g.reshape(-1, width).copy()
         picked = rest[at]
         rest[at] = 0.0
-        return picked.reshape(rows.shape), rest.sum(axis=0)
+        return picked.reshape(rows_shape), rest.sum(axis=0)
 
     return _make(out, (rows, fill), backward)
 
@@ -351,18 +361,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = xhat * xhat
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=out)
+    scale = gain.data  # gain and bias share its shape
+    np.multiply(xhat, scale, out=out)
     out += bias.data
 
     def backward(g):  # inv * ((h - mean(h)) - xhat * mean(h * xhat)), h = g * gain
-        dx = g * gain.data
+        dx = g * scale
         scratch = dx * xhat
         projection = scratch.mean(axis=-1, keepdims=True)
         dx -= dx.mean(axis=-1, keepdims=True)
         dx -= np.multiply(xhat, projection, out=scratch)
         dx *= inv
-        dgain = _reduce_to(np.multiply(g, xhat, out=scratch), gain.shape)
-        return dx, dgain, _reduce_to(g, bias.shape)
+        dgain = _reduce_to(np.multiply(g, xhat, out=scratch), scale.shape)
+        return dx, dgain, _reduce_to(g, scale.shape)
 
     return _make(out, (x, gain, bias), backward)
 
@@ -380,8 +391,8 @@ def gelu(a: Tensor) -> Tensor:
     # (0.5 * x) * (1 + tanh((k * c) * (1 + C * (c * c)))), c = clip(x), in this grouping
     x = a.data
     t = np.clip(x, -_GELU_SATURATION, _GELU_SATURATION)
-    square = t * t
-    scratch = np.multiply(square, _GELU_C)
+    scratch = np.multiply(t, t)
+    scratch *= _GELU_C
     scratch += 1.0
     t *= _GELU_K
     t *= scratch
@@ -392,7 +403,9 @@ def gelu(a: Tensor) -> Tensor:
     def backward(g):  # g * (0.5 * (1 + t) + (0.5 * x) * ((1 - t * t) * (k * (1 + 3C * c * c))))
         slope = t * t
         np.subtract(1.0, slope, out=slope)
-        scratch = np.multiply(square, 3.0 * _GELU_C)
+        scratch = np.clip(x, -_GELU_SATURATION, _GELU_SATURATION)
+        scratch *= scratch  # c * c, re-derived as the forward made it
+        scratch *= 3.0 * _GELU_C
         scratch += 1.0
         scratch *= _GELU_K
         slope *= scratch  # d tanh / dx

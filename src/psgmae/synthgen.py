@@ -54,6 +54,8 @@ class SynthSpec:
             raise ValueError(f"duration_s must be a multiple of {EPOCH_S}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+        if not np.isfinite(self.noise_std):
+            raise ValueError(f"noise_std must be finite, got {self.noise_std}")
 
 
 def _stage_sequence(spec: SynthSpec) -> list[str]:

@@ -92,12 +92,18 @@ def ones_sum(x, scale=1.0):
     return total if x.data.ndim == 1 else numcore.linear(weights(1, x.shape[0]), total)
 
 
+def record_sources(tensors):
+    """What a tape record keeps of leaf inputs: each leaf, or None for one
+    that needs no gradient."""
+    return [t if t.requires_grad else None for t in tensors]
+
+
 def one_record(kernel, tensors, g, *args):
     """The kernel's output and partials from its single tape record."""
     with numcore.Tape() as tape:
         out = kernel(*tensors, *args)
-    (record_out, record_inputs, backward), = tape._records
-    assert record_out is out and list(record_inputs) == list(tensors)
+    (backward, sources), = tape._records
+    assert out.node == (tape._serial, 0) and list(sources) == record_sources(tensors)
     return out, backward(g)
 
 

@@ -155,6 +155,28 @@ class TestInspect:
         assert exit_info.value.code == 2
 
 
+class TestSynth:
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exits_2_and_writes_no_edf(self, capsys, tmp_path, noise):
+        out = tmp_path / "raw"
+        code, stdout, err = run(capsys, "synth", "--out", str(out), "--minutes", "1",
+                                "--noise-std", noise)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: noise_std must be finite, got {noise}\n"
+        assert not any(out.iterdir())
+
+    def test_infinite_minutes_exits_2_before_writing(self, tmp_path):
+        """In a fresh process: the message, no traceback, and no output directory."""
+        out = tmp_path / "raw"
+        proc = subprocess.run([sys.executable, "-m", "psgmae.cli", "synth", "--out", str(out),
+                               "--minutes", "inf"], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(
+                                  Path(psgmae.__file__).resolve().parents[1])})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: --minutes must be finite, got inf\n"
+        assert not out.exists()
+
+
 class TestPreprocess:
     def test_prints_stage_histogram(self, capsys, workspace):
         # 4 subjects x 6 epochs of the W,W,1,1,2,2 prefix

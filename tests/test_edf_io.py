@@ -13,6 +13,7 @@ from psgmae.edf_io import (
     InconsistentLengths,
     MalformedHeader,
     MalformedTal,
+    NonFiniteSample,
     SignalSpec,
     TruncatedFile,
     UnsupportedEdf,
@@ -206,6 +207,14 @@ class TestWrite:
         recording.annotations = [Annotation(0.0, 30.0, "a"), Annotation(onset, duration, "b")]
         with pytest.raises(MalformedTal, match="must be finite"):
             write_edf(recording)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sample_refused(self, bad):
+        """No 16-bit word stands for a NaN or infinite sample, so the writer
+        refuses one rather than write what its cast gives."""
+        with pytest.raises(NonFiniteSample, match="'EEG test' holds a NaN or infinite"):
+            write_edf(self.recording([1.0, bad, 2.0]))
+        assert issubclass(NonFiniteSample, EdfError)
 
     def test_quantization_within_half_step(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))

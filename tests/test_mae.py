@@ -1,6 +1,9 @@
+import gc
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -407,19 +410,30 @@ class TestForwardLoss:
         assert masked_loss.item() == pytest.approx(np.mean(per_token), abs=1e-6)
         assert masked_loss.item() != pytest.approx(all_loss.item(), abs=1e-9)
 
-    def test_masked_scope_loss_is_one_record_over_masked_rows(self):
+    def test_masked_scope_loss_is_one_record_over_masked_rows(self, monkeypatch):
         """The fused loss's record reads exactly the masked tokens of each
         reconstruction and target, and its value and partial for the
         reconstruction rows match the float64 reference."""
         config, params = tiny_params(loss_scope="masked", dtype=np.float32)
         inputs, targets = make_batch(config, philox(15), 3)
+        arguments = []
+
+        def capturing(pred, target):
+            arguments.append((pred, target))
+            return cosine_loss(pred, target)
+
+        monkeypatch.setattr(mae, "cosine_loss", capturing)
         with nc.Tape() as tape:
             loss, recons = planned_loss(inputs, targets, params, philox(16))
-        out, (pred, target), backward = tape._records[-1]
+        (pred, target), = arguments
+        backward, sources = tape._records[-1]
         stream = philox(16)
         masked = np.array([reference_mask(config.seq_len, config.mask_ratio, stream)[1]
                            for _ in range(3)])[:, None, :, None]
-        assert out is loss and pred.requires_grad and not target.requires_grad
+        assert loss.node == (tape._serial, len(tape._records) - 1)
+        # the record's inputs: pred, made on this tape, and target, which needs no gradient
+        assert pred.node == (tape._serial, sources[0]) and sources[1] is None
+        assert pred.requires_grad and not target.requires_grad
         for tensor, full in ((pred, recons), (target, targets)):
             expected = np.take_along_axis(patchify(full, config), masked, axis=-2)
             assert tensor.shape == (3, 2, 2, 10)  # (B, targets, masked tokens, patch)
@@ -508,6 +522,116 @@ class TestGradients:
         for name, tensor in params.tensors.items():
             assert tensor in grads, name
             assert np.any(grads[tensor] != 0.0), name
+
+
+def owner(arr):
+    """The array that owns arr's memory: arr, or the base its views lead to."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def rule_captures(records):
+    """Everything the backward rules of tape records capture, lists and tuples opened."""
+    found, stack = [], [cell.cell_contents for backward, _ in records
+                        for cell in backward.__closure__ or ()]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        else:
+            found.append(item)
+    return found
+
+
+def default_config():
+    return MaeConfig(target_channels=("EOG horizontal", "EMG submental", "EEG Pz-Oz"))
+
+
+class TestTapeMemory:
+    """A tape record holds no op output and its rule only the arrays it reads,
+    so a default-model shard frees the activations no backward rule needs."""
+
+    def test_forward_frees_what_no_rule_reads(self, monkeypatch):
+        config = default_config()
+        params = init_params(config, seed=0)
+        inputs, targets = make_batch(config, philox(40), 2)
+        weights = {params.tensors[f"{prefix}.attn.wo"]
+                   for prefix in ("enc.0", "enc.1", "dec.0")}
+        seen = {"add": [], "projection": [], "head product": [], "gelu input": [],
+                "tanh": []}
+        c_squares = []
+        add, linear, split_heads, gelu = nc.add, nc.linear, nc.split_heads, nc.gelu
+
+        def adding(a, b):
+            out = add(a, b)
+            seen["add"].append(weakref.ref(owner(out.data)))
+            return out
+
+        def projecting(x, w, b=None):
+            out = linear(x, w, b)
+            if w in weights:
+                seen["projection"].append(weakref.ref(owner(out.data)))
+            return out
+
+        def splitting(a, heads):
+            seen["head product"].append(weakref.ref(owner(a.data)))
+            return split_heads(a, heads)
+
+        def activating(a):
+            out = gelu(a)
+            c = np.clip(a.data, -10.0, 10.0)
+            tanh = np.tanh((c * nc._GELU_K) * (c * c * nc._GELU_C + 1.0))
+            held = [x for x in rule_captures(tape._records[-1:]) if isinstance(x, np.ndarray)]
+            seen["gelu input"].append(weakref.ref(owner(a.data)))
+            seen["tanh"] += [weakref.ref(x) for x in held if np.array_equal(x, tanh)]
+            c_squares.append(c * c)
+            return out
+
+        for name, wrapper in (("add", adding), ("linear", projecting),
+                              ("split_heads", splitting), ("gelu", activating)):
+            monkeypatch.setattr(nc, name, wrapper)
+        with nc.Tape() as tape:
+            loss, _ = planned_loss(inputs, targets, params, philox(41))
+        gc.collect()
+
+        def alive(refs):
+            return [ref() is not None for ref in refs]
+
+        # 2 positional adds, 2 residual adds per block; the heads' product reads only the last
+        assert alive(seen["add"]) == [False] * 7 + [True]
+        assert alive(seen["projection"]) == [False] * 3
+        assert alive(seen["head product"]) == [False]
+        assert alive(seen["gelu input"]) == alive(seen["tanh"]) == [True] * 3
+        captured = rule_captures(tape._records)
+        assert not any(isinstance(x, np.ndarray) and np.array_equal(x, square)
+                       for x in captured for square in c_squares)
+        assert not any(isinstance(x, Tensor) for x in captured)
+        assert tape.backward(loss)  # the tape still runs backward
+
+    def test_shard_memory_budget(self):
+        """Traced bytes of one 32-example float32 shard of the default model:
+        at most 13 MB held after forward, at most 16.5 MB at backward's peak.
+        The shard's inputs (32, 3000) and targets are contiguous arrays, so
+        no Tensor copies them."""
+        config = default_config()
+        params = init_params(config, seed=0)
+        inputs, targets = map(np.ascontiguousarray, make_batch(config, philox(42), 32))
+        masks = mask_plans(config, 32, philox(43))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with nc.Tape() as tape:
+                loss, _ = forward_loss(inputs, targets, params, masks)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held <= 13e6 and peak <= 16.5e6, (held, peak)
 
 
 class TestBatching:

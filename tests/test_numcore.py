@@ -25,7 +25,8 @@ from psgmae.numcore import (
     grad_check,
 )
 
-from conftest import POOL_EXIT_WAIT_S, assert_close, one_record, ones_sum, philox
+from conftest import (POOL_EXIT_WAIT_S, assert_close, one_record, ones_sum, philox,
+                      record_sources)
 
 
 def t64(data, requires_grad=False):
@@ -140,6 +141,21 @@ class TestBackward:
         tape = Tape()
         with pytest.raises(DetachedTensor):
             tape.backward(x)
+
+    def test_loss_from_another_tape_is_detached(self):
+        """A record is found by its tape's serial and its index there, so a
+        loss made on another tape raises, though this tape has a record at
+        the loss's index."""
+        x = t64([[1.0, 2.0]], requires_grad=True)
+        w = t64([[1.0], [3.0]])
+        with Tape() as tape:
+            ones_sum(nc.linear(x, w))
+        with Tape() as other:
+            loss = nc.linear(x, w)
+        assert loss.node[1] < len(tape._records)
+        with pytest.raises(DetachedTensor):
+            tape.backward(loss)
+        assert other.backward(loss)[x].tolist() == [[1.0, 3.0]]
 
     def test_no_recording_without_tape(self):
         x = t64([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
@@ -674,8 +690,8 @@ class TestKernelBytes:
         assert not any(t.data.flags.writeable for t in tensors)  # writing into one raises
         with Tape() as tape, np.errstate(all="ignore"):
             out = kernel(*tensors)
-        (record_out, record_inputs, backward), = tape._records
-        assert record_out is out and list(record_inputs) == tensors
+        (backward, sources), = tape._records
+        assert out.node == (tape._serial, 0) and list(sources) == record_sources(tensors)
         with np.errstate(all="ignore"):
             partials = backward(g)  # read-only g: writing into it raises
             expected_out, expected_partials = reference(*inputs, g)

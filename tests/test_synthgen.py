@@ -44,6 +44,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             SynthSpec(seed=0, duration_s=45)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_noise_must_be_finite(self, noise):
+        with pytest.raises(ValueError, match="noise_std must be finite"):
+            SynthSpec(seed=0, duration_s=60, noise_std=noise)
+
 
 class TestWaveforms:
     def test_wake_epoch_dominant_frequency_is_10hz(self):
