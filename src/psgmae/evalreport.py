@@ -18,8 +18,8 @@ import numpy as np
 
 from . import mae, numcore as nc
 from .mae import MaeParams
-from .pipeline import (TARGET_RATE_HZ, EpochCacheReader, EpochRecord, EpochSet, MissingChannel,
-                       SleepStage, STAGES, as_epoch_set, denormalize)
+from .pipeline import (TARGET_RATE_HZ, EpochCacheReader, EpochRecord, EpochSet, SleepStage,
+                       STAGES, as_epoch_set, denormalize, target_positions)
 
 STAGE_COLUMNS = tuple(stage.display for stage in STAGES)
 
@@ -114,31 +114,33 @@ def epoch_errors(pred: np.ndarray | None, orig: np.ndarray,
     return errors
 
 
-def _add_rows(table: MseTable, input_channel: str, targets, stage: np.ndarray,
-              errors: np.ndarray) -> MseTable:
-    """``table`` with rows (input_channel, target j): per ``stage`` code, the
-    mean of its epochs' errors[:, j], which bincount sums in epoch order."""
+def _add_rows(table: MseTable, channels: tuple[str, ...], targets: list[int],
+              stage: np.ndarray, errors: np.ndarray) -> MseTable:
+    """``table`` with a row (channels[0], channels[targets[j]]) per column j of
+    ``errors``, in channel order: per ``stage`` code, the mean of its epochs'
+    errors[:, j], which bincount sums in epoch order."""
     counts = np.bincount(stage, minlength=len(STAGES)).tolist()
-    for j, target in enumerate(targets if len(stage) else ()):
+    for j in np.argsort(targets) if len(stage) else ():
         totals = np.bincount(stage, weights=errors[:, j], minlength=len(STAGES)).tolist()
-        table.add_row(input_channel, target)
+        row = (channels[0], channels[targets[j]])
         for cell_stage, total, count in zip(STAGES, totals, counts):
             if count:
-                table.set_cell(input_channel, target, cell_stage, MseCell(total / count, count))
+                table.set_cell(*row, cell_stage, MseCell(total / count, count))
     return table
 
 
 def stream_scores(params: MaeParams, source: EpochSet | EpochCacheReader, rows: np.ndarray,
-                  targets: list[int], score: Callable[[slice, np.ndarray, np.ndarray], None]):
+                  score: Callable[[slice, np.ndarray, np.ndarray], None]):
     """Full-visibility reconstructions of the rows ``rows`` (ascending) of an EpochSet
     or an EpochCacheReader, each chunk handed to score(span, recon, orig) on the thread
     that read it: ``recon`` (chunk, heads, epoch_len), ``orig`` those epochs' channels
-    ``targets`` (one per head), ``span`` their positions in ``rows``.
+    of the model's targets (one per head), ``span`` their positions in ``rows``.
 
     Chunks of min(CHUNK, ceil(N / 2)) rows, at least one, cut from N alone so that
     no byte depends on the core count, run on the numcore pool: at most CHUNK epochs
     per core are in flight. One chunk or one core runs on this thread."""
     size = max(1, min(CHUNK, -(-len(rows) // 2)))
+    targets = target_positions(source.channels, params.config.target_channels)
 
     def chunk(lo: int) -> None:
         span = slice(lo, min(lo + size, len(rows)))
@@ -153,32 +155,34 @@ def cache_tables(params: MaeParams, reader: EpochCacheReader, rows: np.ndarray,
     """``evaluate_records``' table and ``baseline_table`` of the cache rows ``rows``
     (ascending) through ``stream_scores``, keeping only per-epoch errors. Only
     those rows are read, and each is checked before the tables return."""
-    channels, order = reader.channels, params.config.target_channels
-    if sorted(channels[1:]) != sorted(order):
-        raise MissingChannel(f"cache target channels {list(channels[1:])} are not the "
-                             f"model's {list(order)}")
-    model, baseline = np.empty((2, len(rows), len(order)))
-    targets = [channels.index(t) for t in order]
+    targets = target_positions(reader.channels, params.config.target_channels)
+    model, baseline = np.empty((2, len(rows), len(targets)))
 
     def score(span: slice, recon: np.ndarray, orig: np.ndarray) -> None:
         norm = reader.norm[rows[span]][:, targets] if physical_units else None
         model[span] = epoch_errors(recon, orig, norm)
         baseline[span] = epoch_errors(None, orig, norm)
 
-    stream_scores(params, reader, rows, targets, score)
-    heads = [order.index(t) for t in channels[1:]]  # the cache's target order
-    return tuple(_add_rows(MseTable(), channels[0], channels[1:], reader.stage[rows],
-                           errors[:, heads]) for errors in (model, baseline))
+    stream_scores(params, reader, rows, score)
+    return tuple(_add_rows(MseTable(), reader.channels, targets, reader.stage[rows], errors)
+                 for errors in (model, baseline))
+
+
+def _reconstructed(record: EpochRecord, recons: dict[str, np.ndarray]) -> list[str]:
+    """The targets of ``record`` that ``recons`` holds, in the record's order."""
+    channels = (record.input_channel, *record.targets)
+    return [channels[k] for k in sorted(target_positions(channels, recons))]
 
 
 def aggregate_by_stage(pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]],
                        physical_units: bool = False) -> MseTable:
     """Group per-epoch MSE by (input, target, stage) and average each group,
     as ``evaluate_records`` does, over (epoch record, reconstructions keyed by
-    target channel) pairs, both in normalized units."""
+    target channel) pairs, both in normalized units. Each pair scores the
+    targets it reconstructs, in the record's order."""
     groups: dict[tuple[str, str], list[tuple[EpochRecord, np.ndarray]]] = {}
     for record, recons in pairs:
-        for target in record.target_channels:
+        for target in _reconstructed(record, recons):
             if np.shape(recons[target]) != np.shape(record.targets[target]):
                 raise LengthMismatch(f"pred shape {np.shape(recons[target])} != orig shape "
                                      f"{np.shape(record.targets[target])}")
@@ -189,7 +193,7 @@ def aggregate_by_stage(pairs: Iterable[tuple[EpochRecord, dict[str, np.ndarray]]
         errors = epoch_errors(np.array(preds), np.array([r.targets[target] for r in records]),
                               [r.norm_params[target] for r in records] if physical_units
                               else None)
-        _add_rows(table, input_channel, [target], np.array([r.stage.code for r in records]),
+        _add_rows(table, (input_channel, target), [1], np.array([r.stage.code for r in records]),
                   errors[:, None])
     return table
 
@@ -270,7 +274,7 @@ def evaluate_records(
     scored through ``stream_scores``, and one (epoch record, recons by target) pair per epoch."""
     epochs = as_epoch_set(records)
     channels = params.config.target_channels
-    targets = epochs.target_indices(channels)
+    targets = target_positions(epochs.channels, channels)
     recons = np.empty((len(epochs), len(targets), params.config.epoch_len), params.dtype)
     errors = np.empty((len(epochs), len(targets)))
 
@@ -279,10 +283,8 @@ def evaluate_records(
         errors[span] = epoch_errors(recon, orig, epochs.norm[span][:, targets]
                                     if physical_units else None)
 
-    stream_scores(params, epochs, np.arange(len(epochs)), targets, score)
-    heads = [channels.index(t) for t in epochs.target_channels]  # the set's target order
-    table = _add_rows(MseTable(), epochs.input_channel, epochs.target_channels, epochs.stage,
-                      errors[:, heads])
+    stream_scores(params, epochs, np.arange(len(epochs)), score)
+    table = _add_rows(MseTable(), epochs.channels, targets, epochs.stage, errors)
     return table, [(record, dict(zip(channels, recon))) for record, recon in zip(epochs, recons)]
 
 
@@ -293,7 +295,7 @@ def baseline_table(records: EpochSet | list[EpochRecord],
         return MseTable()
     epochs = as_epoch_set(records)
     norm = epochs.norm[:, 1:] if physical_units else None
-    return _add_rows(MseTable(), epochs.input_channel, epochs.target_channels, epochs.stage,
+    return _add_rows(MseTable(), epochs.channels, range(1, len(epochs.channels)), epochs.stage,
                      epoch_errors(None, epochs.signals[:, 1:], norm))
 
 
@@ -302,15 +304,14 @@ def export_reconstruction(
     reconstructions: dict[str, np.ndarray],
     path,
 ) -> None:
-    """Write aligned (channel, time_s, original, reconstructed) CSV columns,
-    de-normalized to physical units with the record's stored parameters."""
-    missing = set(record.target_channels) - set(reconstructions)
-    if missing:
-        raise ValueError(f"reconstructions missing targets: {sorted(missing)}")
+    """Write aligned (channel, time_s, original, reconstructed) CSV columns of the
+    reconstructed channels, in the record's order, de-normalized to physical units
+    with the record's stored parameters."""
+    channels = _reconstructed(record, reconstructions)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["channel", "time_s", "original", "reconstructed"])
-        for channel in record.target_channels:
+        for channel in channels:
             mean, std = record.norm_params[channel]
             original = denormalize(record.targets[channel], mean, std).tolist()
             recon = denormalize(reconstructions[channel], mean, std).tolist()

@@ -41,8 +41,10 @@ class MaeConfig:
 
     def __post_init__(self):
         self.target_channels = tuple(self.target_channels)
-        if self.patch_size < 1 or self.seq_len < 1:
-            raise ValueError("patch_size and seq_len must be >= 1")
+        for name, least in (("patch_size", 1), ("seq_len", 1), ("embed_dim", 1), ("num_heads", 1),
+                            ("mlp_ratio", 1), ("encoder_layers", 0), ("decoder_layers", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"

@@ -234,14 +234,6 @@ class EpochSet:
     def target_channels(self) -> tuple[str, ...]:
         return self.channels[1:]
 
-    def target_indices(self, names) -> list[int]:
-        """Channel-axis positions of the named target channels."""
-        missing = [name for name in names if name not in self.target_channels]
-        if missing:
-            raise MissingChannel(f"epochs lack target channels {missing} "
-                                 f"(have {list(self.target_channels)})")
-        return [self.channels.index(name) for name in names]
-
     def __len__(self) -> int:
         return len(self.stage)
 
@@ -291,6 +283,16 @@ def _joined_subjects(parts: list[EpochSet]):
     return parts[0].channels, subjects, [
         np.array([position[s] for s in part.subjects], dtype=np.uint16)[part.subject]
         for part in parts]
+
+
+def target_positions(channels: tuple[str, ...], names) -> list[int]:
+    """The positions in ``channels`` (input first) of the model target channels ``names``,
+    in their order; MissingChannel for a name that is not one of the data's targets."""
+    missing = [name for name in names if name not in channels[1:]]
+    if missing:
+        raise MissingChannel(f"config target_channels {missing} are not among the data's "
+                             f"target channels {list(channels[1:])}")
+    return [channels.index(name) for name in names]
 
 
 def as_epoch_set(epochs) -> EpochSet:

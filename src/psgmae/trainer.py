@@ -36,8 +36,8 @@ import numpy as np
 
 from . import evalreport, mae, numcore as nc
 from .mae import MaeConfig, MaeParams
-from .pipeline import (EPOCH_SAMPLES, DatasetManifest, EpochSet, MissingChannel, as_epoch_set,
-                       load_manifest, read_epoch_cache)
+from .pipeline import (EPOCH_SAMPLES, DatasetManifest, EpochSet, as_epoch_set, load_manifest,
+                       read_epoch_cache, target_positions)
 
 CHECKPOINT_MAGIC = b"PSGMAE02"
 _LENGTHS = struct.Struct("<II")  # config and meta byte lengths
@@ -220,19 +220,26 @@ def _philox_state(gen: np.random.Generator) -> dict:
 
 
 def _restore_philox(payload: dict) -> np.random.Generator:
+    """The generator whose ``_philox_state`` is ``payload``; ShapeMismatchOnLoad if none is."""
     bit = np.random.Philox()
-    bit.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array(payload["counter"], dtype=np.uint64),
-            "key": np.array(payload["key"], dtype=np.uint64),
-        },
-        "buffer": np.array(payload["buffer"], dtype=np.uint64),
-        "buffer_pos": int(payload["buffer_pos"]),
-        "has_uint32": int(payload["has_uint32"]),
-        "uinteger": int(payload["uinteger"]),
-    }
-    return np.random.Generator(bit)
+    try:
+        bit.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.array(payload["counter"], dtype=np.uint64),
+                "key": np.array(payload["key"], dtype=np.uint64),
+            },
+            "buffer": np.array(payload["buffer"], dtype=np.uint64),
+            "buffer_pos": int(payload["buffer_pos"]),
+            "has_uint32": int(payload["has_uint32"]),
+            "uinteger": int(payload["uinteger"]),
+        }
+        generator = np.random.Generator(bit)
+        if not 0 <= payload["buffer_pos"] <= 4 or _philox_state(generator) != payload:
+            raise ValueError("not a Philox state")
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as exc:
+        raise ShapeMismatchOnLoad(f"malformed checkpoint rng state: {exc}") from exc
+    return generator
 
 
 def save_checkpoint(checkpoint: Checkpoint) -> bytes:
@@ -281,9 +288,12 @@ def load_checkpoint(data: bytes) -> Checkpoint:
             raise ValueError("non-finite tensor values")
         sections = [{name: row[lo:hi].reshape(shape)
                      for (name, shape), lo, hi in zip(table, bounds, bounds[1:])} for row in rows]
+        fields = {key: kind(meta[key]) for key, kind in _META.items()}
+        for key in ("epoch", "adam_step"):
+            if fields[key] < 0:
+                raise ValueError(f"{key} {fields[key]} is negative")
         return Checkpoint(data[start: start + config_len].decode("utf-8"),
-                          **dict(zip(_SECTIONS, sections)),
-                          **{key: kind(meta[key]) for key, kind in _META.items()},
+                          **dict(zip(_SECTIONS, sections)), **fields,
                           numerics=int(meta.get("numerics", 1)))
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise ShapeMismatchOnLoad(f"malformed checkpoint: {exc}") from exc
@@ -327,19 +337,18 @@ def initial_checkpoint(config: TrainConfig) -> Checkpoint:
                       rng_shuffle=rng_shuffle, rng_mask=rng_mask)
 
 
-def check_fits(config: TrainConfig, channels: tuple[str, ...]) -> None:
-    """Refuse data the model of ``config`` cannot take, from its channel names alone (input
-    first): ValueError, or MissingChannel for a model target the data lacks."""
+def check_fits(config: TrainConfig, channels: tuple[str, ...]) -> list[int]:
+    """The positions in ``channels`` (input first) of the model's targets, the only channels
+    it reads and scores besides its input. Data it cannot take is refused from its channel
+    names alone: ValueError, or MissingChannel for a model target the data lacks."""
     if channels[0] != config.input_channel:
         raise ValueError(f"config input_channel {config.input_channel!r} is not the "
                          f"data's input channel {channels[0]!r}")
-    missing = [name for name in config.mae.target_channels if name not in channels[1:]]
-    if missing:
-        raise MissingChannel(f"config target_channels {missing} are not among the data's "
-                             f"target channels {list(channels[1:])}")
+    targets = target_positions(channels, config.mae.target_channels)
     if config.mae.epoch_len != EPOCH_SAMPLES:
         raise ValueError(f"config patch_size * seq_len is {config.mae.epoch_len}, but "
                          f"epochs hold {EPOCH_SAMPLES} samples")
+    return targets
 
 
 def load_dataset(data_dir: Path | str) -> tuple[DatasetManifest, EpochSet]:
@@ -375,9 +384,9 @@ def evaluate_split(params: MaeParams, epochs: EpochSet) -> tuple[float, dict[str
     """Full-visibility cosine loss and per-target MSE over an epoch set through
     ``evalreport.stream_scores``, keeping per-patch cosines and per-epoch float64
     squared-error sums, added in row order so that no value depends on the core count."""
-    config, targets = params.config, epochs.target_indices(params.config.target_channels)
-    cos = np.empty((len(epochs), len(targets) * config.seq_len), params.dtype)
-    sq_err = np.empty((len(epochs), len(targets)))
+    config = params.config
+    cos = np.empty((len(epochs), len(config.target_channels) * config.seq_len), params.dtype)
+    sq_err = np.empty((len(epochs), len(config.target_channels)))
 
     def score(span: slice, recon: np.ndarray, orig: np.ndarray) -> None:
         patches = [mae.patchify(x.astype(recon.dtype, copy=False), config) for x in (recon, orig)]
@@ -385,8 +394,8 @@ def evaluate_split(params: MaeParams, epochs: EpochSet) -> tuple[float, dict[str
         diff = np.subtract(recon, orig, dtype=np.float64)
         sq_err[span] = np.sum(np.square(diff, out=diff), axis=-1)
 
-    evalreport.stream_scores(params, epochs, np.arange(len(epochs)), targets, score)
-    sq_err = sum(sq_err, np.zeros(len(targets))) / (len(epochs) * config.epoch_len)
+    evalreport.stream_scores(params, epochs, np.arange(len(epochs)), score)
+    sq_err = sum(sq_err, np.zeros(sq_err.shape[1])) / (len(epochs) * config.epoch_len)
     return float(np.mean(1.0 - cos)), dict(zip(config.target_channels, sq_err.tolist()))
 
 
@@ -398,16 +407,15 @@ def calibrate_head_scale(params: MaeParams, epochs: EpochSet) -> dict[str, float
     ||c * recon - target||^2 over the given epochs (use the train split)
     and folds it into the head weights. Each epoch's float64 dot products,
     streamed as in ``evaluate_split``, are summed in row order. No random state."""
-    targets = epochs.target_indices(params.config.target_channels)
-    products = np.empty((len(epochs), len(targets), 2))
+    products = np.empty((len(epochs), len(params.config.target_channels), 2))
 
     def score(span: slice, recon: np.ndarray, orig: np.ndarray) -> None:
         pred = recon.astype(np.float64)
         products[span, :, 0] = np.einsum("ijk,ijk->ij", pred, pred)
         products[span, :, 1] = np.einsum("ijk,ijk->ij", pred, orig.astype(np.float64))
 
-    evalreport.stream_scores(params, epochs, np.arange(len(epochs)), targets, score)
-    totals = sum(products, np.zeros((len(targets), 2))).tolist()  # in row order
+    evalreport.stream_scores(params, epochs, np.arange(len(epochs)), score)
+    totals = sum(products, np.zeros(products.shape[1:])).tolist()  # in row order
     scales = {}
     for ch, (den, num) in zip(params.config.target_channels, totals):
         scales[ch] = num / den if den > 1e-12 else 1.0
@@ -476,9 +484,8 @@ def train(
         if not splits.get(name):
             raise EmptySplit(f"{name} split is empty")
     train_set, val_set = as_epoch_set(splits["train"]), as_epoch_set(splits["val"])
-    for epochs in (train_set, val_set):
-        check_fits(config, epochs.channels)
-    targets = train_set.target_indices(config.mae.target_channels)
+    check_fits(config, val_set.channels)
+    targets = check_fits(config, train_set.channels)
 
     start = resume or initial_checkpoint(config)
     if start.epoch >= config.max_epochs:
@@ -499,8 +506,9 @@ def train(
         order = shuffle_rng.permutation(len(train_set))
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
-            batch = train_set.signals[order[lo: lo + config.batch_size]]
-            value, grads = batch_gradients(params, batch[:, 0], batch[:, targets],
+            batch = order[lo: lo + config.batch_size]  # gathered C-contiguous: encode copies none
+            value, grads = batch_gradients(params, train_set.signals[batch, 0],
+                                           train_set.signals[batch[:, None], targets],
                                            mae.mask_plans(config.mae, len(batch), mask_rng))
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}, "

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The psgmae CLI end to end in fresh processes: every output byte-identical on
 # one core (taskset -c 0) and on every core the process may use, a resumed run
-# equal to the uninterrupted one, `reconstruct` from a cache made for another
+# equal to the uninterrupted one, a model of two of the cache's three targets
+# scored and exported on just those two, `reconstruct` from a cache made for another
 # input channel refused (exit 2, no CSV, no traceback), and the preprocessing of
 # 90-min nights (three 64-epoch blocks each) byte-identical on one core and on
 # every core.
@@ -57,13 +58,32 @@ for cores in one every; do
     --data "$out/data" --split test --physical --out "$out/physical" > "$out/physical.txt"
   $pin python -m psgmae.cli reconstruct --checkpoint "$out/run/checkpoint.psgmae" \
     --data "$out/data" --epoch-index 0 --out "$out/epoch0.csv"
+  # a model of two of the cache's three targets
+  sed 's/^target_channels = .*$/target_channels = EOG horizontal, EEG Pz-Oz/' "$config" \
+    > "$out/config-part.ini"
+  grep -qx 'target_channels = EOG horizontal, EEG Pz-Oz' "$out/config-part.ini"
+  $pin python -m psgmae.cli train --config "$out/config-part.ini" --data "$out/data" \
+    --out "$out/part"
+  $pin python -m psgmae.cli eval --checkpoint "$out/part/checkpoint.psgmae" \
+    --data "$out/data" --split all --out "$out/part-report" > "$out/part-report.txt"
+  $pin python -m psgmae.cli eval --checkpoint "$out/part/checkpoint.psgmae" \
+    --data "$out/data" --split test --physical --out "$out/part-physical" \
+    > "$out/part-physical.txt"
+  $pin python -m psgmae.cli reconstruct --checkpoint "$out/part/checkpoint.psgmae" \
+    --data "$out/data" --epoch-index 0 --out "$out/part-epoch0.csv"
 done
 for file in data/epochs.psgepo data/manifest.json preprocess.txt run/checkpoint.psgmae \
     run/metrics.log masked/checkpoint.psgmae masked/metrics.log report/mse_table.csv \
     report/mse_table.txt report.txt physical/mse_table.csv physical/mse_table.txt \
-    physical.txt epoch0.csv; do
+    physical.txt epoch0.csv part/checkpoint.psgmae part/metrics.log part-report/mse_table.csv \
+    part-report/mse_table.txt part-report.txt part-physical/mse_table.csv \
+    part-physical/mse_table.txt part-physical.txt part-epoch0.csv; do
   cmp "$root/e2e-one/$file" "$root/e2e-every/$file"
 done
+# the partial model's outputs hold its two targets and no other
+test "$(grep -c '^pooled\[' "$root/e2e-every/part-report.txt")" -eq 2
+test "$(cut -d, -f1 "$root/e2e-every/part-epoch0.csv" | LC_ALL=C sort -u | tr '\n' ';')" = \
+  "EEG Pz-Oz;EOG horizontal;channel;"
 
 # a cache made for another input channel: reconstruct exits 2 with a one-line
 # error, before it writes a CSV

@@ -580,8 +580,14 @@ class TestTrainEval:
         (("[optimizer]", "[optimiser]"), "unknown config section [optimiser]"),
         (("patience = 10", "patiense = 10"), "unknown config key 'patiense' in [train]"),
         (("seed = 0", "seed = 0\nlr = 0.5"), "unknown config key 'lr' in [train]"),
+        (("num_heads = 2", "num_heads = 0"), "num_heads must be >= 1, got 0"),
+        (("embed_dim = 16", "embed_dim = 0"), "embed_dim must be >= 1, got 0"),
+        (("decoder_layers = 1", "decoder_layers = 1\nmlp_ratio = 0"),
+         "mlp_ratio must be >= 1, got 0"),
+        (("encoder_layers = 1", "encoder_layers = -1"), "encoder_layers must be >= 0, got -1"),
     ], ids=["lr-negative", "lr-zero", "lr-inf", "epsilon-nan", "beta1-two", "beta2-one",
-            "unknown-section", "misspelt-key", "misplaced-key"])
+            "unknown-section", "misspelt-key", "misplaced-key", "num-heads-zero",
+            "embed-dim-zero", "mlp-ratio-zero", "encoder-layers-negative"])
     def test_config_values_refused_before_the_cache_is_opened(
             self, capsys, workspace, tmp_path, monkeypatch, edit, message):
         def no_dataset(*args):
@@ -593,6 +599,20 @@ class TestTrainEval:
                              "--data", str(workspace / "data"), "--out", str(tmp_path / "run"))
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    def test_checkpoint_of_a_config_no_model_has_exits_2(self, capsys, workspace, tmp_path,
+                                                         command):
+        checkpoint = trainer.load_checkpoint(
+            (workspace / "run" / "checkpoint.psgmae").read_bytes())
+        checkpoint.config_text = checkpoint.config_text.replace("num_heads = 2", "num_heads = 0")
+        (tmp_path / "checkpoint.psgmae").write_bytes(trainer.save_checkpoint(checkpoint))
+        extra = ["--epoch-index", "0"] if command == "reconstruct" else []
+        code, out, err = run(capsys, command, "--checkpoint", str(tmp_path / "checkpoint.psgmae"),
+                             "--data", str(workspace / "data"),
+                             "--out", str(tmp_path / "out"), *extra)
+        assert (code, out, err) == (2, "", "error: num_heads must be >= 1, got 0\n")
+        assert not (tmp_path / "out").exists()
 
     def test_reconstruct_exports_csv(self, capsys, workspace):
         out_path = workspace / "recon" / "epoch0.csv"
@@ -646,6 +666,68 @@ class TestTrainEval:
         assert err.startswith("error: config ") and message in err and "Traceback" not in err
         assert covered(reads) == cache_reads((data / trainer.CACHE_FILENAME).read_bytes(), [])
         assert not (tmp_path / "epoch0.csv").exists()
+
+    @pytest.mark.parametrize("order", [("EOG horizontal", "EEG Pz-Oz"),
+                                       ("EEG Pz-Oz", "EOG horizontal")],
+                             ids=["cache-order", "reversed"])
+    def test_model_of_part_of_the_cache_targets_is_scored(
+            self, capsys, monkeypatch, workspace, tmp_path, order):
+        """A model of two of the cache's three targets trains, evaluates every split
+        in both units and reconstructs: one table row and one CSV channel per model
+        target, in the cache's order, and one pooled line per target, in the model's.
+        Every output has the bytes of the same commands on a cache of just the
+        model's channels. A model target the cache lacks still exits 2 from the
+        cache's footer alone."""
+        own = tmp_path / "own-data"
+        argv = ["preprocess", "--input-channel", "EEG Fpz-Cz", "--targets",
+                "EOG horizontal,EEG Pz-Oz", "--split", "0.5,0.25,0.25", "--out", str(own)]
+        for i in range(4):
+            argv += ["--psg", str(workspace / "raw" / f"S{i:03d}-PSG.edf"),
+                     "--hypnogram", str(workspace / "raw" / f"S{i:03d}-Hypnogram.edf")]
+        assert run(capsys, *argv)[0] == 0
+        (tmp_path / "config.ini").write_text(TRAIN_CONFIG.replace(
+            "EOG horizontal, EMG submental, EEG Pz-Oz", ", ".join(order)))
+        outputs = {}
+        for name, data in (("part", workspace / "data"), ("own", own)):
+            out = tmp_path / name
+            given = ["--checkpoint", str(out / "run" / "checkpoint.psgmae"), "--data", str(data)]
+            commands = [["train", "--config", str(tmp_path / "config.ini"), "--data", str(data),
+                         "--out", str(out / "run")],
+                        *(["eval", *given, "--split", split, *physical,
+                           "--out", str(out / f"{split}{''.join(physical)}")]
+                          for split in ("train", "val", "test", "all")
+                          for physical in ([], ["--physical"])),
+                        ["reconstruct", *given, "--epoch-index", "5",
+                         "--out", str(out / "epoch5.csv")]]
+            printed = []
+            for command in commands:
+                code, text, _ = run(capsys, *command)
+                assert code == 0, command
+                printed.append(text.replace(str(out), "OUT"))
+            outputs[name] = printed, {str(path.relative_to(out)): path.read_bytes()
+                                      for path in sorted(out.rglob("*")) if path.is_file()}
+        assert outputs["part"] == outputs["own"]
+        printed, files = outputs["part"]
+        cache_order = ["EOG horizontal", "EEG Pz-Oz"]
+        for k, name in enumerate(f"{split}{physical}" for split in ("train", "val", "test", "all")
+                                 for physical in ("", "--physical")):
+            table = evalreport.table_from_csv(files[f"{name}/mse_table.csv"])
+            assert table.row_order == [("EEG Fpz-Cz", target) for target in cache_order]
+            assert [line.split("]")[0] for line in printed[1 + k].splitlines()
+                    if line.startswith("pooled[")] == [f"pooled[{t}" for t in order]
+        csv_rows = files["epoch5.csv"].decode().splitlines()[1:]
+        assert list(dict.fromkeys(row.split(",")[0] for row in csv_rows)) == cache_order
+        assert len(csv_rows) == 2 * 3000
+
+        reads = []
+        monkeypatch.setattr(pipeline.os, "preadv", reading_preadv(reads))
+        code, out, err = run(capsys, "eval", "--checkpoint",
+                             str(workspace / "run" / "checkpoint.psgmae"), "--data", str(own),
+                             "--out", str(tmp_path / "lacking"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config target_channels ['EMG submental']")
+        assert covered(reads) == cache_reads((own / trainer.CACHE_FILENAME).read_bytes(), [])
+        assert not (tmp_path / "lacking").exists()
 
 
 def reading_preadv(reads, gone=(0, 0)):
@@ -1057,6 +1139,28 @@ class TestTrainProgress:
         assert ("input channel" if failure == "input-channel" else "max_epochs") in err
         assert sorted(path.name for path in tmp_path.iterdir()) == \
             (["config.ini"] if failure == "input-channel" else [])
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: {**meta, "rng_shuffle": {**meta["rng_shuffle"], "counter": [-1, 0, 0, 0]}},
+        lambda meta: {**meta, "rng_mask": {**meta["rng_mask"], "key": [2**64, 0]}},
+        lambda meta: {**meta, "rng_shuffle": {**meta["rng_shuffle"], "counter": [0]}},
+        lambda meta: {**meta, "epoch": -5},
+    ], ids=["counter-negative", "key-too-large", "counter-one-word", "epoch-negative"])
+    def test_resume_from_a_malformed_sealed_checkpoint_exits_2(self, capsys, workspace,
+                                                               tmp_path, edit):
+        """A checkpoint whose CRC is valid but whose meta no run can have: the resume
+        exits 2 with one error line before any epoch runs, and leaves no --out."""
+        resume = tmp_path / "checkpoint.psgmae"
+        resume.write_bytes(edit_meta((workspace / "run" / "checkpoint.psgmae").read_bytes(), edit))
+        (tmp_path / "config.ini").write_text(TRAIN_CONFIG.replace("max_epochs = 3",
+                                                                  "max_epochs = 4"))
+        code, out, err = run(capsys, "train", "--config", str(tmp_path / "config.ini"),
+                             "--data", str(workspace / "data"),
+                             "--out", str(tmp_path / "new" / "run"), "--resume", str(resume))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: malformed checkpoint")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["checkpoint.psgmae",
+                                                                     "config.ini"]
 
     def test_epoch_lines_reach_stderr_while_training(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "run"

@@ -222,6 +222,25 @@ class TestAggregate:
                                      zeros, physical)
 
     @pytest.mark.parametrize("physical", [False, True])
+    def test_model_of_part_of_the_targets_scores_its_own(self, physical):
+        """A model of one of the records' two targets: evaluate_records' pairs and
+        table hold just that target, the table equals the per-record reference,
+        and aggregate_by_stage of the pairs gives its bytes."""
+        rng = philox(9)
+        records = [self.own_norms(rng, make_record(rng, list(SleepStage)[i % 5], epoch_index=i))
+                   for i in range(evalreport.CHUNK + 5)]
+        params = mae.init_params(mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
+                                               target_channels=("EEG Pz-Oz",)), seed=5)
+        table, pairs = evalreport.evaluate_records(params, records, physical)
+        assert [list(recons) for _, recons in pairs] == [["EEG Pz-Oz"]] * len(records)
+        own = [dataclasses.replace(record, targets={"EEG Pz-Oz": record.targets["EEG Pz-Oz"]})
+               for record in records]
+        self.assert_equals_reference(table, [(record, recons) for record, (_, recons)
+                                             in zip(own, pairs)], physical)
+        assert render_table(aggregate_by_stage(pairs, physical), "csv") == \
+            render_table(table, "csv")
+
+    @pytest.mark.parametrize("physical", [False, True])
     def test_aggregate_scores_pairs_in_their_own_precision(self, physical):
         """float64 records over two channel lists: each (input, target) row
         pools every record that has the target, in pair order, and equals the
@@ -276,7 +295,7 @@ def test_stream_scores_bytes_do_not_depend_on_the_core_count(monkeypatch, fresh_
             def score(span, recon, orig):
                 out[span] = recon
 
-            evalreport.stream_scores(params, epochs, np.arange(size), [1, 2], score)
+            evalreport.stream_scores(params, epochs, np.arange(size), score)
             digest = hashlib.sha256(out).digest()
             if digests.setdefault(size, digest) != digest:
                 differ.append((size, cores))
@@ -331,6 +350,25 @@ class TestCacheTables:
                 assert render_table(model, "csv") == render_table(want, "csv")
                 want = baseline_table(epochs[rows], physical)
                 assert render_table(baseline, "csv") == render_table(want, "csv")
+
+    def test_model_of_part_of_the_targets_scores_its_own(self, tmp_path):
+        """A model of one of the cache's two targets: both tables are those of the
+        cache's epochs over just the model's channels."""
+        path, n = tmp_path / "epochs.psgepo", 9
+        self.write(path, n)
+        params = mae.init_params(mae.MaeConfig(embed_dim=8, num_heads=2, encoder_layers=1,
+                                               target_channels=("a",)), seed=3)
+        epochs = pipeline.read_epoch_cache(path)
+        own = EpochSet(("in", "a"), epochs.subjects, epochs.subject, epochs.epoch_index,
+                       epochs.stage, epochs.norm[:, [0, 2]], epochs.signals[:, [0, 2]])
+        for physical in (False, True):
+            with EpochCacheReader(path) as reader:
+                model, baseline = evalreport.cache_tables(params, reader, np.arange(n), physical)
+            want = evalreport.evaluate_records(params, own, physical)[0]
+            assert render_table(model, "csv") == render_table(want, "csv")
+            want = baseline_table(own, physical)
+            assert render_table(baseline, "csv") == render_table(want, "csv")
+            assert model.row_order == [("in", "a")]
 
     def test_targets_unlike_the_model_rejected(self, tmp_path):
         path = tmp_path / "epochs.psgepo"
@@ -446,7 +484,19 @@ class TestExport:
         assert all(row[2] == row[3] for row in rows)
 
     def test_missing_target_rejected(self, tmp_path):
-        records = synth_records(seed=14, minutes=1.0)
-        record = records[0]
-        with pytest.raises(ValueError):
-            export_reconstruction(record, {}, tmp_path / "x.csv")
+        """A reconstruction of a channel the record lacks is refused before the
+        CSV is opened; reconstructions of part of its targets export just those,
+        in the record's order."""
+        record = synth_records(seed=14, minutes=1.0)[0]
+        with pytest.raises(pipeline.MissingChannel, match="EEG C3"):
+            export_reconstruction(record, {"EEG C3": record.targets["EEG Pz-Oz"]},
+                                  tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+        recons = {t: record.targets[t] for t in ("EEG Pz-Oz", "EOG horizontal")}
+        export_reconstruction(record, recons, tmp_path / "part.csv")
+        export_reconstruction(dataclasses.replace(record, targets={
+            t: record.targets[t] for t in ("EOG horizontal", "EEG Pz-Oz")}), recons,
+            tmp_path / "own.csv")
+        rows = (tmp_path / "part.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1::3000]] == ["EOG horizontal", "EEG Pz-Oz"]
+        assert (tmp_path / "part.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()

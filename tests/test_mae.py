@@ -706,7 +706,7 @@ class TestParallelPredict:
             out[span] = recon
             calls.append((span, threading.current_thread(), orig.copy()))
 
-        evalreport.stream_scores(params, epochs, rows, [1, 2], score)
+        evalreport.stream_scores(params, epochs, rows, score)
         return out, calls
 
     @pytest.fixture

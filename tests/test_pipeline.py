@@ -1172,12 +1172,12 @@ class TestEpochSet:
         assert not epochs.signals[0, 1].any()
 
     def test_target_lookup(self):
-        epochs = synth_records(seed=16, minutes=1.0)
-        assert epochs.target_indices(["EEG Pz-Oz", "EOG horizontal"]) == [3, 1]
+        channels = synth_records(seed=16, minutes=1.0).channels
+        assert pipeline.target_positions(channels, ["EEG Pz-Oz", "EOG horizontal"]) == [3, 1]
         with pytest.raises(MissingChannel, match="EEG C3"):
-            epochs.target_indices(["EOG horizontal", "EEG C3"])
+            pipeline.target_positions(channels, ["EOG horizontal", "EEG C3"])
         with pytest.raises(MissingChannel):  # the input is never a target
-            epochs.target_indices([synthgen.INPUT_CHANNEL])
+            pipeline.target_positions(channels, [synthgen.INPUT_CHANNEL])
 
     def test_concat_merges_subjects(self):
         a = synth_records(seed=17, minutes=1.0, subject_id="A")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from psgmae import mae, numcore as nc, synthgen, trainer
-from psgmae.pipeline import EpochSet, MissingChannel
+from psgmae.pipeline import EpochSet, MissingChannel, target_positions
 from psgmae.trainer import (
     BadMagic,
     Checkpoint,
@@ -96,6 +96,25 @@ class TestConfigSerialization:
                       flags=re.M)
         with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
             config_from_ini(text)
+
+    @pytest.mark.parametrize("name, value, least", [
+        ("embed_dim", 0, 1), ("num_heads", 0, 1), ("mlp_ratio", 0, 1),
+        ("encoder_layers", -1, 0), ("decoder_layers", -1, 0)])
+    def test_model_sizes_no_model_has_rejected(self, name, value, least):
+        """num_heads 0 divided by zero, embed_dim or mlp_ratio 0 overflowed, and
+        encoder_layers -1 trained as 0; each is refused from the config and from
+        a checkpoint's config."""
+        message = f"^{name} must be >= {least}, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            mae.MaeConfig(**{name: value, "target_channels": ("a",)})
+        text = re.sub(rf"^{name} = .*$", f"{name} = {value}", config_to_ini(small_config()),
+                      flags=re.M)
+        with pytest.raises(ValueError, match=message):
+            config_from_ini(text)
+        checkpoint = dataclasses.replace(trainer.initial_checkpoint(small_config()),
+                                         config_text=text)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(save_checkpoint(checkpoint)).train_config()
 
     def test_round_trip_of_every_field(self):
         config = TrainConfig(
@@ -260,6 +279,20 @@ class TestDataParallel:
             return make(result) if len(inputs) == size else result
 
         return forward_loss
+
+    def test_shards_get_contiguous_inputs(self, dataset, monkeypatch):
+        """Each shard's inputs and targets are gathered C-contiguous from the
+        signals: mae.encode would copy a strided input view and keep the copy
+        until backward."""
+        real, flags = mae.forward_loss, []
+
+        def forward_loss(inputs, targets, params, masks):
+            flags.append((inputs.flags.c_contiguous, targets.flags.c_contiguous))
+            return real(inputs, targets, params, masks)
+
+        monkeypatch.setattr(mae, "forward_loss", forward_loss)
+        train(small_config(max_epochs=1, calibrate_scale=False), dataset)
+        assert len(flags) > 1 and set(flags) == {(True, True)}
 
     def test_bytes_do_not_depend_on_core_count(self, dataset, monkeypatch):
         real, threads = mae.forward_loss, set()
@@ -438,6 +471,8 @@ class TestCheckpoint:
         lambda b: edit_meta(b, lambda meta: {k: v for k, v in meta.items() if k != "epoch"}),
         lambda b: edit_meta(b, lambda meta: {**meta, "epoch": [1]}),
         lambda b: edit_meta(b, lambda meta: {**meta, "epoch": float("inf")}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "epoch": -5}),
+        lambda b: edit_meta(b, lambda meta: {**meta, "adam_step": -1}),
         lambda b: edit_meta(b, lambda meta: b"[" * 10**5 + b"]" * 10**5),
         lambda b: edit_meta(b, lambda meta: b"{"),
         lambda b: edit_meta(b, lambda meta: {**meta, "rng_mask": "state"}),
@@ -451,12 +486,27 @@ class TestCheckpoint:
         lambda b: reseal(b[:8] + struct.pack("<I", 2**31) + b[12:-4]),  # config length
         lambda b: reseal(b[:16] + b"\xff" + b[17:-4]),  # config text not UTF-8
     ], ids=["table-size", "meta-list", "meta-missing", "meta-type", "meta-infinite",
-            "meta-deep", "meta-not-json", "rng-type", "numerics-type",
-            "duplicate-names", "name-type", "negative-dim", "float-dim", "nan", "trailing",
-            "config-length", "utf8"])
+            "epoch-negative", "adam-step-negative", "meta-deep", "meta-not-json", "rng-type",
+            "numerics-type", "duplicate-names", "name-type", "negative-dim", "float-dim", "nan",
+            "trailing", "config-length", "utf8"])
     def test_damage_behind_valid_crc_rejected(self, saved, damage):
         with pytest.raises(ShapeMismatchOnLoad):
             load_checkpoint(damage(saved))
+
+    @pytest.mark.parametrize("edit", [
+        lambda state: {**state, "buffer_pos": -1},  # numpy takes it, and reads before the buffer
+        lambda state: {},
+    ], ids=["buffer-pos-negative", "empty"])
+    def test_rng_state_no_generator_has_refused_at_resume(self, saved, dataset, edit):
+        """The streams are restored only to resume, so a checkpoint whose rng
+        states are empty (as an eval-only one may be) still loads; resuming
+        from a state no generator has raises ShapeMismatchOnLoad before an epoch runs."""
+        checkpoint = load_checkpoint(edit_meta(
+            saved, lambda meta: {**meta, "rng_mask": edit(meta["rng_mask"])}))
+        lines = []
+        with pytest.raises(ShapeMismatchOnLoad, match="malformed checkpoint rng state"):
+            train(small_config(max_epochs=2), dataset, resume=checkpoint, on_epoch=lines.append)
+        assert lines == []
 
     def test_psgmae01_rejected_with_hint(self, saved):
         with pytest.raises(BadMagic, match="re-run train"):
@@ -583,7 +633,7 @@ def whole_split_scores(params, epochs):
     were computed from whole-split (N, targets, epoch_len) arrays."""
     config = params.config
     recon = chunked_reconstruct(params, epochs.signals[:, 0])
-    target = epochs.signals[:, epochs.target_indices(config.target_channels)]
+    target = epochs.signals[:, target_positions(epochs.channels, config.target_channels)]
     loss = mae.cosine_loss(nc.Tensor(mae.patchify(recon, config)),
                            nc.Tensor(mae.patchify(target, config), dtype=params.dtype))
     diff = recon.astype(np.float64) - target
