@@ -133,18 +133,19 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     config = trainer.config_from_ini(Path(args.config).read_text())
+    resume = None
+    if args.resume:  # refused from the file alone, before the cache is opened
+        resume = trainer.load_checkpoint(Path(args.resume).read_bytes())
+        trainer.start_state(config, resume)
+        if resume.numerics != trainer.NUMERICS:
+            _info(f"warning: {args.resume} has numerics version {resume.numerics}, this build "
+                  f"trains with {trainer.NUMERICS}: the resumed run will not match an "
+                  "uninterrupted run from before the change")
     manifest = pipeline.load_manifest(Path(args.data) / trainer.MANIFEST_FILENAME)
     with pipeline.EpochCacheReader(Path(args.data) / trainer.CACHE_FILENAME) as cache:
         trainer.check_fits(config, cache.channels)  # before any signal row is read
         rows = trainer.split_rows(manifest, cache)  # no test row is read
         splits = {name: cache.epochs(rows[name]) for name in ("train", "val")}
-    resume = None
-    if args.resume:
-        resume = trainer.load_checkpoint(Path(args.resume).read_bytes())
-        if resume.numerics != trainer.NUMERICS:
-            _info(f"warning: {args.resume} has numerics version {resume.numerics}, this build "
-                  f"trains with {trainer.NUMERICS}: the resumed run will not match an "
-                  "uninterrupted run from before the change")
 
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
@@ -322,21 +323,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cap_malloc_arenas() -> None:
-    """One glibc malloc arena for all threads: per-thread arenas keep each
-    worker's freed activations apart and raise peak memory. A MALLOC_ARENA_MAX
-    the user set wins; off glibc this does nothing."""
-    if "MALLOC_ARENA_MAX" in os.environ or os.name != "posix":
+# (the variable that overrides it, glibc mallopt parameter, value): one arena, as per-thread
+# arenas keep workers' freed activations apart; fixed thresholds, so no freed array is refaulted
+MALLOC_POLICY = (("MALLOC_ARENA_MAX", -8, 1),  # M_ARENA_MAX
+                 ("MALLOC_MMAP_THRESHOLD_", -3, 32 << 20),  # M_MMAP_THRESHOLD
+                 ("MALLOC_TRIM_THRESHOLD_", -1, 128 << 20))  # M_TRIM_THRESHOLD
+
+
+def _malloc_policy() -> None:
+    """Set MALLOC_POLICY in this process; a variable the user set keeps its own parameter,
+    and off glibc this does nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is None:
         return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-8, 1)  # M_ARENA_MAX
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for variable, parameter, value in MALLOC_POLICY:
+        if variable not in os.environ:
+            mallopt(parameter, value)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _cap_malloc_arenas()  # before any worker thread starts
+    _malloc_policy()  # before any worker thread starts
     if args.command in ("train", "eval", "reconstruct"):
         _warn_blas_threads()
     try:

@@ -161,8 +161,7 @@ def _attention(h: Tensor, params: MaeParams, prefix: str) -> Tensor:
 
 def _mlp(h: Tensor, params: MaeParams, prefix: str) -> Tensor:
     t = params.tensors
-    hidden = nc.gelu(nc.linear(h, t[f"{prefix}.mlp.w1"], t[f"{prefix}.mlp.b1"]))
-    return nc.linear(hidden, t[f"{prefix}.mlp.w2"], t[f"{prefix}.mlp.b2"])
+    return nc.mlp(h, *(t[f"{prefix}.mlp.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _transformer_block(x: Tensor, params: MaeParams, prefix: str) -> Tensor:

@@ -6,7 +6,8 @@ float64 for gradient checks). Ops executed while a Tape is active record a
 backward rule; ``Tape.backward`` walks the records in reverse, which is a
 valid reverse-topological order because records are appended in execution
 order. It returns each requires_grad leaf's gradient, keyed by the leaf.
-A record holds no op output and its rule only the arrays it reads.
+A record holds no op output, its rule only the arrays it reads, and backward
+drops each record once its rule has run.
 ``_ordered_map`` runs every parallel loop of the package on one shared pool.
 """
 
@@ -125,7 +126,7 @@ class Tape:
     def __init__(self):
         self._serial = next(_TAPE_SERIALS)
         # (backward, per input: its record index here, the leaf, or None if it needs no gradient)
-        self._records: list[tuple[object, tuple[int | Tensor | None, ...]]] = []
+        self._records: list[tuple[object, tuple[int | Tensor | None, ...]]] | None = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.tapes.append(self)
@@ -143,19 +144,23 @@ class Tape:
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """d(loss)/d(leaf) of each requires_grad leaf the loss reaches, keyed by the
-        leaf; nothing is written onto tensors, so tapes on many threads share leaves."""
+        leaf; nothing is written onto tensors, so tapes on many threads share leaves.
+        Each record is dropped once its rule has run, so a tape runs backward once."""
         if loss.data.size != 1:
             raise LossNotScalar(f"loss has shape {loss.shape}, expected a scalar")
         if loss.node is None or loss.node[0] != self._serial:
             raise DetachedTensor("loss was not produced by an op on this tape")
 
+        records, self._records = self._records, None
+        if records is None:
+            raise NumcoreError("this tape has run backward already; a tape runs backward once")
         grads: dict[int, np.ndarray] = {loss.node[1]: np.ones_like(loss.data)}
         leaves: dict[Tensor, np.ndarray] = {}
-        for index in range(loss.node[1], -1, -1):
-            upstream = grads.pop(index, None)
+        while records:
+            backward_fn, sources = records.pop()  # freed, with all its rule holds, by the next pop
+            upstream = grads.pop(len(records), None)
             if upstream is None:
                 continue
-            backward_fn, sources = self._records[index]
             for source, partial in zip(sources, backward_fn(upstream)):
                 if partial is None or source is None:
                     continue
@@ -385,11 +390,8 @@ _GELU_C = 0.044715
 _GELU_SATURATION = 10.0
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU in its tanh form (Hendrycks & Gimpel, arXiv 1606.08415), within
-    4.7e-4 of the erf form, with its exact derivative."""
-    # (0.5 * x) * (1 + tanh((k * c) * (1 + C * (c * c)))), c = clip(x), in this grouping
-    x = a.data
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of x and its t = tanh((k * c) * (1 + C * (c * c))), c = clip(x), in this grouping."""
     t = np.clip(x, -_GELU_SATURATION, _GELU_SATURATION)
     scratch = np.multiply(t, t)
     scratch *= _GELU_C
@@ -397,27 +399,66 @@ def gelu(a: Tensor) -> Tensor:
     t *= _GELU_K
     t *= scratch
     np.tanh(t, out=t)
+    return _gelu_from(x, t, scratch), t
+
+
+def _gelu_from(x: np.ndarray, t: np.ndarray, scratch=None) -> np.ndarray:
+    """(0.5 * x) * (1 + t), the GELU of x from its t; 1 + t goes into ``scratch`` if given."""
     out = np.multiply(x, 0.5)
     out *= np.add(t, 1.0, out=scratch)
+    return out
 
-    def backward(g):  # g * (0.5 * (1 + t) + (0.5 * x) * ((1 - t * t) * (k * (1 + 3C * c * c))))
-        slope = t * t
-        np.subtract(1.0, slope, out=slope)
-        scratch = np.clip(x, -_GELU_SATURATION, _GELU_SATURATION)
-        scratch *= scratch  # c * c, re-derived as the forward made it
-        scratch *= 3.0 * _GELU_C
-        scratch += 1.0
-        scratch *= _GELU_K
-        slope *= scratch  # d tanh / dx
-        np.multiply(x, 0.5, out=scratch)
-        scratch *= slope
-        dx = np.add(t, 1.0, out=slope)
-        dx *= 0.5
-        dx += scratch
-        dx *= g
-        return (dx,)
 
-    return _make(out, (a,), backward)
+def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g * (0.5 * (1 + t) + (0.5 * x) * ((1 - t * t) * (k * (1 + 3C * c * c)))), from GELU's
+    input x and its t; c * c is re-derived as the forward made it."""
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    scratch = np.clip(x, -_GELU_SATURATION, _GELU_SATURATION)
+    scratch *= scratch
+    scratch *= 3.0 * _GELU_C
+    scratch += 1.0
+    scratch *= _GELU_K
+    slope *= scratch  # d tanh / dx
+    np.multiply(x, 0.5, out=scratch)
+    scratch *= slope
+    dx = np.add(t, 1.0, out=slope)
+    dx *= 0.5
+    dx += scratch
+    dx *= g
+    return dx
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU in its tanh form (Hendrycks & Gimpel, arXiv 1606.08415), within
+    4.7e-4 of the erf form, with its exact derivative."""
+    x = a.data
+    out, t = _gelu(x)
+    return _make(out, (a,), lambda g: (_gelu_grad(g, x, t),))
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one tape record, with the same bytes. It keeps
+    x, the pre-activation and GELU's t; its backward rebuilds the hidden layer from the last two."""
+    if w1.data.ndim != 2 or w2.data.ndim != 2 or x.shape[-1:] != w1.shape[:1] or (
+            b1.shape != w1.shape[1:] or w2.shape[:1] != w1.shape[1:] or b2.shape != w2.shape[1:]):
+        raise ShapeMismatch(f"mlp cannot apply {w1.shape} and {w2.shape} weights to {x.shape}")
+    flat_x, first, second = x.data.reshape(-1, w1.shape[0]), w1.data, w2.data
+    x_shape, x_grad = x.shape, x.requires_grad
+    pre = flat_x @ first
+    pre += b1.data
+    hidden, t = _gelu(pre)
+    out = hidden @ second
+    out += b2.data
+
+    def backward(g):
+        rows = g.reshape(-1, second.shape[1])
+        dw2 = _gelu_from(pre, t).T @ rows  # the hidden layer, rebuilt as the forward made it
+        dpre = _gelu_grad(rows @ second.T, pre, t)
+        dx = (dpre @ first.T).reshape(x_shape) if x_grad else None
+        return dx, flat_x.T @ dpre, dpre.sum(axis=0), dw2, rows.sum(axis=0)
+
+    return _make(out.reshape(x_shape[:-1] + w2.shape[1:]), (x, w1, b1, w2, b2), backward)
 
 
 @dataclass

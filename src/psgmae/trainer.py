@@ -337,6 +337,18 @@ def initial_checkpoint(config: TrainConfig) -> Checkpoint:
                       rng_shuffle=rng_shuffle, rng_mask=rng_mask)
 
 
+def start_state(config: TrainConfig,
+                start: Checkpoint) -> tuple[MaeParams, np.random.Generator, np.random.Generator]:
+    """The parameters and the shuffle and mask streams ``train`` continues ``start`` with,
+    checked from the checkpoint alone: TrainerError if no run of ``config`` can continue it."""
+    if start.epoch >= config.max_epochs:
+        raise TrainerError(f"checkpoint already at epoch {start.epoch} >= max_epochs")
+    if start.patience_left <= 0:
+        raise TrainerError("checkpoint already stopped early; nothing to resume")
+    return (params_from_blobs(config.mae, start.params), _restore_philox(start.rng_shuffle),
+            _restore_philox(start.rng_mask))
+
+
 def check_fits(config: TrainConfig, channels: tuple[str, ...]) -> list[int]:
     """The positions in ``channels`` (input first) of the model's targets, the only channels
     it reads and scores besides its input. Data it cannot take is refused from its channel
@@ -442,7 +454,7 @@ def batch_gradients(params: MaeParams, inputs: np.ndarray, targets: np.ndarray,
 
     def shard(part: slice) -> tuple[float, dict]:
         with nc.Tape() as tape:
-            loss, _ = mae.forward_loss(inputs[part], targets[part], params, masks[part])
+            loss = mae.forward_loss(inputs[part], targets[part], params, masks[part])[0]
         return loss.item(), tape.backward(loss) if np.isfinite(loss.data).all() else {}
 
     shards = nc._parallel_map(shard, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
@@ -488,12 +500,7 @@ def train(
     targets = check_fits(config, train_set.channels)
 
     start = resume or initial_checkpoint(config)
-    if start.epoch >= config.max_epochs:
-        raise TrainerError(f"checkpoint already at epoch {start.epoch} >= max_epochs")
-    if start.patience_left <= 0:
-        raise TrainerError("checkpoint already stopped early; nothing to resume")
-    params = params_from_blobs(config.mae, start.params)
-    shuffle_rng, mask_rng = _restore_philox(start.rng_shuffle), _restore_philox(start.rng_mask)
+    params, shuffle_rng, mask_rng = start_state(config, start)
     best_val, calibrated = start.best_val_loss, start.calibrated
     patience_left = start.patience_left
     best_blobs = {name: arr.copy() for name, arr in start.best_params.items()}

@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -1162,6 +1163,33 @@ class TestTrainProgress:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["checkpoint.psgmae",
                                                                      "config.ini"]
 
+    @pytest.mark.parametrize("damage, edit, message", [
+        (lambda blob: b"PSGMAE99" + blob[8:], None, "not a checkpoint stream"),
+        (lambda blob: edit_meta(blob, lambda meta: {
+            **meta, "rng_mask": {**meta["rng_mask"], "buffer_pos": 9}}), None,
+         "malformed checkpoint rng state"),
+        (None, ("max_epochs = 4", "max_epochs = 3"), "checkpoint already at epoch 3"),
+        (None, ("embed_dim = 16", "embed_dim = 16\nmlp_ratio = 2"),
+         "parameter shapes disagree with config"),
+    ], ids=["bad-magic", "rng-state", "past-max-epochs", "other-model"])
+    def test_resume_refused_before_the_cache_is_opened(self, capsys, workspace, tmp_path,
+                                                       monkeypatch, damage, edit, message):
+        """A checkpoint train cannot continue is refused from its own bytes and the
+        config: exit 2, and not a byte of the epoch cache read."""
+        blob = (workspace / "run" / "checkpoint.psgmae").read_bytes()
+        (tmp_path / "checkpoint.psgmae").write_bytes(damage(blob) if damage else blob)
+        config = TRAIN_CONFIG.replace("max_epochs = 3", "max_epochs = 4")
+        (tmp_path / "config.ini").write_text(config.replace(*edit) if edit else config)
+        reads = []
+        monkeypatch.setattr(pipeline.os, "preadv", reading_preadv(reads))
+        code, out, err = run(capsys, "train", "--config", str(tmp_path / "config.ini"),
+                             "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
+                             "--resume", str(tmp_path / "checkpoint.psgmae"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert reads == []
+        assert not (tmp_path / "run").exists()
+
     def test_epoch_lines_reach_stderr_while_training(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "run"
         lines = []
@@ -1201,23 +1229,65 @@ class FakeLibc:
         self.mallopt = mallopt
 
 
+MALLOC_VARIABLES = ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+# M_ARENA_MAX, M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+ARENA, MMAP, TRIM = (-8, 1), (-3, 32 << 20), (-1, 128 << 20)
+
+
 @pytest.mark.parametrize("preset, has_mallopt, calls", [
-    (None, True, [(-8, 1)]),  # M_ARENA_MAX
-    ("4", True, []),
-    (None, False, []),
-], ids=["unset", "user-set", "no-mallopt"])
+    ({}, True, [ARENA, MMAP, TRIM]),
+    ({"MALLOC_ARENA_MAX": "4"}, True, [MMAP, TRIM]),
+    ({}, False, []),
+    ({"MALLOC_MMAP_THRESHOLD_": "131072"}, True, [ARENA, TRIM]),
+    ({"MALLOC_TRIM_THRESHOLD_": "0"}, True, [ARENA, MMAP]),
+], ids=["unset", "user-set", "no-mallopt", "user-set-mmap-threshold", "user-set-trim-threshold"])
 def test_main_caps_malloc_arenas(capsys, tmp_path, monkeypatch, preset, has_mallopt, calls):
+    """main sets the malloc policy; a MALLOC_* variable the user set suppresses its own call."""
     libc = FakeLibc() if has_mallopt else object()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-    if preset is None:
-        monkeypatch.delenv("MALLOC_ARENA_MAX", raising=False)
-    else:
-        monkeypatch.setenv("MALLOC_ARENA_MAX", preset)
+    for name in MALLOC_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in preset.items():
+        monkeypatch.setenv(name, value)
     code, _, _ = run(capsys, "inspect", "--edf", str(tmp_path / "absent.edf"))
     assert code == 2
     assert getattr(libc, "calls", []) == calls
     if calls:
         assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+FAULT_PROBE = """
+import os, resource, statistics
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # one core: the shards run in turn
+import numpy as np
+from psgmae import cli, mae, trainer
+cli._malloc_policy()
+config = mae.MaeConfig(target_channels=("EOG horizontal", "EMG submental", "EEG Pz-Oz"))
+params = mae.init_params(config, seed=0)
+rng = np.random.Generator(np.random.Philox(5))
+inputs = rng.normal(0, 1, (64, 3000)).astype(np.float32)
+targets = rng.normal(0, 1, (64, 3, 3000)).astype(np.float32)
+faults = []
+for _ in range(20):
+    masks = mae.mask_plans(config, 64, rng)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.batch_gradients(params, inputs, targets, masks)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the malloc policy is set through glibc's mallopt")
+def test_malloc_policy_keeps_training_steps_from_faulting():
+    """With the policy, a one-core 64-example step reuses the heap the steps before it
+    freed: without it, each step maps and faults in its arrays again (about 2,000 faults)."""
+    src = str(Path(psgmae.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name not in MALLOC_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    median = float(subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                                  capture_output=True, text=True, timeout=300).stdout)
+    assert median <= 50, median
 
 
 class TestGradcheck:
@@ -1246,12 +1316,13 @@ class TestGradcheck:
         assert exit_info.value.code == 2
 
     def test_a_wrong_backward_in_the_training_loss_fails(self, capsys, monkeypatch):
-        gelu = nc.gelu
+        mlp = nc.mlp
 
-        def gelu_with_identity_backward(a):  # the right values, the wrong gradient
-            return nc._make(gelu(nc.Tensor(a.data)).data, (a,), lambda g: (g,))
+        def mlp_with_identity_backward(x, *weights):  # the right values, the wrong gradient
+            out = mlp(nc.Tensor(x.data), *(nc.Tensor(w.data) for w in weights))
+            return nc._make(out.data, (x,), lambda g: (g,))
 
-        monkeypatch.setattr(nc, "gelu", gelu_with_identity_backward)
+        monkeypatch.setattr(nc, "mlp", mlp_with_identity_backward)
         code, out, _ = run(capsys, "gradcheck")
         assert code == 1 and out.rstrip().endswith("FAIL")
 

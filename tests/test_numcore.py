@@ -5,6 +5,7 @@ import sys
 import textwrap
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from psgmae.numcore import (
     DetachedTensor,
     LossNotScalar,
     NonFiniteValue,
+    NumcoreError,
     ShapeMismatch,
     Tape,
     Tensor,
@@ -73,6 +75,15 @@ class TestForward:
         q, k = (Tensor(rng.normal(0, 10, (5, 7, 4)), dtype=np.float64) for _ in range(2))
         out = nc.attention(q, k, t64(np.ones((5, 7, 4))), 2)
         assert np.abs(out.data - 1.0).max() < 1e-6
+
+    def test_mlp_shape_error_mentions_shapes(self):
+        w1, b1, w2, b2 = (t64(np.ones(shape)) for shape in ((3, 8), (8,), (8, 3), (3,)))
+        with pytest.raises(ShapeMismatch, match=r"\(3, 8\) and \(8, 3\) weights to \(2, 4\)"):
+            nc.mlp(t64(np.ones((2, 4))), w1, b1, w2, b2)
+        with pytest.raises(ShapeMismatch):
+            nc.mlp(t64(np.ones((2, 3))), w1, b1, t64(np.ones((4, 3))), b2)
+        with pytest.raises(ShapeMismatch):
+            nc.mlp(t64(np.ones((2, 3))), w1, b1, w2, t64(np.ones(8)))
 
     def test_attention_shape_error_mentions_shapes(self):
         with pytest.raises(ShapeMismatch, match=r"\(2, 3, 4\)"):
@@ -157,6 +168,18 @@ class TestBackward:
             tape.backward(loss)
         assert other.backward(loss)[x].tolist() == [[1.0, 3.0]]
 
+    def test_each_record_is_dropped_once_its_rule_has_run(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        held = np.ones(2)  # what the later op's rule keeps
+        kept, freed = weakref.ref(held), []
+        with Tape() as tape:
+            first = nc._make(x.data * 2.0, (x,), lambda g: (freed.append(kept() is None) or g,))
+            second = nc._make(first.data, (first,), lambda g, held=held: (g * held,))
+            loss = ones_sum(second)
+        del held
+        assert tape.backward(loss)[x].tolist() == [1.0, 1.0]
+        assert freed == [True]  # the later rule, run first, was gone when the earlier ran
+
     def test_no_recording_without_tape(self):
         x = t64([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         out = nc.linear(x, x)
@@ -179,7 +202,10 @@ class TestBackward:
         grads = tape.backward(loss)
         assert grads.keys() == {w, b}  # leaves only: not x, not the intermediates
         assert all(g.dtype == np.float32 for g in grads.values())
-        again = tape.backward(loss)  # nothing carried over from the first call
+        with pytest.raises(NumcoreError, match="once"):  # its records are gone
+            tape.backward(loss)
+        tape, loss = tape_and_loss(b, b)
+        again = tape.backward(loss)  # nothing carried over from the first tape
         assert again is not grads and all(
             again[t].tobytes() == grads[t].tobytes() for t in (w, b))
         # b's gradient is the sum of its two uses, each seen as its own leaf
@@ -643,8 +669,16 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5):
     return out, (dx, _reduce_ref(g * xhat, gain.shape), _reduce_ref(g, bias.shape))
 
 
+def ref_mlp(x, w1, b1, w2, b2, g):
+    """linear, gelu and linear, each partial passed back through the references above."""
+    pre = ref_linear(x, w1, b1, np.zeros(x.shape[:-1] + w1.shape[1:], x.dtype))[0]
+    out, (dhidden, dw2, db2) = ref_linear(ref_gelu(pre, pre)[0], w2, b2, g)
+    dx, dw1, db1 = ref_linear(x, w1, b1, ref_gelu(pre, dhidden)[1][0])[1]
+    return out, (dx, dw1, db1, dw2, db2)
+
+
 KERNELS = {"linear": (nc.linear, ref_linear), "gelu": (nc.gelu, ref_gelu),
-           "layer_norm": (nc.layer_norm, ref_layer_norm)}
+           "layer_norm": (nc.layer_norm, ref_layer_norm), "mlp": (nc.mlp, ref_mlp)}
 
 
 def _read_only(arr):
@@ -662,9 +696,11 @@ def kernel_inputs(name, dtype, scale, shape=(3, 5, 12)):
     x.reshape(-1)[:4] = [0.0, -0.0, 10.0, -10.0]
     width = shape[-1]
     extra = {"linear": [rng.normal(0, 1, (width, 7)), rng.normal(0, 1, 7)],
-             "layer_norm": [rng.normal(1, 0.5, width), rng.normal(0, 1, width)]}.get(name, [])
+             "layer_norm": [rng.normal(1, 0.5, width), rng.normal(0, 1, width)],
+             "mlp": [rng.normal(0, 1, (width, 16)), rng.normal(0, 1, 16),
+                     rng.normal(0, 1, (16, 7)), rng.normal(0, 1, 7)]}.get(name, [])
     inputs = [_read_only(np.asarray(a, dtype=dtype)) for a in (x, *extra)]
-    out_shape = shape[:-1] + (7,) if name == "linear" else shape
+    out_shape = shape[:-1] + (7,) if name in ("linear", "mlp") else shape
     g = rng.normal(0, 1, out_shape)
     g.reshape(-1)[:2] = [0.0, -0.0]
     return inputs, _read_only(g.astype(dtype))
@@ -677,8 +713,9 @@ def assert_same_bits(actual, expected):
 
 
 class TestKernelBytes:
-    """linear, gelu and layer_norm write into arrays they allocate,
-    and give the same bytes as their one-array-per-sub-expression references."""
+    """linear, gelu, layer_norm and mlp write into arrays they allocate, and give the
+    same bytes as their one-array-per-sub-expression references (mlp: the chain of
+    the linear and gelu references)."""
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
