@@ -59,13 +59,16 @@ def cmd_inspect(args) -> int:
 def cmd_synth(args) -> int:
     if not np.isfinite(args.minutes):
         raise ValueError(f"--minutes must be finite, got {args.minutes}")
+    if args.subjects < 1:
+        raise ValueError(f"--subjects must be >= 1, got {args.subjects}")
     duration_s = int(round(args.minutes * 60))
+    specs = [synthgen.SynthSpec(seed=(args.seed, i), duration_s=duration_s,  # checked first
+                                noise_std=args.noise_std, subject_id=f"S{i:03d}")
+             for i in range(args.subjects)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(args.subjects):
-        subject = f"S{i:03d}"
-        spec = synthgen.SynthSpec(seed=(args.seed, i), duration_s=duration_s,
-                                  noise_std=args.noise_std, subject_id=subject)
+    for spec in specs:
+        subject = spec.subject_id
         recording, annotations = synthgen.generate(spec)
         psg_path = out_dir / f"{subject}-PSG.edf"
         hyp_path = out_dir / f"{subject}-Hypnogram.edf"

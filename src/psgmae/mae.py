@@ -79,11 +79,13 @@ def sinusoidal_table(seq_len: int, embed_dim: int) -> np.ndarray:
 
 @dataclass
 class MaeParams:
-    """All learnable tensors by name, plus the fixed positional table."""
+    """All learnable tensors by name, plus the fixed positional table. ``flat``, if set,
+    is the one buffer every tensor's data views, in tensors order."""
 
     config: MaeConfig
     pos_encoding: np.ndarray
     tensors: dict[str, Tensor] = field(default_factory=dict)
+    flat: np.ndarray | None = None
 
     @property
     def dtype(self):

@@ -13,7 +13,6 @@ drops each record once its rule has run.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -167,10 +166,10 @@ class Tape:
                 if isinstance(source, int):
                     held = grads.get(source)
                     grads[source] = partial if held is None else held + partial
-                else:
-                    if source not in leaves:
-                        leaves[source] = np.zeros_like(source.data)
+                elif source in leaves:
                     leaves[source] += partial
+                else:  # 0.0 + partial, so a -0.0 partial gives +0.0 as a sum into zeros would
+                    leaves[source] = np.add(0.0, partial, out=np.empty_like(source.data))
         return leaves
 
 
@@ -205,29 +204,31 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeMismatch(f"linear cannot apply {w.shape} weight to {x.shape}")
     # one 2-d product: np.matmul would call BLAS once per example
     flat_x, weight = x.data.reshape(-1, w.shape[0]), w.data
-    x_shape, x_grad = x.shape, x.requires_grad
+    x_shape, x_grad, biased = x.shape, x.requires_grad, b is not None
     out = flat_x @ weight
-    if b is not None:
+    if biased:
         out += b.data
 
     def backward(g):
         rows = g.reshape(-1, weight.shape[1])
         dx = (rows @ weight.T).reshape(x_shape) if x_grad else None
-        return dx, flat_x.T @ rows, rows.sum(axis=0)
+        return (dx, flat_x.T @ rows, rows.sum(axis=0)) if biased else (dx, flat_x.T @ rows)
 
     return _make(out.reshape(x.shape[:-1] + w.shape[1:]),
                  (x, w) if b is None else (x, w, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a_shape, b_shape = a.shape, b.shape
+    """a + b, broadcast; an operand that needs no gradient gets no partial."""
+    a_shape, b_shape = (t.shape if t.requires_grad else None for t in (a, b))
     try:
         out = a.data + b.data
     except ValueError as exc:
         raise ShapeMismatch(f"add cannot broadcast {a.shape} + {b.shape}") from exc
 
     def backward(g):
-        return _reduce_to(g, a_shape), _reduce_to(g, b_shape)
+        return (None if a_shape is None else _reduce_to(g, a_shape),
+                None if b_shape is None else _reduce_to(g, b_shape))
 
     return _make(out, (a, b), backward)
 
@@ -242,12 +243,6 @@ def split_heads(a: Tensor, heads: int) -> Tensor:
     """(..., n, heads * d) -> (..., heads, n, d)."""
     shape = a.shape
     return _make(_heads(a.data, heads), (a,), lambda g: (np.swapaxes(g, -2, -3).reshape(shape),))
-
-
-def _key_max(p: np.ndarray) -> np.ndarray:
-    """p.max(axis=-2, keepdims=True), the same bytes, as a faster running max over key rows."""
-    first = p[..., :1, :].max(axis=-2, keepdims=True)  # raises on no keys, as p.max does
-    return functools.reduce(np.maximum, (p[..., i: i + 1, :] for i in range(1, p.shape[-2])), first)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -266,7 +261,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     scale = 1.0 / math.sqrt(qh.shape[-1])
     p = np.matmul(kh, _swap(qh))
     p *= scale
-    p -= _key_max(p)
+    p -= p.max(axis=-2, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-2, keepdims=True)
     out = np.empty_like(q.data)
@@ -361,10 +356,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeMismatch(f"layer_norm gain/bias {gain.shape}/{bias.shape} vs input {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
+    n = x.shape[-1]  # each mean is numpy's own two steps, without its Python wrapper
+    xhat = x.data - np.add.reduce(x.data, -1, keepdims=True) / n
     out = xhat * xhat
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(out, -1, keepdims=True) / n + eps)
     xhat *= inv
     scale = gain.data  # gain and bias share its shape
     np.multiply(xhat, scale, out=out)
@@ -373,8 +368,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def backward(g):  # inv * ((h - mean(h)) - xhat * mean(h * xhat)), h = g * gain
         dx = g * scale
         scratch = dx * xhat
-        projection = scratch.mean(axis=-1, keepdims=True)
-        dx -= dx.mean(axis=-1, keepdims=True)
+        projection = np.add.reduce(scratch, -1, keepdims=True) / n
+        dx -= np.add.reduce(dx, -1, keepdims=True) / n
         dx -= np.multiply(xhat, projection, out=scratch)
         dx *= inv
         dgain = _reduce_to(np.multiply(g, xhat, out=scratch), scale.shape)
@@ -463,39 +458,32 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for a named parameter set."""
+    """Adam hyperparameters and moments; m and v are laid out as the flat parameter buffer."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, grads: dict[str, np.ndarray]) -> None:
-    """One in-place Adam update from gradients by name (absent: zero), with bias correction."""
+def adam_step(params: np.ndarray, state: AdamState, grad: np.ndarray) -> None:
+    """One in-place Adam update, with bias correction, of a flat parameter buffer from its
+    gradient laid out alike (zero where none reached), in whole-buffer ops: each element
+    gets m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, p -= lr (m / c1) / (sqrt(v / c2) + eps)."""
+    for name, arr in (("grad", grad), ("first moment", state.m), ("second moment", state.v)):
+        if arr.shape != params.shape:
+            raise ShapeMismatch(f"{name} shape {arr.shape} != parameter shape {params.shape}")
     state.step += 1
     correction1 = 1.0 - state.beta1 ** state.step
     correction2 = 1.0 - state.beta2 ** state.step
-    for name, p in params.items():
-        g = grads[name] if name in grads else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"grad shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        if m.shape != p.data.shape:
-            raise ShapeMismatch(
-                f"moment shape {m.shape} != param shape {p.data.shape} for {name!r}"
-            )
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad * grad
+    params -= state.lr * (state.m / correction1) / (np.sqrt(state.v / correction2) + state.epsilon)
 
 
 def grad_check(function, params: dict[str, Tensor], fd_step: float = 1e-3) -> float:

@@ -56,6 +56,8 @@ class SynthSpec:
             raise ValueError("duration_s must be positive")
         if not np.isfinite(self.noise_std):
             raise ValueError(f"noise_std must be finite, got {self.noise_std}")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
 
 def _stage_sequence(spec: SynthSpec) -> list[str]:

@@ -22,7 +22,6 @@ Checkpoint layout (little-endian), magic ``PSGMAE02``:
 from __future__ import annotations
 
 import configparser
-import functools
 import io
 import json
 import math
@@ -280,14 +279,13 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         if len(dict(table)) != len(table) or not all(type(name) is str and all(
                 type(d) is int and d >= 0 for d in shape) for name, shape in table):
             raise ValueError("tensor table needs unique names and non-negative int dims")
-        bounds = np.cumsum([0, *(math.prod(shape) for _, shape in table)]).tolist()
-        if body + 16 * bounds[-1] + 4 != len(data):
+        size = sum(math.prod(shape) for _, shape in table)
+        if body + 16 * size + 4 != len(data):
             raise ValueError(f"lengths and tensor table disagree with the {len(data)}-byte size")
-        rows = np.frombuffer(data, "<f4", 4 * bounds[-1], body).reshape(4, bounds[-1])
+        rows = np.frombuffer(data, "<f4", 4 * size, body).reshape(4, size)
         if not np.isfinite(rows).all():
             raise ValueError("non-finite tensor values")
-        sections = [{name: row[lo:hi].reshape(shape)
-                     for (name, shape), lo, hi in zip(table, bounds, bounds[1:])} for row in rows]
+        sections = [_views(row, table) for row in rows]
         fields = {key: kind(meta[key]) for key, kind in _META.items()}
         for key in ("epoch", "adam_step"):
             if fields[key] < 0:
@@ -299,7 +297,22 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         raise ShapeMismatchOnLoad(f"malformed checkpoint: {exc}") from exc
 
 
+def _views(flat: np.ndarray, table) -> dict[str, np.ndarray]:
+    """Named views of consecutive spans of a 1-d array, for (name, shape) pairs in order."""
+    views, lo = {}, 0
+    for name, shape in table:
+        hi = lo + math.prod(shape)
+        views[name], lo = flat[lo:hi].reshape(shape), hi
+    return views
+
+
+def _flat(blobs: dict[str, np.ndarray], names) -> np.ndarray:
+    return np.concatenate([blobs[name] for name in names], axis=None, dtype=np.float32)
+
+
 def params_from_blobs(config: MaeConfig, blobs: dict[str, np.ndarray]) -> MaeParams:
+    """Float32 parameters from arrays by name, checked against the config: one flat buffer
+    (``MaeParams.flat``) in ``mae.parameter_shapes`` order, each tensor a named view of it."""
     expected = mae.parameter_shapes(config)
     missing = [n for n in expected if n not in blobs]
     extra = [n for n in blobs if n not in expected]
@@ -311,12 +324,11 @@ def params_from_blobs(config: MaeConfig, blobs: dict[str, np.ndarray]) -> MaePar
              for n, shape in expected.items() if blobs[n].shape != shape]
     if wrong:
         raise ShapeMismatchOnLoad(f"parameter shapes disagree with config: {', '.join(wrong)}")
-    tensors = {
-        name: nc.Tensor(blobs[name].copy(), requires_grad=True, dtype=np.float32)
-        for name in expected
-    }
+    flat = _flat(blobs, expected)
+    tensors = {name: nc.Tensor(view, requires_grad=True)
+               for name, view in _views(flat, expected.items()).items()}
     pos = mae.sinusoidal_table(config.seq_len, config.embed_dim).astype(np.float32)
-    return MaeParams(config=config, pos_encoding=pos, tensors=tensors)
+    return MaeParams(config=config, pos_encoding=pos, tensors=tensors, flat=flat)
 
 
 def _snapshot(params: MaeParams) -> dict[str, np.ndarray]:
@@ -443,28 +455,30 @@ def _shard_bounds(n: int) -> list[int]:
 
 
 def batch_gradients(params: MaeParams, inputs: np.ndarray, targets: np.ndarray,
-                    masks: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """The batch's masked cosine loss and its gradient by parameter name (none
-    for a parameter the loss does not reach). Each example shard runs its
-    forward and backward on its own tape, on the numcore pool (a non-finite
-    loss skips backward). Gradients are reduced per parameter in shard order as
-    sum(g_k * n_k / B) in the parameters' dtype, the loss as sum(n_k * loss_k) / B,
-    so no result depends on the thread count."""
+                    masks: np.ndarray) -> tuple[float, np.ndarray]:
+    """The batch's masked cosine loss and its gradient as one flat array in
+    ``params.tensors`` order, zero for a parameter the loss does not reach. Each
+    example shard runs its forward and backward on its own tape, on the numcore
+    pool (a non-finite loss skips backward), and lays its gradient out flat. The
+    shards are reduced in shard order as sum(g_k * n_k / B) in the parameters'
+    dtype, the loss as sum(n_k * loss_k) / B, so no result depends on the thread count."""
     bounds = _shard_bounds(len(inputs))
+    tensors = list(params.tensors.values())
 
-    def shard(part: slice) -> tuple[float, dict]:
+    def shard(part: slice) -> tuple[float, np.ndarray]:
         with nc.Tape() as tape:
             loss = mae.forward_loss(inputs[part], targets[part], params, masks[part])[0]
-        return loss.item(), tape.backward(loss) if np.isfinite(loss.data).all() else {}
+        grads = tape.backward(loss) if np.isfinite(loss.data).all() else {}
+        return loss.item(), np.concatenate([grads[t] if t in grads else np.zeros_like(t.data)
+                                            for t in tensors], axis=None)
 
     shards = nc._parallel_map(shard, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     sizes = np.diff(bounds).tolist()
-    grads = {}
-    for name, tensor in params.tensors.items():
-        terms = [g[tensor] * (n / len(inputs)) for n, (_, g) in zip(sizes, shards) if tensor in g]
-        if terms:
-            grads[name] = functools.reduce(np.add, terms)
-    return sum(n * loss for n, (loss, _) in zip(sizes, shards)) / len(inputs), grads
+    total = None
+    for n, (_, grad) in zip(sizes, shards):
+        grad *= n / len(inputs)
+        total = grad if total is None else np.add(total, grad, out=total)
+    return sum(n * loss for n, (loss, _) in zip(sizes, shards)) / len(inputs), total
 
 
 @dataclass
@@ -505,8 +519,7 @@ def train(
     patience_left = start.patience_left
     best_blobs = {name: arr.copy() for name, arr in start.best_params.items()}
     adam = nc.AdamState(config.lr, config.beta1, config.beta2, config.epsilon, start.adam_step,
-                        m={name: start.adam_m[name].copy() for name in params.tensors},
-                        v={name: start.adam_v[name].copy() for name in params.tensors})
+                        _flat(start.adam_m, params.tensors), _flat(start.adam_v, params.tensors))
 
     metrics_lines: list[str] = []
     for epoch in range(start.epoch + 1, config.max_epochs + 1):
@@ -514,13 +527,13 @@ def train(
         loss_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo: lo + config.batch_size]  # gathered C-contiguous: encode copies none
-            value, grads = batch_gradients(params, train_set.signals[batch, 0],
-                                           train_set.signals[batch[:, None], targets],
-                                           mae.mask_plans(config.mae, len(batch), mask_rng))
+            value, grad = batch_gradients(params, train_set.signals[batch, 0],
+                                          train_set.signals[batch[:, None], targets],
+                                          mae.mask_plans(config.mae, len(batch), mask_rng))
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"loss became non-finite at epoch {epoch}, "
                                     f"batch starting at {lo}")
-            nc.adam_step(params.tensors, adam, grads)
+            nc.adam_step(params.flat, adam, grad)
             loss_sum += value * len(batch)
 
         train_loss = loss_sum / len(train_set)
@@ -548,8 +561,8 @@ def train(
         epoch=epoch,
         params=_snapshot(params),
         best_params=_snapshot(best_params),
-        adam_m={name: adam.m[name].copy() for name in params.tensors},
-        adam_v={name: adam.v[name].copy() for name in params.tensors},
+        adam_m=_views(adam.m, mae.parameter_shapes(config.mae).items()),
+        adam_v=_views(adam.v, mae.parameter_shapes(config.mae).items()),
         adam_step=adam.step,
         best_val_loss=float(best_val),
         patience_left=patience_left,

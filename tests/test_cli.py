@@ -164,7 +164,20 @@ class TestSynth:
                                 "--noise-std", noise)
         assert (code, stdout) == (2, "")
         assert err == f"error: noise_std must be finite, got {noise}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--subjects", "0"], "--subjects must be >= 1, got 0"),
+        (["--subjects", "-2"], "--subjects must be >= 1, got -2"),
+        (["--noise-std", "-3"], "noise_std must be >= 0, got -3.0"),
+    ], ids=["no-subjects", "negative-subjects", "negative-noise"])
+    def test_bad_subject_count_or_negative_noise_exits_2_before_out_is_made(
+            self, capsys, tmp_path, flags, message):
+        """Nothing is written: a negative noise level would give noise-free signals."""
+        out = tmp_path / "raw"
+        code, stdout, err = run(capsys, "synth", "--out", str(out), "--minutes", "1", *flags)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_infinite_minutes_exits_2_before_writing(self, tmp_path):
         """In a fresh process: the message, no traceback, and no output directory."""

@@ -610,6 +610,44 @@ class TestTapeMemory:
         assert not any(isinstance(x, Tensor) for x in captured)
         assert tape.backward(loss)  # the tape still runs backward
 
+    def test_key_projection_and_positional_add_rules_capture_no_tensor(self, monkeypatch):
+        """The bias-less key projection's rule keeps a flag, not the absent bias, and
+        returns no bias partial; the positional table's add returns None for the
+        table, which needs no gradient. Neither rule captures a Tensor."""
+        config = default_config()
+        params = init_params(config, seed=0)
+        inputs, targets = make_batch(config, philox(46), 2)
+        found = {"key projection": [], "positional add": []}  # (record index, output shape)
+        add, linear = nc.add, nc.linear
+
+        def adding(a, b):
+            out = add(a, b)
+            if not b.requires_grad:
+                found["positional add"].append((out.node[1], out.shape))
+            return out
+
+        def projecting(x, w, b=None):
+            out = linear(x, w, b)
+            if b is None:
+                found["key projection"].append((out.node[1], out.shape))
+            return out
+
+        monkeypatch.setattr(nc, "add", adding)
+        monkeypatch.setattr(nc, "linear", projecting)
+        with nc.Tape() as tape:
+            loss, _ = planned_loss(inputs, targets, params, philox(47))
+        assert [len(found[kind]) for kind in found] == [3, 2]  # a key per block, two tables
+        for kind, records in found.items():
+            for index, shape in records:
+                backward, sources = tape._records[index]
+                assert not any(isinstance(x, Tensor) for x in rule_captures([(backward, sources)]))
+                partials = backward(np.ones(shape, np.float32))
+                if kind == "key projection":
+                    assert len(partials) == len(sources) == 2
+                else:
+                    assert sources[1] is None and partials[1] is None and partials[0].shape == shape
+        assert tape.backward(loss)  # the tape still runs backward
+
     def test_shard_memory_budget(self):
         """Traced bytes of one 32-example float32 shard of the default model:
         at most 10.5 MB held after forward, at most 13 MB at backward's peak.

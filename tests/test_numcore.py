@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from psgmae import numcore as nc
+from psgmae import numcore as nc, trainer
+from psgmae.mae import MaeConfig, init_params
 from psgmae.numcore import (
     AdamState,
     DetachedTensor,
@@ -180,6 +181,40 @@ class TestBackward:
         assert tape.backward(loss)[x].tolist() == [1.0, 1.0]
         assert freed == [True]  # the later rule, run first, was gone when the earlier ran
 
+    def test_a_leafs_first_gradient_is_zero_plus_its_partial(self):
+        """The first partial to reach a leaf gives a new array of the leaf's dtype and
+        shape holding 0.0 + partial, so -0.0 comes back +0.0; the next adds into it in
+        place, so a float64 partial leaves it float32."""
+        leaf = Tensor(np.ones(3, np.float32), requires_grad=True)
+        first = np.array([-0.0, 1.5, -2.0])  # float64 partials
+        second = np.array([1.0, -0.0, 0.25])
+        for uses, expected in ((1, [0.0, 1.5, -2.0]), (2, [1.0, 1.5, -1.75])):
+            with Tape() as tape:
+                inputs = (leaf,)
+                if uses == 2:  # its rule runs after the loss's
+                    inputs += (nc._make(leaf.data.copy(), (leaf,), lambda g: (second,)),)
+                loss = nc._make(np.ones(1), inputs, lambda g: (first, np.ones(3)))
+            grad = tape.backward(loss)[leaf]
+            assert grad.dtype == np.float32 and grad.shape == (3,)
+            assert not np.shares_memory(grad, first) and not np.shares_memory(grad, second)
+            assert_same_bits(grad, np.array(expected, np.float32))
+
+    def test_bias_less_linear_and_a_constant_add_operand_get_no_partial(self):
+        rng = philox(45)
+        x, w, c = (t64(rng.normal(0, 1, shape), requires_grad=grad)
+                   for shape, grad in (((4, 3), True), ((3, 2), True), ((4, 2), False)))
+        g = rng.normal(0, 1, (4, 2))
+        _, partials = one_record(nc.linear, [x, w], g)
+        expected = ref_linear(x.data, w.data, np.zeros(2), g)[1][:2]
+        assert len(partials) == 2
+        for partial, reference in zip(partials, expected):
+            assert_same_bits(partial, reference)
+        y = t64(rng.normal(0, 1, (4, 2)), requires_grad=True)
+        for operands in ((y, c), (c, y)):
+            _, partials = one_record(nc.add, list(operands), g)
+            assert [p is None for p in partials] == [t is c for t in operands]
+            assert_same_bits(next(p for p in partials if p is not None), g)
+
     def test_no_recording_without_tape(self):
         x = t64([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         out = nc.linear(x, x)
@@ -238,63 +273,113 @@ class TestBackward:
         assert grad_check(fn, params, fd_step=1e-5) < 1e-6
 
 
-def zero_state(params, **hyperparameters) -> AdamState:
-    """Step 0 of Adam over ``params``: zero moments shaped like each parameter."""
-    return AdamState(**hyperparameters, m={n: np.zeros_like(p.data) for n, p in params.items()},
-                     v={n: np.zeros_like(p.data) for n, p in params.items()})
+def zero_state(size, **hyperparameters) -> AdamState:
+    """Step 0 of Adam over a flat buffer of ``size`` values: zero moments."""
+    return AdamState(**hyperparameters, m=np.zeros(size), v=np.zeros(size))
+
+
+def per_tensor_adam(params, m, v, step, grads, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """Step ``step`` of Adam on arrays by name, in place, as one expression per tensor
+    (an absent gradient counts as zero): the byte reference of the flat update."""
+    correction1 = 1.0 - beta1 ** step
+    correction2 = 1.0 - beta2 ** step
+    for name, p in params.items():
+        g = grads[name] if name in grads else np.zeros_like(p)
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        m_hat = m[name] / correction1
+        v_hat = v[name] / correction2
+        p -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
 
 
 class TestAdam:
     def test_first_step_closed_form(self):
         lr, eps = 1e-3, 1e-8
-        w = t64([1.0, -2.0, 0.5], requires_grad=True)
+        w = np.array([1.0, -2.0, 0.5])
         g = np.array([0.3, -0.7, 0.001])
-        state = zero_state({"w": w}, lr=lr, epsilon=eps)
-        adam_step({"w": w}, state, {"w": g.copy()})
+        state = zero_state(3, lr=lr, epsilon=eps)
+        adam_step(w, state, g.copy())
         # m_hat = g, v_hat = g^2  =>  delta = -lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0, 0.5]) - lr * g / (np.abs(g) + eps)
-        assert np.allclose(w.data, expected, rtol=0, atol=1e-15)
+        assert np.allclose(w, expected, rtol=0, atol=1e-15)
         assert state.step == 1
 
     def test_zero_gradient_fixed_point(self):
-        w = t64([1.0, 2.0], requires_grad=True)
-        state = zero_state({"w": w})
+        w = np.array([1.0, 2.0])
+        state = zero_state(2)
         for _ in range(5):
-            adam_step({"w": w}, state, {"w": np.zeros(2)})
-        assert np.array_equal(w.data, [1.0, 2.0])
-        assert np.all(state.m["w"] == 0.0)
+            adam_step(w, state, np.zeros(2))
+        assert np.array_equal(w, [1.0, 2.0])
+        assert np.all(state.m == 0.0)
 
     def test_absent_gradient_counts_as_zero(self):
-        w, v = t64([1.0, 2.0], requires_grad=True), t64([3.0], requires_grad=True)
-        state = zero_state({"w": w, "v": v})
+        """A tensor no gradient reaches has a zero span in the flat gradient, as
+        trainer.batch_gradients lays it out: the span and its moments stay put."""
+        w = np.array([1.0, 2.0, 3.0])  # a two-value tensor, then a one-value tensor
+        state = zero_state(3)
         for _ in range(3):
-            adam_step({"w": w, "v": v}, state, {"v": np.array([0.5])})
-        assert np.array_equal(w.data, [1.0, 2.0])
-        assert np.all(state.m["w"] == 0.0) and np.all(state.v["w"] == 0.0)
-        assert v.data[0] < 3.0 and state.step == 3
+            adam_step(w, state, np.array([0.0, 0.0, 0.5]))
+        assert np.array_equal(w[:2], [1.0, 2.0])
+        assert np.all(state.m[:2] == 0.0) and np.all(state.v[:2] == 0.0)
+        assert w[2] < 3.0 and state.step == 3
 
     def test_moments_decay_after_zero_grads(self):
-        w = t64([0.0], requires_grad=True)
-        state = zero_state({"w": w}, lr=0.0)
-        adam_step({"w": w}, state, {"w": np.array([1.0])})
-        m_before = state.m["w"].copy()
-        adam_step({"w": w}, state, {"w": np.array([0.0])})
-        assert abs(state.m["w"][0]) < abs(m_before[0])
+        w = np.array([0.0])
+        state = zero_state(1, lr=0.0)
+        adam_step(w, state, np.array([1.0]))
+        m_before = state.m.copy()
+        adam_step(w, state, np.array([0.0]))
+        assert abs(state.m[0]) < abs(m_before[0])
 
     def test_scalar_quadratic_converges(self):
         # oracle run: 200 steps on (w-3)^2 from 0; lr 0.1 (the default 1e-3
         # cannot cover the distance in 200 near-unit steps)
-        w = t64([0.0], requires_grad=True)
-        state = zero_state({"w": w}, lr=0.1)
+        w = np.array([0.0])
+        state = zero_state(1, lr=0.1)
         for _ in range(200):
-            adam_step({"w": w}, state, {"w": 2.0 * (w.data - 3.0)})
-        assert abs(w.data[0] - 3.0) < 0.01
+            adam_step(w, state, 2.0 * (w - 3.0))
+        assert abs(w[0] - 3.0) < 0.01
 
     def test_shape_mismatch(self):
-        w = t64([1.0, 2.0], requires_grad=True)
-        state = zero_state({"w": w})
-        with pytest.raises(ShapeMismatch):
-            adam_step({"w": w}, state, {"w": np.zeros(3)})
+        """A gradient or moment unlike the buffer raises before any value or the step moves."""
+        w = np.array([1.0, 2.0])
+        for wrong in ("grad", "m", "v"):
+            state = zero_state(2)
+            if wrong != "grad":
+                setattr(state, wrong, np.zeros(3))
+            with pytest.raises(ShapeMismatch, match=f"{'first' if wrong == 'm' else 'second'} "
+                               "moment" if wrong != "grad" else "grad shape"):
+                adam_step(w, state, np.zeros(3 if wrong == "grad" else 2))
+            assert state.step == 0 and np.array_equal(w, [1.0, 2.0])
+
+    def test_flat_update_matches_per_tensor_bytes(self):
+        """Four steps over the default model's float32 tensors, one buffer against one
+        expression per tensor: every parameter and moment byte agrees, with one tensor
+        left out of the gradients (a zero span) and a -0.0 in another's."""
+        config = MaeConfig(target_channels=("EOG horizontal", "EMG submental", "EEG Pz-Oz"))
+        params = trainer.params_from_blobs(config, {
+            name: t.data for name, t in init_params(config, seed=2).tensors.items()})
+        reference = {name: t.data.copy() for name, t in params.tensors.items()}
+        m, v = ({name: np.zeros_like(p) for name, p in reference.items()} for _ in range(2))
+        state = AdamState(lr=1e-3, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+        rng = philox(31)
+        for step in range(1, 5):
+            grads = {name: rng.normal(0, 10.0 ** -step, p.shape).astype(np.float32)
+                     for name, p in reference.items() if name != "mask_token"}
+            grads["enc.0.ln1.b"].reshape(-1)[0] = -0.0
+            flat = np.concatenate([grads[name] if name in grads else np.zeros_like(p)
+                                   for name, p in reference.items()], axis=None)
+            adam_step(params.flat, state, flat)
+            per_tensor_adam(reference, m, v, step, grads)
+            for name, t in params.tensors.items():
+                assert t.data.tobytes() == reference[name].tobytes(), name
+            moments = np.concatenate([*m.values(), *v.values()], axis=None)
+            assert np.concatenate([state.m, state.v]).tobytes() == moments.tobytes()
+        assert state.step == 4
+        assert np.array_equal(params.tensors["mask_token"].data,
+                              init_params(config, seed=2).tensors["mask_token"].data)
 
 
 class TestParallelMap:
@@ -816,22 +901,34 @@ class TestAttentionKernel:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 15, 30])
-    def test_running_max_bytes_equal_max_down_columns(self, monkeypatch, dtype, n):
-        """The softmax's running maximum over key rows gives the output and
-        partials of p.max(axis=-2) byte for byte, ties included."""
+    def test_running_max_bytes_equal_max_down_columns(self, dtype, n):
+        """The kernel's softmax weights and output, from one max down the key rows, are
+        byte-equal to those from a running maximum over the rows one at a time, ties
+        included; the partials follow from them."""
         rng = philox([n, 44])
         q, k, v, g = (rng.normal(0, 4, (32, n, 16)).astype(dtype) for _ in range(4))
         k[:, n // 2] = k[:, 0]  # tied maxima
         q[0] = 0.0  # all-zero weights, so every key ties at 0
-        running = one_record(nc.attention, [Tensor(a, requires_grad=True) for a in (q, k, v)],
-                             g, 4)
-        monkeypatch.setattr(nc, "_key_max", lambda p: p.max(axis=-2, keepdims=True))
-        down = one_record(nc.attention, [Tensor(a, requires_grad=True) for a in (q, k, v)], g, 4)
-        assert running[0].data.tobytes() == down[0].data.tobytes()
-        for ours, theirs in zip(running[1], down[1]):
-            assert ours.tobytes() == theirs.tobytes()
-        with pytest.raises(ValueError):  # no keys at all, as p.max raises
-            nc._key_max(np.empty((2, 0, n), dtype))
+        with Tape() as tape:
+            out = nc.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), 4)
+        (backward, _), = tape._records
+        held = dict(zip(backward.__code__.co_freevars,
+                        (cell.cell_contents for cell in backward.__closure__)))
+        qh, kh, vh = (nc._heads(a, 4) for a in (q, k, v))
+        p = np.matmul(kh, np.swapaxes(qh, -1, -2))
+        p *= 1.0 / math.sqrt(qh.shape[-1])
+        running = p[..., :1, :].max(axis=-2, keepdims=True)
+        for i in range(1, n):
+            running = np.maximum(running, p[..., i: i + 1, :])
+        p -= running
+        np.exp(p, out=p)
+        p /= p.sum(axis=-2, keepdims=True)
+        expected = np.empty_like(q)
+        np.matmul(np.swapaxes(p, -1, -2), vh, out=nc._heads(expected, 4))
+        assert held["p"].tobytes() == p.tobytes()
+        assert out.data.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):  # no keys at all: no maximum
+            nc.attention(*(Tensor(np.empty((2, 0, n), dtype)) for _ in range(3)), 1)
 
     def test_matches_fd(self):
         rng = philox(43)

@@ -49,6 +49,10 @@ class TestStructure:
         with pytest.raises(ValueError, match="noise_std must be finite"):
             SynthSpec(seed=0, duration_s=60, noise_std=noise)
 
+    def test_noise_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="noise_std must be >= 0, got -3.0"):
+            SynthSpec(seed=0, duration_s=60, noise_std=-3.0)
+
 
 class TestWaveforms:
     def test_wake_epoch_dominant_frequency_is_10hz(self):

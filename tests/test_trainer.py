@@ -346,7 +346,9 @@ class TestDataParallel:
             loss, _ = mae.forward_loss(inputs, targets, params, masks)
         whole = tape.backward(loss)
 
-        sharded_loss, grads = trainer.batch_gradients(params, inputs, targets, masks)
+        sharded_loss, flat = trainer.batch_gradients(params, inputs, targets, masks)
+        assert flat.shape == (sum(t.data.size for t in params.tensors.values()),)
+        grads = trainer._views(flat, [(name, t.shape) for name, t in params.tensors.items()])
         assert trainer._shard_bounds(len(inputs)) == [0, 2, 5]
         assert sharded_loss == pytest.approx(loss.item(), rel=1e-12, abs=0)
         assert grads.keys() == params.tensors.keys()
@@ -354,6 +356,31 @@ class TestDataParallel:
             assert grads[name].dtype == np.float64
             scale = np.abs(whole[tensor]).max()
             assert np.abs(grads[name] - whole[tensor]).max() <= 1e-12 * scale, name
+
+    def test_flat_gradient_is_the_per_tensor_shard_sum_byte_for_byte(self):
+        """float32: each tensor's span is sum(g_k * n_k / B) of the shards' own tapes,
+        in shard order, byte for byte; a tensor no shard reaches gets a zero span."""
+        config = small_config().mae
+        params = mae.init_params(config, seed=3)
+        params.tensors["unreached"] = nc.Tensor(np.ones(3, np.float32), requires_grad=True)
+        rng = philox(9)
+        inputs = rng.normal(0, 1, (5, config.epoch_len)).astype(np.float32)
+        targets = rng.normal(0, 1, (5, len(config.target_channels), config.epoch_len))
+        targets = targets.astype(np.float32)
+        masks = mae.mask_plans(config, len(inputs), rng)
+        _, flat = trainer.batch_gradients(params, inputs, targets, masks)
+        shards = []
+        for lo, hi in ((0, 2), (2, 5)):
+            with nc.Tape() as tape:
+                loss = mae.forward_loss(inputs[lo:hi], targets[lo:hi], params, masks[lo:hi])[0]
+            shards.append((hi - lo, tape.backward(loss)))
+        expected = []
+        for tensor in params.tensors.values():
+            terms = [g[tensor] * (n / len(inputs)) for n, g in shards if tensor in g]
+            expected.append(sum(terms[1:], terms[0]) if terms else np.zeros_like(tensor.data))
+        assert flat.dtype == np.float32
+        assert flat.tobytes() == np.concatenate(expected, axis=None).tobytes()
+        assert not flat[-3:].any()
 
     @pytest.mark.parametrize("shards, batch_size", [(2, 1), (4, 3)])
     def test_batches_with_fewer_examples_than_shards_train(self, dataset, monkeypatch,
@@ -707,6 +734,25 @@ class TestStreamedScoring:
 
 
 class TestParamsFromBlobs:
+    def test_every_tensor_is_a_named_view_of_one_float32_buffer(self):
+        config = small_config().mae
+        init = mae.init_params(config, dtype=np.float64)
+        blobs = {name: t.data for name, t in init.tensors.items()}
+        params = trainer.params_from_blobs(config, blobs)
+        flat = params.flat
+        assert flat.dtype == np.float32 and flat.ndim == 1 and flat.flags.c_contiguous
+        assert list(params.tensors) == list(mae.parameter_shapes(config))
+        lo = 0
+        for name, tensor in params.tensors.items():
+            span = flat[lo: lo + tensor.data.size]
+            assert tensor.data.base is flat and np.shares_memory(tensor.data, span)
+            assert tensor.data.shape == blobs[name].shape and tensor.requires_grad
+            assert span.tobytes() == blobs[name].astype(np.float32).tobytes()
+            lo += tensor.data.size
+        assert lo == flat.size
+        flat[:] = 0.0  # a copy: the blobs keep their values
+        assert all(blob.any() for name, blob in blobs.items() if ".ln" not in name)
+
     def test_shapes_checked_against_config(self):
         config = small_config().mae
         blobs = {name: t.data for name, t in mae.init_params(config).tensors.items()}
